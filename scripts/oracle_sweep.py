@@ -25,7 +25,6 @@ def main() -> int:
     parser.add_argument("--nr-max", type=int, default=8)
     parser.add_argument("--l-max", type=int, default=3)
     parser.add_argument("--threshold", type=float, default=1e-8)
-    parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
@@ -43,8 +42,6 @@ def main() -> int:
                 "--threshold", str(args.threshold),
                 "--out", os.path.join(args.out, f"{system}_{space}.csv"),
             ]
-            if args.jobs is not None:
-                argv += ["--jobs", str(args.jobs)]
             code = cli_main(argv)
             if code != 0:
                 disagreeing.append(f"{system} {space}")

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -374,18 +373,9 @@ def _validate_cells(args: argparse.Namespace) -> list[tuple[QuantumState, str]]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cells = _validate_cells(args)
-
-    def worker(cell: tuple[QuantumState, str]) -> OutputRow:
-        state, digest = cell
-        return _evaluate_cell(state, digest, True, args.rel_tol)
-
-    if args.jobs == 1:
-        results = [worker(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, cells))
-
+    results = [
+        _evaluate_cell(state, digest, True, args.rel_tol) for state, digest in _validate_cells(args)
+    ]
     rows = [row.as_dict() for row in results]
     _emit(_ROW_HEADER, rows, _row_formats(args.digits), args.format, args.out)
 
@@ -555,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_options(validate)
     validate.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
     validate.add_argument("--threshold", type=float, default=1e-8, help="maximum accepted rel diff")
-    validate.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers")
     _add_output_options(validate, digits_default=12)
     validate.set_defaults(func=_cmd_validate)
 

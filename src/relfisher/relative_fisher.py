@@ -25,17 +25,22 @@ from .quadrature import QuadratureResult, QuadratureSpec, integrate
 from .systems import (
     MOMENTUM,
     POSITION,
-    Hydrogenic,
     Oscillator1D,
     Oscillator3D,
     Pseudoharmonic,
     QuantumState,
     SystemParams,
+    _require_positive,
+    _require_quantum_number,
     hydrogen_energy,
     php_derived,
     reference_state,
 )
-from .wavefunctions import default_quadrature_spec, evaluate
+from .wavefunctions import compile_state, default_quadrature_spec
+
+# Not called here any more; kept in this namespace because perfbench/tracer.py
+# hooks the wavefunction layer under this name.
+from .wavefunctions import evaluate  # noqa: F401
 
 __all__ = [
     "IRResult",
@@ -113,8 +118,11 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     192 at n=2, l=0, Z=1); both are exposed so the disagreement is checkable
     rather than hidden.
     """
-    state = QuantumState(system=Hydrogenic(Z=Z), space=MOMENTUM, n=n, l=l)
-    del state  # constructed purely to validate (n, l, Z)
+    _require_positive("Z", Z)
+    _require_quantum_number("n", n, minimum=1)
+    _require_quantum_number("l", l)
+    if l > n - 1:
+        raise ValueError(f"l must satisfy l <= n-1, got n={n}, l={l}")
     k = n - l - 1
     if k == 0:
         return 0.0
@@ -178,14 +186,18 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     if reference.radial_nodes != 0:
         raise ValueError(f"reference state {reference!r} has interior nodes")
     log_derivative = _reference_log_derivative(target)
+    wave = compile_state(target)
 
-    is_1d = isinstance(target.system, Oscillator1D)
-
-    def integrand(s: float) -> float:
-        sample = evaluate(target, s)
-        difference = sample.derivative - sample.value * log_derivative(s)
-        weight = 4.0 if is_1d else 4.0 * s * s
-        return weight * difference * difference
+    if isinstance(target.system, Oscillator1D):
+        def integrand(x: float) -> float:
+            value, derivative = wave(x)
+            difference = derivative - value * log_derivative(x)
+            return 4.0 * difference * difference
+    else:
+        def integrand(s: float) -> float:
+            value, derivative = wave(s)
+            difference = derivative - value * log_derivative(s)
+            return 4.0 * s * s * difference * difference
 
     if spec is None:
         spec = default_quadrature_spec(target)

@@ -7,18 +7,29 @@ which keeps the pseudoharmonic family (effective angular exponents up to a
 few hundred for real molecules) inside double range. Derivatives are analytic
 throughout: prefactor product rule plus the polynomial derivative identities;
 nothing in the production path differentiates numerically.
+
+compile_state binds a state once: everything that does not depend on the
+point (derived parameters, log-normalization, scales, the polynomial kernel
+and its recurrence coefficients) is computed when the state is compiled, and
+the returned closure does only the per-point work. evaluate, eval_radial and
+eval_1d_qho compile and then call once; callers that sample one state at many
+points, such as the quadrature oracle, compile it once themselves.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .quadrature import HALF_LINE, FULL_LINE, NonConvergedError, QuadratureSpec, integrate
-from .specfun import assoc_laguerre, gegenbauer, hermite, ln_gamma
+from .specfun import gegenbauer_kernel, hermite_kernel, laguerre_kernel, ln_gamma
+
+# Not called here any more; kept in this namespace because perfbench/tracer.py
+# hooks the polynomial layer under these names.
+from .specfun import assoc_laguerre, gegenbauer, hermite  # noqa: F401
 from .systems import (
     MOMENTUM,
     POSITION,
-    SPACES,
     Hydrogenic,
     Oscillator1D,
     Oscillator3D,
@@ -29,6 +40,7 @@ from .systems import (
 
 __all__ = [
     "WaveSample",
+    "compile_state",
     "eval_1d_qho",
     "eval_radial",
     "evaluate",
@@ -44,6 +56,11 @@ _LN_TINY = -700.0
 _LN_PI = math.log(math.pi)
 _QUARTER_LN_2 = 0.25 * math.log(2.0)
 
+# A compiled state: point -> (value, derivative).
+Evaluator = Callable[[float], tuple[float, float]]
+
+_ZERO = (0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class WaveSample:
@@ -53,9 +70,6 @@ class WaveSample:
     derivative: float
 
 
-_ZERO_SAMPLE = WaveSample(0.0, 0.0)
-
-
 def _qho1d_argument_scale(omega: float, space: str) -> float:
     """Scale c in the dimensionless argument y = c*x (or c*p)."""
     if space == POSITION:
@@ -63,79 +77,89 @@ def _qho1d_argument_scale(omega: float, space: str) -> float:
     return math.exp(_QUARTER_LN_2 - 0.5 * math.log(omega))
 
 
-def eval_1d_qho(n: int, omega: float, space: str, arg: float) -> WaveSample:
-    """Normalized 1D oscillator eigenfunction at a point of the full line.
+def _qho1d(n: int, omega: float, space: str) -> Evaluator:
+    """Normalized 1D oscillator eigenfunction on the full line.
 
     In both spaces the function is N*H_n(y)*exp(-y^2/2) with y = c*arg; the
     two spaces differ only in the scale c, which swaps omega for its
     reciprocal relative to the special frequency sqrt(2).
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    if space not in SPACES:
-        raise ValueError(f"space must be one of {SPACES}, got {space!r}")
     c = _qho1d_argument_scale(omega, space)
-    y = c * arg
     ln_norm = 0.5 * (math.log(c) - n * math.log(2.0) - ln_gamma(n + 1.0) - 0.5 * _LN_PI)
-    ln_env = ln_norm - 0.5 * y * y
-    if ln_env < _LN_TINY:
-        return _ZERO_SAMPLE
-    env = math.exp(ln_env)
-    h = hermite(n, y)
-    return WaveSample(env * h.value, c * env * (h.derivative - y * h.value))
+    hermite = hermite_kernel(n)
+
+    def full_line(arg: float) -> tuple[float, float]:
+        y = c * arg
+        ln_env = ln_norm - 0.5 * y * y
+        if ln_env < _LN_TINY:
+            return _ZERO
+        env = math.exp(ln_env)
+        h, dh = hermite(y)
+        return env * h, c * env * (dh - y * h)
+
+    return full_line
 
 
-def _radial_oscillator(n_r: int, kappa: float, b: float, s: float) -> WaveSample:
+def _radial_oscillator(n_r: int, kappa: float, b: float) -> Evaluator:
     """Common radial family A * s^kappa * exp(-b s^2/2) * L_{n_r}^{kappa+1/2}(b s^2).
 
     Covers the 3D oscillator (kappa = l, b = omega or 1/omega) and the
     pseudoharmonic potential (kappa = gamma_l, b = 2*lambda or 1/(2*lambda)).
     """
-    u = b * s * s
     ln_norm = 0.5 * (
         math.log(2.0)
         + (kappa + 1.5) * math.log(b)
         + ln_gamma(n_r + 1.0)
         - ln_gamma(n_r + kappa + 1.5)
     )
-    ln_env = ln_norm - 0.5 * u
-    if kappa != 0.0:
-        ln_env += kappa * math.log(s)
-    if ln_env < _LN_TINY:
-        return _ZERO_SAMPLE
-    env = math.exp(ln_env)
-    lag = assoc_laguerre(n_r, kappa + 0.5, u)
-    value = env * lag.value
-    derivative = env * ((kappa / s - b * s) * lag.value + 2.0 * b * s * lag.derivative)
-    return WaveSample(value, derivative)
+    laguerre = laguerre_kernel(n_r, kappa + 0.5)
+    two_b = 2.0 * b
+
+    def radial(s: float) -> tuple[float, float]:
+        if not s > 0.0:
+            raise ValueError(f"radial argument must be > 0, got {s!r}")
+        u = b * s * s
+        ln_env = ln_norm - 0.5 * u
+        if kappa != 0.0:
+            ln_env += kappa * math.log(s)
+        if ln_env < _LN_TINY:
+            return _ZERO
+        env = math.exp(ln_env)
+        lag, dlag = laguerre(u)
+        return env * lag, env * ((kappa / s - b * s) * lag + two_b * s * dlag)
+
+    return radial
 
 
-def _hydrogen_position(n: int, l: int, Z: float, r: float) -> WaveSample:
-    xi = 2.0 * Z * r / n
-    ln_env = (
+def _hydrogen_position(n: int, l: int, Z: float) -> Evaluator:
+    ln_norm = (
         math.log(2.0)
         + 1.5 * math.log(Z)
         - 2.0 * math.log(n)
         + 0.5 * (ln_gamma(n - l) - ln_gamma(n + l + 1.0))
-        - 0.5 * xi
     )
-    if l:
-        ln_env += l * math.log(xi)
-    if ln_env < _LN_TINY:
-        return _ZERO_SAMPLE
-    env = math.exp(ln_env)
-    lag = assoc_laguerre(n - l - 1, 2.0 * l + 1.0, xi)
-    value = env * lag.value
-    derivative = (2.0 * Z / n) * env * ((l / xi - 0.5) * lag.value + lag.derivative)
-    return WaveSample(value, derivative)
+    laguerre = laguerre_kernel(n - l - 1, 2.0 * l + 1.0)
+    dxi_dr = 2.0 * Z / n
+
+    def radial(r: float) -> tuple[float, float]:
+        if not r > 0.0:
+            raise ValueError(f"radial argument must be > 0, got {r!r}")
+        xi = 2.0 * Z * r / n
+        ln_env = ln_norm - 0.5 * xi
+        if l:
+            ln_env += l * math.log(xi)
+        if ln_env < _LN_TINY:
+            return _ZERO
+        env = math.exp(ln_env)
+        lag, dlag = laguerre(xi)
+        return env * lag, dxi_dr * env * ((l / xi - 0.5) * lag + dlag)
+
+    return radial
 
 
-def _hydrogen_momentum(n: int, l: int, Z: float, p: float) -> WaveSample:
+def _hydrogen_momentum(n: int, l: int, Z: float) -> Evaluator:
     # Evaluated through t = n p / Z and q = (t^2-1)/(t^2+1); the t > 1 branch
     # works in 1/t^2 so t^2 never overflows and q stays fully accurate.
-    t = n * p / Z
     ln_norm = (
         2.0 * math.log(n)
         + (2.0 * l + 2.0) * math.log(2.0)
@@ -143,30 +167,72 @@ def _hydrogen_momentum(n: int, l: int, Z: float, p: float) -> WaveSample:
         + 0.5 * (math.log(2.0) - _LN_PI + ln_gamma(n - l) - ln_gamma(n + l + 1.0))
         - 1.5 * math.log(Z)
     )
-    if t <= 1.0:
-        t2p1 = t * t + 1.0
-        q = (t * t - 1.0) / t2p1
-        ln_t2p1 = math.log1p(t * t)
-        dq_dt = 4.0 * t / (t2p1 * t2p1)
-        rational_decay = 2.0 * (l + 2.0) * t / t2p1
-    else:
-        inv = 1.0 / (t * t)
-        one_plus = 1.0 + inv
-        q = (1.0 - inv) / one_plus
-        ln_t2p1 = 2.0 * math.log(t) + math.log1p(inv)
-        dq_dt = 4.0 / (t * t * t * one_plus * one_plus)
-        rational_decay = 2.0 * (l + 2.0) / (t * one_plus)
-    ln_env = ln_norm - (l + 2.0) * ln_t2p1
-    if l:
-        ln_env += l * math.log(t)
-    if ln_env < _LN_TINY:
-        return _ZERO_SAMPLE
-    env = math.exp(ln_env)
-    geg = gegenbauer(n - l - 1, l + 1.0, q)
-    power_growth = l / t if l else 0.0
-    value = env * geg.value
-    d_dt = env * ((power_growth - rational_decay) * geg.value + geg.derivative * dq_dt)
-    return WaveSample(value, (n / Z) * d_dt)
+    gegenbauer = gegenbauer_kernel(n - l - 1, l + 1.0)
+    decay_power = l + 2.0
+    two_decay_power = 2.0 * (l + 2.0)
+    dt_dp = n / Z
+
+    def radial(p: float) -> tuple[float, float]:
+        if not p > 0.0:
+            raise ValueError(f"radial argument must be > 0, got {p!r}")
+        t = n * p / Z
+        if t <= 1.0:
+            t2p1 = t * t + 1.0
+            q = (t * t - 1.0) / t2p1
+            ln_t2p1 = math.log1p(t * t)
+            dq_dt = 4.0 * t / (t2p1 * t2p1)
+            rational_decay = two_decay_power * t / t2p1
+        else:
+            inv = 1.0 / (t * t)
+            one_plus = 1.0 + inv
+            q = (1.0 - inv) / one_plus
+            ln_t2p1 = 2.0 * math.log(t) + math.log1p(inv)
+            dq_dt = 4.0 / (t * t * t * one_plus * one_plus)
+            rational_decay = two_decay_power / (t * one_plus)
+        ln_env = ln_norm - decay_power * ln_t2p1
+        if l:
+            ln_env += l * math.log(t)
+        if ln_env < _LN_TINY:
+            return _ZERO
+        env = math.exp(ln_env)
+        geg, dgeg = gegenbauer(q)
+        power_growth = l / t if l else 0.0
+        d_dt = env * ((power_growth - rational_decay) * geg + dgeg * dq_dt)
+        return env * geg, dt_dp * d_dt
+
+    return radial
+
+
+def compile_state(state: QuantumState) -> Evaluator:
+    """Bind one state into a closure s -> (value, derivative).
+
+    The closure evaluates the normalized wavefunction psi(x) on the full line
+    for the 1D oscillator, and the radial function R(s) with dR/ds at s > 0
+    otherwise (it raises ValueError for s <= 0); s is a radius in position
+    space and a momentum magnitude in momentum space. Beyond the point where
+    the envelope drops under exp(-700) it returns exactly (0.0, 0.0).
+    """
+    sys = state.system
+    if isinstance(sys, Oscillator1D):
+        return _qho1d(state.n, sys.omega, state.space)
+    if isinstance(sys, Oscillator3D):
+        b = sys.omega if state.space == POSITION else 1.0 / sys.omega
+        return _radial_oscillator(state.n_r, float(state.l), b)
+    if isinstance(sys, Pseudoharmonic):
+        derived = php_derived(sys, state.l)
+        b = 2.0 * derived.lam if state.space == POSITION else 0.5 / derived.lam
+        return _radial_oscillator(state.n_r, derived.gamma_l, b)
+    if isinstance(sys, Hydrogenic):
+        if state.space == POSITION:
+            return _hydrogen_position(state.n, state.l, sys.Z)
+        return _hydrogen_momentum(state.n, state.l, sys.Z)
+    raise ValueError(f"unknown system parameters: {sys!r}")
+
+
+def eval_1d_qho(n: int, omega: float, space: str, arg: float) -> WaveSample:
+    """Normalized 1D oscillator eigenfunction at a point of the full line."""
+    state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
+    return WaveSample(*compile_state(state)(arg))
 
 
 def eval_radial(state: QuantumState, s: float) -> WaveSample:
@@ -175,28 +241,14 @@ def eval_radial(state: QuantumState, s: float) -> WaveSample:
     s is a radius in position space and a momentum magnitude in momentum
     space. The 1D oscillator is not a radial system; see eval_1d_qho.
     """
-    if not s > 0.0:
-        raise ValueError(f"radial argument must be > 0, got {s!r}")
-    sys = state.system
-    if isinstance(sys, Oscillator3D):
-        b = sys.omega if state.space == POSITION else 1.0 / sys.omega
-        return _radial_oscillator(state.n_r, float(state.l), b, s)
-    if isinstance(sys, Pseudoharmonic):
-        derived = php_derived(sys, state.l)
-        b = 2.0 * derived.lam if state.space == POSITION else 0.5 / derived.lam
-        return _radial_oscillator(state.n_r, derived.gamma_l, b, s)
-    if isinstance(sys, Hydrogenic):
-        if state.space == POSITION:
-            return _hydrogen_position(state.n, state.l, sys.Z, s)
-        return _hydrogen_momentum(state.n, state.l, sys.Z, s)
-    raise ValueError("eval_radial applies to radial systems; use eval_1d_qho for the 1D oscillator")
+    if isinstance(state.system, Oscillator1D):
+        raise ValueError("eval_radial applies to radial systems; use eval_1d_qho for the 1D oscillator")
+    return WaveSample(*compile_state(state)(s))
 
 
 def evaluate(state: QuantumState, s: float) -> WaveSample:
     """Evaluate any state's wavefunction: full-line for 1D, radial otherwise."""
-    if isinstance(state.system, Oscillator1D):
-        return eval_1d_qho(state.n, state.system.omega, state.space, s)
-    return eval_radial(state, s)
+    return WaveSample(*compile_state(state)(s))
 
 
 def natural_scale(state: QuantumState) -> float:
@@ -228,13 +280,14 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
     """
     if spec is None:
         spec = default_quadrature_spec(state)
+    wave = compile_state(state)
     if isinstance(state.system, Oscillator1D):
         def density(x: float) -> float:
-            value = evaluate(state, x).value
+            value = wave(x)[0]
             return value * value
     else:
         def density(s: float) -> float:
-            value = evaluate(state, s).value
+            value = wave(s)[0]
             return s * s * value * value
     result = integrate(density, spec)
     if not result.converged:

@@ -109,7 +109,7 @@ def test_usage_errors(capsys):
 def test_validate_small_sweep(capsys):
     code = run_cli(
         ["validate", "--system", "qho3d", "--omega", "1", "--nr-max", "2", "--l-max", "1",
-         "--space", "position", "--jobs", "1"]
+         "--space", "position"]
     )
     captured = capsys.readouterr()
     assert code == EXIT_OK
@@ -118,19 +118,6 @@ def test_validate_small_sweep(capsys):
     rows = parse_csv(captured.out)
     max_rel = max(float(r["rel_diff"]) for r in rows if r["rel_diff"])
     assert max_rel <= 1e-8
-
-
-def test_validate_parallel_matches_serial(capsys):
-    serial = run_cli(
-        ["validate", "--system", "qho1d", "--omega", "2.2", "--n-max", "3", "--jobs", "1"]
-    )
-    out_serial = capsys.readouterr().out
-    parallel = run_cli(
-        ["validate", "--system", "qho1d", "--omega", "2.2", "--n-max", "3", "--jobs", "4"]
-    )
-    out_parallel = capsys.readouterr().out
-    assert serial == parallel == EXIT_OK
-    assert out_serial == out_parallel
 
 
 def test_validate_hydrogen_position_passes(capsys):

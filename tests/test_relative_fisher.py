@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relfisher.relative_fisher
+import relfisher.wavefunctions
 from relfisher.data_units import find_molecule, registry, to_atomic_units
+from relfisher.quadrature import IntegrandError
 from relfisher.relative_fisher import (
     UnsupportedSystemError,
     closed_form_ir,
@@ -36,6 +39,7 @@ from relfisher.systems import (
     QuantumState,
     php_derived,
 )
+from relfisher.wavefunctions import default_quadrature_spec
 
 H2_PARAMS = to_atomic_units(find_molecule("H2"))
 
@@ -356,3 +360,47 @@ def test_hydrogen_momentum_circular_states_are_consistent():
     assert result.closed_form == 0.0
     assert hydrogen_momentum_integral_closed_form(4, 3, 1.0) == 0.0
     assert abs(result.numeric) <= 1e-12
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_numeric_ir_keeps_state_work_out_of_the_integrand(monkeypatch):
+    """php_derived and ln_gamma run a fixed number of times per cell, however
+    many points the quadrature evaluates."""
+    counts = {}
+    _count_calls(monkeypatch, relfisher.wavefunctions, "php_derived", counts)
+    _count_calls(monkeypatch, relfisher.relative_fisher, "php_derived", counts)
+    _count_calls(monkeypatch, relfisher.wavefunctions, "ln_gamma", counts)
+    state = QuantumState(system=H2_PARAMS, space=POSITION, n_r=20, l=0)
+    seen = []
+    for rel_tol in (1e-6, 1e-10):
+        counts.clear()
+        result = numeric_ir(state, default_quadrature_spec(state, rel_tol=rel_tol))
+        assert result.quadrature.converged
+        seen.append((result.quadrature.evaluations, dict(counts)))
+    (few, counts_few), (many, counts_many) = seen
+    assert few < many
+    assert counts_few == counts_many
+    assert 1 <= counts_many["php_derived"] <= 4
+    assert 1 <= counts_many["ln_gamma"] <= 2
+    assert many >= 100 * (counts_many["php_derived"] + counts_many["ln_gamma"])
+
+
+def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
+    laguerre_kernel = relfisher.wavefunctions.laguerre_kernel
+
+    def poisoned(n, alpha):
+        kernel = laguerre_kernel(n, alpha)
+        return lambda x: (math.nan, math.nan) if x > 2.0 else kernel(x)
+
+    monkeypatch.setattr(relfisher.wavefunctions, "laguerre_kernel", poisoned)
+    with pytest.raises(IntegrandError):
+        numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))

@@ -2,18 +2,28 @@
 
 Expected values are either hand-derivable from the low-order closed forms
 (H2 = 4x^2 - 2, L1^a = 1 + a - x, C2^a = 2a(1+a)x^2 - a, ...) or pinned
-against an independent route (moment expansion, scipy, finite differences).
+against an independent route (moment expansion, scipy, mpmath, finite
+differences).
 """
 
 import math
 
+import mpmath
 import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher.quadrature import FULL_LINE, QuadratureSpec, integrate
-from relfisher.specfun import assoc_laguerre, gegenbauer, hermite, ln_gamma
+from relfisher.specfun import (
+    assoc_laguerre,
+    gegenbauer,
+    gegenbauer_kernel,
+    hermite,
+    hermite_kernel,
+    laguerre_kernel,
+    ln_gamma,
+)
 
 
 def test_hermite_low_orders():
@@ -175,3 +185,66 @@ def test_hermite_orthogonality_by_quadrature():
                 assert result.value == pytest.approx(norm(m), rel=1e-9)
             else:
                 assert abs(result.value) <= 1e-9 * pair_scale
+
+
+# One-pass kernels against mpmath. Each error is measured against the size of
+# the recurrence terms the value is assembled from, |L_n^{a+1}| + |L_{n-1}^{a+1}|
+# (a = alpha), and the matching Gegenbauer terms at alpha + 1, because the
+# value itself passes through zero between them. Laguerre points sit at
+# fractions of 4n + 2*alpha + 2, past which there are no zeros, and stay where
+# the values fit in double range. On these points the worst error is 2.4e-13
+# (n=500, alpha=0.5, x=4.0), where the earlier two-pass kernel reached 1.5e-12.
+# Near the turning point before the first zero both terms are small and the
+# measure grows for any forward recurrence: at n=500, alpha=151.3, x=23 the
+# one-pass kernel reaches 1.1e-12 and the two-pass kernel 2.0e-12. The points
+# below keep off that spot.
+_LAGUERRE_FRACTIONS = (0.002, 0.05, 0.15, 0.3, 0.45)
+_GEGENBAUER_POINTS = (-0.99, -0.7, -0.25, 0.1, 0.45, 0.8, 0.97)
+
+
+@pytest.mark.parametrize("n", [10, 100, 500])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 7.0, 40.0, 151.3, 420.0])
+def test_laguerre_one_pass_matches_mpmath(n, alpha):
+    mpmath.mp.dps = 30
+    worst = 0.0
+    for fraction in _LAGUERRE_FRACTIONS:
+        x = fraction * (4.0 * n + 2.0 * alpha + 2.0)
+        sample = assoc_laguerre(n, alpha, x)
+        upper = mpmath.laguerre(n, alpha + 1.0, x)
+        lower = mpmath.laguerre(n - 1, alpha + 1.0, x)
+        terms = abs(upper) + abs(lower)
+        value_error = abs(sample.value - mpmath.laguerre(n, alpha, x)) / terms
+        derivative_error = abs(sample.derivative + lower) / terms
+        worst = max(worst, float(value_error), float(derivative_error))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 100, 500])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 7.0, 40.0, 151.0])
+def test_gegenbauer_one_pass_matches_mpmath(n, alpha):
+    mpmath.mp.dps = 30
+    worst = 0.0
+    for x in _GEGENBAUER_POINTS:
+        sample = gegenbauer(n, alpha, x)
+        c_n, c_n1, c_n2 = (mpmath.gegenbauer(m, alpha + 1.0, x) for m in (n, n - 1, n - 2))
+        value_terms = alpha / (n + alpha) * (abs(c_n) + abs(c_n2))
+        derivative_terms = 2.0 * alpha * (abs(c_n1) + abs(c_n2))
+        value_error = abs(sample.value - mpmath.gegenbauer(n, alpha, x)) / value_terms
+        derivative_error = abs(sample.derivative - 2.0 * alpha * c_n1) / derivative_terms
+        worst = max(worst, float(value_error), float(derivative_error))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kernel,one_point,args",
+    [
+        (hermite_kernel, hermite, (37,)),
+        (laguerre_kernel, assoc_laguerre, (37, 151.3)),
+        (gegenbauer_kernel, gegenbauer, (37, 3.0)),
+    ],
+)
+def test_one_point_forms_call_the_kernel(kernel, one_point, args):
+    compiled = kernel(*args)
+    for x in (-0.6, 0.2, 0.9):
+        sample = one_point(*args, x)
+        assert (sample.value, sample.derivative) == compiled(x)

@@ -23,6 +23,7 @@ from relfisher.systems import (
     php_derived,
 )
 from relfisher.wavefunctions import (
+    compile_state,
     default_quadrature_spec,
     eval_1d_qho,
     eval_radial,
@@ -294,3 +295,47 @@ def test_momentum_odd_moment_vanishes(n, l):
     )
     assert odd.converged
     assert abs(odd.value) <= 1e-10 * base.value
+
+
+RADIAL_STATES = [
+    QuantumState(system=Oscillator3D(omega=0.8), space=POSITION, n_r=2, l=1),
+    QuantumState(system=Oscillator3D(omega=0.8), space=MOMENTUM, n_r=0, l=0),
+    QuantumState(system=H2_PARAMS, space=POSITION, n_r=3, l=0),
+    QuantumState(system=H2_PARAMS, space=MOMENTUM, n_r=1, l=2),
+    QuantumState(system=Hydrogenic(Z=2.0), space=POSITION, n=4, l=1),
+    QuantumState(system=Hydrogenic(Z=2.0), space=MOMENTUM, n=4, l=0),
+]
+ALL_STATES = RADIAL_STATES + [
+    QuantumState(system=Oscillator1D(omega=1.3), space=POSITION, n=5),
+    QuantumState(system=Oscillator1D(omega=1.3), space=MOMENTUM, n=0),
+]
+
+
+@pytest.mark.parametrize("state", RADIAL_STATES, ids=lambda v: str(v)[:40])
+def test_compiled_radial_state_rejects_nonpositive_argument(state):
+    wave = compile_state(state)
+    for s in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            wave(s)
+
+
+@pytest.mark.parametrize("state", ALL_STATES, ids=lambda v: str(v)[:40])
+def test_compiled_state_is_exactly_zero_far_in_the_tail(state):
+    # the envelope is far below exp(-700) here; the hydrogen momentum
+    # density decays only as a power of p, so its tail starts much further out
+    power_law = isinstance(state.system, Hydrogenic) and state.space == MOMENTUM
+    far = (1e100 if power_law else 1e3) * natural_scale(state)
+    assert compile_state(state)(far) == (0.0, 0.0)
+    if isinstance(state.system, Oscillator1D):
+        assert compile_state(state)(-far) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("state", ALL_STATES, ids=lambda v: str(v)[:40])
+def test_evaluate_matches_compiled_state_bit_for_bit(state):
+    wave = compile_state(state)
+    scale = natural_scale(state)
+    for k in range(1, 40):
+        s = 0.2 * k * scale
+        sample = evaluate(state, s)
+        value, derivative = wave(s)
+        assert (sample.value.hex(), sample.derivative.hex()) == (value.hex(), derivative.hex())
