@@ -2,22 +2,25 @@
 reproduction of the bundled reference tables, with machine-readable output.
 
 Output is CSV (UTF-8, LF, '.' decimal) or newline-delimited JSON with the same
-field names. Files are written atomically (temp file + rename), so a crash
-never leaves a partial table. Exit codes: 0 ok, 2 usage error, 3 validation or
-quadrature failure, 4 I/O failure.
+field names. Rows are streamed: each is written as soon as it is computed, so
+memory does not grow with the table beyond the list of states. The states are
+built and validated before the first row, so a bad argument writes nothing. An
+--out file is still all-or-nothing: rows go to a temp file in the same
+directory, which is renamed over the target on success and removed on any
+error. Stdout may already hold rows written before an error line. Exit codes:
+0 ok, 2 usage error, 3 validation or quadrature failure, 4 I/O failure.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .data_units import (
     CONSTANT_PROFILES,
@@ -40,8 +43,11 @@ from .systems import (
     Oscillator3D,
     Pseudoharmonic,
     QuantumState,
-    reference_state,
 )
+
+# Not called here any more; kept in this namespace because perfbench/tracer.py
+# hooks the reference-state layer under this name.
+from .systems import reference_state  # noqa: F401
 from .wavefunctions import default_quadrature_spec
 
 __all__ = ["OutputRow", "main"]
@@ -50,17 +56,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-
-_ROW_HEADER = [
-    "system",
-    "space",
-    "quantum_numbers",
-    "params_digest",
-    "ir_closed",
-    "ir_numeric",
-    "rel_diff",
-    "status",
-]
 
 STATUS_OK = "ok"
 STATUS_QUADRATURE_FAILED = "quadrature_failed"
@@ -90,9 +85,8 @@ _TABLE1_ORBITALS = (
 _TABLE3_NR = (1, 2, 3, 10, 25, 50, 100)
 
 
-@dataclass(frozen=True)
-class OutputRow:
-    """One computed cell of a compute or validate sweep."""
+class OutputRow(NamedTuple):
+    """One computed cell of a compute or validate sweep, in output column order."""
 
     system: str
     space: str
@@ -103,76 +97,64 @@ class OutputRow:
     rel_diff: float | None
     status: str
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "system": self.system,
-            "space": self.space,
-            "quantum_numbers": self.quantum_numbers,
-            "params_digest": self.params_digest,
-            "ir_closed": self.ir_closed,
-            "ir_numeric": self.ir_numeric,
-            "rel_diff": self.rel_diff,
-            "status": self.status,
-        }
+
+_ROW_HEADER = list(OutputRow._fields)
 
 
-def _render_csv(header: list[str], rows: list[dict[str, object]], formats: dict[str, str]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_rows(
+    stream: TextIO,
+    header: list[str],
+    rows: Iterable[Sequence[object]],
+    formats: dict[str, str],
+    output_format: str,
+) -> None:
+    """Write each row as it comes. A row holds its values in header order.
+
+    CSV floats use the column's format spec (default .12g), None is an empty
+    cell and anything else is written as str(value); JSON has no header line.
+    """
+    if output_format == "json":
+        dumps = json.dumps
+        for row in rows:
+            stream.write(dumps(dict(zip(header, row)), ensure_ascii=False) + "\n")
+        return
+    specs = [formats.get(column, ".12g") for column in header]
+
+    def cells(row: Sequence[object]) -> list[object]:
+        return [format(v, spec) if isinstance(v, float) else v for v, spec in zip(row, specs)]
+
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        cells = []
-        for column in header:
-            value = row[column]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(format(value, formats.get(column, ".12g")))
-            else:
-                cells.append(str(value))
-        writer.writerow(cells)
-    return buffer.getvalue()
-
-
-def _render_ndjson(header: list[str], rows: list[dict[str, object]]) -> str:
-    lines = []
-    for row in rows:
-        lines.append(json.dumps({column: row[column] for column in header}, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, delete=False, encoding="utf-8", newline=""
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    writer.writerows(map(cells, rows))
 
 
 def _emit(
     header: list[str],
-    rows: list[dict[str, object]],
+    rows: Iterable[Sequence[object]],
     formats: dict[str, str],
     output_format: str,
     out_path: str | None,
 ) -> None:
-    if output_format == "json":
-        text = _render_ndjson(header, rows)
-    else:
-        text = _render_csv(header, rows, formats)
-    if out_path:
-        _write_atomic(out_path, text)
-    else:
-        sys.stdout.write(text)
+    """Stream rows to stdout, or to out_path through a temp file in its directory.
+
+    The temp file is renamed over out_path once every row is written and is
+    removed on any exception, so the file is all-or-nothing; stdout keeps the
+    rows written before an error.
+    """
+    if not out_path:
+        _write_rows(sys.stdout, header, rows, formats, output_format)
+        return
+    fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as stream:
+            _write_rows(stream, header, rows, formats, output_format)
+        os.replace(temp_path, out_path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
 
 
 def _parse_range(text: str, name: str) -> list[int]:
@@ -281,21 +263,20 @@ def _states_for_compute(args: argparse.Namespace) -> tuple[list[QuantumState], s
     return states, digest
 
 
-def _system_name(state: QuantumState) -> str:
-    return {
-        Oscillator1D: "qho1d",
-        Oscillator3D: "qho3d",
-        Hydrogenic: "hydrogen",
-        Pseudoharmonic: "php",
-    }[type(state.system)]
+_SYSTEM_NAMES = {
+    Oscillator1D: "qho1d",
+    Oscillator3D: "qho3d",
+    Hydrogenic: "hydrogen",
+    Pseudoharmonic: "php",
+}
 
 
 def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> OutputRow:
-    is_reference = state == reference_state(state)
+    # The reference state is the node-less state of the same system, space and l.
     closed = closed_form_ir(state)
     numeric = None
     rel_diff = None
-    status = STATUS_REFERENCE if is_reference else STATUS_OK
+    status = STATUS_REFERENCE if state.radial_nodes == 0 else STATUS_OK
     if validate:
         result = numeric_ir(state, default_quadrature_spec(state, rel_tol=rel_tol))
         numeric = result.numeric
@@ -303,14 +284,14 @@ def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: fl
         if not result.quadrature.converged:
             status = STATUS_QUADRATURE_FAILED
     return OutputRow(
-        system=_system_name(state),
-        space=state.space,
-        quantum_numbers=_describe_numbers(state),
-        params_digest=digest,
-        ir_closed=closed,
-        ir_numeric=numeric,
-        rel_diff=rel_diff,
-        status=status,
+        _SYSTEM_NAMES[type(state.system)],
+        state.space,
+        _describe_numbers(state),
+        digest,
+        closed,
+        numeric,
+        rel_diff,
+        status,
     )
 
 
@@ -321,13 +302,18 @@ def _row_formats(digits: int) -> dict[str, str]:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     states, digest = _states_for_compute(args)
-    rows = [
-        _evaluate_cell(state, digest, args.validate, args.rel_tol).as_dict() for state in states
-    ]
-    _emit(_ROW_HEADER, rows, _row_formats(args.digits), args.format, args.out)
-    if args.validate and any(row["status"] == STATUS_QUADRATURE_FAILED for row in rows):
-        return EXIT_VALIDATION
-    return EXIT_OK
+    failed = False
+
+    def rows() -> Iterable[OutputRow]:
+        nonlocal failed
+        for state in states:
+            row = _evaluate_cell(state, digest, args.validate, args.rel_tol)
+            if row.status == STATUS_QUADRATURE_FAILED:
+                failed = True
+            yield row
+
+    _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 def _validate_cells(args: argparse.Namespace) -> list[tuple[QuantumState, str]]:
@@ -373,17 +359,24 @@ def _validate_cells(args: argparse.Namespace) -> list[tuple[QuantumState, str]]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    results = [
-        _evaluate_cell(state, digest, True, args.rel_tol) for state, digest in _validate_cells(args)
-    ]
-    rows = [row.as_dict() for row in results]
-    _emit(_ROW_HEADER, rows, _row_formats(args.digits), args.format, args.out)
+    cells = _validate_cells(args)
+    quadrature_failures = over_threshold = 0
+    max_rel = 0.0
 
-    quadrature_failures = sum(1 for row in results if row.status == STATUS_QUADRATURE_FAILED)
-    over_threshold = sum(1 for row in results if row.rel_diff is not None and row.rel_diff > args.threshold)
-    max_rel = max((row.rel_diff for row in results if row.rel_diff is not None), default=0.0)
+    def rows() -> Iterable[OutputRow]:
+        nonlocal quadrature_failures, over_threshold, max_rel
+        for state, digest in cells:
+            row = _evaluate_cell(state, digest, True, args.rel_tol)
+            if row.status == STATUS_QUADRATURE_FAILED:
+                quadrature_failures += 1
+            if row.rel_diff > args.threshold:
+                over_threshold += 1
+            max_rel = max(max_rel, row.rel_diff)
+            yield row
+
+    _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
     print(
-        f"validate: cells={len(results)} max_rel_diff={max_rel:.3e} "
+        f"validate: cells={len(cells)} max_rel_diff={max_rel:.3e} "
         f"quadrature_failures={quadrature_failures} over_threshold={over_threshold} "
         f"(threshold={args.threshold:g})",
         file=sys.stderr,
@@ -396,20 +389,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _reproduce_table1(args: argparse.Namespace) -> list[str]:
     digits = args.digits if args.digits is not None else 12
     header = ["orbital", "n", "l", "ir_exact", "ir_value", "printed_value", "status"]
-    rows: list[dict[str, object]] = []
+    rows = []
     for orbital, n, l, printed in _TABLE1_ORBITALS:
         computed = hydrogen_position_rational(n, l)
-        rows.append(
-            {
-                "orbital": orbital,
-                "n": n,
-                "l": l,
-                "ir_exact": str(computed),
-                "ir_value": float(computed),
-                "printed_value": str(printed),
-                "status": STATUS_OK if computed == printed else "mismatch",
-            }
-        )
+        status = STATUS_OK if computed == printed else "mismatch"
+        rows.append((orbital, n, l, str(computed), float(computed), str(printed), status))
     path = os.path.join(args.out, f"table1.{args.format}")
     _emit(header, rows, {"ir_value": f".{digits}g"}, args.format, path)
     return [path]
@@ -418,20 +402,13 @@ def _reproduce_table1(args: argparse.Namespace) -> list[str]:
 def _reproduce_table3(args: argparse.Namespace) -> list[str]:
     digits = args.digits if args.digits is not None else 6
     header = ["molecule", "n_r", "ir_position", "ir_momentum"]
-    rows: list[dict[str, object]] = []
+    rows = []
     for record in registry():
         params = to_atomic_units(record, args.constants)
         for n_r in _TABLE3_NR:
             position = QuantumState(system=params, space=POSITION, n_r=n_r, l=0)
             momentum = QuantumState(system=params, space=MOMENTUM, n_r=n_r, l=0)
-            rows.append(
-                {
-                    "molecule": record.name,
-                    "n_r": n_r,
-                    "ir_position": closed_form_ir(position),
-                    "ir_momentum": closed_form_ir(momentum),
-                }
-            )
+            rows.append((record.name, n_r, closed_form_ir(position), closed_form_ir(momentum)))
     path = os.path.join(args.out, f"table3.{args.format}")
     formats = {"ir_position": f".{digits}f", "ir_momentum": f".{digits}f"}
     _emit(header, rows, formats, args.format, path)
@@ -450,14 +427,14 @@ def _reproduce_figure1(args: argparse.Namespace) -> list[str]:
     params = Hydrogenic(Z=1.0)
     for stem, space, l_values in series:
         header = ["l", "n", "value"]
-        rows: list[dict[str, object]] = []
+        rows = []
         for l in l_values:
             for n in range(l + 2, 51):
                 state = QuantumState(system=params, space=space, n=n, l=l)
                 value = closed_form_ir(state)
                 if space == MOMENTUM:
                     value = math.log(value)
-                rows.append({"l": l, "n": n, "value": value})
+                rows.append((l, n, value))
         path = os.path.join(args.out, f"{stem}.{args.format}")
         _emit(header, rows, {"value": f".{digits}g"}, args.format, path)
         paths.append(path)
@@ -480,14 +457,8 @@ def _cmd_molecules(args: argparse.Namespace) -> int:
     header = ["name", "state_label", "mu_amu", "de_ev", "re_angstrom", "source"]
     records = registry() + _molecule_records(args)
     rows = [
-        {
-            "name": record.name,
-            "state_label": record.state_label,
-            "mu_amu": record.mu_amu,
-            "de_ev": record.de_ev,
-            "re_angstrom": record.re_angstrom,
-            "source": record.source,
-        }
+        (record.name, record.state_label, record.mu_amu, record.de_ev, record.re_angstrom,
+         record.source)
         for record in records
     ]
     formats = {"mu_amu": ".12g", "de_ev": ".12g", "re_angstrom": ".12g"}

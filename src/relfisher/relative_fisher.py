@@ -105,7 +105,9 @@ def closed_form_ir(target: QuantumState) -> float:
         return 32.0 * lam * target.n_r if target.space == POSITION else 8.0 * target.n_r / lam
     n, l, Z = target.n, target.l, sys.Z
     if target.space == POSITION:
-        return float(hydrogen_position_rational(n, l)) * Z * Z
+        # Int true division is correctly rounded, so this equals
+        # float(hydrogen_position_rational(n, l)) * Z * Z bit for bit.
+        return 8 * (n - l - 1) / n ** 3 * Z * Z
     return float(16 * n * n * (n * n - (l + 1) ** 2)) / (Z * Z)
 
 

@@ -53,6 +53,16 @@ __all__ = [
 # return exact zeros instead of risking underflow-times-overflow products.
 _LN_TINY = -700.0
 
+# The 1D oscillator's cutoff tests the envelope N*exp(-y^2/2) alone, while
+# H_n(y) grows as fast as the envelope falls, so at large n the cutoff lands
+# where psi still lives. A state is refused unless the log-envelope at the
+# classical turning point y^2 = 2n+1 sits this far above _LN_TINY, which leaves
+# the Airy tail beyond the turning point inside the cutoff. In a scan of
+# n = 150..300 at omega 0.5, 1 and 2 in both spaces the truncation shows in
+# rel_diff from n = 190 (log-envelope -662) and the last state this admits is
+# n = 188 (-654), at rel_diff 1.8e-13.
+_QHO1D_TAIL_MARGIN = 45.0
+
 _LN_PI = math.log(math.pi)
 _QUARTER_LN_2 = 0.25 * math.log(2.0)
 
@@ -86,6 +96,13 @@ def _qho1d(n: int, omega: float, space: str) -> Evaluator:
     """
     c = _qho1d_argument_scale(omega, space)
     ln_norm = 0.5 * (math.log(c) - n * math.log(2.0) - ln_gamma(n + 1.0) - 0.5 * _LN_PI)
+    ln_turning = ln_norm - (n + 0.5)
+    limit = _LN_TINY + _QHO1D_TAIL_MARGIN
+    if ln_turning < limit:
+        raise ValueError(
+            f"1D oscillator n={n} at omega={omega!r} is out of the evaluator's range: "
+            f"its log-envelope at the turning point is {ln_turning:.1f}, below the limit {limit:g}"
+        )
     hermite = hermite_kernel(n)
 
     def full_line(arg: float) -> tuple[float, float]:
@@ -210,7 +227,9 @@ def compile_state(state: QuantumState) -> Evaluator:
     for the 1D oscillator, and the radial function R(s) with dR/ds at s > 0
     otherwise (it raises ValueError for s <= 0); s is a radius in position
     space and a momentum magnitude in momentum space. Beyond the point where
-    the envelope drops under exp(-700) it returns exactly (0.0, 0.0).
+    the envelope drops under exp(-700) it returns exactly (0.0, 0.0). A 1D
+    oscillator state whose wavefunction would reach that cutoff (n >= 189 at
+    omega = 1) raises ValueError here.
     """
     sys = state.system
     if isinstance(sys, Oscillator1D):

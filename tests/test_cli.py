@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
+import tracemalloc
 
 import pytest
 
+import relfisher.cli
 import relfisher.relative_fisher
 from relfisher.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
@@ -297,3 +300,65 @@ def test_io_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_IO
     assert "i/o error" in captured.err
+
+
+def test_compute_streams_rows_in_memory_that_does_not_grow_with_the_table(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = 10_100  # 5050 (n, l) pairs in two spaces
+    tracemalloc.start()
+    try:
+        code = run_cli(
+            ["compute", "--system", "hydrogen", "--n", "1..100", "--l", "0..99", "--out", str(path)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert path.read_text(encoding="utf-8").count("\n") == rows + 1
+    assert peak / rows < 300, f"{peak / rows:.0f} B per row"
+
+
+def _fail_on_row(monkeypatch, k, directory=None):
+    """Make the CLI's closed form raise on the k-th row; record the directory then."""
+    real = relfisher.cli.closed_form_ir
+    seen = {"rows": 0}
+
+    def failing(state):
+        seen["rows"] += 1
+        if seen["rows"] == k:
+            if directory is not None:
+                seen["files"] = sorted(os.listdir(directory))
+            raise ValueError("injected failure")
+        return real(state)
+
+    monkeypatch.setattr(relfisher.cli, "closed_form_ir", failing)
+    return seen
+
+
+def test_error_mid_stream_keeps_the_old_out_file_and_removes_the_temp_file(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old table\n")
+    seen = _fail_on_row(monkeypatch, 40, directory=tmp_path)
+    code = run_cli(
+        ["compute", "--system", "hydrogen", "--n", "1..10", "--l", "0..9", "--out", str(path)]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "injected failure" in captured.err
+    assert captured.out == ""
+    # Rows were going to a temp file beside the target when the error came.
+    assert len(seen["files"]) == 2 and "table.csv" in seen["files"]
+    assert path.read_bytes() == b"old table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+def test_error_mid_stream_on_stdout_keeps_the_rows_before_it(monkeypatch, capsys):
+    _fail_on_row(monkeypatch, 4)
+    code = run_cli(["compute", "--system", "hydrogen", "--n", "1..10", "--l", "0..9"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out.splitlines()[0] == HEADER
+    assert len(parse_csv(captured.out)) == 3
+    assert "error: injected failure" in captured.err

@@ -39,7 +39,7 @@ from relfisher.systems import (
     QuantumState,
     php_derived,
 )
-from relfisher.wavefunctions import default_quadrature_spec
+from relfisher.wavefunctions import default_quadrature_spec, normalization_defect
 
 H2_PARAMS = to_atomic_units(find_molecule("H2"))
 
@@ -80,6 +80,19 @@ def test_hydrogen_momentum_printed_form():
     assert closed_form_ir(_hydrogen(2, 0, MOMENTUM)) == 192.0
     assert closed_form_ir(_hydrogen(3, 1, MOMENTUM)) == 16.0 * 9.0 * 5.0
     assert closed_form_ir(_hydrogen(3, 2, MOMENTUM)) == 0.0
+
+
+def test_hydrogen_position_closed_form_is_the_rational_bit_for_bit():
+    systems = [Hydrogenic(Z=Z) for Z in (1.0, 2.0, 3.0, 0.7)]
+    mismatches = []
+    for n in range(1, 401):
+        for l in range(n):
+            exact = float(hydrogen_position_rational(n, l))
+            for system in systems:
+                state = QuantumState(system=system, space=POSITION, n=n, l=l)
+                if closed_form_ir(state) != exact * system.Z * system.Z:
+                    mismatches.append((n, l, system.Z))
+    assert mismatches == []
 
 
 def test_hydrogen_z_scaling_is_exact():
@@ -404,3 +417,26 @@ def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
     monkeypatch.setattr(relfisher.wavefunctions, "laguerre_kernel", poisoned)
     with pytest.raises(IntegrandError):
         numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
+
+
+@pytest.mark.parametrize("n", [194, 255, 265, 400])
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+def test_1d_oscillator_refuses_states_its_cutoff_would_truncate(n, space):
+    # Without the guard these converged to wrong values: 323.2 against 1442.5
+    # at n=255, and exactly 0 from n=265.
+    state = QuantumState(system=Oscillator1D(omega=1.0), space=space, n=n)
+    with pytest.raises(ValueError, match=f"n={n} at omega=1.0.*limit -655"):
+        numeric_ir(state)
+
+
+def test_1d_oscillator_normalization_refuses_a_truncated_state():
+    state = QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=300)
+    with pytest.raises(ValueError, match="n=300"):
+        normalization_defect(state)
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+def test_1d_oscillator_high_state_inside_the_guard_converges(omega):
+    result = numeric_ir(QuantumState(system=Oscillator1D(omega=omega), space=POSITION, n=150))
+    assert result.quadrature.converged
+    assert result.rel_diff <= 1e-8

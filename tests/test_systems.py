@@ -138,6 +138,7 @@ def test_reference_state_is_idempotent_and_nodeless(state):
     ref = reference_state(state)
     assert reference_state(ref) == ref
     assert ref.radial_nodes == 0
+    assert (state == reference_state(state)) == (state.radial_nodes == 0)
     assert ref.space == state.space
     assert ref.system == state.system
 
