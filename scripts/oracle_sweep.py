@@ -4,18 +4,21 @@
 Each sweep writes its cell table to <out>/<system>_<space>.csv and prints a
 one-line summary to stderr. The hydrogen momentum sweep is expected to
 report disagreements: the bundled closed form does not satisfy the defining
-integral for states with radial nodes. The script reports that honestly and
-exits nonzero when any sweep finds cells over threshold.
+integral for states with radial nodes. The script reports that honestly.
+
+Exit status: 0 when every sweep is within threshold, 1 when some sweep has
+cells over threshold or non-converged quadrature (validate exit 3), and 2
+when some sweep could not run (validate exit 2, usage, or 4, I/O), whatever
+the others found.
 """
 
 import argparse
 import os
 import sys
 
+from relfisher.cli import EXIT_OK, EXIT_VALIDATION
 from relfisher.cli import main as cli_main
-
-SYSTEMS = ("qho1d", "qho3d", "hydrogen", "php")
-SPACES = ("position", "momentum")
+from relfisher.systems import FAMILIES, SPACES
 
 
 def main() -> int:
@@ -29,7 +32,8 @@ def main() -> int:
 
     os.makedirs(args.out, exist_ok=True)
     disagreeing = []
-    for system in SYSTEMS:
+    failed = []
+    for system in (family.name for family in FAMILIES):
         for space in SPACES:
             print(f"== {system} {space}", file=sys.stderr)
             argv = [
@@ -43,11 +47,17 @@ def main() -> int:
                 "--out", os.path.join(args.out, f"{system}_{space}.csv"),
             ]
             code = cli_main(argv)
-            if code != 0:
+            if code == EXIT_VALIDATION:
                 disagreeing.append(f"{system} {space}")
+            elif code != EXIT_OK:
+                failed.append(f"{system} {space} (exit {code})")
 
     if disagreeing:
         print(f"sweeps with cells over threshold: {', '.join(disagreeing)}", file=sys.stderr)
+    if failed:
+        print(f"sweeps that failed to run: {', '.join(failed)}", file=sys.stderr)
+        return 2
+    if disagreeing:
         return 1
     print("all sweeps within threshold", file=sys.stderr)
     return 0

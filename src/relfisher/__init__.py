@@ -5,113 +5,5 @@ oscillators, hydrogen-like atoms, and the pseudoharmonic diatomic potential,
 each validated against an independent adaptive-quadrature evaluation of the
 defining integral.
 """
-from .data_units import (
-    CONSTANT_PROFILES,
-    ConversionConstants,
-    MoleculeRecord,
-    UnknownMoleculeError,
-    find_molecule,
-    parse_molecule_file,
-    registry,
-    to_atomic_units,
-)
-from .quadrature import (
-    FULL_LINE,
-    HALF_LINE,
-    IntegrandError,
-    NonConvergedError,
-    QuadratureResult,
-    QuadratureSpec,
-    integrate,
-)
-from .relative_fisher import (
-    IRResult,
-    UnsupportedSystemError,
-    closed_form_ir,
-    hydrogen_asymptotics,
-    hydrogen_ir_max,
-    hydrogen_momentum_integral_closed_form,
-    hydrogen_position_rational,
-    ir_product,
-    ir_spacing,
-    numeric_ir,
-)
-from .specfun import PolyEval, assoc_laguerre, gegenbauer, hermite, ln_gamma
-from .systems import (
-    MOMENTUM,
-    POSITION,
-    Hydrogenic,
-    Oscillator1D,
-    Oscillator3D,
-    PhpDerived,
-    Pseudoharmonic,
-    QuantumState,
-    SystemParams,
-    hydrogen_energy,
-    php_derived,
-    reference_state,
-)
-from .wavefunctions import (
-    WaveSample,
-    default_quadrature_spec,
-    eval_1d_qho,
-    eval_radial,
-    evaluate,
-    natural_scale,
-    normalization_defect,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "POSITION",
-    "MOMENTUM",
-    "HALF_LINE",
-    "FULL_LINE",
-    "PolyEval",
-    "hermite",
-    "assoc_laguerre",
-    "gegenbauer",
-    "ln_gamma",
-    "QuadratureSpec",
-    "QuadratureResult",
-    "IntegrandError",
-    "NonConvergedError",
-    "integrate",
-    "Oscillator1D",
-    "Oscillator3D",
-    "Hydrogenic",
-    "Pseudoharmonic",
-    "SystemParams",
-    "PhpDerived",
-    "QuantumState",
-    "reference_state",
-    "php_derived",
-    "hydrogen_energy",
-    "WaveSample",
-    "eval_1d_qho",
-    "eval_radial",
-    "evaluate",
-    "natural_scale",
-    "default_quadrature_spec",
-    "normalization_defect",
-    "MoleculeRecord",
-    "ConversionConstants",
-    "CONSTANT_PROFILES",
-    "UnknownMoleculeError",
-    "registry",
-    "find_molecule",
-    "to_atomic_units",
-    "parse_molecule_file",
-    "IRResult",
-    "UnsupportedSystemError",
-    "closed_form_ir",
-    "hydrogen_position_rational",
-    "hydrogen_momentum_integral_closed_form",
-    "numeric_ir",
-    "ir_spacing",
-    "ir_product",
-    "hydrogen_ir_max",
-    "hydrogen_asymptotics",
-]

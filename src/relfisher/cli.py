@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from .relative_fisher import (
     numeric_ir,
 )
 from .systems import (
+    FAMILIES,
     MOMENTUM,
     POSITION,
     Hydrogenic,
@@ -43,6 +45,7 @@ from .systems import (
     Oscillator3D,
     Pseudoharmonic,
     QuantumState,
+    SystemParams,
 )
 
 # Not called here any more; kept in this namespace because perfbench/tracer.py
@@ -83,6 +86,11 @@ _TABLE1_ORBITALS = (
 )
 
 _TABLE3_NR = (1, 2, 3, 10, 25, 50, 100)
+
+_FAMILIES = {family.name: family for family in FAMILIES}
+
+# The flag that sets each quantum-number field.
+_FLAGS = {"n": "--n", "n_r": "--nr", "l": "--l"}
 
 
 class OutputRow(NamedTuple):
@@ -206,69 +214,43 @@ def _spaces(choice: str) -> list[str]:
     return [choice]
 
 
-def _describe_numbers(state: QuantumState) -> str:
-    if state.n_r is not None:
-        return f"n_r={state.n_r},l={state.l}"
-    if state.l is not None:
-        return f"n={state.n},l={state.l}"
-    return f"n={state.n}"
+def _params(args: argparse.Namespace, family: type) -> tuple[SystemParams, str]:
+    """The system the flags select, with its params digest."""
+    if family is Pseudoharmonic:
+        return _php_params(args)
+    if family is Hydrogenic:
+        return Hydrogenic(Z=args.Z), f"Z={args.Z:.12g}"
+    return family(omega=args.omega), f"omega={args.omega:.12g}"
 
 
 def _states_for_compute(args: argparse.Namespace) -> tuple[list[QuantumState], str]:
+    family = _FAMILIES[args.system]
+    fields = family.number_fields
+    given = {"n": args.n, "n_r": args.nr, "l": args.l}
+    for field, text in given.items():
+        if text is not None and field not in fields:
+            raise ValueError(
+                f"{family.name} takes no {_FLAGS[field]}: its quantum numbers are {', '.join(fields)}"
+            )
+    if given["l"] is None:
+        given["l"] = "0"
+    for field in fields:
+        if given[field] is None:
+            raise ValueError(f"{family.name} needs {_FLAGS[field]}")
+    params, digest = _params(args, family)
+    combos = itertools.product(*(_parse_range(given[field], _FLAGS[field]) for field in fields))
+    if family is Hydrogenic:
+        # l runs over 0..n-1; the part of an --l range beyond it is skipped at each n.
+        combos = ((n, l) for n, l in combos if l <= n - 1)
     spaces = _spaces(args.space)
-    if args.system == "qho1d":
-        if args.n is None:
-            raise ValueError("qho1d needs --n")
-        params = Oscillator1D(omega=args.omega)
-        states = [
-            QuantumState(system=params, space=space, n=n)
-            for n in _parse_range(args.n, "--n")
-            for space in spaces
-        ]
-        return states, f"omega={args.omega:.12g}"
-    if args.system == "qho3d":
-        if args.nr is None:
-            raise ValueError("qho3d needs --nr")
-        params = Oscillator3D(omega=args.omega)
-        states = [
-            QuantumState(system=params, space=space, n_r=n_r, l=l)
-            for n_r in _parse_range(args.nr, "--nr")
-            for l in _parse_range(args.l, "--l")
-            for space in spaces
-        ]
-        return states, f"omega={args.omega:.12g}"
-    if args.system == "hydrogen":
-        if args.n is None:
-            raise ValueError("hydrogen needs --n")
-        params = Hydrogenic(Z=args.Z)
-        states = []
-        for n in _parse_range(args.n, "--n"):
-            for l in _parse_range(args.l, "--l"):
-                if l > n - 1:
-                    continue
-                for space in spaces:
-                    states.append(QuantumState(system=params, space=space, n=n, l=l))
-        if not states:
-            raise ValueError("no valid (n, l) combinations: every l exceeds n-1")
-        return states, f"Z={args.Z:.12g}"
-    if args.nr is None:
-        raise ValueError("php needs --nr")
-    params, digest = _php_params(args)
     states = [
-        QuantumState(system=params, space=space, n_r=n_r, l=l)
-        for n_r in _parse_range(args.nr, "--nr")
-        for l in _parse_range(args.l, "--l")
+        QuantumState(params, space, **numbers)
+        for numbers in (dict(zip(fields, combo)) for combo in combos)
         for space in spaces
     ]
+    if not states:
+        raise ValueError("no valid (n, l) combinations: every l exceeds n-1")
     return states, digest
-
-
-_SYSTEM_NAMES = {
-    Oscillator1D: "qho1d",
-    Oscillator3D: "qho3d",
-    Hydrogenic: "hydrogen",
-    Pseudoharmonic: "php",
-}
 
 
 def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> OutputRow:
@@ -284,9 +266,9 @@ def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: fl
         if not result.quadrature.converged:
             status = STATUS_QUADRATURE_FAILED
     return OutputRow(
-        _SYSTEM_NAMES[type(state.system)],
+        state.system.name,
         state.space,
-        _describe_numbers(state),
+        state.system.label(state),
         digest,
         closed,
         numeric,
@@ -316,45 +298,42 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+def _sweep_params(args: argparse.Namespace, family: type) -> list[tuple[SystemParams, str]]:
+    """The systems one family's validate sweep covers: every registry molecule
+    (or --molecule) for php, the flags' single system otherwise."""
+    if family is not Pseudoharmonic:
+        return [_params(args, family)]
+    extra = _molecule_records(args)
+    names = [args.molecule] if args.molecule else [record.name for record in registry()]
+    records = [find_molecule(name, extra) for name in names]
+    return [
+        (to_atomic_units(record, args.constants), f"molecule={record.name},constants={args.constants}")
+        for record in records
+    ]
+
+
+def _sweep_numbers(args: argparse.Namespace, family: type) -> list[dict[str, int]]:
+    """Quantum numbers of one family's validate sweep; molecules sweep l = 0 only."""
+    if family is Oscillator1D:
+        return [{"n": n} for n in range(args.n_max + 1)]
+    if family is Hydrogenic:
+        return [{"n": n, "l": l} for n in range(1, args.n_max + 1) for l in range(n)]
+    l_max = args.l_max if family is Oscillator3D else 0
+    return [{"n_r": n_r, "l": l} for n_r in range(args.nr_max + 1) for l in range(l_max + 1)]
+
+
 def _validate_cells(args: argparse.Namespace) -> list[tuple[QuantumState, str]]:
-    systems = [args.system] if args.system else ["qho1d", "qho3d", "hydrogen", "php"]
+    families = [_FAMILIES[args.system]] if args.system else FAMILIES
     spaces = _spaces(args.space)
-    cells: list[tuple[QuantumState, str]] = []
-    for system in systems:
-        if system == "qho1d":
-            params = Oscillator1D(omega=args.omega)
-            digest = f"omega={args.omega:.12g}"
-            for n in range(0, args.n_max + 1):
-                for space in spaces:
-                    cells.append((QuantumState(system=params, space=space, n=n), digest))
-        elif system == "qho3d":
-            params = Oscillator3D(omega=args.omega)
-            digest = f"omega={args.omega:.12g}"
-            for n_r in range(0, args.nr_max + 1):
-                for l in range(0, args.l_max + 1):
-                    for space in spaces:
-                        cells.append(
-                            (QuantumState(system=params, space=space, n_r=n_r, l=l), digest)
-                        )
-        elif system == "hydrogen":
-            params = Hydrogenic(Z=args.Z)
-            digest = f"Z={args.Z:.12g}"
-            for n in range(1, args.n_max + 1):
-                for l in range(0, n):
-                    for space in spaces:
-                        cells.append((QuantumState(system=params, space=space, n=n, l=l), digest))
-        else:
-            extra = _molecule_records(args)
-            names = [args.molecule] if args.molecule else [record.name for record in registry()]
-            for name in names:
-                record = find_molecule(name, extra)
-                params = to_atomic_units(record, args.constants)
-                digest = f"molecule={record.name},constants={args.constants}"
-                for n_r in range(0, args.nr_max + 1):
-                    for space in spaces:
-                        cells.append(
-                            (QuantumState(system=params, space=space, n_r=n_r, l=0), digest)
-                        )
+    cells = [
+        (QuantumState(params, space, **numbers), digest)
+        for family in families
+        for params, digest in _sweep_params(args, family)
+        for numbers in _sweep_numbers(args, family)
+        for space in spaces
+    ]
+    if not cells:
+        raise ValueError("no cells to validate: every sweep range is empty")
     return cells
 
 
@@ -496,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="closed-form values, optionally oracle-checked")
-    compute.add_argument("--system", choices=("qho1d", "qho3d", "hydrogen", "php"), required=True)
+    compute.add_argument("--system", choices=tuple(_FAMILIES), required=True)
     compute.add_argument("--space", choices=(POSITION, MOMENTUM, "both"), default="both")
     compute.add_argument("--n", default=None, help="n or range A..B")
-    compute.add_argument("--l", default="0", help="l or range A..B")
+    compute.add_argument("--l", default=None, help="l or range A..B (default 0)")
     compute.add_argument("--nr", default=None, help="n_r or range A..B")
     _add_system_options(compute)
     compute.add_argument("--validate", action="store_true", help="also run the quadrature oracle")
@@ -508,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=_cmd_compute)
 
     validate = sub.add_parser("validate", help="sweep the quadrature oracle against closed forms")
-    validate.add_argument("--system", choices=("qho1d", "qho3d", "hydrogen", "php"), default=None)
+    validate.add_argument("--system", choices=tuple(_FAMILIES), default=None)
     validate.add_argument("--space", choices=(POSITION, MOMENTUM, "both"), default="both")
     validate.add_argument("--n-max", type=int, default=8)
     validate.add_argument("--nr-max", type=int, default=8)
@@ -540,10 +519,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_run_options(args: argparse.Namespace) -> None:
+    """Reject bad run parameters before the first row, so they write nothing."""
+    digits = getattr(args, "digits", None)
+    if digits is not None and digits < 0:
+        raise ValueError(f"--digits must be >= 0, got {digits}")
+    rel_tol = getattr(args, "rel_tol", None)
+    if rel_tol is not None and not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"--rel-tol must be positive and finite, got {rel_tol!r}")
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None and not 0.0 <= threshold < math.inf:
+        raise ValueError(f"--threshold must be nonnegative and finite, got {threshold!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_run_options(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,8 +74,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.domain not in _DOMAINS:
             raise ValueError(f"domain must be one of {_DOMAINS}, got {self.domain!r}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
         if not (math.isfinite(self.scale) and self.scale > 0.0):

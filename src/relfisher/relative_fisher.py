@@ -1,6 +1,11 @@
 """Relative Fisher information: closed forms, the defining-integral oracle,
 spacing constants, conjugate-space products, and hydrogen-series analysis.
 
+closed_form_ir, numeric_ir and ir_spacing ask the state's system: each family
+object in systems.py holds its closed form, its spacing and the reference
+log-derivative the oracle uses. This module holds the generic routes and the
+hydrogen-series helpers.
+
 Every closed form here can be checked against numeric_ir, which evaluates the
 defining integral 4*Int s^2 (R' - R * ref_logderiv)^2 ds (full-line analog for
 the 1D oscillator) by adaptive quadrature with an independently coded,
@@ -16,30 +21,26 @@ to the published values, and validation honestly reports the gap.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .quadrature import QuadratureResult, QuadratureSpec, integrate
+from .quadrature import HALF_LINE, QuadratureResult, QuadratureSpec, integrate
 from .systems import (
     MOMENTUM,
     POSITION,
-    Oscillator1D,
-    Oscillator3D,
-    Pseudoharmonic,
     QuantumState,
     SystemParams,
+    UnsupportedSystemError,
     _require_positive,
     _require_quantum_number,
     hydrogen_energy,
-    php_derived,
     reference_state,
 )
 from .wavefunctions import compile_state, default_quadrature_spec
 
 # Not called here any more; kept in this namespace because perfbench/tracer.py
-# hooks the wavefunction layer under this name.
+# hooks the wavefunction and derived-parameter layers under these names.
+from .systems import php_derived  # noqa: F401
 from .wavefunctions import evaluate  # noqa: F401
 
 __all__ = [
@@ -55,19 +56,14 @@ __all__ = [
     "hydrogen_asymptotics",
 ]
 
-_SQRT2 = math.sqrt(2.0)
-
-
-class UnsupportedSystemError(ValueError):
-    """The requested quantity is not defined for this system family."""
-
 
 @dataclass(frozen=True)
 class IRResult:
     """Closed-form value next to its independent numeric check.
 
-    rel_diff is |numeric - closed_form| / max(|closed_form|, 1e-12), so
-    reference states (closed form exactly 0) do not divide by zero.
+    rel_diff is |numeric - closed_form| / |closed_form|, and
+    |numeric - closed_form| / 1e-12 for reference states, whose closed form
+    is exactly 0.
     """
 
     closed_form: float
@@ -93,22 +89,7 @@ def closed_form_ir(target: QuantumState) -> float:
     targets (n = l+1) give 0 in both spaces.
     Pseudoharmonic: 32*lambda*n_r and 8*n_r/lambda.
     """
-    sys = target.system
-    if isinstance(sys, Oscillator1D):
-        ratio = sys.omega / _SQRT2 if target.space == POSITION else _SQRT2 / sys.omega
-        return 8.0 * ratio * target.n
-    if isinstance(sys, Oscillator3D):
-        factor = 16.0 * sys.omega if target.space == POSITION else 16.0 / sys.omega
-        return factor * target.n_r
-    if isinstance(sys, Pseudoharmonic):
-        lam = php_derived(sys, target.l).lam
-        return 32.0 * lam * target.n_r if target.space == POSITION else 8.0 * target.n_r / lam
-    n, l, Z = target.n, target.l, sys.Z
-    if target.space == POSITION:
-        # Int true division is correctly rounded, so this equals
-        # float(hydrogen_position_rational(n, l)) * Z * Z bit for bit.
-        return 8 * (n - l - 1) / n ** 3 * Z * Z
-    return float(16 * n * n * (n * n - (l + 1) ** 2)) / (Z * Z)
+    return target.system.closed_form(target)
 
 
 def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
@@ -135,46 +116,6 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     return float(exact) / (Z * Z)
 
 
-def _reference_log_derivative(target: QuantumState) -> Callable[[float], float]:
-    """d/ds of log(reference wavefunction), in closed form.
-
-    The reference is node-less, so this is finite on the whole interior
-    domain and never goes through a wavefunction-value division.
-    """
-    sys = target.system
-    if isinstance(sys, Oscillator1D):
-        omega = sys.omega
-        c2 = math.sqrt(omega * omega / 2.0)
-        if target.space == MOMENTUM:
-            c2 = 1.0 / c2
-        return lambda x: -c2 * x
-    if isinstance(sys, Oscillator3D):
-        b = sys.omega if target.space == POSITION else 1.0 / sys.omega
-        kappa = float(target.l)
-        return lambda s: kappa / s - b * s
-    if isinstance(sys, Pseudoharmonic):
-        derived = php_derived(sys, target.l)
-        b = 2.0 * derived.lam if target.space == POSITION else 0.5 / derived.lam
-        kappa = derived.gamma_l
-        return lambda s: kappa / s - b * s
-    n, l, Z = target.n, target.l, sys.Z
-    if target.space == POSITION:
-        # Circular reference sharing the target's length scale: r^l e^{-Zr/n}.
-        return lambda r: l / r - Z / n
-    n_over_z = n / Z
-
-    def momentum_log_derivative(p: float) -> float:
-        t = n_over_z * p
-        if t <= 1.0:
-            decay = 2.0 * (l + 2.0) * t / (t * t + 1.0)
-        else:
-            decay = 2.0 * (l + 2.0) / (t * (1.0 + 1.0 / (t * t)))
-        growth = l / t if l else 0.0
-        return n_over_z * (growth - decay)
-
-    return momentum_log_derivative
-
-
 def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRResult:
     """Relative Fisher information by adaptive quadrature of the defining
     integral, reported side by side with the closed form.
@@ -187,26 +128,26 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     reference = reference_state(target)
     if reference.radial_nodes != 0:
         raise ValueError(f"reference state {reference!r} has interior nodes")
-    log_derivative = _reference_log_derivative(target)
+    log_derivative = target.system.reference_log_derivative(target)
     wave = compile_state(target)
 
-    if isinstance(target.system, Oscillator1D):
-        def integrand(x: float) -> float:
-            value, derivative = wave(x)
-            difference = derivative - value * log_derivative(x)
-            return 4.0 * difference * difference
-    else:
+    if target.system.domain == HALF_LINE:
         def integrand(s: float) -> float:
             value, derivative = wave(s)
             difference = derivative - value * log_derivative(s)
             return 4.0 * s * s * difference * difference
+    else:
+        def integrand(x: float) -> float:
+            value, derivative = wave(x)
+            difference = derivative - value * log_derivative(x)
+            return 4.0 * difference * difference
 
     if spec is None:
         spec = default_quadrature_spec(target)
     quad = integrate(integrand, spec)
     closed = closed_form_ir(target)
     abs_diff = abs(quad.value - closed)
-    rel_diff = abs_diff / max(abs(closed), 1e-12)
+    rel_diff = abs_diff / (abs(closed) if closed else 1e-12)
     return IRResult(
         closed_form=closed,
         numeric=quad.value,
@@ -225,15 +166,7 @@ def ir_spacing(params: SystemParams, space: str) -> float:
     """
     if space not in (POSITION, MOMENTUM):
         raise ValueError(f"space must be position or momentum, got {space!r}")
-    if isinstance(params, Oscillator1D):
-        ratio = params.omega / _SQRT2 if space == POSITION else _SQRT2 / params.omega
-        return 8.0 * ratio
-    if isinstance(params, Oscillator3D):
-        return 8.0 * params.omega if space == POSITION else 8.0 / params.omega
-    if isinstance(params, Pseudoharmonic):
-        lam = math.sqrt(0.5 * params.mu * params.De) / params.re
-        return 32.0 * lam if space == POSITION else 8.0 / lam
-    raise UnsupportedSystemError("spacing is not constant for hydrogen-like systems")
+    return params.spacing(space)
 
 
 def ir_product(target: QuantumState) -> float:

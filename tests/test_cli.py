@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,58 @@ def test_usage_errors(capsys):
     )
     assert run_cli(["compute", "--system", "php", "--nr", "1", "--mu-amu", "1.0"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--system", "hydrogen", "--space", "momentum", "--n-max", "3",
+         "--threshold", "nan"],
+        ["validate", "--system", "qho1d", "--n-max", "2", "--threshold", "-1"],
+        ["compute", "--system", "php", "--molecule", "CO", "--nr", "30", "--space", "position",
+         "--validate", "--rel-tol", "inf"],
+        ["compute", "--system", "qho1d", "--n", "1", "--validate", "--rel-tol", "-1"],
+        ["compute", "--system", "qho1d", "--n", "1", "--digits", "-3"],
+    ],
+    ids=["threshold-nan", "threshold-negative", "rel-tol-inf", "rel-tol-negative",
+         "digits-negative"],
+)
+def test_bad_run_parameters_write_nothing(argv, capsys):
+    assert run_cli(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = next(arg for arg in argv if arg in ("--threshold", "--rel-tol", "--digits"))
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "system,extra,flag",
+    [
+        ("qho1d", ["--n", "1"], "--l"),
+        ("hydrogen", ["--n", "2"], "--nr"),
+        ("qho3d", ["--nr", "1"], "--n"),
+        ("php", ["--nr", "1", "--molecule", "H2"], "--n"),
+    ],
+)
+def test_compute_rejects_quantum_numbers_the_system_does_not_take(system, extra, flag, capsys):
+    assert run_cli(["compute", "--system", system, *extra, flag, "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{system} takes no {flag}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--system", "hydrogen", "--n-max", "0"],
+        ["validate", "--n-max", "-1", "--nr-max", "-1", "--l-max", "-1"],
+    ],
+)
+def test_empty_validate_sweep_is_a_usage_error(argv, capsys):
+    assert run_cli(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no cells to validate" in captured.err
 
 
 def test_validate_small_sweep(capsys):
@@ -362,3 +417,33 @@ def test_error_mid_stream_on_stdout_keeps_the_rows_before_it(monkeypatch, capsys
     assert captured.out.splitlines()[0] == HEADER
     assert len(parse_csv(captured.out)) == 3
     assert "error: injected failure" in captured.err
+
+
+def _load_oracle_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "codes,expected",
+    [
+        ({}, 0),
+        ({("hydrogen", "momentum"): EXIT_VALIDATION}, 1),
+        ({("php", "position"): EXIT_USAGE}, 2),
+        ({("hydrogen", "momentum"): EXIT_VALIDATION, ("qho1d", "position"): EXIT_IO}, 2),
+    ],
+)
+def test_oracle_sweep_tells_disagreement_from_errors(codes, expected, tmp_path, monkeypatch, capsys):
+    sweep = _load_oracle_sweep()
+
+    def fake_cli(argv):
+        return codes.get((argv[argv.index("--system") + 1], argv[argv.index("--space") + 1]), EXIT_OK)
+
+    monkeypatch.setattr(sweep, "cli_main", fake_cli)
+    monkeypatch.setattr(sys, "argv", ["oracle_sweep.py", "--out", str(tmp_path)])
+    assert sweep.main() == expected
+    err = capsys.readouterr().err
+    assert ("failed to run" in err) == (expected == 2)

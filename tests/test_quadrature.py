@@ -129,6 +129,11 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadratureSpec(rel_tol=tol)
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadratureSpec(abs_tol=tol)
     with pytest.raises(ValueError):
         QuadratureSpec(max_refinements=0)
     with pytest.raises(ValueError):

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import relfisher.relative_fisher
-import relfisher.wavefunctions
+import relfisher.systems
 from relfisher.data_units import find_molecule, registry, to_atomic_units
 from relfisher.quadrature import IntegrandError
 from relfisher.relative_fisher import (
@@ -332,6 +331,15 @@ def test_numeric_ir_of_reference_is_zero():
     result = numeric_ir(QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=3, l=2))
     assert result.closed_form == 0.0
     assert abs(result.numeric) <= 1e-12
+    assert result.rel_diff == result.abs_diff / 1e-12
+
+
+def test_rel_diff_divides_by_a_closed_form_below_the_reference_floor():
+    # At omega = 1e160 the closed form is 2.26e-159; dividing by the 1e-12
+    # floor reported rel_diff 8.5e-148 however far the quadrature was off.
+    result = numeric_ir(QuantumState(system=Oscillator1D(omega=1e160), space=MOMENTUM, n=2))
+    assert 0.0 < result.closed_form < 1e-12
+    assert result.rel_diff == result.abs_diff / result.closed_form
 
 
 def test_hydrogen_momentum_integral_form_values():
@@ -389,9 +397,8 @@ def test_numeric_ir_keeps_state_work_out_of_the_integrand(monkeypatch):
     """php_derived and ln_gamma run a fixed number of times per cell, however
     many points the quadrature evaluates."""
     counts = {}
-    _count_calls(monkeypatch, relfisher.wavefunctions, "php_derived", counts)
-    _count_calls(monkeypatch, relfisher.relative_fisher, "php_derived", counts)
-    _count_calls(monkeypatch, relfisher.wavefunctions, "ln_gamma", counts)
+    _count_calls(monkeypatch, relfisher.systems, "php_derived", counts)
+    _count_calls(monkeypatch, relfisher.systems, "ln_gamma", counts)
     state = QuantumState(system=H2_PARAMS, space=POSITION, n_r=20, l=0)
     seen = []
     for rel_tol in (1e-6, 1e-10):
@@ -408,13 +415,13 @@ def test_numeric_ir_keeps_state_work_out_of_the_integrand(monkeypatch):
 
 
 def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
-    laguerre_kernel = relfisher.wavefunctions.laguerre_kernel
+    laguerre_kernel = relfisher.systems.laguerre_kernel
 
     def poisoned(n, alpha):
         kernel = laguerre_kernel(n, alpha)
         return lambda x: (math.nan, math.nan) if x > 2.0 else kernel(x)
 
-    monkeypatch.setattr(relfisher.wavefunctions, "laguerre_kernel", poisoned)
+    monkeypatch.setattr(relfisher.systems, "laguerre_kernel", poisoned)
     with pytest.raises(IntegrandError):
         numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
 

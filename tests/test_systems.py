@@ -1,15 +1,19 @@
 """Parameter records, quantum-number validation, and derived quantities."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher.data_units import find_molecule, to_atomic_units
+from relfisher.relative_fisher import closed_form_ir
 from relfisher.systems import (
+    FAMILIES,
     MOMENTUM,
     POSITION,
+    SPACES,
     Hydrogenic,
     Oscillator1D,
     Oscillator3D,
@@ -19,6 +23,7 @@ from relfisher.systems import (
     php_derived,
     reference_state,
 )
+from relfisher.wavefunctions import compile_state, default_quadrature_spec, natural_scale
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, float("nan"), float("inf"), True])
@@ -141,6 +146,44 @@ def test_reference_state_is_idempotent_and_nodeless(state):
     assert (state == reference_state(state)) == (state.radial_nodes == 0)
     assert ref.space == state.space
     assert ref.system == state.system
+
+
+# One excited state per family: (parameters, quantum numbers).
+_EXCITED = {
+    Oscillator1D: (Oscillator1D(omega=1.3), {"n": 2}),
+    Oscillator3D: (Oscillator3D(omega=0.8), {"n_r": 2, "l": 1}),
+    Hydrogenic: (Hydrogenic(Z=2.0), {"n": 4, "l": 1}),
+    Pseudoharmonic: (Pseudoharmonic(mu=918.0, De=0.17, re=1.4), {"n_r": 2, "l": 1}),
+}
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.name)
+def test_family_conformance(family, space):
+    params, numbers = _EXCITED[family]
+    assert tuple(numbers) == family.number_fields
+    state = QuantumState(system=params, space=space, **numbers)
+    assert state.system.label(state) == ",".join(f"{k}={v}" for k, v in numbers.items())
+    assert state.radial_nodes == 2
+
+    ref = reference_state(state)
+    assert reference_state(ref) == ref
+    assert ref.radial_nodes == 0
+    assert ref.l == state.l
+    assert closed_form_ir(ref) == 0.0
+    assert closed_form_ir(state) > 0.0
+
+    scale = natural_scale(state)
+    assert math.isfinite(scale) and scale > 0.0
+    spec = default_quadrature_spec(state)
+    assert (spec.domain, spec.scale) == (family.domain, scale)
+    value, derivative = compile_state(state)(scale)
+    assert math.isfinite(value) and math.isfinite(derivative) and value != 0.0
+
+
+def test_state_rejects_an_unknown_system():
+    with pytest.raises(ValueError, match="unknown system parameters"):
+        QuantumState(system=SimpleNamespace(omega=1.0), space=POSITION, n=1)
 
 
 def test_php_derived_hand_example():
