@@ -1,13 +1,34 @@
 """Orthogonal-polynomial kernels with analytic derivatives, and log-gamma.
 
 Each family has one kernel. `hermite_kernel`, `laguerre_kernel` and
-`gegenbauer_kernel` bind a degree and a parameter once: they validate them and
-tabulate the coefficients of the forward three-term recurrence, and return a
+`gegenbauer_kernel` bind a degree and a parameter once: they validate them,
+take the coefficients of the forward three-term recurrence, and return a
 closure x -> (value, derivative). The closure runs one recurrence pass in
 double precision and reads both the value and the derivative off it through
 index-shift identities, rather than finite differences, so the two are
 consistent to machine precision at any argument. `hermite`, `assoc_laguerre`
 and `gegenbauer` are the one-point forms: compile, then call once.
+
+Degree sweeps continue their recurrences. A family's column holds, for one
+parameter, the recurrence coefficients shared by every degree and the state
+the recurrence reached at each point: the degree and the last two terms
+(three for Gegenbauer). Laguerre and Gegenbauer columns are keyed by the
+recurrence's exact float parameter, and Hermite has a single column. A kernel
+of degree n >= _CONTINUE_FROM_DEGREE continues at x from the stored state when
+its degree is <= n and runs from degree 0 otherwise; either way it stores the
+state it reached. The floating-point operations are those of a pass from
+degree 0, in the same order, so every value is bit-identical to it. A point
+is keyed by its value, so -0.0 continues the state of 0.0; the two passes
+differ at most in the sign of a zero.
+
+Only the most recently compiled column of each family stays alive; compiling
+a kernel for another parameter replaces it. A kernel keeps its own column, so
+it stays correct after a switch, and memory is bounded by the points of one
+column per family. Sweeps in ascending degree at a fixed parameter gain: the
+pseudoharmonic molecules, `compute --validate --nr A..B --l L`, and the 1D
+oscillator, whose Hermite column serves both spaces. Sweeps that change the
+parameter at every cell, such as the default 3D oscillator and hydrogen
+sweeps with l innermost, start a new column each time and gain nothing.
 """
 from __future__ import annotations
 
@@ -28,6 +49,12 @@ __all__ = [
 
 Kernel = Callable[[float], tuple[float, float]]
 
+# Below this degree a pass from degree 0 costs less than a continued call,
+# whose lookup and store cost about as much as eight recurrence steps
+# (measured per call, all three families, CPython 3.11; see CHANGES.md), so
+# such kernels neither read nor write a column.
+_CONTINUE_FROM_DEGREE = 10
+
 
 @dataclass(frozen=True)
 class PolyEval:
@@ -37,9 +64,52 @@ class PolyEval:
     derivative: float
 
 
+class _Column:
+    """One parameter's recurrence: the coefficients of steps 0, 1, ..., shared
+    by every degree, the state reached at each point, x -> (degree, terms),
+    and the lowest degree compiled on it."""
+
+    __slots__ = ("parameter", "steps", "states", "lowest")
+
+    def __init__(self, parameter: float | None, lowest: int) -> None:
+        self.parameter = parameter
+        self.steps: list = []
+        self.states: dict[float, tuple] = {}
+        self.lowest = lowest
+
+
+# The live column of each family.
+_LIVE: dict[str, _Column] = {}
+
+
+def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[tuple, _Column | None]:
+    """The coefficients of a degree-n pass, and the column a degree-n kernel
+    continues in, or None when it runs from degree 0 at every point.
+
+    A kernel continues only when its column already served a lower degree, so
+    sweeps that change the parameter at every cell, or that never ascend in
+    degree, pay no lookups and store no states.
+    """
+    if n < _CONTINUE_FROM_DEGREE:
+        return tuple(coefficients(parameter, 0, n)), None
+    column = _LIVE.get(family)
+    if column is None or column.parameter != parameter:
+        column = _LIVE[family] = _Column(parameter, n)
+    steps = column.steps
+    if len(steps) < n:
+        steps.extend(coefficients(parameter, len(steps), n))
+    continues = column.lowest < n
+    column.lowest = min(column.lowest, n)
+    return tuple(steps[:n]), column if continues else None
+
+
 def _check_degree(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"polynomial degree must be a non-negative integer, got {n!r}")
+
+
+def _hermite_steps(_: None, start: int, stop: int) -> list[float]:
+    return [2.0 * k for k in range(start, stop)]
 
 
 def hermite_kernel(n: int) -> Kernel:
@@ -48,18 +118,43 @@ def hermite_kernel(n: int) -> Kernel:
     Recurrence: H_{k+1} = 2*x*H_k - 2*k*H_{k-1}, H_0 = 1, H_{-1} = 0.
     """
     _check_degree(n)
-    steps = tuple(2.0 * k for k in range(n))
+    steps, column = _bind("hermite", None, n, _hermite_steps)
     two_n = 2.0 * n
 
-    def kernel(x: float) -> tuple[float, float]:
+    if column is None:
+        def kernel(x: float) -> tuple[float, float]:
+            two_x = 2.0 * x
+            prev = 0.0
+            cur = 1.0
+            for two_k in steps:
+                prev, cur = cur, two_x * cur - two_k * prev
+            return cur, two_n * prev
+
+        return kernel
+
+    all_steps, states = column.steps, column.states
+
+    def continued(x: float) -> tuple[float, float]:
+        state = states.get(x)
+        if state is None or state[0] > n:
+            run, prev, cur = steps, 0.0, 1.0
+        else:
+            k, prev, cur = state
+            run = all_steps[k:n]
         two_x = 2.0 * x
-        prev = 0.0
-        cur = 1.0
-        for two_k in steps:
+        for two_k in run:
             prev, cur = cur, two_x * cur - two_k * prev
+        states[x] = (n, prev, cur)
         return cur, two_n * prev
 
-    return kernel
+    return continued
+
+
+def _laguerre_steps(a: float, start: int, stop: int) -> list[tuple[float, float, float]]:
+    return [
+        ((2.0 * k + 1.0 + a) / (k + 1.0), 1.0 / (k + 1.0), (k + a) / (k + 1.0))
+        for k in range(start, stop)
+    ]
 
 
 def laguerre_kernel(n: int, alpha: float) -> Kernel:
@@ -73,19 +168,37 @@ def laguerre_kernel(n: int, alpha: float) -> Kernel:
     _check_degree(n)
     if alpha <= -1.0:
         raise ValueError(f"assoc_laguerre requires alpha > -1, got {alpha}")
-    a = alpha + 1.0
-    steps = tuple(
-        ((2.0 * k + 1.0 + a) / (k + 1.0), 1.0 / (k + 1.0), (k + a) / (k + 1.0)) for k in range(n)
-    )
+    steps, column = _bind("laguerre", alpha + 1.0, n, _laguerre_steps)
 
-    def kernel(x: float) -> tuple[float, float]:
-        prev = 0.0
-        cur = 1.0
-        for a_k, c_k, b_k in steps:
+    if column is None:
+        def kernel(x: float) -> tuple[float, float]:
+            prev = 0.0
+            cur = 1.0
+            for a_k, c_k, b_k in steps:
+                prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev
+            return cur - prev, -prev
+
+        return kernel
+
+    all_steps, states = column.steps, column.states
+
+    def continued(x: float) -> tuple[float, float]:
+        state = states.get(x)
+        if state is None or state[0] > n:
+            run, prev, cur = steps, 0.0, 1.0
+        else:
+            k, prev, cur = state
+            run = all_steps[k:n]
+        for a_k, c_k, b_k in run:
             prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev
+        states[x] = (n, prev, cur)
         return cur - prev, -prev
 
-    return kernel
+    return continued
+
+
+def _gegenbauer_steps(g: float, start: int, stop: int) -> list[tuple[float, float]]:
+    return [(2.0 * (k + g) / (k + 1.0), (k + 2.0 * g - 1.0) / (k + 1.0)) for k in range(start, stop)]
 
 
 def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
@@ -100,20 +213,36 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     _check_degree(n)
     if alpha <= 0.0:
         raise ValueError(f"gegenbauer requires alpha > 0, got {alpha}")
-    g = alpha + 1.0
-    steps = tuple((2.0 * (k + g) / (k + 1.0), (k + 2.0 * g - 1.0) / (k + 1.0)) for k in range(n))
+    steps, column = _bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps)
     ratio = alpha / (n + alpha)
     two_alpha = 2.0 * alpha
 
-    def kernel(x: float) -> tuple[float, float]:
-        before = 0.0
-        prev = 0.0
-        cur = 1.0
-        for a_k, b_k in steps:
+    if column is None:
+        def kernel(x: float) -> tuple[float, float]:
+            before = 0.0
+            prev = 0.0
+            cur = 1.0
+            for a_k, b_k in steps:
+                before, prev, cur = prev, cur, a_k * x * cur - b_k * prev
+            return ratio * (cur - before), two_alpha * prev
+
+        return kernel
+
+    all_steps, states = column.steps, column.states
+
+    def continued(x: float) -> tuple[float, float]:
+        state = states.get(x)
+        if state is None or state[0] > n:
+            run, before, prev, cur = steps, 0.0, 0.0, 1.0
+        else:
+            k, before, prev, cur = state
+            run = all_steps[k:n]
+        for a_k, b_k in run:
             before, prev, cur = prev, cur, a_k * x * cur - b_k * prev
+        states[x] = (n, before, prev, cur)
         return ratio * (cur - before), two_alpha * prev
 
-    return kernel
+    return continued
 
 
 def hermite(n: int, x: float) -> PolyEval:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import relfisher.systems
 from relfisher.data_units import find_molecule, registry, to_atomic_units
 from relfisher.quadrature import IntegrandError
+from relfisher.specfun import laguerre_kernel
 from relfisher.relative_fisher import (
     UnsupportedSystemError,
     closed_form_ir,
@@ -447,3 +448,16 @@ def test_1d_oscillator_high_state_inside_the_guard_converges(omega):
     result = numeric_ir(QuantumState(system=Oscillator1D(omega=omega), space=POSITION, n=150))
     assert result.quadrature.converged
     assert result.rel_diff <= 1e-8
+
+
+def test_numeric_ir_is_the_same_with_or_without_a_degree_sweep_before_it():
+    # A degree sweep continues each Laguerre recurrence from the state the
+    # previous degree stored at the same node; the result must not show it.
+    state = QuantumState(system=H2_PARAMS, space=POSITION, n_r=60, l=0)
+    laguerre_kernel(60, 0.5)  # replace the live Laguerre column
+    cold = numeric_ir(state)
+    for n_r in range(60):
+        numeric_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=n_r, l=0))
+    warm = numeric_ir(state)
+    assert warm == cold
+    assert cold.quadrature.converged and cold.rel_diff <= 1e-8

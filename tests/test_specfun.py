@@ -7,6 +7,7 @@ differences).
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -14,6 +15,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relfisher import specfun
 from relfisher.quadrature import FULL_LINE, QuadratureSpec, integrate
 from relfisher.specfun import (
     assoc_laguerre,
@@ -248,3 +250,125 @@ def test_one_point_forms_call_the_kernel(kernel, one_point, args):
     for x in (-0.6, 0.2, 0.9):
         sample = one_point(*args, x)
         assert (sample.value, sample.derivative) == compiled(x)
+
+
+# Recurrence columns. A degree-n kernel continues the state its family's live
+# column stored at x when that state's degree is <= n. Every value must be ==
+# to a pass from degree 0, whatever order the degrees, parameters and points
+# come in. These passes are written out here, in the kernels' operation order.
+
+
+def _hermite_pass(n, _, x):
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
+    return cur, 2.0 * n * prev
+
+
+def _laguerre_pass(n, alpha, x):
+    a = alpha + 1.0
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        step = (2.0 * k + 1.0 + a) / (k + 1.0) - 1.0 / (k + 1.0) * x
+        prev, cur = cur, step * cur - (k + a) / (k + 1.0) * prev
+    return cur - prev, -prev
+
+
+def _gegenbauer_pass(n, alpha, x):
+    g = alpha + 1.0
+    before, prev, cur = 0.0, 0.0, 1.0
+    for k in range(n):
+        step = 2.0 * (k + g) / (k + 1.0)
+        before, prev, cur = prev, cur, step * x * cur - (k + 2.0 * g - 1.0) / (k + 1.0) * prev
+    return alpha / (n + alpha) * (cur - before), 2.0 * alpha * prev
+
+
+_COLUMN_FAMILIES = {
+    "hermite": (lambda n, _: hermite_kernel(n), _hermite_pass, (None, None),
+                (-4.5, -1.25, -0.0, 0.0, 0.3, 2.75, 6.0)),
+    "laguerre": (laguerre_kernel, _laguerre_pass, (0.5, 151.3),
+                 (-0.0, 0.0, 0.04, 1.5, 17.0, 60.0, 240.0)),
+    "gegenbauer": (gegenbauer_kernel, _gegenbauer_pass, (1.0, 4.5),
+                   (-0.97, -0.5, -0.0, 0.0, 0.25, 0.8, 1.0)),
+}
+
+_ASCENDING = list(range(45))
+_ORDERS = {
+    "ascending": [(n, 0) for n in _ASCENDING],
+    "descending": [(n, 0) for n in reversed(_ASCENDING)],
+    "interleaved": [(n, p) for n in _ASCENDING for p in (0, 1)],
+    "repeated": [(n, 0) for n in (20, 20, 30, 25, 25, 44, 12, 44, 44)],
+}
+
+
+@pytest.mark.parametrize("order", sorted(_ORDERS))
+@pytest.mark.parametrize("family", sorted(_COLUMN_FAMILIES))
+def test_kernels_equal_a_pass_from_degree_zero_in_any_order(family, order):
+    make, scratch, parameters, points = _COLUMN_FAMILIES[family]
+    compiled = []
+    for n, pick in _ORDERS[order]:
+        parameter = parameters[pick]
+        kernel = make(n, parameter)
+        compiled.append((kernel, n, parameter))
+        for x in points + points[::-1]:
+            assert kernel(x) == scratch(n, parameter, x), (n, parameter, x)
+    # Kernels stay correct after their column was replaced or moved on.
+    for kernel, n, parameter in compiled[::7]:
+        for x in points:
+            assert kernel(x) == scratch(n, parameter, x), (n, parameter, x)
+
+
+def test_a_degree_sweep_continues_the_stored_state():
+    alpha, x = 2.5, 3.75
+    laguerre_kernel(40, 99.0)  # start from another parameter's column
+    first = specfun._CONTINUE_FROM_DEGREE
+    laguerre_kernel(first, alpha)(x)  # a fresh column's first degree runs from 0
+    column = specfun._LIVE["laguerre"]
+    assert column.parameter == alpha + 1.0
+    assert x not in column.states
+    for n in range(first + 1, first + 30):
+        assert laguerre_kernel(n, alpha)(x) == _laguerre_pass(n, alpha, x)
+        assert column.states[x][0] == n
+    # A lower degree runs from 0 and stores its own state.
+    assert laguerre_kernel(first + 5, alpha)(x) == _laguerre_pass(first + 5, alpha, x)
+    assert column.states[x][0] == first + 5
+    assert len(column.steps) == first + 29
+    # Another parameter replaces the column; the old one is no longer live.
+    laguerre_kernel(first + 1, alpha + 1.0)
+    assert specfun._LIVE["laguerre"] is not column
+
+
+def test_degrees_below_the_break_even_leave_the_columns_alone():
+    laguerre_kernel(30, 7.0)
+    column = specfun._LIVE["laguerre"]
+    for n in range(specfun._CONTINUE_FROM_DEGREE):
+        laguerre_kernel(n, 0.25)(1.5)
+    assert specfun._LIVE["laguerre"] is column
+
+
+@pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
+def test_one_column_per_family_stays_alive(family):
+    make, _, _, points = _COLUMN_FAMILIES[family]
+    n = specfun._CONTINUE_FROM_DEGREE
+    grid = [points[0] + (points[-1] - points[0]) * k / 30 for k in range(31)]
+
+    def sweep(parameter):
+        for degree in (n, n + 1):
+            kernel = make(degree, parameter)
+            for x in grid:
+                kernel(x)
+
+    tracemalloc.start()
+    try:
+        sweep(1000.25)  # a parameter no other test uses, so its column starts empty
+        one_column = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 200):
+            sweep(1000.25 + 0.5 * k)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(specfun._LIVE[family].states) == len(grid)
+    # Each column's state table alone takes about 1 kB here (small tuples and
+    # floats may come from free lists that tracemalloc does not see), so 200
+    # live columns would hold at least 200 kB.
+    assert after < 2 * one_column
