@@ -299,8 +299,9 @@ class Oscillator1D(_Family):
         return 8.0 * ratio * state.n
 
     def reference_log_derivative(self, state: QuantumState) -> Callable[[float], float]:
-        omega = self.omega
-        c2 = math.sqrt(omega * omega / 2.0)
+        # omega / sqrt(2), not sqrt(omega^2 / 2): the square overflows above
+        # omega ~ 1e154 and underflows below 1e-154.
+        c2 = self.omega / _SQRT2
         if state.space == MOMENTUM:
             c2 = 1.0 / c2
         return lambda x: -c2 * x

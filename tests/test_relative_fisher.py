@@ -343,6 +343,18 @@ def test_rel_diff_divides_by_a_closed_form_below_the_reference_floor():
     assert result.rel_diff == result.abs_diff / result.closed_form
 
 
+@pytest.mark.parametrize(
+    "omega,space", [(1e160, MOMENTUM), (1e-160, POSITION), (1e160, POSITION), (1e-160, MOMENTUM)]
+)
+def test_1d_oscillator_reference_slope_holds_at_extreme_omega(omega, space):
+    # The slope was sqrt(omega^2/2): at omega = 1e160 the square overflowed
+    # (rel_diff 0.375 in momentum space, a non-finite integrand in position
+    # space), and at 1e-160 it underflowed (rel_diff 5.6e-6 in position space).
+    result = numeric_ir(QuantumState(system=Oscillator1D(omega=omega), space=space, n=2))
+    assert result.quadrature.converged
+    assert result.rel_diff <= 1e-13
+
+
 def test_hydrogen_momentum_integral_form_values():
     # exact rationals: 72, 612, 495/2, 2912/5
     assert hydrogen_momentum_integral_closed_form(2, 0, 1.0) == 72.0
