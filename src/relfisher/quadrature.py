@@ -109,12 +109,18 @@ def _eval_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float,
     return h * kron, abs(h * (kron - gauss))
 
 
-def _integrate_half(f: Callable[[float], float], spec: QuadratureSpec) -> QuadratureResult:
+def _integrate_half(
+    f: Callable[[float], float], spec: QuadratureSpec, sign: float = 1.0
+) -> QuadratureResult:
+    """Integrate f over (0, inf), or over (-inf, 0) with sign = -1.0."""
     scale = spec.scale
+    # Negating scale negates every node exactly, so the negative half samples
+    # f at -s for the same s as the positive half, and errors name that point.
+    reach = sign * scale
 
     def g(t: float) -> float:
         one_minus = 1.0 - t
-        s = scale * t / one_minus
+        s = reach * t / one_minus
         v = f(s)
         if not math.isfinite(v):
             raise IntegrandError(f"integrand returned {v!r} at s = {s!r} (t = {t!r})")
@@ -170,7 +176,7 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -
         scale=spec.scale,
     )
     pos = _integrate_half(f, half)
-    neg = _integrate_half(lambda s: f(-s), half)
+    neg = _integrate_half(f, half, -1.0)
     value = pos.value + neg.value
     err = pos.error_estimate + neg.error_estimate
     evaluations = pos.evaluations + neg.evaluations

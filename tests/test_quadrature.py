@@ -108,6 +108,35 @@ def test_non_finite_integrand_reports_offending_node():
     assert isinstance(excinfo.value, ValueError)
 
 
+def test_non_finite_integrand_on_the_negative_half_reports_the_real_node():
+    seen = []
+
+    def integrand(x):
+        seen.append(x)
+        if x < -1.0:
+            return float("nan")
+        return math.exp(-x * x)
+
+    with pytest.raises(IntegrandError) as excinfo:
+        integrate(integrand, QuadratureSpec(domain=FULL_LINE))
+    node = float(str(excinfo.value).split("s = ")[1].split(" ")[0])
+    assert node < -1.0
+    assert node == seen[-1]
+
+
+def test_full_line_halves_sample_mirrored_nodes():
+    seen = []
+
+    def integrand(x):
+        seen.append(x)
+        return math.exp(-x * x)
+
+    result = integrate(integrand, QuadratureSpec(domain=FULL_LINE, scale=0.7))
+    half = len(seen) // 2
+    assert result.evaluations == 2 * half
+    assert seen[half:] == [-x for x in seen[:half]]
+
+
 def test_non_convergence_is_a_result_not_an_exception():
     # endpoint singularity u^{-1/2} starves a one-round refinement budget
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-30, max_refinements=1)
