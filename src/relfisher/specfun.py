@@ -13,22 +13,28 @@ Degree sweeps continue their recurrences. A family's column holds, for one
 parameter, the recurrence coefficients shared by every degree and the state
 the recurrence reached at each point: the degree and the last two terms
 (three for Gegenbauer). Laguerre and Gegenbauer columns are keyed by the
-recurrence's exact float parameter, and Hermite has a single column. A kernel
-of degree n >= _CONTINUE_FROM_DEGREE continues at x from the stored state when
-its degree is <= n and runs from degree 0 otherwise; either way it stores the
-state it reached. The floating-point operations are those of a pass from
-degree 0, in the same order, so every value is bit-identical to it. A point
-is keyed by its value, so -0.0 continues the state of 0.0; the two passes
-differ at most in the sign of a zero.
+recurrence's exact float parameter (alpha + 1), and Hermite has a single
+column. A kernel of degree n continues when n is at least
+_CONTINUE_FROM_DEGREE and its column already served a lower degree: at x it
+runs on from the stored state when that state's degree is <= n, and from
+degree 0 otherwise, and either way it stores the state it reached. Other
+kernels run from degree 0 at every point and store nothing, so a sweep that
+never ascends in degree at one parameter pays no lookups. The floating-point
+operations are those of a pass from degree 0, in the same order, so every
+value is bit-identical to it. A point is keyed by its value, so -0.0
+continues the state of 0.0; the two passes differ at most in the sign of a
+zero.
 
 Only the most recently compiled column of each family stays alive; compiling
 a kernel for another parameter replaces it. A kernel keeps its own column, so
 it stays correct after a switch, and memory is bounded by the points of one
 column per family. Sweeps in ascending degree at a fixed parameter gain: the
 pseudoharmonic molecules, `compute --validate --nr A..B --l L`, and the 1D
-oscillator, whose Hermite column serves both spaces. Sweeps that change the
-parameter at every cell, such as the default 3D oscillator and hydrogen
-sweeps with l innermost, start a new column each time and gain nothing.
+oscillator, whose Hermite column serves every omega and both spaces. Sweeps
+that change the parameter at every cell, such as the default 3D oscillator
+and hydrogen sweeps with l innermost, start a new column each time and gain
+nothing; neither do cells below degree 10, such as the whole default
+`validate` grid.
 """
 from __future__ import annotations
 
@@ -50,9 +56,9 @@ __all__ = [
 Kernel = Callable[[float], tuple[float, float]]
 
 # Below this degree a pass from degree 0 costs less than a continued call,
-# whose lookup and store cost about as much as eight recurrence steps
-# (measured per call, all three families, CPython 3.11; see CHANGES.md), so
-# such kernels neither read nor write a column.
+# whose lookup and store cost about as much as eight recurrence steps; such
+# kernels neither read nor write a column. scripts/kernel_breakeven.py
+# measures both paths by degree (CPython 3.11, 2-core VM: see CHANGES.md).
 _CONTINUE_FROM_DEGREE = 10
 
 
