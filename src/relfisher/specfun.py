@@ -79,7 +79,7 @@ class _Column:
 
     def __init__(self, parameter: float | None, lowest: int) -> None:
         self.parameter = parameter
-        self.steps: list = []
+        self.steps: tuple = ()
         self.states: dict[float, tuple] = {}
         self.lowest = lowest
 
@@ -88,9 +88,10 @@ class _Column:
 _LIVE: dict[str, _Column] = {}
 
 
-def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[tuple, _Column | None]:
-    """The coefficients of a degree-n pass, and the column a degree-n kernel
-    continues in, or None when it runs from degree 0 at every point.
+def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[tuple, dict | None]:
+    """The recurrence coefficients of at least n steps, and the state table a
+    degree-n kernel continues in, or None when it runs from degree 0 at
+    every point.
 
     A kernel continues only when its column already served a lower degree, so
     sweeps that change the parameter at every cell, or that never ascend in
@@ -103,10 +104,12 @@ def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[t
         column = _LIVE[family] = _Column(parameter, n)
     steps = column.steps
     if len(steps) < n:
-        steps.extend(coefficients(parameter, len(steps), n))
+        # Replaced, never extended in place, and each state is stored as one
+        # tuple: callers in other threads can lose a store, never corrupt one.
+        steps = column.steps = steps + tuple(coefficients(parameter, len(steps), n))
     continues = column.lowest < n
     column.lowest = min(column.lowest, n)
-    return tuple(steps[:n]), column if continues else None
+    return steps, column.states if continues else None
 
 
 def _check_degree(n: int) -> None:
@@ -124,10 +127,11 @@ def hermite_kernel(n: int) -> Kernel:
     Recurrence: H_{k+1} = 2*x*H_k - 2*k*H_{k-1}, H_0 = 1, H_{-1} = 0.
     """
     _check_degree(n)
-    steps, column = _bind("hermite", None, n, _hermite_steps)
+    all_steps, states = _bind("hermite", None, n, _hermite_steps)
+    steps = all_steps[:n]
     two_n = 2.0 * n
 
-    if column is None:
+    if states is None:
         def kernel(x: float) -> tuple[float, float]:
             two_x = 2.0 * x
             prev = 0.0
@@ -137,8 +141,6 @@ def hermite_kernel(n: int) -> Kernel:
             return cur, two_n * prev
 
         return kernel
-
-    all_steps, states = column.steps, column.states
 
     def continued(x: float) -> tuple[float, float]:
         state = states.get(x)
@@ -174,9 +176,10 @@ def laguerre_kernel(n: int, alpha: float) -> Kernel:
     _check_degree(n)
     if alpha <= -1.0:
         raise ValueError(f"assoc_laguerre requires alpha > -1, got {alpha}")
-    steps, column = _bind("laguerre", alpha + 1.0, n, _laguerre_steps)
+    all_steps, states = _bind("laguerre", alpha + 1.0, n, _laguerre_steps)
+    steps = all_steps[:n]
 
-    if column is None:
+    if states is None:
         def kernel(x: float) -> tuple[float, float]:
             prev = 0.0
             cur = 1.0
@@ -185,8 +188,6 @@ def laguerre_kernel(n: int, alpha: float) -> Kernel:
             return cur - prev, -prev
 
         return kernel
-
-    all_steps, states = column.steps, column.states
 
     def continued(x: float) -> tuple[float, float]:
         state = states.get(x)
@@ -219,11 +220,12 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     _check_degree(n)
     if alpha <= 0.0:
         raise ValueError(f"gegenbauer requires alpha > 0, got {alpha}")
-    steps, column = _bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps)
+    all_steps, states = _bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps)
+    steps = all_steps[:n]
     ratio = alpha / (n + alpha)
     two_alpha = 2.0 * alpha
 
-    if column is None:
+    if states is None:
         def kernel(x: float) -> tuple[float, float]:
             before = 0.0
             prev = 0.0
@@ -233,8 +235,6 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
             return ratio * (cur - before), two_alpha * prev
 
         return kernel
-
-    all_steps, states = column.steps, column.states
 
     def continued(x: float) -> tuple[float, float]:
         state = states.get(x)
