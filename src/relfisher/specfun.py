@@ -27,8 +27,9 @@ zero.
 
 Only the most recently compiled column of each family stays alive; compiling
 a kernel for another parameter replaces it. A kernel keeps its own column, so
-it stays correct after a switch, and memory is bounded by the points of one
-column per family. Sweeps in ascending degree at a fixed parameter gain: the
+it stays correct after a switch. A column drops its states once it holds more
+than _MAX_STATES points, so memory is bounded by one bounded column per
+family. Sweeps in ascending degree at a fixed parameter gain: the
 pseudoharmonic molecules, `compute --validate --nr A..B --l L`, and the 1D
 oscillator, whose Hermite column serves every omega and both spaces. Sweeps
 that change the parameter at every cell, such as the default 3D oscillator
@@ -60,6 +61,13 @@ Kernel = Callable[[float], tuple[float, float]]
 # kernels neither read nor write a column. scripts/kernel_breakeven.py
 # measures both paths by degree (CPython 3.11, 2-core VM: see CHANGES.md).
 _CONTINUE_FROM_DEGREE = 10
+
+# A column drops its states when a kernel is compiled on it while it holds
+# more than this many points, about 11 MB. One sweep at one scale stores up
+# to about 20,000 (the 1D oscillator to n = 188 in both spaces); a process
+# that sweeps many scales on one column, such as many omega at one l, would
+# otherwise keep the points of all of them.
+_MAX_STATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,8 @@ def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[t
         # Replaced, never extended in place, and each state is stored as one
         # tuple: callers in other threads can lose a store, never corrupt one.
         steps = column.steps = steps + tuple(coefficients(parameter, len(steps), n))
+    if len(column.states) > _MAX_STATES:
+        column.states.clear()
     continues = column.lowest < n
     column.lowest = min(column.lowest, n)
     return steps, column.states if continues else None

@@ -372,3 +372,20 @@ def test_one_column_per_family_stays_alive(family):
     # floats may come from free lists that tracemalloc does not see), so 200
     # live columns would hold at least 200 kB.
     assert after < 2 * one_column
+
+
+def test_a_full_column_drops_its_states(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_STATES", 50)
+    first = specfun._CONTINUE_FROM_DEGREE
+    points = [0.25 * k for k in range(1, 81)]
+    gegenbauer_kernel(first, 7.25)
+    kernel = gegenbauer_kernel(first + 1, 7.25)
+    for x in points:
+        kernel(x)
+    states = specfun._LIVE["gegenbauer"].states
+    assert len(states) == 80
+    kernel = gegenbauer_kernel(first + 2, 7.25)
+    assert len(states) == 0
+    for x in points:
+        assert kernel(x) == _gegenbauer_pass(first + 2, 7.25, x)
+    assert len(states) == 80
