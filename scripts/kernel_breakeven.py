@@ -13,9 +13,9 @@ For each degree n it prints the median nanoseconds per call of three paths:
             point, so it runs one step and stores its state.
 
 A continued call pays while `continue` < `scratch`. specfun's
-_CONTINUE_FROM_DEGREE is the lowest degree at which that holds for every
-family. Times depend on the interpreter and the host; compare them only
-within one run.
+_CONTINUE_FROM_DEGREE sits at the lowest degree from which that holds for
+every family, allowing for run-to-run noise. Times depend on the interpreter
+and the host; compare them only within one run.
 """
 from __future__ import annotations
 
