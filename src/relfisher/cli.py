@@ -2,13 +2,14 @@
 reproduction of the bundled reference tables, with machine-readable output.
 
 Output is CSV (UTF-8, LF, '.' decimal) or newline-delimited JSON with the same
-field names. Rows are streamed: each is written as soon as it is computed, so
-memory does not grow with the table beyond the list of states. The states are
-built and validated before the first row, so a bad argument writes nothing. An
---out file is still all-or-nothing: rows go to a temp file in the same
-directory, which is renamed over the target on success and removed on any
-error. Stdout may already hold rows written before an error line. Exit codes:
-0 ok, 2 usage error, 3 validation or quadrature failure, 4 I/O failure.
+field names. Rows are streamed: each state is built, computed and written in
+turn, so memory does not grow with the table. Each grid of states is checked
+once, by its system's grid method, before the first row, so a bad argument
+writes nothing. An --out file is still all-or-nothing: rows go to a temp file
+in the same directory, which is renamed over the target on success and
+removed on any error. Stdout may already hold rows written before an error
+line. Exit codes: 0 ok, 2 usage error, 3 validation or quadrature failure,
+4 I/O failure.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .data_units import (
     CONSTANT_PROFILES,
@@ -118,18 +119,24 @@ def _write_rows(
 ) -> None:
     """Write each row as it comes. A row holds its values in header order.
 
-    CSV floats use the column's format spec (default .12g), None is an empty
-    cell and anything else is written as str(value); JSON has no header line.
+    In CSV, a column named in formats holds floats, written with its format
+    spec, or None, an empty cell; any other value is written as str(value).
+    JSON has no header line.
     """
     if output_format == "json":
         dumps = json.dumps
         for row in rows:
             stream.write(dumps(dict(zip(header, row)), ensure_ascii=False) + "\n")
         return
-    specs = [formats.get(column, ".12g") for column in header]
+    float_columns = [(i, formats[column]) for i, column in enumerate(header) if column in formats]
 
     def cells(row: Sequence[object]) -> list[object]:
-        return [format(v, spec) if isinstance(v, float) else v for v, spec in zip(row, specs)]
+        row = list(row)
+        for i, spec in float_columns:
+            value = row[i]
+            if value is not None:
+                row[i] = format(value, spec)
+        return row
 
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
@@ -165,18 +172,27 @@ def _emit(
         raise
 
 
-def _parse_range(text: str, name: str) -> list[int]:
-    """Parse '3' or '1..8' into an inclusive integer list."""
+def _parse_range(text: str, name: str) -> range:
+    """Parse '3' or '1..8' into an inclusive integer range."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return range(lo, hi + 1)
+        value = int(text)
+        return range(value, value + 1)
     except ValueError:
         raise ValueError(f"{name} must be an integer or an A..B range, got {text!r}") from None
+
+
+def _nonempty(items: Iterator, message: str) -> Iterator:
+    """items, unchanged, once it has yielded its first item; ValueError(message) if it has none."""
+    first = next(items, None)
+    if first is None:
+        raise ValueError(message)
+    return itertools.chain((first,), items)
 
 
 def _molecule_records(args: argparse.Namespace) -> list[MoleculeRecord]:
@@ -223,7 +239,7 @@ def _params(args: argparse.Namespace, family: type) -> tuple[SystemParams, str]:
     return family(omega=args.omega), f"omega={args.omega:.12g}"
 
 
-def _states_for_compute(args: argparse.Namespace) -> tuple[list[QuantumState], str]:
+def _states_for_compute(args: argparse.Namespace) -> tuple[Iterator[QuantumState], str]:
     family = _FAMILIES[args.system]
     fields = family.number_fields
     given = {"n": args.n, "n_r": args.nr, "l": args.l}
@@ -238,19 +254,10 @@ def _states_for_compute(args: argparse.Namespace) -> tuple[list[QuantumState], s
         if given[field] is None:
             raise ValueError(f"{family.name} needs {_FLAGS[field]}")
     params, digest = _params(args, family)
-    combos = itertools.product(*(_parse_range(given[field], _FLAGS[field]) for field in fields))
-    if family is Hydrogenic:
-        # l runs over 0..n-1; the part of an --l range beyond it is skipped at each n.
-        combos = ((n, l) for n, l in combos if l <= n - 1)
-    spaces = _spaces(args.space)
-    states = [
-        QuantumState(params, space, **numbers)
-        for numbers in (dict(zip(fields, combo)) for combo in combos)
-        for space in spaces
-    ]
-    if not states:
-        raise ValueError("no valid (n, l) combinations: every l exceeds n-1")
-    return states, digest
+    ranges = {field: _parse_range(given[field], _FLAGS[field]) for field in fields}
+    # A hydrogen grid skips the part of an --l range beyond n-1 at each n.
+    states = params.grid(_spaces(args.space), **ranges)
+    return _nonempty(states, "no valid (n, l) combinations: every l exceeds n-1"), digest
 
 
 def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> OutputRow:
@@ -312,39 +319,38 @@ def _sweep_params(args: argparse.Namespace, family: type) -> list[tuple[SystemPa
     ]
 
 
-def _sweep_numbers(args: argparse.Namespace, family: type) -> list[dict[str, int]]:
-    """Quantum numbers of one family's validate sweep; molecules sweep l = 0 only."""
+def _sweep_ranges(args: argparse.Namespace, family: type) -> dict[str, range]:
+    """Quantum-number ranges of one family's validate sweep; molecules sweep l = 0 only."""
     if family is Oscillator1D:
-        return [{"n": n} for n in range(args.n_max + 1)]
+        return {"n": range(args.n_max + 1)}
     if family is Hydrogenic:
-        return [{"n": n, "l": l} for n in range(1, args.n_max + 1) for l in range(n)]
+        # The grid keeps l <= n-1 of this l range at each n.
+        return {"n": range(1, args.n_max + 1), "l": range(args.n_max)}
     l_max = args.l_max if family is Oscillator3D else 0
-    return [{"n_r": n_r, "l": l} for n_r in range(args.nr_max + 1) for l in range(l_max + 1)]
+    return {"n_r": range(args.nr_max + 1), "l": range(l_max + 1)}
 
 
-def _validate_cells(args: argparse.Namespace) -> list[tuple[QuantumState, str]]:
+def _validate_cells(args: argparse.Namespace) -> Iterator[tuple[QuantumState, str]]:
     families = [_FAMILIES[args.system]] if args.system else FAMILIES
     spaces = _spaces(args.space)
-    cells = [
-        (QuantumState(params, space, **numbers), digest)
+    grids = [
+        (params.grid(spaces, **_sweep_ranges(args, family)), digest)
         for family in families
         for params, digest in _sweep_params(args, family)
-        for numbers in _sweep_numbers(args, family)
-        for space in spaces
     ]
-    if not cells:
-        raise ValueError("no cells to validate: every sweep range is empty")
-    return cells
+    cells = ((state, digest) for states, digest in grids for state in states)
+    return _nonempty(cells, "no cells to validate: every sweep range is empty")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cells = _validate_cells(args)
-    quadrature_failures = over_threshold = 0
+    count = quadrature_failures = over_threshold = 0
     max_rel = 0.0
 
     def rows() -> Iterable[OutputRow]:
-        nonlocal quadrature_failures, over_threshold, max_rel
+        nonlocal count, quadrature_failures, over_threshold, max_rel
         for state, digest in cells:
+            count += 1
             row = _evaluate_cell(state, digest, True, args.rel_tol)
             if row.status == STATUS_QUADRATURE_FAILED:
                 quadrature_failures += 1
@@ -355,7 +361,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
     print(
-        f"validate: cells={len(cells)} max_rel_diff={max_rel:.3e} "
+        f"validate: cells={count} max_rel_diff={max_rel:.3e} "
         f"quadrature_failures={quadrature_failures} over_threshold={over_threshold} "
         f"(threshold={args.threshold:g})",
         file=sys.stderr,

@@ -11,6 +11,11 @@ modules ask a state's system instead of testing its type. States carry no
 magnetic quantum number: the information measure computed downstream is
 invariant to it.
 
+A state is checked where it is made. QuantumState(...) checks its own space
+and quantum numbers. A whole grid of states, as the CLI tabulates, comes from
+its system's grid method: that checks the grid once, on its corner state, and
+then builds each state without checking it again.
+
 The wavefunction evaluators live here with their families. Their
 normalization prefactors are assembled in log space and exponentiated once,
 which keeps the pseudoharmonic family (effective angular exponents up to a
@@ -20,9 +25,10 @@ nothing in the production path differentiates numerically.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .quadrature import FULL_LINE, HALF_LINE
 from .specfun import gegenbauer_kernel, hermite_kernel, laguerre_kernel, ln_gamma
@@ -254,9 +260,44 @@ class _Family:
                             compile and closed_form so the oracle stays an
                             independent route
     spacing(space)          constant gap between adjacent closed forms
+    _grid(ranges)           optional: the corner and the number tuples of
+                            a grid, when they are not the ranges' first
+                            values and their product
     """
 
     domain = HALF_LINE
+
+    def grid(self, spaces: Sequence[str], **ranges: range) -> Iterator[QuantumState]:
+        """The states of this system over a grid of quantum numbers, checked once.
+
+        Each keyword names one of number_fields and gives its values as an
+        ascending range. States come in the order of itertools.product over
+        the fields, in number_fields order, with the space innermost. A
+        hydrogen grid skips, at each n, the part of its l range above n-1. An
+        empty range makes an empty grid.
+
+        The grid is checked here, before the first state: QuantumState's own
+        checks run on its corner state in each space, which an invalid grid
+        always fails first, so an invalid grid raises the ValueError of its
+        first invalid state. The states are then built without
+        QuantumState.__post_init__; each is == to QuantumState(...) and has
+        the same hash.
+        """
+        if sorted(ranges) != sorted(self.number_fields):
+            raise ValueError(f"a {self.name} grid takes ranges for exactly {', '.join(self.number_fields)}")
+        if not all(ranges.values()):
+            return iter(())
+        if any(r.step < 0 for r in ranges.values()):
+            raise ValueError("grid ranges must ascend")
+        corner, numbers = self._grid([ranges[field] for field in self.number_fields])
+        for space in spaces:
+            QuantumState(self, space, **dict(zip(self.number_fields, corner)))
+        return _checked_states(self, spaces, self.number_fields, numbers)
+
+    def _grid(self, ranges: list[range]) -> tuple[tuple[int, ...], Iterable[tuple[int, ...]]]:
+        """The corner of a grid, which fails the checks first if any state
+        does, and the grid's quantum-number tuples."""
+        return tuple(r[0] for r in ranges), itertools.product(*ranges)
 
 
 @dataclass(frozen=True)
@@ -396,6 +437,17 @@ class Hydrogenic(_Family):
         if state.l > state.n - 1:
             raise ValueError(f"l must satisfy l <= n-1, got n={state.n}, l={state.l}")
 
+    def _grid(self, ranges: list[range]) -> tuple[tuple[int, ...], Iterable[tuple[int, ...]]]:
+        # The grid skips l > n-1 instead of refusing it, so its corner takes
+        # the largest l that the first n admits when the first l is above it.
+        n_range, l_range = ranges
+
+        def below(n: int) -> range:
+            return l_range[: len(range(l_range.start, n, l_range.step))]
+
+        corner = (n_range[0], min(l_range[0], n_range[0] - 1))
+        return corner, ((n, l) for n in n_range for l in below(n))
+
     def radial_nodes(self, state: QuantumState) -> int:
         return state.n - state.l - 1  # type: ignore[operator]
 
@@ -529,6 +581,28 @@ class QuantumState:
     def radial_nodes(self) -> int:
         """Interior nodes of the radial (or full-line) wavefunction."""
         return self.system.radial_nodes(self)
+
+
+def _checked_states(
+    system: SystemParams,
+    spaces: Sequence[str],
+    number_fields: Sequence[str],
+    numbers: Iterable[tuple[int, ...]],
+) -> Iterator[QuantumState]:
+    """QuantumState(system, space, **dict(zip(number_fields, combo))) for each
+    combo and space, built without __post_init__: only for a checked grid."""
+    new = object.__new__
+    set_attribute = object.__setattr__
+    blank = dict.fromkeys(field.name for field in fields(QuantumState))
+    for combo in numbers:
+        values = blank.copy()
+        values["system"] = system
+        values.update(zip(number_fields, combo))
+        for space in spaces:
+            state = new(QuantumState)
+            values["space"] = space
+            set_attribute(state, "__dict__", values.copy())
+            yield state
 
 
 def reference_state(target: QuantumState) -> QuantumState:

@@ -8,14 +8,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relfisher.cli
 import relfisher.relative_fisher
 from relfisher.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from relfisher.data_units import find_molecule, to_atomic_units
+from relfisher.systems import MOMENTUM, POSITION, Hydrogenic, Oscillator1D, Oscillator3D
 
 HEADER = "system,space,quantum_numbers,params_digest,ir_closed,ir_numeric,rel_diff,status"
 
@@ -110,6 +116,69 @@ def test_usage_errors(capsys):
     )
     assert run_cli(["compute", "--system", "php", "--nr", "1", "--mu-amu", "1.0"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "n_flag,message",
+    [("--n=-2..2", "n must be >= 1, got -2"), ("--n=0", "n must be >= 1, got 0")],
+)
+def test_compute_refuses_hydrogen_n_below_one(n_flag, message, tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old table\n")
+    for out in ([], ["--out", str(path)]):
+        assert run_cli(["compute", "--system", "hydrogen", n_flag, *out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert path.read_bytes() == b"old table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+# The system each compute --system name selects here, with the flags that select it.
+_CLI_SYSTEMS = {
+    "qho1d": (["--omega", "1.3"], Oscillator1D(omega=1.3)),
+    "qho3d": (["--omega", "0.8"], Oscillator3D(omega=0.8)),
+    "hydrogen": (["--Z", "2"], Hydrogenic(Z=2.0)),
+    "php": (["--molecule", "H2"], to_atomic_units(find_molecule("H2"))),
+}
+_RANGE_FLAGS = {"n": "--n", "n_r": "--nr", "l": "--l"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compute_writes_nothing_for_a_grid_its_system_refuses(data):
+    name = data.draw(st.sampled_from(sorted(_CLI_SYSTEMS)), label="system")
+    flags, system = _CLI_SYSTEMS[name]
+    space = data.draw(st.sampled_from([POSITION, MOMENTUM, "both"]), label="space")
+    ranges = {}
+    for field in system.number_fields:
+        start = data.draw(st.integers(-3, 5), label=field)
+        ranges[field] = range(start, start + data.draw(st.integers(1, 5)))
+    argv = ["compute", "--system", name, "--space", space, *flags]
+    argv += [f"{_RANGE_FLAGS[field]}={r.start}..{r[-1]}" for field, r in ranges.items()]
+    try:
+        spaces = [POSITION, MOMENTUM] if space == "both" else [space]
+        rows = sum(1 for _ in system.grid(spaces, **ranges))
+        error = None if rows else "no valid (n, l) combinations: every l exceeds n-1"
+    except ValueError as exc:
+        error = str(exc)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        for out in ([], ["--out", str(path)]):
+            path.write_bytes(b"old table\n")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = run_cli(argv + out)
+            if error is None:
+                assert code == EXIT_OK
+                text = path.read_text(encoding="utf-8") if out else stdout.getvalue()
+                assert text.count("\n") == rows + 1
+            else:
+                assert code == EXIT_USAGE
+                assert stdout.getvalue() == ""
+                assert stderr.getvalue() == f"error: {error}\n"
+                assert path.read_bytes() == b"old table\n"
+            assert os.listdir(directory) == ["table.csv"]
 
 
 @pytest.mark.parametrize(
@@ -371,6 +440,26 @@ def test_compute_streams_rows_in_memory_that_does_not_grow_with_the_table(tmp_pa
     assert code == EXIT_OK
     assert path.read_text(encoding="utf-8").count("\n") == rows + 1
     assert peak / rows < 300, f"{peak / rows:.0f} B per row"
+
+
+def test_compute_peak_memory_does_not_grow_with_the_grid(tmp_path):
+    # States stream from the grid to the file one by one; none are held.
+    assert run_cli(["compute", "--system", "hydrogen", "--n", "1", "--out", str(tmp_path / "warm")]) == EXIT_OK
+    peaks = {}
+    for n_max, rows in ((100, 10_100), (200, 40_200)):
+        path = tmp_path / f"rows{rows}.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                ["compute", "--system", "hydrogen", "--n", f"1..{n_max}", "--l", f"0..{n_max - 1}",
+                 "--out", str(path)]
+            )
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert path.read_text(encoding="utf-8").count("\n") == rows + 1
+    assert peaks[40_200] <= 1.25 * peaks[10_100], peaks
 
 
 def _fail_on_row(monkeypatch, k, directory=None):

@@ -1,5 +1,6 @@
 """Parameter records, quantum-number validation, and derived quantities."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -179,6 +180,58 @@ def test_family_conformance(family, space):
     assert (spec.domain, spec.scale) == (family.domain, scale)
     value, derivative = compile_state(state)(scale)
     assert math.isfinite(value) and math.isfinite(derivative) and value != 0.0
+
+
+def _one_by_one(system, spaces, ranges):
+    """The grid as QuantumState(...) builds it, one state at a time: the
+    states, or the message of the first state it refuses. A refusal of
+    l > n-1 is skipped, as a hydrogen grid skips that part of its l range."""
+    fields = system.number_fields
+    states = []
+    for combo in itertools.product(*(ranges[field] for field in fields)):
+        for space in spaces:
+            try:
+                states.append(QuantumState(system, space, **dict(zip(fields, combo))))
+            except ValueError as exc:
+                if not str(exc).startswith("l must satisfy l <= n-1"):
+                    return None, str(exc)
+    return states, None
+
+
+@st.composite
+def _grids(draw):
+    system = draw(st.sampled_from([params for params, _ in _EXCITED.values()]))
+    spaces = draw(st.sampled_from([(POSITION,), (MOMENTUM,), SPACES, SPACES[::-1]]))
+    ranges = {}
+    for field in system.number_fields:
+        start = draw(st.integers(-3, 6), label=field)
+        ranges[field] = range(start, start + draw(st.integers(0, 5)))
+    return system, spaces, ranges
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_grids())
+def test_grid_builds_the_quantum_states_after_checking_the_grid_once(grid):
+    system, spaces, ranges = grid
+    expected, error = _one_by_one(system, spaces, ranges)
+    if error is not None:
+        # The call raises, before any state is asked for.
+        with pytest.raises(ValueError) as refused:
+            system.grid(spaces, **ranges)
+        assert str(refused.value) == error
+        return
+    states = list(system.grid(spaces, **ranges))
+    assert states == expected
+    assert [hash(state) for state in states] == [hash(state) for state in expected]
+
+
+def test_grid_refuses_ranges_it_cannot_check_by_their_corner():
+    with pytest.raises(ValueError, match="takes ranges for exactly n, l"):
+        Hydrogenic(Z=1.0).grid(SPACES, n=range(1, 3))
+    with pytest.raises(ValueError, match="takes ranges for exactly n_r, l"):
+        Oscillator3D(omega=1.0).grid(SPACES, n=range(3), l=range(2))
+    with pytest.raises(ValueError, match="must ascend"):
+        Oscillator1D(omega=1.0).grid(SPACES, n=range(3, -2, -1))
 
 
 def test_state_rejects_an_unknown_system():
