@@ -289,6 +289,7 @@ class _Family:
             return iter(())
         if any(r.step < 0 for r in ranges.values()):
             raise ValueError("grid ranges must ascend")
+        spaces = tuple(spaces)  # iterated once here and again per state
         corner, numbers = self._grid([ranges[field] for field in self.number_fields])
         for space in spaces:
             QuantumState(self, space, **dict(zip(self.number_fields, corner)))

@@ -220,7 +220,7 @@ def test_grid_builds_the_quantum_states_after_checking_the_grid_once(grid):
             system.grid(spaces, **ranges)
         assert str(refused.value) == error
         return
-    states = list(system.grid(spaces, **ranges))
+    states = list(system.grid(iter(spaces), **ranges))
     assert states == expected
     assert [hash(state) for state in states] == [hash(state) for state in expected]
 
