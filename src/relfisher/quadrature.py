@@ -1,11 +1,13 @@
-"""Adaptive Gauss-Kronrod quadrature on half-line and full-line domains.
+"""Adaptive Gauss-Kronrod quadrature on the half line (0, inf).
 
-The half line (0, inf) is mapped to t in (0, 1) by the rational transform
-s = scale * t / (1 - t); the full line is split at the origin into two half
-lines. All rules are open: neither endpoint of any panel is ever evaluated,
-so integrands may be singular or undefined at s = 0 and need only decay at
-infinity. Non-convergence is reported through the result, never silently;
-a non-finite integrand sample aborts with the offending node in the message.
+The half line is mapped to t in (0, 1) by the rational transform
+s = scale * t / (1 - t). All rules are open: neither endpoint of any panel is
+ever evaluated, so integrands may be singular or undefined at s = 0 and need
+only decay at infinity. There is no full-line domain: the one full-line
+integrand in use, the 1D oscillator's, is even, and its caller integrates
+twice it over the half line. Non-convergence is reported through the result,
+never silently; a non-finite integrand sample aborts with the offending node
+in the message.
 """
 from __future__ import annotations
 
@@ -20,10 +22,6 @@ __all__ = [
     "NonConvergedError",
     "integrate",
 ]
-
-HALF_LINE = "half_line"
-FULL_LINE = "full_line"
-_DOMAINS = (HALF_LINE, FULL_LINE)
 
 # Gauss-Kronrod 7/15 nodes on (-1, 1) with Kronrod and embedded Gauss weights.
 # The 7-point Gauss nodes are the zero-gauss-weight-free subset.
@@ -59,21 +57,18 @@ class NonConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and domain configuration for one integration.
+    """Tolerance and scale configuration for one integration over (0, inf).
 
     scale is the integrand's natural length: the transform places t = 1/2
     at s = scale, so it should sit near where the integrand lives.
     """
 
-    domain: str = HALF_LINE
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_refinements: int = 20
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.domain not in _DOMAINS:
-            raise ValueError(f"domain must be one of {_DOMAINS}, got {self.domain!r}")
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
         if self.max_refinements < 1:
@@ -109,18 +104,15 @@ def _eval_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float,
     return h * kron, abs(h * (kron - gauss))
 
 
-def _integrate_half(
-    f: Callable[[float], float], spec: QuadratureSpec, sign: float = 1.0
-) -> QuadratureResult:
-    """Integrate f over (0, inf), or over (-inf, 0) with sign = -1.0."""
+def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Integrate f over (0, inf)."""
+    if spec is None:
+        spec = QuadratureSpec()
     scale = spec.scale
-    # Negating scale negates every node exactly, so the negative half samples
-    # f at -s for the same s as the positive half, and errors name that point.
-    reach = sign * scale
 
     def g(t: float) -> float:
         one_minus = 1.0 - t
-        s = reach * t / one_minus
+        s = scale * t / one_minus
         v = f(s)
         if not math.isfinite(v):
             raise IntegrandError(f"integrand returned {v!r} at s = {s!r} (t = {t!r})")
@@ -159,26 +151,3 @@ def _integrate_half(
     err = math.fsum(p[3] for p in panels)
     converged = err <= max(spec.rel_tol * abs(total), spec.abs_tol)
     return QuadratureResult(total, err, evaluations, converged)
-
-
-def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Integrate f over (0, inf) or (-inf, inf) according to spec.domain."""
-    if spec is None:
-        spec = QuadratureSpec()
-    if spec.domain == HALF_LINE:
-        return _integrate_half(f, spec)
-
-    half = QuadratureSpec(
-        domain=HALF_LINE,
-        rel_tol=spec.rel_tol,
-        abs_tol=0.5 * spec.abs_tol,
-        max_refinements=spec.max_refinements,
-        scale=spec.scale,
-    )
-    pos = _integrate_half(f, half)
-    neg = _integrate_half(f, half, -1.0)
-    value = pos.value + neg.value
-    err = pos.error_estimate + neg.error_estimate
-    evaluations = pos.evaluations + neg.evaluations
-    converged = err <= max(spec.rel_tol * abs(value), spec.abs_tol)
-    return QuadratureResult(value, err, evaluations, converged)

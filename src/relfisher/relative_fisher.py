@@ -8,7 +8,7 @@ hydrogen-series helpers.
 
 Every closed form here can be checked against numeric_ir, which evaluates the
 defining integral 4*Int s^2 (R' - R * ref_logderiv)^2 ds (full-line analog for
-the 1D oscillator) by adaptive quadrature with an independently coded,
+the 1D oscillator, taken as twice its half line) by adaptive quadrature with an independently coded,
 node-less reference log-derivative. The two routes share no algebra beyond the
 wavefunctions themselves.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadrature import HALF_LINE, QuadratureResult, QuadratureSpec, integrate
+from .quadrature import QuadratureResult, QuadratureSpec, integrate
 from .systems import (
     MOMENTUM,
     POSITION,
@@ -120,8 +120,12 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     """Relative Fisher information by adaptive quadrature of the defining
     integral, reported side by side with the closed form.
 
-    The integrand is 4 s^2 (R_t' - R_t * ref_logderiv)^2 (no s^2 weight for
-    the 1D oscillator), which stays finite at the target's interior nodes.
+    The integrand is 4 s^2 (R_t' - R_t * ref_logderiv)^2 on (0, inf), which
+    stays finite at the target's interior nodes. The 1D oscillator's full-line
+    integrand 4 (psi' - psi * ref_logderiv)^2 has no s^2 weight and is even,
+    bit for bit, so it is integrated as 8 (psi' - psi * ref_logderiv)^2 over
+    the half line: the value, the error estimate and the convergence verdict
+    are exactly those of the sum of the two halves, at half the evaluations.
     Quadrature trouble is reported through result.quadrature.converged, not
     raised, so sweeps can tabulate per-state status.
     """
@@ -131,7 +135,7 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     log_derivative = target.system.reference_log_derivative(target)
     wave = compile_state(target)
 
-    if target.system.domain == HALF_LINE:
+    if target.system.radial:
         def integrand(s: float) -> float:
             value, derivative = wave(s)
             difference = derivative - value * log_derivative(s)
@@ -140,7 +144,7 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
         def integrand(x: float) -> float:
             value, derivative = wave(x)
             difference = derivative - value * log_derivative(x)
-            return 4.0 * difference * difference
+            return 8.0 * difference * difference
 
     if spec is None:
         spec = default_quadrature_spec(target)

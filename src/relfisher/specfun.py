@@ -14,12 +14,13 @@ parameter, the recurrence coefficients shared by every degree and the state
 the recurrence reached at each point: the degree and the last two terms
 (three for Gegenbauer). Laguerre and Gegenbauer columns are keyed by the
 recurrence's exact float parameter (alpha + 1), and Hermite has a single
-column. A kernel of degree n continues when n is at least
-_CONTINUE_FROM_DEGREE and its column already served a lower degree: at x it
-runs on from the stored state when that state's degree is <= n, and from
-degree 0 otherwise, and either way it stores the state it reached. Other
-kernels run from degree 0 at every point and store nothing, so a sweep that
-never ascends in degree at one parameter pays no lookups. The floating-point
+column. Each factory returns one closure, and _bind decides whether it gets
+its column's state table: a kernel of degree n does when n is at least
+_CONTINUE_FROM_DEGREE and its column already served a lower degree. With the
+table, at x it runs on from the stored state when that state's degree is
+<= n, and from degree 0 otherwise, and either way it stores the state it
+reached. Without it, it runs from degree 0 at every point and stores nothing,
+so a sweep that never ascends in degree at one parameter pays no lookups. The floating-point
 operations are those of a pass from degree 0, in the same order, so every
 value is bit-identical to it. A point is keyed by its value, so -0.0
 continues the state of 0.0; the two passes differ at most in the sign of a
@@ -141,31 +142,21 @@ def hermite_kernel(n: int) -> Kernel:
     steps = all_steps[:n]
     two_n = 2.0 * n
 
-    if states is None:
-        def kernel(x: float) -> tuple[float, float]:
-            two_x = 2.0 * x
-            prev = 0.0
-            cur = 1.0
-            for two_k in steps:
-                prev, cur = cur, two_x * cur - two_k * prev
-            return cur, two_n * prev
-
-        return kernel
-
-    def continued(x: float) -> tuple[float, float]:
-        state = states.get(x)
-        if state is None or state[0] > n:
-            run, prev, cur = steps, 0.0, 1.0
-        else:
-            k, prev, cur = state
-            run = all_steps[k:n]
+    def kernel(x: float) -> tuple[float, float]:
+        run, prev, cur = steps, 0.0, 1.0
+        if states is not None:
+            state = states.get(x)
+            if state is not None and state[0] <= n:
+                k, prev, cur = state
+                run = all_steps[k:n]
         two_x = 2.0 * x
         for two_k in run:
             prev, cur = cur, two_x * cur - two_k * prev
-        states[x] = (n, prev, cur)
+        if states is not None:
+            states[x] = (n, prev, cur)
         return cur, two_n * prev
 
-    return continued
+    return kernel
 
 
 def _laguerre_steps(a: float, start: int, stop: int) -> list[tuple[float, float, float]]:
@@ -189,29 +180,20 @@ def laguerre_kernel(n: int, alpha: float) -> Kernel:
     all_steps, states = _bind("laguerre", alpha + 1.0, n, _laguerre_steps)
     steps = all_steps[:n]
 
-    if states is None:
-        def kernel(x: float) -> tuple[float, float]:
-            prev = 0.0
-            cur = 1.0
-            for a_k, c_k, b_k in steps:
-                prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev
-            return cur - prev, -prev
-
-        return kernel
-
-    def continued(x: float) -> tuple[float, float]:
-        state = states.get(x)
-        if state is None or state[0] > n:
-            run, prev, cur = steps, 0.0, 1.0
-        else:
-            k, prev, cur = state
-            run = all_steps[k:n]
+    def kernel(x: float) -> tuple[float, float]:
+        run, prev, cur = steps, 0.0, 1.0
+        if states is not None:
+            state = states.get(x)
+            if state is not None and state[0] <= n:
+                k, prev, cur = state
+                run = all_steps[k:n]
         for a_k, c_k, b_k in run:
             prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev
-        states[x] = (n, prev, cur)
+        if states is not None:
+            states[x] = (n, prev, cur)
         return cur - prev, -prev
 
-    return continued
+    return kernel
 
 
 def _gegenbauer_steps(g: float, start: int, stop: int) -> list[tuple[float, float]]:
@@ -235,30 +217,20 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     ratio = alpha / (n + alpha)
     two_alpha = 2.0 * alpha
 
-    if states is None:
-        def kernel(x: float) -> tuple[float, float]:
-            before = 0.0
-            prev = 0.0
-            cur = 1.0
-            for a_k, b_k in steps:
-                before, prev, cur = prev, cur, a_k * x * cur - b_k * prev
-            return ratio * (cur - before), two_alpha * prev
-
-        return kernel
-
-    def continued(x: float) -> tuple[float, float]:
-        state = states.get(x)
-        if state is None or state[0] > n:
-            run, before, prev, cur = steps, 0.0, 0.0, 1.0
-        else:
-            k, before, prev, cur = state
-            run = all_steps[k:n]
+    def kernel(x: float) -> tuple[float, float]:
+        run, before, prev, cur = steps, 0.0, 0.0, 1.0
+        if states is not None:
+            state = states.get(x)
+            if state is not None and state[0] <= n:
+                k, before, prev, cur = state
+                run = all_steps[k:n]
         for a_k, b_k in run:
             before, prev, cur = prev, cur, a_k * x * cur - b_k * prev
-        states[x] = (n, before, prev, cur)
+        if states is not None:
+            states[x] = (n, before, prev, cur)
         return ratio * (cur - before), two_alpha * prev
 
-    return continued
+    return kernel
 
 
 def hermite(n: int, x: float) -> PolyEval:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .quadrature import FULL_LINE, HALF_LINE
 from .specfun import gegenbauer_kernel, hermite_kernel, laguerre_kernel, ln_gamma
 
 __all__ = [
@@ -244,7 +243,11 @@ class _Family:
     name                    the CLI --system name
     number_fields           quantum-number fields, in label order; the
                             others must be left at None
-    domain                  quadrature domain; half-line states are radial
+    radial                  True when a state's wavefunction is a radial
+                            function on s > 0; False only for the 1D
+                            oscillator, whose psi lives on the whole line and
+                            has parity (-1)^n, so its oracle integrates twice
+                            its even integrand over the half line
     check(state)            raise ValueError unless the quantum numbers are valid
     radial_nodes(state)     interior nodes of the radial (or full-line) function
     reference(state)        the node-less state of the same system, space and l
@@ -265,7 +268,7 @@ class _Family:
                             values and their product
     """
 
-    domain = HALF_LINE
+    radial = True
 
     def grid(self, spaces: Sequence[str], **ranges: range) -> Iterator[QuantumState]:
         """The states of this system over a grid of quantum numbers, checked once.
@@ -309,7 +312,7 @@ class Oscillator1D(_Family):
 
     name = "qho1d"
     number_fields = ("n",)
-    domain = FULL_LINE
+    radial = False
 
     def __post_init__(self) -> None:
         _require_positive("omega", self.omega)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quadrature import HALF_LINE, NonConvergedError, QuadratureSpec, integrate
+from .quadrature import NonConvergedError, QuadratureSpec, integrate
 from .systems import Evaluator, Oscillator1D, QuantumState
 
 # Not called here any more; kept in this namespace because perfbench/tracer.py
@@ -71,7 +71,7 @@ def eval_radial(state: QuantumState, s: float) -> WaveSample:
     s is a radius in position space and a momentum magnitude in momentum
     space. The 1D oscillator is not a radial system; see eval_1d_qho.
     """
-    if state.system.domain != HALF_LINE:
+    if not state.system.radial:
         raise ValueError("eval_radial applies to radial systems; use eval_1d_qho for the 1D oscillator")
     return WaveSample(*compile_state(state)(s))
 
@@ -87,28 +87,29 @@ def natural_scale(state: QuantumState) -> float:
 
 
 def default_quadrature_spec(state: QuantumState, rel_tol: float = 1e-10) -> QuadratureSpec:
-    """Quadrature configuration adapted to one state's domain and scale."""
-    return QuadratureSpec(domain=state.system.domain, rel_tol=rel_tol, scale=natural_scale(state))
+    """Quadrature configuration adapted to one state's scale."""
+    return QuadratureSpec(rel_tol=rel_tol, scale=natural_scale(state))
 
 
 def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None) -> float:
     """|integral of the density - 1|, by quadrature.
 
-    The density is s^2 R(s)^2 on the half line for radial systems and psi^2
-    on the full line for the 1D oscillator. Raises NonConvergedError if the
-    quadrature does not reach its tolerance.
+    The density is s^2 R(s)^2 on the half line for radial systems. For the
+    1D oscillator psi^2 is even, so its full-line integral is that of
+    2 psi^2 over the half line. Raises NonConvergedError if the quadrature
+    does not reach its tolerance.
     """
     if spec is None:
         spec = default_quadrature_spec(state)
     wave = compile_state(state)
-    if state.system.domain == HALF_LINE:
+    if state.system.radial:
         def density(s: float) -> float:
             value = wave(s)[0]
             return s * s * value * value
     else:
         def density(x: float) -> float:
             value = wave(x)[0]
-            return value * value
+            return 2.0 * value * value
     result = integrate(density, spec)
     if not result.converged:
         raise NonConvergedError(

@@ -1,7 +1,6 @@
-"""Adaptive Gauss-Kronrod integration over the half line and full line.
+"""Adaptive Gauss-Kronrod integration over the half line.
 
-The gamma-integral family gives an exact oracle for the half-line path;
-the Gaussian integral covers the full-line split.
+The gamma-integral family gives an exact oracle.
 """
 
 import math
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher.quadrature import (
-    FULL_LINE,
     IntegrandError,
     QuadratureSpec,
     integrate,
@@ -66,20 +64,6 @@ def test_gamma_family(a):
     assert result.error_estimate <= max(1e-10 * abs(result.value), 1e-14)
 
 
-def test_full_line_gaussian():
-    spec = QuadratureSpec(domain=FULL_LINE)
-    result = integrate(lambda y: math.exp(-y * y), spec)
-    assert result.converged
-    assert result.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-
-def test_full_line_shifted_gaussian():
-    spec = QuadratureSpec(domain=FULL_LINE, scale=3.0)
-    result = integrate(lambda y: math.exp(-((y - 1.25) ** 2)), spec)
-    assert result.converged
-    assert result.value == pytest.approx(math.sqrt(math.pi), rel=1e-11)
-
-
 @settings(max_examples=30, deadline=None)
 @given(a=st.floats(0.5, 6.0), b=st.floats(0.0, 3.0))
 def test_tightening_tolerance_stays_within_error_estimate(a, b):
@@ -106,35 +90,6 @@ def test_non_finite_integrand_reports_offending_node():
     node = float(message.split("s = ")[1].split(" ")[0])
     assert node > 5.0
     assert isinstance(excinfo.value, ValueError)
-
-
-def test_non_finite_integrand_on_the_negative_half_reports_the_real_node():
-    seen = []
-
-    def integrand(x):
-        seen.append(x)
-        if x < -1.0:
-            return float("nan")
-        return math.exp(-x * x)
-
-    with pytest.raises(IntegrandError) as excinfo:
-        integrate(integrand, QuadratureSpec(domain=FULL_LINE))
-    node = float(str(excinfo.value).split("s = ")[1].split(" ")[0])
-    assert node < -1.0
-    assert node == seen[-1]
-
-
-def test_full_line_halves_sample_mirrored_nodes():
-    seen = []
-
-    def integrand(x):
-        seen.append(x)
-        return math.exp(-x * x)
-
-    result = integrate(integrand, QuadratureSpec(domain=FULL_LINE, scale=0.7))
-    half = len(seen) // 2
-    assert result.evaluations == 2 * half
-    assert seen[half:] == [-x for x in seen[:half]]
 
 
 def test_non_convergence_is_a_result_not_an_exception():
@@ -166,8 +121,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(max_refinements=0)
     with pytest.raises(ValueError):
-        QuadratureSpec(domain="circle")
-    with pytest.raises(ValueError):
         QuadratureSpec(scale=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(scale=float("inf"))
@@ -177,9 +130,6 @@ def test_evaluation_accounting():
     smooth = integrate(lambda u: math.exp(-u))
     assert smooth.evaluations % 15 == 0
     assert smooth.evaluations >= 15 * 16
-
-    full = integrate(lambda y: math.exp(-y * y), QuadratureSpec(domain=FULL_LINE))
-    assert full.evaluations >= 2 * 15 * 16
 
     # a narrow feature must cost more panels than the smooth baseline
     def narrow(u):

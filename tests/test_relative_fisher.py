@@ -8,6 +8,7 @@ better.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import relfisher.systems
 from relfisher.data_units import find_molecule, registry, to_atomic_units
-from relfisher.quadrature import IntegrandError
+from relfisher.quadrature import IntegrandError, integrate
 from relfisher.specfun import laguerre_kernel
 from relfisher.relative_fisher import (
     UnsupportedSystemError,
@@ -39,7 +40,7 @@ from relfisher.systems import (
     QuantumState,
     php_derived,
 )
-from relfisher.wavefunctions import default_quadrature_spec, normalization_defect
+from relfisher.wavefunctions import compile_state, default_quadrature_spec, normalization_defect
 
 H2_PARAMS = to_atomic_units(find_molecule("H2"))
 
@@ -427,7 +428,7 @@ def test_numeric_ir_keeps_state_work_out_of_the_integrand(monkeypatch):
 @pytest.mark.xfail(
     strict=True,
     reason="the quadrature's absolute tolerance (1e-14) dwarfs this integral of "
-    "3.4e-158, so it stops after 480 evaluations and reports convergence at "
+    "3.4e-158, so it stops after 240 evaluations and reports convergence at "
     "rel_diff 1.2e-6",
 )
 def test_a_tiny_integral_is_not_reported_converged_when_it_is_off():
@@ -445,6 +446,36 @@ def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
     monkeypatch.setattr(relfisher.systems, "laguerre_kernel", poisoned)
     with pytest.raises(IntegrandError):
         numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
+
+
+@pytest.mark.parametrize("omega", [1e-160, 1e-3, 1.0, 3.7, 1e160])
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize("n", [0, 1, 6, 31, 150])
+def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
+    # The full-line integral as the sum of the positive and the negative half,
+    # each at half the absolute tolerance. numeric_ir integrates twice the
+    # even integrand over the positive half instead: every number must be
+    # the same, at half the evaluations.
+    state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
+    wave = compile_state(state)
+    log_derivative = state.system.reference_log_derivative(state)
+
+    def integrand(x):
+        value, derivative = wave(x)
+        difference = derivative - value * log_derivative(x)
+        return 4.0 * difference * difference
+
+    spec = default_quadrature_spec(state)
+    half = replace(spec, abs_tol=5e-15)
+    positive = integrate(integrand, half)
+    negative = integrate(lambda s: integrand(-s), half)
+    value = positive.value + negative.value
+    error = positive.error_estimate + negative.error_estimate
+    converged = error <= max(spec.rel_tol * abs(value), spec.abs_tol)
+
+    result = numeric_ir(state).quadrature
+    assert (result.value, result.error_estimate, result.converged) == (value, error, converged)
+    assert 2 * result.evaluations == positive.evaluations + negative.evaluations
 
 
 @pytest.mark.parametrize("n", [194, 255, 265, 400])

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from relfisher.quadrature import FULL_LINE, HALF_LINE, QuadratureSpec, integrate
+from relfisher.quadrature import QuadratureSpec, integrate
 from relfisher.specfun import gegenbauer
 from relfisher.systems import (
     MOMENTUM,
@@ -65,6 +65,31 @@ def test_1d_parity():
         assert left.derivative == pytest.approx(-sign * right.derivative, rel=1e-13)
 
 
+@pytest.mark.parametrize("omega", [1e-160, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e160])
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+def test_1d_oscillator_is_exactly_parity_symmetric(omega, space):
+    # The oracle integrates twice the half line, which is exact only if
+    # psi_n(-x) = (-1)^n psi_n(x) holds bit for bit. Degrees ascend, so from
+    # degree 10 the Hermite kernels continue the states stored at each point.
+    system = Oscillator1D(omega=omega)
+    scale = natural_scale(QuantumState(system=system, space=space, n=0))
+    points = [scale * u for u in (0.03, 0.4, 1.0, 2.5, 7.0, 13.0, 19.0)]
+    checked = []
+    for n in range(189):
+        try:
+            wave = compile_state(QuantumState(system=system, space=space, n=n))
+        except ValueError as exc:
+            # At extreme scales the 1D guard refuses the top degrees.
+            assert "out of the evaluator's range" in str(exc)
+            continue
+        sign = -1.0 if n % 2 else 1.0
+        for x in points:
+            value, derivative = wave(x)
+            assert wave(-x) == (sign * value, -sign * derivative), (n, x)
+        checked.append(n)
+    assert checked == list(range(len(checked))) and len(checked) >= 160
+
+
 def test_3d_oscillator_ground_state_sample():
     state = QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=0, l=0)
     # sqrt(2/Gamma(3/2)) e^{-r^2/2} at r = 0.5
@@ -113,8 +138,8 @@ def test_natural_scale_conventions():
 def test_default_quadrature_spec_domains():
     one_d = QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=0)
     radial = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
-    assert default_quadrature_spec(one_d).domain == FULL_LINE
-    assert default_quadrature_spec(radial).domain == HALF_LINE
+    assert not one_d.system.radial and radial.system.radial
+    assert default_quadrature_spec(one_d).scale == natural_scale(one_d)
     assert default_quadrature_spec(radial, rel_tol=1e-8).rel_tol == 1e-8
     assert default_quadrature_spec(radial).scale == natural_scale(radial)
 
