@@ -126,7 +126,7 @@ def _write_rows(
     if output_format == "json":
         dumps = json.dumps
         for row in rows:
-            stream.write(dumps(dict(zip(header, row)), ensure_ascii=False) + "\n")
+            stream.write(dumps(dict(zip(header, row)), ensure_ascii=False, allow_nan=False) + "\n")
         return
     float_columns = [(i, formats[column]) for i, column in enumerate(header) if column in formats]
 
@@ -263,6 +263,11 @@ def _states_for_compute(args: argparse.Namespace) -> tuple[Iterator[QuantumState
 def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> OutputRow:
     # The reference state is the node-less state of the same system, space and l.
     closed = closed_form_ir(state)
+    if not math.isfinite(closed):
+        raise ValueError(
+            f"the closed form of {state.system.name} {state.space} {state.system.label(state)} "
+            f"at {digest} is {closed!r}, outside double range"
+        )
     numeric = None
     rel_diff = None
     status = STATUS_REFERENCE if state.radial_nodes == 0 else STATUS_OK
@@ -536,6 +541,10 @@ def _check_run_options(args: argparse.Namespace) -> None:
     threshold = getattr(args, "threshold", None)
     if threshold is not None and not 0.0 <= threshold < math.inf:
         raise ValueError(f"--threshold must be nonnegative and finite, got {threshold!r}")
+    for flag in ("n_max", "nr_max", "l_max"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -223,7 +223,6 @@ def test_compute_rejects_quantum_numbers_the_system_does_not_take(system, extra,
     "argv",
     [
         ["validate", "--system", "hydrogen", "--n-max", "0"],
-        ["validate", "--n-max", "-1", "--nr-max", "-1", "--l-max", "-1"],
     ],
 )
 def test_empty_validate_sweep_is_a_usage_error(argv, capsys):
@@ -231,6 +230,60 @@ def test_empty_validate_sweep_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no cells to validate" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["validate", "--n-max", "-1"], "--n-max"),
+        (["validate", "--l-max", "-1"], "--l-max"),
+        (["validate", "--system", "php", "--molecule", "H2", "--nr-max", "-1"], "--nr-max"),
+        (["validate", "--n-max", "-1", "--nr-max", "-1", "--l-max", "-1"], "--n-max"),
+    ],
+    ids=["n-max", "l-max", "nr-max", "all"],
+)
+def test_negative_sweep_maximum_is_a_usage_error(argv, flag, capsys):
+    # A negative maximum once emptied that system's grid without a word, so
+    # `validate --n-max -1` wrote the 3D oscillator and molecule rows, no 1D
+    # oscillator or hydrogen row, and exited 0.
+    assert run_cli(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv,cell",
+    [
+        (["compute", "--system", "qho1d", "--omega", "1e308", "--n", "5"], "qho1d position n=5"),
+        (["compute", "--system", "hydrogen", "--Z", "1e-160", "--n", "3", "--space", "momentum"],
+         "hydrogen momentum n=3,l=0"),
+        # 8 * omega / sqrt(2) overflows, and times n = 0 it is nan.
+        (["validate", "--system", "qho1d", "--omega", "1e308", "--n-max", "2", "--space", "position"],
+         "qho1d position n=0"),
+        (["validate", "--system", "qho3d", "--omega", "1e308", "--nr-max", "1", "--l-max", "0",
+          "--space", "position"], "qho3d position n_r=0,l=0"),
+    ],
+    ids=["compute-qho1d", "compute-hydrogen", "validate-qho1d", "validate-qho3d"],
+)
+def test_a_closed_form_outside_double_range_is_an_error(argv, cell, output_format, tmp_path, capsys):
+    # compute wrote "ir_closed": Infinity (not JSON) or inf with status ok.
+    target = tmp_path / "table.out"
+    target.write_bytes(b"old table\n")
+    code = run_cli([*argv, "--format", output_format, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"closed form of {cell} at " in captured.err
+    assert "outside double range" in captured.err
+    assert target.read_bytes() == b"old table\n"
+    assert os.listdir(tmp_path) == ["table.out"]
+
+
+def test_json_rows_refuse_non_finite_values():
+    with pytest.raises(ValueError):
+        relfisher.cli._write_rows(io.StringIO(), ["value"], [(math.inf,)], {}, "json")
 
 
 def test_validate_small_sweep(capsys):
