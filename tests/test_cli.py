@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -561,9 +562,9 @@ def test_error_mid_stream_on_stdout_keeps_the_rows_before_it(monkeypatch, capsys
     assert "error: injected failure" in captured.err
 
 
-def _load_oracle_sweep():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
-    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -579,7 +580,7 @@ def _load_oracle_sweep():
     ],
 )
 def test_oracle_sweep_tells_disagreement_from_errors(codes, expected, tmp_path, monkeypatch, capsys):
-    sweep = _load_oracle_sweep()
+    sweep = _load_script("oracle_sweep")
 
     def fake_cli(argv):
         return codes.get((argv[argv.index("--system") + 1], argv[argv.index("--space") + 1]), EXIT_OK)
@@ -589,3 +590,29 @@ def test_oracle_sweep_tells_disagreement_from_errors(codes, expected, tmp_path, 
     assert sweep.main() == expected
     err = capsys.readouterr().err
     assert ("failed to run" in err) == (expected == 2)
+
+
+def test_output_digests_hashes_what_each_command_writes(tmp_path, monkeypatch, capsys):
+    digests = _load_script("output_digests")
+    compute = ["compute", "--system", "qho1d", "--n", "0..3"]
+    reproduce = ["reproduce", "table1", "--format", "json"]
+    monkeypatch.setattr(digests, "COMMANDS", [compute, reproduce])
+    assert digests.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert digests.main(["--match", "reproduce"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines[1:]
+
+    def sha(text):
+        return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+
+    assert run_cli(compute) == EXIT_OK
+    captured = capsys.readouterr()
+    assert lines[0] == f"exit=0 stdout={sha(captured.out)} stderr={sha(captured.err)} | {' '.join(compute)}"
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(reproduce) == EXIT_OK
+    captured = capsys.readouterr()
+    table = sha((tmp_path / "table1.json").read_bytes())
+    assert lines[1] == (
+        f"exit=0 stdout={sha(captured.out)} stderr={sha(captured.err)} table1.json={table} "
+        f"| {' '.join(reproduce)}"
+    )
