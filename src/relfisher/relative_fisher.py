@@ -8,9 +8,9 @@ hydrogen-series helpers.
 
 Every closed form here can be checked against numeric_ir, which evaluates the
 defining integral 4*Int s^2 (R' - R * ref_logderiv)^2 ds (full-line analog for
-the 1D oscillator, taken as twice its half line) by adaptive quadrature with an independently coded,
-node-less reference log-derivative. The two routes share no algebra beyond the
-wavefunctions themselves.
+the 1D oscillator, taken as twice its half line) by adaptive quadrature with
+an independently coded, node-less reference log-derivative. The two routes
+share no algebra beyond the wavefunctions themselves.
 
 Known discrepancy, kept visible on purpose: the widely tabulated hydrogen-like
 momentum-space closed form (16 n^2 (n^2-(l+1)^2), Z-scaled) does not equal the

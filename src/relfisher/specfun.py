@@ -20,11 +20,11 @@ _CONTINUE_FROM_DEGREE and its column already served a lower degree. With the
 table, at x it runs on from the stored state when that state's degree is
 <= n, and from degree 0 otherwise, and either way it stores the state it
 reached. Without it, it runs from degree 0 at every point and stores nothing,
-so a sweep that never ascends in degree at one parameter pays no lookups. The floating-point
-operations are those of a pass from degree 0, in the same order, so every
-value is bit-identical to it. A point is keyed by its value, so -0.0
-continues the state of 0.0; the two passes differ at most in the sign of a
-zero.
+so a sweep that never ascends in degree at one parameter pays no lookups.
+The floating-point operations are those of a pass from degree 0, in the same
+order, so every value is bit-identical to it. A point is keyed by its value,
+so -0.0 continues the state of 0.0; the two passes differ at most in the
+sign of a zero.
 
 Only the most recently compiled column of each family stays alive; compiling
 a kernel for another parameter replaces it. A kernel keeps its own column, so

@@ -244,9 +244,9 @@ def test_empty_validate_sweep_is_a_usage_error(argv, capsys):
     ids=["n-max", "l-max", "nr-max", "all"],
 )
 def test_negative_sweep_maximum_is_a_usage_error(argv, flag, capsys):
-    # A negative maximum once emptied that system's grid without a word, so
-    # `validate --n-max -1` wrote the 3D oscillator and molecule rows, no 1D
-    # oscillator or hydrogen row, and exited 0.
+    # A negative maximum empties its systems' grids, so the sweep would leave
+    # them out without a word: `--n-max -1` drops the 1D oscillator and
+    # hydrogen, `--l-max -1` the 3D oscillator.
     assert run_cli(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -269,7 +269,7 @@ def test_negative_sweep_maximum_is_a_usage_error(argv, flag, capsys):
     ids=["compute-qho1d", "compute-hydrogen", "validate-qho1d", "validate-qho3d"],
 )
 def test_a_closed_form_outside_double_range_is_an_error(argv, cell, output_format, tmp_path, capsys):
-    # compute wrote "ir_closed": Infinity (not JSON) or inf with status ok.
+    # Infinity is not valid JSON, and neither inf nor nan is a value.
     target = tmp_path / "table.out"
     target.write_bytes(b"old table\n")
     code = run_cli([*argv, "--format", output_format, "--out", str(target)])
