@@ -3,11 +3,11 @@
 The half line is mapped to t in (0, 1) by the rational transform
 s = scale * t / (1 - t). All rules are open: neither endpoint of any panel is
 ever evaluated, so integrands may be singular or undefined at s = 0 and need
-only decay at infinity. There is no full-line domain: the one full-line
-integrand in use, the 1D oscillator's, is even, and its caller integrates
-twice it over the half line. Non-convergence is reported through the result,
-never silently; a non-finite integrand sample aborts with the offending node
-in the message.
+only decay at infinity. Nothing integrates over the full line: the one
+full-line integrand in use, the 1D oscillator's, is even, and its caller
+integrates twice it over the half line. Non-convergence is reported through
+the result, never silently; a non-finite integrand sample aborts with the
+offending node in the message.
 """
 from __future__ import annotations
 
