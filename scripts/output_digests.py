@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Digests of what a fixed list of relfisher commands writes.
 
-    python3 scripts/output_digests.py [--match TEXT]
+    python3 scripts/output_digests.py
 
 Each command in COMMANDS runs as `python -m relfisher.cli ...` in its own
 empty temporary directory, against the src/ tree next to this script. For
 each one the script prints one line: the exit code, the sha256 of stdout and
 of stderr, the name and sha256 of every file the command wrote there, and
 the command itself. Run it in two checkouts and diff the output to check
-that a change keeps every output byte-identical. --match runs only the
-commands whose text contains TEXT.
+that a change keeps every output byte-identical.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
 import subprocess
@@ -65,13 +63,9 @@ def digest(argv: list[str]) -> str:
     return " ".join(parts + files + ["|", *argv])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--match", default="", help="run only commands whose text contains this")
-    args = parser.parse_args(argv)
+def main() -> int:
     for command in COMMANDS:
-        if args.match in " ".join(command):
-            print(digest(command), flush=True)
+        print(digest(command), flush=True)
     return 0
 
 

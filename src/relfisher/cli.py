@@ -324,15 +324,24 @@ def _sweep_params(args: argparse.Namespace, family: type) -> list[tuple[SystemPa
     ]
 
 
+def _sweep_max(args: argparse.Namespace, flag: str) -> int:
+    # A negative maximum would empty the family's grid without a word.
+    value = getattr(args, flag)
+    if value < 0:
+        raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    return value
+
+
 def _sweep_ranges(args: argparse.Namespace, family: type) -> dict[str, range]:
     """Quantum-number ranges of one family's validate sweep; molecules sweep l = 0 only."""
     if family is Oscillator1D:
-        return {"n": range(args.n_max + 1)}
+        return {"n": range(_sweep_max(args, "n_max") + 1)}
     if family is Hydrogenic:
+        n_max = _sweep_max(args, "n_max")
         # The grid keeps l <= n-1 of this l range at each n.
-        return {"n": range(1, args.n_max + 1), "l": range(args.n_max)}
-    l_max = args.l_max if family is Oscillator3D else 0
-    return {"n_r": range(args.nr_max + 1), "l": range(l_max + 1)}
+        return {"n": range(1, n_max + 1), "l": range(n_max)}
+    l_max = _sweep_max(args, "l_max") if family is Oscillator3D else 0
+    return {"n_r": range(_sweep_max(args, "nr_max") + 1), "l": range(l_max + 1)}
 
 
 def _validate_cells(args: argparse.Namespace) -> Iterator[tuple[QuantumState, str]]:
@@ -541,10 +550,6 @@ def _check_run_options(args: argparse.Namespace) -> None:
     threshold = getattr(args, "threshold", None)
     if threshold is not None and not 0.0 <= threshold < math.inf:
         raise ValueError(f"--threshold must be nonnegative and finite, got {threshold!r}")
-    for flag in ("n_max", "nr_max", "l_max"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -338,6 +338,8 @@ class Oscillator1D(_Family):
         return 1.0 / _qho1d_argument_scale(self.omega, state.space)
 
     def closed_form(self, state: QuantumState) -> float:
+        if not state.n:
+            return 0.0  # also where the spacing overflows and inf * 0 is nan
         # Factoring through omega/sqrt(2) makes the two spaces coincide
         # bitwise at omega = sqrt(2), where both equal 8n.
         ratio = self.omega / _SQRT2 if state.space == POSITION else _SQRT2 / self.omega
@@ -409,6 +411,8 @@ class Oscillator3D(_RadialOscillator):
         return 1.0 / root if state.space == POSITION else root
 
     def closed_form(self, state: QuantumState) -> float:
+        if not state.n_r:
+            return 0.0  # also where the factor overflows and inf * 0 is nan
         factor = 16.0 * self.omega if state.space == POSITION else 16.0 / self.omega
         return factor * state.n_r
 
@@ -476,7 +480,11 @@ class Hydrogenic(_Family):
             # Int true division is correctly rounded, so this equals
             # float(hydrogen_position_rational(n, l)) * Z * Z bit for bit.
             return 8 * (n - l - 1) / n ** 3 * Z * Z
-        return float(16 * n * n * (n * n - (l + 1) ** 2)) / (Z * Z)
+        z2 = Z * Z
+        if not z2:
+            # Below Z ~ 1e-162 the square underflows: 0 at a circular target, else inf.
+            return math.inf if n - l - 1 else 0.0
+        return float(16 * n * n * (n * n - (l + 1) ** 2)) / z2
 
     def reference_log_derivative(self, state: QuantumState) -> Callable[[float], float]:
         n, l, Z = state.n, state.l, self.Z

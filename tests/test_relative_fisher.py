@@ -151,6 +151,14 @@ def test_reference_states_have_zero_closed_form():
         == 0.0
     )
     assert closed_form_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=0, l=0)) == 0.0
+    # Also where the spacing overflows and spacing * 0 would be nan.
+    for omega, space in ((1e308, POSITION), (1e-308, MOMENTUM)):
+        assert closed_form_ir(QuantumState(system=Oscillator1D(omega=omega), space=space, n=0)) == 0.0
+        assert (
+            closed_form_ir(QuantumState(system=Oscillator3D(omega=omega), space=space, n_r=0, l=1))
+            == 0.0
+        )
+    assert closed_form_ir(_hydrogen(2, 1, MOMENTUM, Z=1e-170)) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
