@@ -35,6 +35,9 @@ COMMANDS: list[list[str]] = [
         for fmt in ("csv", "json")
     ),
     ["compute", "--system", "qho3d", "--nr", "0..40", "--l", "2", "--validate"],
+    ["compute", "--system", "php", "--molecule", "CO", "--nr", "0..8", "--l", "0..2", "--validate"],
+    ["compute", "--system", "php", "--mu-amu", "1.5", "--de-ev", "0.2", "--re-angstrom", "1.4",
+     "--nr", "0..8", "--space", "both"],
     *(
         ["reproduce", target, "--format", fmt]
         for target in ("table1", "table3", "figure1")

@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from relfisher.cli import main as cli_main
+from relfisher.data_units import CONSTANT_PROFILES
 
 
 def main() -> int:
@@ -17,7 +18,7 @@ def main() -> int:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
         "--constants",
-        choices=("paper", "modern"),
+        choices=sorted(CONSTANT_PROFILES),
         default="paper",
         help="unit-conversion constants profile",
     )

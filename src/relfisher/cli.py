@@ -10,6 +10,11 @@ in the same directory, which is renamed over the target on success and
 removed on any error. Stdout may already hold rows written before an error
 line. Exit codes: 0 ok, 2 usage error, 3 validation or quadrature failure,
 4 I/O failure.
+
+compute and validate turn the flags into systems by one rule (_systems):
+hydrogen takes --Z and the oscillators --omega; php takes the
+--mu-amu/--de-ev/--re-angstrom triple if any of it is given, else --molecule,
+else every registry molecule. Both then stream their grids through _cells.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .data_units import (
     CONSTANT_PROFILES,
@@ -195,69 +200,54 @@ def _nonempty(items: Iterator, message: str) -> Iterator:
     return itertools.chain((first,), items)
 
 
-def _molecule_records(args: argparse.Namespace) -> list[MoleculeRecord]:
-    extra = parse_molecule_file(args.molecule_file) if getattr(args, "molecule_file", None) else []
-    return extra
+def _systems(args: argparse.Namespace, family: type) -> list[tuple[SystemParams, str]]:
+    """The systems of one family that the flags select, each with its params digest.
 
-
-def _php_params(args: argparse.Namespace) -> tuple[Pseudoharmonic, str]:
+    hydrogen takes --Z and the oscillators --omega. php takes the
+    --mu-amu/--de-ev/--re-angstrom triple if any of the three is given, else
+    --molecule, else every registry molecule in registry order; a
+    --molecule-file record replaces the registry molecule of its name.
+    """
+    if family is Hydrogenic:
+        return [(Hydrogenic(Z=args.Z), f"Z={args.Z:.12g}")]
+    if family is not Pseudoharmonic:
+        return [(family(omega=args.omega), f"omega={args.omega:.12g}")]
     adhoc = (args.mu_amu, args.de_ev, args.re_angstrom)
     if any(v is not None for v in adhoc):
         if any(v is None for v in adhoc):
             raise ValueError("--mu-amu, --de-ev and --re-angstrom must be given together")
-        record = MoleculeRecord(
-            name="adhoc",
-            state_label="",
-            mu_amu=args.mu_amu,
-            de_ev=args.de_ev,
-            re_angstrom=args.re_angstrom,
-            source="cli",
-        )
+        record = MoleculeRecord("adhoc", "", *adhoc, source="cli")
         digest = (
             f"mu_amu={args.mu_amu:.12g},de_ev={args.de_ev:.12g},"
             f"re_angstrom={args.re_angstrom:.12g},constants={args.constants}"
         )
-        return to_atomic_units(record, args.constants), digest
-    if not args.molecule:
-        raise ValueError("php needs --molecule or the --mu-amu/--de-ev/--re-angstrom triple")
-    record = find_molecule(args.molecule, _molecule_records(args))
-    return to_atomic_units(record, args.constants), f"molecule={record.name},constants={args.constants}"
+        return [(to_atomic_units(record, args.constants), digest)]
+    extra = parse_molecule_file(args.molecule_file) if args.molecule_file else []
+    names = [args.molecule] if args.molecule else [record.name for record in registry()]
+    records = [find_molecule(name, extra) for name in names]
+    return [
+        (to_atomic_units(record, args.constants), f"molecule={record.name},constants={args.constants}")
+        for record in records
+    ]
 
 
-def _spaces(choice: str) -> list[str]:
-    if choice == "both":
-        return [POSITION, MOMENTUM]
-    return [choice]
-
-
-def _params(args: argparse.Namespace, family: type) -> tuple[SystemParams, str]:
-    """The system the flags select, with its params digest."""
-    if family is Pseudoharmonic:
-        return _php_params(args)
-    if family is Hydrogenic:
-        return Hydrogenic(Z=args.Z), f"Z={args.Z:.12g}"
-    return family(omega=args.omega), f"omega={args.omega:.12g}"
-
-
-def _states_for_compute(args: argparse.Namespace) -> tuple[Iterator[QuantumState], str]:
-    family = _FAMILIES[args.system]
-    fields = family.number_fields
-    given = {"n": args.n, "n_r": args.nr, "l": args.l}
-    for field, text in given.items():
-        if text is not None and field not in fields:
-            raise ValueError(
-                f"{family.name} takes no {_FLAGS[field]}: its quantum numbers are {', '.join(fields)}"
-            )
-    if given["l"] is None:
-        given["l"] = "0"
-    for field in fields:
-        if given[field] is None:
-            raise ValueError(f"{family.name} needs {_FLAGS[field]}")
-    params, digest = _params(args, family)
-    ranges = {field: _parse_range(given[field], _FLAGS[field]) for field in fields}
-    # A hydrogen grid skips the part of an --l range beyond n-1 at each n.
-    states = params.grid(_spaces(args.space), **ranges)
-    return _nonempty(states, "no valid (n, l) combinations: every l exceeds n-1"), digest
+def _cells(
+    args: argparse.Namespace,
+    families: Sequence[type],
+    ranges: Callable[[type], dict[str, range]],
+    empty: str,
+) -> Iterator[tuple[QuantumState, str]]:
+    """(state, params digest) over the grid of every system the flags select
+    in families, each over its family's ranges; ValueError(empty) if there is
+    none. Every grid is built, and so checked, before the first cell."""
+    spaces = [POSITION, MOMENTUM] if args.space == "both" else [args.space]
+    grids = [
+        (params.grid(spaces, **ranges(family)), digest)
+        for family in families
+        for params, digest in _systems(args, family)
+    ]
+    cells = ((state, digest) for states, digest in grids for state in states)
+    return _nonempty(cells, empty)
 
 
 def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> OutputRow:
@@ -295,12 +285,31 @@ def _row_formats(digits: int) -> dict[str, str]:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    states, digest = _states_for_compute(args)
+    family = _FAMILIES[args.system]
+    fields = family.number_fields
+    given = {"n": args.n, "n_r": args.nr, "l": args.l}
+    for field, text in given.items():
+        if text is not None and field not in fields:
+            raise ValueError(
+                f"{family.name} takes no {_FLAGS[field]}: its quantum numbers are {', '.join(fields)}"
+            )
+    if given["l"] is None:
+        given["l"] = "0"
+    for field in fields:
+        if given[field] is None:
+            raise ValueError(f"{family.name} needs {_FLAGS[field]}")
+    # A hydrogen grid skips the part of an --l range beyond n-1 at each n.
+    cells = _cells(
+        args,
+        [family],
+        lambda _: {field: _parse_range(given[field], _FLAGS[field]) for field in fields},
+        "no valid (n, l) combinations: every l exceeds n-1",
+    )
     failed = False
 
     def rows() -> Iterable[OutputRow]:
         nonlocal failed
-        for state in states:
+        for state, digest in cells:
             row = _evaluate_cell(state, digest, args.validate, args.rel_tol)
             if row.status == STATUS_QUADRATURE_FAILED:
                 failed = True
@@ -308,20 +317,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
     _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
     return EXIT_VALIDATION if failed else EXIT_OK
-
-
-def _sweep_params(args: argparse.Namespace, family: type) -> list[tuple[SystemParams, str]]:
-    """The systems one family's validate sweep covers: every registry molecule
-    (or --molecule) for php, the flags' single system otherwise."""
-    if family is not Pseudoharmonic:
-        return [_params(args, family)]
-    extra = _molecule_records(args)
-    names = [args.molecule] if args.molecule else [record.name for record in registry()]
-    records = [find_molecule(name, extra) for name in names]
-    return [
-        (to_atomic_units(record, args.constants), f"molecule={record.name},constants={args.constants}")
-        for record in records
-    ]
 
 
 def _sweep_max(args: argparse.Namespace, flag: str) -> int:
@@ -344,20 +339,12 @@ def _sweep_ranges(args: argparse.Namespace, family: type) -> dict[str, range]:
     return {"n_r": range(_sweep_max(args, "nr_max") + 1), "l": range(l_max + 1)}
 
 
-def _validate_cells(args: argparse.Namespace) -> Iterator[tuple[QuantumState, str]]:
-    families = [_FAMILIES[args.system]] if args.system else FAMILIES
-    spaces = _spaces(args.space)
-    grids = [
-        (params.grid(spaces, **_sweep_ranges(args, family)), digest)
-        for family in families
-        for params, digest in _sweep_params(args, family)
-    ]
-    cells = ((state, digest) for states, digest in grids for state in states)
-    return _nonempty(cells, "no cells to validate: every sweep range is empty")
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cells = _validate_cells(args)
+    families = [_FAMILIES[args.system]] if args.system else FAMILIES
+    cells = _cells(
+        args, families, lambda family: _sweep_ranges(args, family),
+        "no cells to validate: every sweep range is empty",
+    )
     count = quadrature_failures = over_threshold = 0
     max_rel = 0.0
 
@@ -454,7 +441,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _cmd_molecules(args: argparse.Namespace) -> int:
     header = ["name", "state_label", "mu_amu", "de_ev", "re_angstrom", "source"]
-    records = registry() + _molecule_records(args)
+    extra = parse_molecule_file(args.molecule_file) if args.molecule_file else []
+    records = registry() + extra
     rows = [
         (record.name, record.state_label, record.mu_amu, record.de_ev, record.re_angstrom,
          record.source)

@@ -21,6 +21,7 @@ to the published values, and validation honestly reports the gap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from .systems import (
     UnsupportedSystemError,
     _require_positive,
     _require_quantum_number,
-    hydrogen_energy,
     reference_state,
 )
 from .wavefunctions import compile_state, default_quadrature_spec
@@ -113,7 +113,11 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     if n - l - 2 > 0:
         correction += Fraction((n - l - 2) * (n + l + 1), n - 1)
     exact = 4 * n * n * k * (n + l + 1) * (1 + Fraction(3, 4 * n) * correction)
-    return float(exact) / (Z * Z)
+    z2 = Z * Z
+    if not z2:
+        # Below Z ~ 1e-162 the square underflows; the target has nodes here.
+        return math.inf
+    return float(exact) / z2
 
 
 def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRResult:
@@ -210,9 +214,15 @@ def hydrogen_ir_max(l: int, n_max: int = 200) -> tuple[int, float]:
 def hydrogen_asymptotics(n: int, l: int, Z: float) -> tuple[float, float]:
     """Large-n approximations (-16 E_n, 4 Z^2 / E_n^2) with E_n = -Z^2/(2n^2).
 
+    They are computed as 8 (Z/n)^2 and (4 n^2/Z)^2, which never form E_n^2:
+    that would lose precision or underflow to 0 at small Z and overflow
+    to inf/inf = nan at large Z. A value outside double range is inf or 0.
     l is accepted for signature symmetry with the exact forms; the
     approximation assumes n much larger than l.
     """
     del l
-    energy = hydrogen_energy(Z, n)
-    return -16.0 * energy, 4.0 * Z * Z / (energy * energy)
+    _require_positive("Z", Z)
+    _require_quantum_number("n", n, minimum=1)
+    z_over_n = Z / n
+    n2_over_z = 4.0 * n * n / Z
+    return 8.0 * z_over_n * z_over_n, n2_over_z * n2_over_z

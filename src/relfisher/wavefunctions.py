@@ -9,16 +9,16 @@ configuration and the normalization check.
 compile_state binds a state once: everything that does not depend on the
 point (derived parameters, log-normalization, scales, the polynomial kernel
 and its recurrence coefficients) is computed when the state is compiled, and
-the returned closure does only the per-point work. evaluate, eval_radial and
-eval_1d_qho compile and then call once; callers that sample one state at many
-points, such as the quadrature oracle, compile it once themselves.
+the returned closure does only the per-point work. evaluate compiles and then
+calls once; callers that sample one state at many points, such as the
+quadrature oracle, compile it once themselves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .quadrature import NonConvergedError, QuadratureSpec, integrate
-from .systems import Evaluator, Oscillator1D, QuantumState
+from .systems import Evaluator, QuantumState
 
 # Not called here any more; kept in this namespace because perfbench/tracer.py
 # hooks the polynomial, log-gamma and derived-parameter layers under these names.
@@ -28,8 +28,6 @@ from .systems import php_derived  # noqa: F401
 __all__ = [
     "WaveSample",
     "compile_state",
-    "eval_1d_qho",
-    "eval_radial",
     "evaluate",
     "natural_scale",
     "default_quadrature_spec",
@@ -57,23 +55,6 @@ def compile_state(state: QuantumState) -> Evaluator:
     omega = 1) raises ValueError here.
     """
     return state.system.compile(state)
-
-
-def eval_1d_qho(n: int, omega: float, space: str, arg: float) -> WaveSample:
-    """Normalized 1D oscillator eigenfunction at a point of the full line."""
-    state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
-    return WaveSample(*compile_state(state)(arg))
-
-
-def eval_radial(state: QuantumState, s: float) -> WaveSample:
-    """Normalized radial function R(s) and dR/ds at s > 0.
-
-    s is a radius in position space and a momentum magnitude in momentum
-    space. The 1D oscillator is not a radial system; see eval_1d_qho.
-    """
-    if not state.system.radial:
-        raise ValueError("eval_radial applies to radial systems; use eval_1d_qho for the 1D oscillator")
-    return WaveSample(*compile_state(state)(s))
 
 
 def evaluate(state: QuantumState, s: float) -> WaveSample:

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 import relfisher.cli
 import relfisher.relative_fisher
 from relfisher.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from relfisher.data_units import find_molecule, to_atomic_units
-from relfisher.systems import MOMENTUM, POSITION, Hydrogenic, Oscillator1D, Oscillator3D
+from relfisher.data_units import find_molecule, parse_molecule_file, registry, to_atomic_units
+from relfisher.relative_fisher import closed_form_ir
+from relfisher.systems import MOMENTUM, POSITION, Hydrogenic, Oscillator1D, Oscillator3D, QuantumState
 
 HEADER = "system,space,quantum_numbers,params_digest,ir_closed,ir_numeric,rel_diff,status"
 
@@ -398,6 +399,68 @@ def test_php_validate_with_molecule_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert "molecule=XY" in captured.out
+
+
+def test_validate_takes_the_adhoc_php_triple(capsys):
+    code = run_cli(
+        ["validate", "--system", "php", "--mu-amu", "1", "--de-ev", "1", "--re-angstrom", "1",
+         "--nr-max", "1"]
+    )
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert len(rows) == 4
+    assert {row["params_digest"] for row in rows} == {"mu_amu=1,de_ev=1,re_angstrom=1,constants=paper"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--system", "php", "--mu-amu", "1", "--nr-max", "1"],
+        ["compute", "--system", "php", "--mu-amu", "1", "--nr", "1"],
+    ],
+    ids=["validate", "compute"],
+)
+def test_a_partial_php_triple_is_a_usage_error(argv, capsys):
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "--mu-amu, --de-ev and --re-angstrom must be given together" in captured.err
+    assert captured.out == ""
+
+
+def test_compute_php_without_a_molecule_covers_the_registry(capsys):
+    code = run_cli(["compute", "--system", "php", "--nr", "1", "--space", "position"])
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [row["params_digest"] for row in rows] == [
+        f"molecule={record.name},constants=paper" for record in registry()
+    ]
+    for row, record in zip(rows, registry()):
+        state = QuantumState(system=to_atomic_units(record), space=POSITION, n_r=1, l=0)
+        assert row["ir_closed"] == format(closed_form_ir(state), ".12g")
+
+
+def test_a_molecule_file_record_replaces_its_registry_molecule_in_a_sweep(tmp_path, capsys):
+    path = tmp_path / "custom.csv"
+    path.write_text("CO, test state, 1.5, 0.2, 1.4, local\n", encoding="utf-8")
+    code = run_cli(
+        ["validate", "--system", "php", "--molecule-file", str(path), "--nr-max", "1",
+         "--space", "position"]
+    )
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [row["params_digest"] for row in rows] == [
+        f"molecule={record.name},constants=paper" for record in registry() for _ in range(2)
+    ]
+    co = [row for row in rows if row["params_digest"].startswith("molecule=CO,")]
+    state = QuantumState(
+        system=to_atomic_units(parse_molecule_file(str(path))[0]), space=POSITION, n_r=1, l=0
+    )
+    registry_state = QuantumState(
+        system=to_atomic_units(find_molecule("CO")), space=POSITION, n_r=1, l=0
+    )
+    assert co[1]["ir_closed"] == format(closed_form_ir(state), ".12g")
+    assert co[1]["ir_closed"] != format(closed_form_ir(registry_state), ".12g")
 
 
 def test_reproduce_table1(tmp_path, capsys):

@@ -8,6 +8,7 @@ better.
 """
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -308,6 +309,33 @@ def test_asymptotics():
     assert abs(approx_p - exact_p) / exact_p <= 2e-4
     # -16 E_n at Z=2, n=2: -16 * (-0.5) = 8
     assert hydrogen_asymptotics(2, 0, 2.0)[0] == pytest.approx(8.0, rel=1e-15)
+
+
+EXTREME_Z = [1e-200, 1e-160, 1e-100, 1e-80, 0.7, 1.0, 2.0, 1e150, 1e160, 1e200]
+
+
+def _agrees_in_double_range(value, exact):
+    # Within 1e-14 where the exact value lies in [1e-300, 1e300], inf above
+    # double range, and never nan.
+    assert not math.isnan(value)
+    if exact > Fraction(sys.float_info.max):
+        assert value == math.inf
+    elif exact == 0 or Fraction(1, 10**300) <= exact <= 10**300:
+        assert abs(Fraction(value) - exact) <= Fraction(1, 10**14) * exact
+
+
+@pytest.mark.parametrize("Z", EXTREME_Z)
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_hydrogen_helpers_at_extreme_charge(n, Z):
+    z = Fraction(Z)
+    position, momentum = hydrogen_asymptotics(n, 0, Z)
+    _agrees_in_double_range(position, 8 * z * z / n**2)
+    _agrees_in_double_range(momentum, 16 * Fraction(n) ** 4 / (z * z))
+    # The integral form is exact over Z^2; its unit-charge value is exact to
+    # one rounding.
+    unit = Fraction(hydrogen_momentum_integral_closed_form(n, 0, 1.0))
+    _agrees_in_double_range(hydrogen_momentum_integral_closed_form(n, 0, Z), unit / (z * z))
+    assert hydrogen_momentum_integral_closed_form(n, n - 1, Z) == 0.0
 
 
 ORACLE_SPOTS = [

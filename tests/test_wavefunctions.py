@@ -25,8 +25,6 @@ from relfisher.systems import (
 from relfisher.wavefunctions import (
     compile_state,
     default_quadrature_spec,
-    eval_1d_qho,
-    eval_radial,
     evaluate,
     natural_scale,
     normalization_defect,
@@ -36,7 +34,8 @@ H2_PARAMS = Pseudoharmonic(mu=918.5724999, De=0.171535509264, re=1.401413504256)
 
 
 def test_1d_ground_state_at_special_frequency():
-    sample = eval_1d_qho(0, math.sqrt(2.0), POSITION, 0.0)
+    state = QuantumState(system=Oscillator1D(omega=math.sqrt(2.0)), space=POSITION, n=0)
+    sample = evaluate(state, 0.0)
     assert sample.value == pytest.approx((1.0 / math.pi) ** 0.25, rel=1e-14)
     assert sample.derivative == 0.0
 
@@ -44,7 +43,8 @@ def test_1d_ground_state_at_special_frequency():
 def test_1d_ground_state_off_origin():
     # (1/(sqrt(2) pi))^{1/4} e^{-1/(2 sqrt(2))} at omega=1, x=1
     expected = (1.0 / (math.sqrt(2.0) * math.pi)) ** 0.25 * math.exp(-1.0 / (2.0 * math.sqrt(2.0)))
-    sample = eval_1d_qho(0, 1.0, POSITION, 1.0)
+    state = QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=0)
+    sample = evaluate(state, 1.0)
     assert sample.value == pytest.approx(expected, rel=1e-13)
     # d/dx of a Gaussian: -c^2 x psi with c^2 = omega/sqrt(2)
     assert sample.derivative == pytest.approx(-expected / math.sqrt(2.0), rel=1e-13)
@@ -54,13 +54,15 @@ def test_1d_ground_state_off_origin():
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
 def test_1d_odd_states_vanish_at_origin(omega, space):
     for n in (1, 3, 5):
-        assert eval_1d_qho(n, omega, space, 0.0).value == 0.0
+        state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
+        assert evaluate(state, 0.0).value == 0.0
 
 
 def test_1d_parity():
     for n, sign in ((2, 1.0), (3, -1.0)):
-        left = eval_1d_qho(n, 1.3, POSITION, -0.8)
-        right = eval_1d_qho(n, 1.3, POSITION, 0.8)
+        state = QuantumState(system=Oscillator1D(omega=1.3), space=POSITION, n=n)
+        left = evaluate(state, -0.8)
+        right = evaluate(state, 0.8)
         assert left.value == pytest.approx(sign * right.value, rel=1e-13)
         assert left.derivative == pytest.approx(-sign * right.derivative, rel=1e-13)
 
@@ -94,23 +96,23 @@ def test_3d_oscillator_ground_state_sample():
     state = QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=0, l=0)
     # sqrt(2/Gamma(3/2)) e^{-r^2/2} at r = 0.5
     expected = math.sqrt(2.0 / math.gamma(1.5)) * math.exp(-0.125)
-    sample = eval_radial(state, 0.5)
+    sample = evaluate(state, 0.5)
     assert sample.value == pytest.approx(expected, rel=1e-13)
     assert sample.derivative == pytest.approx(-0.5 * expected, rel=1e-13)
 
 
 def test_hydrogen_1s_is_textbook():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=1, l=0)
-    sample = eval_radial(state, 1.0)
+    sample = evaluate(state, 1.0)
     assert sample.value == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
     assert sample.derivative == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-13)
 
 
 def test_hydrogen_2p_momentum_vanishes_at_origin():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
-    assert abs(eval_radial(state, 1e-12).value) < 1e-9
-    near = eval_radial(state, 1e-3).value
-    nearer = eval_radial(state, 5e-4).value
+    assert abs(evaluate(state, 1e-12).value) < 1e-9
+    near = evaluate(state, 1e-3).value
+    nearer = evaluate(state, 5e-4).value
     # value scales as p^l with l = 1
     assert near == pytest.approx(2.0 * nearer, rel=1e-4)
 
@@ -118,9 +120,9 @@ def test_hydrogen_2p_momentum_vanishes_at_origin():
 def test_radial_rejects_nonpositive_argument():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=2, l=0)
     with pytest.raises(ValueError):
-        eval_radial(state, 0.0)
+        evaluate(state, 0.0)
     with pytest.raises(ValueError):
-        eval_radial(state, -0.5)
+        evaluate(state, -0.5)
 
 
 def test_natural_scale_conventions():
