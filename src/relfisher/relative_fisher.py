@@ -117,6 +117,10 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     if not z2:
         # Below Z ~ 1e-162 the square underflows; the target has nodes here.
         return math.inf
+    if z2 == math.inf:
+        # Above Z ~ 1e154 the square overflows, but the value may still be a
+        # subnormal; dividing by Z twice keeps it.
+        return float(exact) / Z / Z
     return float(exact) / z2
 
 

@@ -484,7 +484,12 @@ class Hydrogenic(_Family):
         if not z2:
             # Below Z ~ 1e-162 the square underflows: 0 at a circular target, else inf.
             return math.inf if n - l - 1 else 0.0
-        return float(16 * n * n * (n * n - (l + 1) ** 2)) / z2
+        tabulated = float(16 * n * n * (n * n - (l + 1) ** 2))
+        if z2 == math.inf:
+            # Above Z ~ 1e154 the square overflows, but the value may still
+            # be a subnormal; dividing by Z twice keeps it.
+            return tabulated / Z / Z
+        return tabulated / z2
 
     def reference_log_derivative(self, state: QuantumState) -> Callable[[float], float]:
         n, l, Z = state.n, state.l, self.Z

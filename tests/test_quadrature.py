@@ -1,15 +1,20 @@
 """Adaptive Gauss-Kronrod integration over the half line.
 
-The gamma-integral family gives an exact oracle.
+The gamma-integral family gives an exact oracle. The rule's table is checked
+against exact rational moments and numpy's Gauss-Legendre rule.
 """
 
 import math
+from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher.quadrature import (
+    _GK31,
+    _INITIAL_PANELS,
     IntegrandError,
     QuadratureSpec,
     integrate,
@@ -128,8 +133,8 @@ def test_spec_validation():
 
 def test_evaluation_accounting():
     smooth = integrate(lambda u: math.exp(-u))
-    assert smooth.evaluations % 15 == 0
-    assert smooth.evaluations >= 15 * 16
+    assert smooth.evaluations % len(_GK31) == 0
+    assert smooth.evaluations >= len(_GK31) * _INITIAL_PANELS
 
     # a narrow feature must cost more panels than the smooth baseline
     def narrow(u):
@@ -139,3 +144,55 @@ def test_evaluation_accounting():
     assert hard.converged
     assert hard.value == pytest.approx(math.sqrt(math.pi) / 20.0, rel=1e-9)
     assert hard.evaluations > smooth.evaluations
+
+
+# The Gauss-Kronrod 15/31 table.
+
+_NODES = [u for u, _, _ in _GK31]
+_KRONROD = [wk for _, wk, _ in _GK31]
+_GAUSS = [(u, wg) for u, _, wg in _GK31 if wg]
+
+
+def _rule_error(rows, k):
+    """Exact error of a rule of (node, weight) rows on x^k over (-1, 1)."""
+    exact = Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+    return sum(Fraction(w) * Fraction(u) ** k for u, w in rows) - exact
+
+
+def test_gk31_rule_is_symmetric():
+    assert len(_GK31) == 31 and len(_GAUSS) == 15
+    assert _NODES[15] == 0.0
+    for row, mirror in zip(_GK31, reversed(_GK31)):
+        assert row == (-mirror[0], mirror[1], mirror[2])
+
+
+def test_gk31_kronrod_weights_are_exact_to_degree_46():
+    rows = list(zip(_NODES, _KRONROD))
+    for k in range(47):
+        assert abs(_rule_error(rows, k)) <= 1e-15, k
+    # Exactly, the rule's error on x^48 is 5.2e-17, below the rounding of
+    # the table. Legendre's P_48 is x^48 times 2.3e13 plus terms of degree
+    # <= 46, on which the rule is exact, so its error shows that of x^48.
+    p48 = numpy.polynomial.legendre.legval(_NODES, [0] * 48 + [1])
+    assert abs(math.fsum(w * p for w, p in zip(_KRONROD, p48))) > 1e-4
+
+
+def test_gk31_gauss_weights_are_exact_to_degree_29():
+    for k in range(30):
+        assert abs(_rule_error(_GAUSS, k)) <= 1e-15, k
+    assert abs(_rule_error(_GAUSS, 30)) > 1e-10
+
+
+def test_gk31_gauss_rule_is_numpys_15_point_rule():
+    nodes, weights = numpy.polynomial.legendre.leggauss(15)
+    for (u, wg), x, w in zip(_GAUSS, nodes, weights):
+        assert abs(u - x) <= 1e-15
+        assert abs(wg - w) <= 1e-15
+
+
+def test_gk31_kronrod_nodes_interlace_the_gauss_nodes():
+    assert -1.0 < _NODES[0] and _NODES[-1] < 1.0
+    assert all(a < b for a, b in zip(_NODES, _NODES[1:]))
+    # Kronrod-only nodes (Gauss weight 0) at even positions, Gauss at odd.
+    assert [bool(wg) for _, _, wg in _GK31] == [k % 2 == 1 for k in range(31)]
+    assert all(wk > 0.0 for wk in _KRONROD)
