@@ -15,10 +15,13 @@ what the defining integral equals. A cell is one of
 
 where unit is the system's closed-form spacing (for hydrogen, Z^2 in position
 space and 1/Z^2 in momentum space), so that a reference state, whose exact
-value is 0, has a scale. Grid: the 1D oscillator at omega in 1e+-160,
-1e+-100, 1e+-10 and 1, n = 0..30 step 5; hydrogen at Z in 1e+-150, 1e+-100
-and 1e+-10, n = 1..30 step 6, l = 0..n-1 step 7; the 3D oscillator at omega
-in 1e+-150 and 1e+-100, n_r = 0..30 step 5, l = 0..28 step 7; each in both spaces.
+value is 0, has a scale. Grid, each state in both spaces:
+
+    1D oscillator   omega 1e+-160, 1e+-100, 1e+-10, 1   n = 0..30 step 5
+    hydrogen        Z 1e+-150, 1e+-100, 1e+-10         n = 1..30 step 6,
+                                                        l = 0..n-1 step 7
+    3D oscillator   omega 1e+-150, 1e+-100              n_r = 0..30 step 5,
+                                                        l = 0..28 step 7
 
 One line per cell on stdout (class, evaluations, state), then a count per
 class on stderr. Run it in two checkouts and diff stdout to see which cells
@@ -93,19 +96,13 @@ def classify(state: QuantumState) -> tuple[str, int | None]:
     return "ok", quad.evaluations
 
 
-def label(state: QuantumState) -> str:
-    system = state.system
-    numbers = ",".join(f"{k}={getattr(state, k)}" for k in system.number_fields)
-    parameter = "Z" if isinstance(system, Hydrogenic) else "omega"
-    return f"{system.name} {parameter}={getattr(system, parameter):g} {state.space} {numbers}"
-
-
 def main() -> int:
     counts: collections.Counter[str] = collections.Counter()
     for state in states():
         outcome, evaluations = classify(state)
         counts[outcome.split(":")[0]] += 1
-        print(f"{outcome:<22} {evaluations if evaluations is not None else '-':>8} {label(state)}",
+        shown = "-" if evaluations is None else evaluations
+        print(f"{outcome:<22} {shown:>8} {state.system!r} {state.space} {state.system.label(state)}",
               flush=True)
     print(" ".join(f"{name}={counts[name]}" for name in CLASSES), file=sys.stderr)
     return 0
