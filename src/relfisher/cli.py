@@ -448,7 +448,7 @@ def _cmd_molecules(args: argparse.Namespace) -> int:
          record.source)
         for record in records
     ]
-    formats = {"mu_amu": ".12g", "de_ev": ".12g", "re_angstrom": ".12g"}
+    formats = dict.fromkeys(("mu_amu", "de_ev", "re_angstrom"), f".{args.digits}g")
     _emit(header, rows, formats, args.format, args.out)
     return EXIT_OK
 

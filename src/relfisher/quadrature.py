@@ -12,9 +12,9 @@ offending node in the message.
 Each panel is integrated with the 31-point Kronrod extension of the 15-point
 Gauss rule (QUADPACK's dqk31), 31 integrand evaluations per panel. The
 integral starts on 7 equal panels in t and bisects every panel whose error
-estimate exceeds its share of the tolerance, up to 10,000 panels. On the
-pseudoharmonic CO sweep n_r = 0..60 at rel_tol 1e-10 this takes 79,081
-evaluations in all.
+estimate exceeds its share of the tolerance, for up to 20 rounds and up to
+10,000 panels. On the pseudoharmonic CO sweep n_r = 0..60 at rel_tol 1e-10
+this takes 79,081 evaluations in all.
 """
 from __future__ import annotations
 
@@ -79,6 +79,9 @@ _INITIAL_PANELS = 7
 # Bounds a panel-capped integral at about 620,000 evaluations (619,783 for
 # the 1D oscillator's n = 0 at omega = 1e160, position).
 _MAX_PANELS = 10000
+# Rounds of bisection before an integral stops unconverged. It binds: the 3D
+# oscillator's n_r = 400, l = 0 stops after 10,819 evaluations.
+_MAX_REFINEMENTS = 20
 
 
 class IntegrandError(ValueError):
@@ -99,14 +102,11 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_refinements: int = 20
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
@@ -159,7 +159,7 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -
         panels.append((a, b) + _eval_panel(g, a, b))
         evaluations += len(_GK31)
 
-    for _ in range(spec.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
         tol = max(spec.rel_tol * abs(total), spec.abs_tol)

@@ -32,6 +32,7 @@ from .systems import (
     QuantumState,
     SystemParams,
     UnsupportedSystemError,
+    _over_z_squared,
     _require_positive,
     _require_quantum_number,
     reference_state,
@@ -113,15 +114,7 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     if n - l - 2 > 0:
         correction += Fraction((n - l - 2) * (n + l + 1), n - 1)
     exact = 4 * n * n * k * (n + l + 1) * (1 + Fraction(3, 4 * n) * correction)
-    z2 = Z * Z
-    if not z2:
-        # Below Z ~ 1e-162 the square underflows; the target has nodes here.
-        return math.inf
-    if z2 == math.inf:
-        # Above Z ~ 1e154 the square overflows, but the value may still be a
-        # subnormal; dividing by Z twice keeps it.
-        return float(exact) / Z / Z
-    return float(exact) / z2
+    return _over_z_squared(float(exact), Z)
 
 
 def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRResult:

@@ -6,8 +6,7 @@ take the coefficients of the forward three-term recurrence, and return a
 closure x -> (value, derivative). The closure runs one recurrence pass in
 double precision and reads both the value and the derivative off it through
 index-shift identities, rather than finite differences, so the two are
-consistent to machine precision at any argument. `hermite`, `assoc_laguerre`
-and `gegenbauer` are the one-point forms: compile, then call once.
+consistent to machine precision at any argument.
 
 Degree sweeps continue their recurrences. A family's column holds, for one
 parameter, the recurrence coefficients shared by every degree and the state
@@ -41,17 +40,12 @@ nothing; neither do cells below degree 10, such as the whole default
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
-    "PolyEval",
     "hermite_kernel",
     "laguerre_kernel",
     "gegenbauer_kernel",
-    "hermite",
-    "assoc_laguerre",
-    "gegenbauer",
     "ln_gamma",
 ]
 
@@ -69,14 +63,6 @@ _CONTINUE_FROM_DEGREE = 10
 # that sweeps many scales on one column, such as many omega at one l, would
 # otherwise keep the points of all of them.
 _MAX_STATES = 1 << 16
-
-
-@dataclass(frozen=True)
-class PolyEval:
-    """Polynomial value and first derivative at a single point."""
-
-    value: float
-    derivative: float
 
 
 class _Column:
@@ -233,19 +219,18 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     return kernel
 
 
-def hermite(n: int, x: float) -> PolyEval:
-    """H_n(x) and its derivative at one point; see hermite_kernel."""
-    return PolyEval(*hermite_kernel(n)(x))
+# One-point forms: compile, then call once. Not part of the API and not called
+# in the package; kept because perfbench/layers.py times them under these names.
+def hermite(n: int, x: float) -> tuple[float, float]:
+    return hermite_kernel(n)(x)
 
 
-def assoc_laguerre(n: int, alpha: float, x: float) -> PolyEval:
-    """L_n^alpha(x) and its derivative at one point; see laguerre_kernel."""
-    return PolyEval(*laguerre_kernel(n, alpha)(x))
+def assoc_laguerre(n: int, alpha: float, x: float) -> tuple[float, float]:
+    return laguerre_kernel(n, alpha)(x)
 
 
-def gegenbauer(n: int, alpha: float, x: float) -> PolyEval:
-    """C_n^alpha(x) and its derivative at one point; see gegenbauer_kernel."""
-    return PolyEval(*gegenbauer_kernel(n, alpha)(x))
+def gegenbauer(n: int, alpha: float, x: float) -> tuple[float, float]:
+    return gegenbauer_kernel(n, alpha)(x)
 
 
 def ln_gamma(x: float) -> float:

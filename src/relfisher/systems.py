@@ -237,6 +237,20 @@ def _hydrogen_momentum(n: int, l: int, Z: float) -> Evaluator:
     return radial
 
 
+def _over_z_squared(value: float, Z: float) -> float:
+    """value / Z^2 for a positive value: a hydrogen momentum form at a
+    target with nodes."""
+    z2 = Z * Z
+    if not z2:
+        # Below Z ~ 1e-162 the square underflows.
+        return math.inf
+    if z2 == math.inf:
+        # Above Z ~ 1e154 the square overflows, but the value may still be a
+        # subnormal; dividing by Z twice keeps it.
+        return value / Z / Z
+    return value / z2
+
+
 class _Family:
     """What each system class provides for its own states.
 
@@ -480,16 +494,9 @@ class Hydrogenic(_Family):
             # Int true division is correctly rounded, so this equals
             # float(hydrogen_position_rational(n, l)) * Z * Z bit for bit.
             return 8 * (n - l - 1) / n ** 3 * Z * Z
-        z2 = Z * Z
-        if not z2:
-            # Below Z ~ 1e-162 the square underflows: 0 at a circular target, else inf.
-            return math.inf if n - l - 1 else 0.0
-        tabulated = float(16 * n * n * (n * n - (l + 1) ** 2))
-        if z2 == math.inf:
-            # Above Z ~ 1e154 the square overflows, but the value may still
-            # be a subnormal; dividing by Z twice keeps it.
-            return tabulated / Z / Z
-        return tabulated / z2
+        if n == l + 1:
+            return 0.0
+        return _over_z_squared(float(16 * n * n * (n * n - (l + 1) ** 2)), Z)
 
     def reference_log_derivative(self, state: QuantumState) -> Callable[[float], float]:
         n, l, Z = state.n, state.l, self.Z
@@ -546,7 +553,7 @@ class Pseudoharmonic(_RadialOscillator):
         return 32.0 * lam * state.n_r if state.space == POSITION else 8.0 * state.n_r / lam
 
     def spacing(self, space: str) -> float:
-        lam = math.sqrt(0.5 * self.mu * self.De) / self.re
+        lam = php_derived(self, 0).lam
         return 32.0 * lam if space == POSITION else 8.0 / lam
 
 

@@ -3,19 +3,17 @@
 Position- and momentum-space forms for the 1D oscillator, the 3D isotropic
 oscillator, the hydrogen-like atom, and the pseudoharmonic potential. The
 evaluator of each system is built by its family object in systems.py; this
-module is the generic API over them: compile, evaluate, the quadrature
-configuration and the normalization check.
+module is the generic API over them: compile, the quadrature configuration
+and the normalization check.
 
 compile_state binds a state once: everything that does not depend on the
 point (derived parameters, log-normalization, scales, the polynomial kernel
 and its recurrence coefficients) is computed when the state is compiled, and
-the returned closure does only the per-point work. evaluate compiles and then
-calls once; callers that sample one state at many points, such as the
-quadrature oracle, compile it once themselves.
+the returned closure does only the per-point work and returns a plain
+(value, derivative) tuple. Callers that sample a state, such as the
+quadrature oracle, compile it once and call the closure.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .quadrature import NonConvergedError, QuadratureSpec, integrate
 from .systems import Evaluator, QuantumState
@@ -26,21 +24,11 @@ from .specfun import assoc_laguerre, gegenbauer, hermite, ln_gamma  # noqa: F401
 from .systems import php_derived  # noqa: F401
 
 __all__ = [
-    "WaveSample",
     "compile_state",
-    "evaluate",
     "natural_scale",
     "default_quadrature_spec",
     "normalization_defect",
 ]
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """Wavefunction value and its first derivative at one point."""
-
-    value: float
-    derivative: float
 
 
 def compile_state(state: QuantumState) -> Evaluator:
@@ -57,9 +45,11 @@ def compile_state(state: QuantumState) -> Evaluator:
     return state.system.compile(state)
 
 
-def evaluate(state: QuantumState, s: float) -> WaveSample:
-    """Evaluate any state's wavefunction: full-line for 1D, radial otherwise."""
-    return WaveSample(*compile_state(state)(s))
+def evaluate(state: QuantumState, s: float) -> tuple[float, float]:
+    """(value, derivative) of any state's wavefunction at one point: full-line
+    for 1D, radial otherwise. Kept, though the package never calls it, because
+    perfbench/tracer.py hooks it as relfisher.relative_fisher.evaluate."""
+    return compile_state(state)(s)
 
 
 def natural_scale(state: QuantumState) -> float:

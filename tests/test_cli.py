@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -105,6 +106,48 @@ def test_compute_range_expansion(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert len(parse_csv(out)) == 12
+
+
+@pytest.mark.parametrize("text", ["abc", "5..2"])
+def test_a_malformed_range_is_a_usage_error_that_names_its_flag(text, capsys):
+    code = run_cli(["compute", "--system", "qho1d", "--n", text])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"--n must be an integer or an A..B range, got {text!r}" in captured.err
+
+
+def _unconverged_numeric_ir(monkeypatch):
+    """Make every oracle cell report a quadrature that did not converge."""
+    real = relfisher.cli.numeric_ir
+
+    def unconverged(state, spec=None):
+        result = real(state, spec)
+        return dataclasses.replace(
+            result, quadrature=dataclasses.replace(result.quadrature, converged=False)
+        )
+
+    monkeypatch.setattr(relfisher.cli, "numeric_ir", unconverged)
+
+
+def test_compute_validate_exits_3_on_a_quadrature_failure(capsys, monkeypatch):
+    _unconverged_numeric_ir(monkeypatch)
+    code = run_cli(
+        ["compute", "--system", "qho1d", "--n", "0..1", "--space", "position", "--validate"]
+    )
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_VALIDATION
+    assert [row["status"] for row in rows] == ["quadrature_failed"] * 2
+
+
+def test_validate_counts_quadrature_failures(capsys, monkeypatch):
+    _unconverged_numeric_ir(monkeypatch)
+    code = run_cli(["validate", "--system", "qho1d", "--n-max", "2", "--space", "position"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "cells=3 " in captured.err
+    assert "quadrature_failures=3 over_threshold=0" in captured.err
+    assert {row["status"] for row in parse_csv(captured.out)} == {"quadrature_failed"}
 
 
 def test_usage_errors(capsys):
@@ -545,6 +588,17 @@ def test_molecules_listing(capsys):
     rows = parse_csv(out)
     assert [r["name"] for r in rows] == ["H2", "Na2", "Cl2", "O2+", "CO", "NO"]
     assert rows[1]["source"] == "yahya2015"
+
+
+def test_molecules_digits_sets_the_printed_precision(capsys):
+    assert run_cli(["molecules", "--digits", "3"]) == EXIT_OK
+    rows = parse_csv(capsys.readouterr().out)
+    for row, record in zip(rows, registry(), strict=True):
+        assert row["name"] == record.name
+        assert row["mu_amu"] == format(record.mu_amu, ".3g")
+        assert row["de_ev"] == format(record.de_ev, ".3g")
+        assert row["re_angstrom"] == format(record.re_angstrom, ".3g")
+    assert rows[0]["mu_amu"] == "0.504"
 
 
 def test_out_file_is_clean_csv(tmp_path, capsys):

@@ -420,6 +420,8 @@ def test_hydrogen_momentum_integral_form_values():
     assert hydrogen_momentum_integral_closed_form(3, 2, 1.0) == 0.0
     # same 1/Z^2 scaling as the defining integral
     assert hydrogen_momentum_integral_closed_form(2, 0, 2.0) == 18.0
+    with pytest.raises(ValueError, match="l must satisfy l <= n-1, got n=2, l=2"):
+        hydrogen_momentum_integral_closed_form(2, 2, 1.0)
 
 
 @pytest.mark.parametrize("Z", [1.0, 2.0])

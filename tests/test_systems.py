@@ -58,6 +58,8 @@ def test_state_field_requirements():
         QuantumState(system=osc1, space=POSITION)
     with pytest.raises(ValueError):
         QuantumState(system=osc1, space=POSITION, n=-1)
+    with pytest.raises(ValueError, match="n must be an integer, got 1.5"):
+        QuantumState(system=osc1, space=POSITION, n=1.5)
 
     QuantumState(system=osc3, space=MOMENTUM, n_r=0, l=3)
     with pytest.raises(ValueError):

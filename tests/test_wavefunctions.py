@@ -10,8 +10,9 @@ import random
 
 import pytest
 
-from relfisher.quadrature import QuadratureSpec, integrate
-from relfisher.specfun import gegenbauer
+from relfisher import quadrature
+from relfisher.quadrature import NonConvergedError, QuadratureSpec, integrate
+from relfisher.specfun import gegenbauer_kernel
 from relfisher.systems import (
     MOMENTUM,
     POSITION,
@@ -35,19 +36,19 @@ H2_PARAMS = Pseudoharmonic(mu=918.5724999, De=0.171535509264, re=1.401413504256)
 
 def test_1d_ground_state_at_special_frequency():
     state = QuantumState(system=Oscillator1D(omega=math.sqrt(2.0)), space=POSITION, n=0)
-    sample = evaluate(state, 0.0)
-    assert sample.value == pytest.approx((1.0 / math.pi) ** 0.25, rel=1e-14)
-    assert sample.derivative == 0.0
+    value, derivative = compile_state(state)(0.0)
+    assert value == pytest.approx((1.0 / math.pi) ** 0.25, rel=1e-14)
+    assert derivative == 0.0
 
 
 def test_1d_ground_state_off_origin():
     # (1/(sqrt(2) pi))^{1/4} e^{-1/(2 sqrt(2))} at omega=1, x=1
     expected = (1.0 / (math.sqrt(2.0) * math.pi)) ** 0.25 * math.exp(-1.0 / (2.0 * math.sqrt(2.0)))
     state = QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=0)
-    sample = evaluate(state, 1.0)
-    assert sample.value == pytest.approx(expected, rel=1e-13)
+    value, derivative = compile_state(state)(1.0)
+    assert value == pytest.approx(expected, rel=1e-13)
     # d/dx of a Gaussian: -c^2 x psi with c^2 = omega/sqrt(2)
-    assert sample.derivative == pytest.approx(-expected / math.sqrt(2.0), rel=1e-13)
+    assert derivative == pytest.approx(-expected / math.sqrt(2.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0, 3.0])
@@ -55,16 +56,17 @@ def test_1d_ground_state_off_origin():
 def test_1d_odd_states_vanish_at_origin(omega, space):
     for n in (1, 3, 5):
         state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
-        assert evaluate(state, 0.0).value == 0.0
+        assert compile_state(state)(0.0)[0] == 0.0
 
 
 def test_1d_parity():
     for n, sign in ((2, 1.0), (3, -1.0)):
         state = QuantumState(system=Oscillator1D(omega=1.3), space=POSITION, n=n)
-        left = evaluate(state, -0.8)
-        right = evaluate(state, 0.8)
-        assert left.value == pytest.approx(sign * right.value, rel=1e-13)
-        assert left.derivative == pytest.approx(-sign * right.derivative, rel=1e-13)
+        wave = compile_state(state)
+        left_value, left_derivative = wave(-0.8)
+        right_value, right_derivative = wave(0.8)
+        assert left_value == pytest.approx(sign * right_value, rel=1e-13)
+        assert left_derivative == pytest.approx(-sign * right_derivative, rel=1e-13)
 
 
 @pytest.mark.parametrize("omega", [1e-160, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e160])
@@ -96,33 +98,35 @@ def test_3d_oscillator_ground_state_sample():
     state = QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=0, l=0)
     # sqrt(2/Gamma(3/2)) e^{-r^2/2} at r = 0.5
     expected = math.sqrt(2.0 / math.gamma(1.5)) * math.exp(-0.125)
-    sample = evaluate(state, 0.5)
-    assert sample.value == pytest.approx(expected, rel=1e-13)
-    assert sample.derivative == pytest.approx(-0.5 * expected, rel=1e-13)
+    value, derivative = compile_state(state)(0.5)
+    assert value == pytest.approx(expected, rel=1e-13)
+    assert derivative == pytest.approx(-0.5 * expected, rel=1e-13)
 
 
 def test_hydrogen_1s_is_textbook():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=1, l=0)
-    sample = evaluate(state, 1.0)
-    assert sample.value == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
-    assert sample.derivative == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-13)
+    value, derivative = compile_state(state)(1.0)
+    assert value == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
+    assert derivative == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-13)
 
 
 def test_hydrogen_2p_momentum_vanishes_at_origin():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
-    assert abs(evaluate(state, 1e-12).value) < 1e-9
-    near = evaluate(state, 1e-3).value
-    nearer = evaluate(state, 5e-4).value
+    wave = compile_state(state)
+    assert abs(wave(1e-12)[0]) < 1e-9
+    near = wave(1e-3)[0]
+    nearer = wave(5e-4)[0]
     # value scales as p^l with l = 1
     assert near == pytest.approx(2.0 * nearer, rel=1e-4)
 
 
 def test_radial_rejects_nonpositive_argument():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=2, l=0)
+    wave = compile_state(state)
     with pytest.raises(ValueError):
-        evaluate(state, 0.0)
+        wave(0.0)
     with pytest.raises(ValueError):
-        evaluate(state, -0.5)
+        wave(-0.5)
 
 
 def test_natural_scale_conventions():
@@ -205,6 +209,15 @@ def test_normalization_spot_checks():
     )
 
 
+def test_normalization_defect_raises_when_its_quadrature_does_not_converge(monkeypatch):
+    # Seven panels and no refinement cannot reach a 1e-15 tolerance.
+    monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 0)
+    state = QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=8, l=0)
+    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, scale=natural_scale(state))
+    with pytest.raises(NonConvergedError, match="normalization quadrature did not converge"):
+        normalization_defect(state, spec)
+
+
 FD_STATES = [
     (QuantumState(system=Oscillator1D(omega=1.3), space=POSITION, n=3), 0.3, 2.8),
     (QuantumState(system=Oscillator1D(omega=1.3), space=MOMENTUM, n=3), 0.3, 2.8),
@@ -237,15 +250,16 @@ def test_analytic_derivative_matches_finite_difference(state, lo, hi):
     rng = random.Random(20260819)
     scale = natural_scale(state)
     step = 1e-6 * scale
+    wave = compile_state(state)
     for _ in range(20):
         s = scale * (lo + (hi - lo) * rng.random())
-        sample = evaluate(state, s)
-        fd = (evaluate(state, s + step).value - evaluate(state, s - step).value) / (2.0 * step)
-        denom = max(abs(sample.derivative), abs(sample.value) / scale)
+        value, derivative = wave(s)
+        fd = (wave(s + step)[0] - wave(s - step)[0]) / (2.0 * step)
+        denom = max(abs(derivative), abs(value) / scale)
         if denom == 0.0:
             assert fd == 0.0
             continue
-        assert abs(sample.derivative - fd) <= 2e-6 * denom
+        assert abs(derivative - fd) <= 2e-6 * denom
 
 
 NODE_CASES = [
@@ -269,10 +283,11 @@ NODE_CASES = [
 
 
 def _count_sign_changes(state, s_max, points=4000):
+    wave = compile_state(state)
     previous = 0.0
     changes = 0
     for k in range(1, points + 1):
-        value = evaluate(state, s_max * k / points).value
+        value = wave(s_max * k / points)[0]
         if previous * value < 0.0:
             changes += 1
         if value != 0.0:
@@ -303,13 +318,14 @@ def test_momentum_odd_moment_vanishes(n, l):
     degree = n - l - 1
     order = l + 1.0
     power = l + 1.5
+    poly_of = gegenbauer_kernel(degree, order)
 
     def q_of(t):
         return (t * t - 1.0) / (t * t + 1.0)
 
     def even_part(t):
         q = q_of(t)
-        poly = gegenbauer(degree, order, q).value
+        poly = poly_of(q)[0]
         jac = 4.0 * t / ((t * t + 1.0) ** 2)
         return (1.0 - q * q) ** power * poly * poly * jac
 
@@ -359,10 +375,11 @@ def test_compiled_state_is_exactly_zero_far_in_the_tail(state):
 
 @pytest.mark.parametrize("state", ALL_STATES, ids=lambda v: str(v)[:40])
 def test_evaluate_matches_compiled_state_bit_for_bit(state):
+    # evaluate is kept only as a name the benchmark hooks.
     wave = compile_state(state)
     scale = natural_scale(state)
     for k in range(1, 40):
         s = 0.2 * k * scale
         sample = evaluate(state, s)
-        value, derivative = wave(s)
-        assert (sample.value.hex(), sample.derivative.hex()) == (value.hex(), derivative.hex())
+        assert type(sample) is tuple
+        assert [x.hex() for x in sample] == [x.hex() for x in wave(s)]
