@@ -24,8 +24,9 @@ value is 0, has a scale. Grid, each state in both spaces:
                                                         l = 0..28 step 7
 
 One line per cell on stdout (class, evaluations, state), then a count per
-class on stderr. Run it in two checkouts and diff stdout to see which cells
-a change moves from one class to another.
+class on stderr; the exit status is 1 if any cell is not ok. Run it in two
+checkouts and diff stdout to see which cells a change moves from one class
+to another.
 """
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ def main() -> int:
         print(f"{outcome:<22} {shown:>8} {state.system!r} {state.space} {state.system.label(state)}",
               flush=True)
     print(" ".join(f"{name}={counts[name]}" for name in CLASSES), file=sys.stderr)
-    return 0
+    return 0 if counts["ok"] == sum(counts.values()) else 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ CODATA 2018 values for users who care about physical accuracy instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .systems import Pseudoharmonic
@@ -42,8 +43,8 @@ class MoleculeRecord:
     def __post_init__(self) -> None:
         for field in ("mu_amu", "de_ev", "re_angstrom"):
             value = getattr(self, field)
-            if not value > 0.0:
-                raise ValueError(f"{field} must be positive, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{field} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 spacing constants, conjugate-space products, and hydrogen-series analysis.
 
 closed_form_ir, numeric_ir and ir_spacing ask the state's system: each family
-object in systems.py holds its closed form, its spacing and the reference
-log-derivative the oracle uses. This module holds the generic routes and the
-hydrogen-series helpers.
+object in systems.py holds its closed form, its spacing, and the unit-scale
+wavefunction, reference log-derivative and length scale the oracle uses.
+This module holds the generic routes and the hydrogen-series helpers.
 
 Every closed form here can be checked against numeric_ir, which evaluates the
 defining integral 4*Int s^2 (R' - R * ref_logderiv)^2 ds (full-line analog for
@@ -22,7 +22,7 @@ to the published values, and validation honestly reports the gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .quadrature import QuadratureResult, QuadratureSpec, integrate
@@ -37,7 +37,7 @@ from .systems import (
     _require_quantum_number,
     reference_state,
 )
-from .wavefunctions import compile_state, default_quadrature_spec
+from .wavefunctions import default_quadrature_spec
 
 # Not called here any more; kept in this namespace because perfbench/tracer.py
 # hooks the wavefunction and derived-parameter layers under these names.
@@ -64,7 +64,8 @@ class IRResult:
 
     rel_diff is |numeric - closed_form| / |closed_form|, and
     |numeric - closed_form| / 1e-12 for reference states, whose closed form
-    is exactly 0.
+    is exactly 0. quadrature holds the unit-scale integral: numeric is its
+    value times c^2, where c is the state's length scale.
     """
 
     closed_form: float
@@ -127,14 +128,16 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     bit for bit, so it is integrated as 8 (psi' - psi * ref_logderiv)^2 over
     the half line: the value, the error estimate and the convergence verdict
     are exactly those of the sum of the two halves, at half the evaluations.
+    It integrates the unit-scale f of psi(s) = c^(d/2) f(c s) and multiplies
+    by c^2; spec.scale is a length of the state, and c * spec.scale of f.
     Quadrature trouble is reported through result.quadrature.converged, not
     raised, so sweeps can tabulate per-state status.
     """
     reference = reference_state(target)
     if reference.radial_nodes != 0:
         raise ValueError(f"reference state {reference!r} has interior nodes")
-    log_derivative = target.system.reference_log_derivative(target)
-    wave = compile_state(target)
+    c, _ = target.system.scale(target)
+    wave, log_derivative = target.system.unit(target)
 
     if target.system.radial:
         def integrand(s: float) -> float:
@@ -149,13 +152,15 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
 
     if spec is None:
         spec = default_quadrature_spec(target)
-    quad = integrate(integrand, spec)
+    quad = integrate(integrand, replace(spec, scale=spec.scale * c))
+    # Multiplied by c twice, not by c^2, which over- or underflows first.
+    numeric = quad.value * c * c
     closed = closed_form_ir(target)
-    abs_diff = abs(quad.value - closed)
+    abs_diff = abs(numeric - closed)
     rel_diff = abs_diff / (abs(closed) if closed else 1e-12)
     return IRResult(
         closed_form=closed,
-        numeric=quad.value,
+        numeric=numeric,
         abs_diff=abs_diff,
         rel_diff=rel_diff,
         quadrature=quad,

@@ -16,12 +16,13 @@ and quantum numbers. A whole grid of states, as the CLI tabulates, comes from
 its system's grid method: that checks the grid once, on its corner state, and
 then builds each state without checking it again.
 
-The wavefunction evaluators live here with their families. Their
-normalization prefactors are assembled in log space and exponentiated once,
-which keeps the pseudoharmonic family (effective angular exponents up to a
-few hundred for real molecules) inside double range. Derivatives are analytic
-throughout: prefactor product rule plus the polynomial derivative identities;
-nothing in the production path differentiates numerically.
+The wavefunction evaluators live here with their families, at unit scale
+(see _Family). Their normalization prefactors are assembled in log space and
+exponentiated once, which keeps the pseudoharmonic family (effective angular
+exponents up to a few hundred for real molecules) inside double range.
+Derivatives are analytic throughout: prefactor product rule plus the
+polynomial derivative identities; nothing in the production path
+differentiates numerically.
 """
 from __future__ import annotations
 
@@ -97,62 +98,41 @@ def _require_quantum_number(name: str, value: int, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def _qho1d_argument_scale(omega: float, space: str) -> float:
-    """Scale c in the dimensionless argument y = c*x (or c*p)."""
-    if space == POSITION:
-        return math.exp(0.5 * math.log(omega) - _QUARTER_LN_2)
-    return math.exp(_QUARTER_LN_2 - 0.5 * math.log(omega))
-
-
-def _qho1d(n: int, omega: float, space: str) -> Evaluator:
-    """Normalized 1D oscillator eigenfunction on the full line.
-
-    In both spaces the function is N*H_n(y)*exp(-y^2/2) with y = c*arg; the
-    two spaces differ only in the scale c, which swaps omega for its
-    reciprocal relative to the special frequency sqrt(2).
-    """
-    c = _qho1d_argument_scale(omega, space)
-    ln_norm = 0.5 * (math.log(c) - n * math.log(2.0) - ln_gamma(n + 1.0) - 0.5 * _LN_PI)
+def _qho1d(n: int) -> Evaluator:
+    """Normalized 1D oscillator eigenfunction N*H_n(y)*exp(-y^2/2) at unit
+    scale (omega = sqrt(2)) on the full line; ValueError if the cutoff would
+    truncate it."""
+    ln_norm = -0.5 * (n * math.log(2.0) + ln_gamma(n + 1.0) + 0.5 * _LN_PI)
     ln_turning = ln_norm - (n + 0.5)
     limit = _LN_TINY + _QHO1D_TAIL_MARGIN
     if ln_turning < limit:
         raise ValueError(
-            f"1D oscillator n={n} at omega={omega!r} is out of the evaluator's range: "
             f"its log-envelope at the turning point is {ln_turning:.1f}, below the limit {limit:g}"
         )
     hermite = hermite_kernel(n)
 
-    def full_line(arg: float) -> tuple[float, float]:
-        y = c * arg
+    def full_line(y: float) -> tuple[float, float]:
         ln_env = ln_norm - 0.5 * y * y
         if ln_env < _LN_TINY:
             return _ZERO
         env = math.exp(ln_env)
         h, dh = hermite(y)
-        return env * h, c * env * (dh - y * h)
+        return env * h, env * (dh - y * h)
 
     return full_line
 
 
-def _radial_oscillator(n_r: int, kappa: float, b: float) -> Evaluator:
-    """Common radial family A * s^kappa * exp(-b s^2/2) * L_{n_r}^{kappa+1/2}(b s^2).
-
-    Covers the 3D oscillator (kappa = l, b = omega or 1/omega) and the
-    pseudoharmonic potential (kappa = gamma_l, b = 2*lambda or 1/(2*lambda)).
-    """
-    ln_norm = 0.5 * (
-        math.log(2.0)
-        + (kappa + 1.5) * math.log(b)
-        + ln_gamma(n_r + 1.0)
-        - ln_gamma(n_r + kappa + 1.5)
-    )
+def _radial_oscillator(n_r: int, kappa: float) -> Evaluator:
+    """Common radial family A * s^kappa * exp(-s^2/2) * L_{n_r}^{kappa+1/2}(s^2)
+    at unit scale: the 3D oscillator (kappa = l) and the pseudoharmonic
+    potential (kappa = gamma_l)."""
+    ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + kappa + 1.5))
     laguerre = laguerre_kernel(n_r, kappa + 0.5)
-    two_b = 2.0 * b
 
     def radial(s: float) -> tuple[float, float]:
         if not s > 0.0:
             raise ValueError(f"radial argument must be > 0, got {s!r}")
-        u = b * s * s
+        u = s * s
         ln_env = ln_norm - 0.5 * u
         if kappa != 0.0:
             ln_env += kappa * math.log(s)
@@ -160,25 +140,21 @@ def _radial_oscillator(n_r: int, kappa: float, b: float) -> Evaluator:
             return _ZERO
         env = math.exp(ln_env)
         lag, dlag = laguerre(u)
-        return env * lag, env * ((kappa / s - b * s) * lag + two_b * s * dlag)
+        return env * lag, env * ((kappa / s - s) * lag + 2.0 * s * dlag)
 
     return radial
 
 
-def _hydrogen_position(n: int, l: int, Z: float) -> Evaluator:
-    ln_norm = (
-        math.log(2.0)
-        + 1.5 * math.log(Z)
-        - 2.0 * math.log(n)
-        + 0.5 * (ln_gamma(n - l) - ln_gamma(n + l + 1.0))
-    )
+def _hydrogen_position(n: int, l: int) -> Evaluator:
+    """Radial hydrogen function at unit charge."""
+    ln_norm = math.log(2.0) - 2.0 * math.log(n) + 0.5 * (ln_gamma(n - l) - ln_gamma(n + l + 1.0))
     laguerre = laguerre_kernel(n - l - 1, 2.0 * l + 1.0)
-    dxi_dr = 2.0 * Z / n
+    dxi_dr = 2.0 / n
 
     def radial(r: float) -> tuple[float, float]:
         if not r > 0.0:
             raise ValueError(f"radial argument must be > 0, got {r!r}")
-        xi = 2.0 * Z * r / n
+        xi = 2.0 * r / n
         ln_env = ln_norm - 0.5 * xi
         if l:
             ln_env += l * math.log(xi)
@@ -191,25 +167,24 @@ def _hydrogen_position(n: int, l: int, Z: float) -> Evaluator:
     return radial
 
 
-def _hydrogen_momentum(n: int, l: int, Z: float) -> Evaluator:
-    # Evaluated through t = n p / Z and q = (t^2-1)/(t^2+1); the t > 1 branch
+def _hydrogen_momentum(n: int, l: int) -> Evaluator:
+    """Momentum-space radial hydrogen function at unit charge."""
+    # Evaluated through t = n p and q = (t^2-1)/(t^2+1); the t > 1 branch
     # works in 1/t^2 so t^2 never overflows and q stays fully accurate.
     ln_norm = (
         2.0 * math.log(n)
         + (2.0 * l + 2.0) * math.log(2.0)
         + ln_gamma(l + 1.0)
         + 0.5 * (math.log(2.0) - _LN_PI + ln_gamma(n - l) - ln_gamma(n + l + 1.0))
-        - 1.5 * math.log(Z)
     )
     gegenbauer = gegenbauer_kernel(n - l - 1, l + 1.0)
     decay_power = l + 2.0
     two_decay_power = 2.0 * (l + 2.0)
-    dt_dp = n / Z
 
     def radial(p: float) -> tuple[float, float]:
         if not p > 0.0:
             raise ValueError(f"radial argument must be > 0, got {p!r}")
-        t = n * p / Z
+        t = n * p
         if t <= 1.0:
             t2p1 = t * t + 1.0
             q = (t * t - 1.0) / t2p1
@@ -232,7 +207,7 @@ def _hydrogen_momentum(n: int, l: int, Z: float) -> Evaluator:
         geg, dgeg = gegenbauer(q)
         power_growth = l / t if l else 0.0
         d_dt = env * ((power_growth - rational_decay) * geg + dgeg * dq_dt)
-        return env * geg, dt_dp * d_dt
+        return env * geg, n * d_dt
 
     return radial
 
@@ -254,6 +229,12 @@ def _over_z_squared(value: float, Z: float) -> float:
 class _Family:
     """What each system class provides for its own states.
 
+    A state is a unit-scale function f and a length scale c: psi(s) =
+    c^(d/2) f(c s), d = 1 for the 1D oscillator and 3 otherwise, so omega, Z
+    and b enter only through c, and the relative Fisher information is c^2
+    times that of f. compile and natural_scale are built here from scale and
+    unit; the oracle integrates f, where its tolerances hold at every scale.
+
     name                    the CLI --system name
     number_fields           quantum-number fields, in label order; the
                             others must be left at None
@@ -266,16 +247,13 @@ class _Family:
     radial_nodes(state)     interior nodes of the radial (or full-line) function
     reference(state)        the node-less state of the same system, space and l
     label(state)            the quantum numbers as text, for example "n=3,l=1"
-    compile(state)          the normalized wavefunction as an Evaluator
-    natural_scale(state)    characteristic length of the density
+    scale(state)            (c, characteristic length of |f|^2)
+    unit(state)             (f as an Evaluator, d/du log(reference f)); the
+                            log-derivative is coded in closed form, apart
+                            from f and closed_form, so the oracle stays an
+                            independent route, and, the reference being
+                            node-less, it never divides by a wavefunction value
     closed_form(state)      relative Fisher information against the reference
-    reference_log_derivative(state)
-                            d/ds log(reference wavefunction) in closed form;
-                            the reference is node-less, so it is finite on
-                            the whole interior domain and never divides by a
-                            wavefunction value. It is coded apart from
-                            compile and closed_form so the oracle stays an
-                            independent route
     spacing(space)          constant gap between adjacent closed forms
     _grid(ranges)           optional: the corner and the number tuples of
                             a grid, when they are not the ranges' first
@@ -283,6 +261,24 @@ class _Family:
     """
 
     radial = True
+
+    def compile(self, state: QuantumState) -> Evaluator:
+        """The normalized wavefunction psi(s) = c^(d/2) f(c s) as an Evaluator."""
+        c, _ = self.scale(state)
+        wave, _ = self.unit(state)
+        # Factor by factor, as c^(d/2) may overflow and inf * 0.0 is nan.
+        root, inner = math.sqrt(c), (c if self.radial else 1.0)
+
+        def scaled(s: float) -> tuple[float, float]:
+            value, derivative = wave(c * s)
+            return value * inner * root, derivative * c * inner * root
+
+        return scaled
+
+    def natural_scale(self, state: QuantumState) -> float:
+        """Characteristic length of the state's density."""
+        c, length = self.scale(state)
+        return length / c
 
     def grid(self, spaces: Sequence[str], **ranges: range) -> Iterator[QuantumState]:
         """The states of this system over a grid of quantum numbers, checked once.
@@ -345,11 +341,18 @@ class Oscillator1D(_Family):
     def label(self, state: QuantumState) -> str:
         return f"n={state.n}"
 
-    def compile(self, state: QuantumState) -> Evaluator:
-        return _qho1d(state.n, self.omega, state.space)
+    def scale(self, state: QuantumState) -> tuple[float, float]:
+        # c^2 = omega/sqrt(2) in position space and its reciprocal in
+        # momentum space, formed in logs so that neither over- nor underflows.
+        ln_c = 0.5 * math.log(self.omega) - _QUARTER_LN_2
+        return math.exp(ln_c if state.space == POSITION else -ln_c), 1.0
 
-    def natural_scale(self, state: QuantumState) -> float:
-        return 1.0 / _qho1d_argument_scale(self.omega, state.space)
+    def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
+        try:
+            return _qho1d(state.n), lambda y: -y
+        except ValueError as exc:
+            where = f"1D oscillator n={state.n} at omega={self.omega!r}"
+            raise ValueError(f"{where} is out of the evaluator's range: {exc}") from None
 
     def closed_form(self, state: QuantumState) -> float:
         if not state.n:
@@ -358,14 +361,6 @@ class Oscillator1D(_Family):
         # bitwise at omega = sqrt(2), where both equal 8n.
         ratio = self.omega / _SQRT2 if state.space == POSITION else _SQRT2 / self.omega
         return 8.0 * ratio * state.n
-
-    def reference_log_derivative(self, state: QuantumState) -> Callable[[float], float]:
-        # omega / sqrt(2), not sqrt(omega^2 / 2): the square overflows above
-        # omega ~ 1e154 and underflows below 1e-154.
-        c2 = self.omega / _SQRT2
-        if state.space == MOMENTUM:
-            c2 = 1.0 / c2
-        return lambda x: -c2 * x
 
     def spacing(self, space: str) -> float:
         ratio = self.omega / _SQRT2 if space == POSITION else _SQRT2 / self.omega
@@ -376,7 +371,7 @@ class _RadialOscillator(_Family):
     """States (n_r, l) of the radial family A s^kappa exp(-b s^2/2) L_{n_r}^{kappa+1/2}(b s^2).
 
     A subclass supplies _kappa_b(state), the exponent kappa and the width b of
-    the state's space.
+    the state's space; the length scale is sqrt(b).
     """
 
     number_fields = ("n_r", "l")
@@ -396,13 +391,9 @@ class _RadialOscillator(_Family):
     def label(self, state: QuantumState) -> str:
         return f"n_r={state.n_r},l={state.l}"
 
-    def compile(self, state: QuantumState) -> Evaluator:
-        kappa, b = self._kappa_b(state)
-        return _radial_oscillator(state.n_r, kappa, b)
-
-    def reference_log_derivative(self, state: QuantumState) -> Callable[[float], float]:
-        kappa, b = self._kappa_b(state)
-        return lambda s: kappa / s - b * s
+    def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
+        kappa, _ = self._kappa_b(state)
+        return _radial_oscillator(state.n_r, kappa), lambda s: kappa / s - s
 
 
 @dataclass(frozen=True)
@@ -420,9 +411,8 @@ class Oscillator3D(_RadialOscillator):
         b = self.omega if state.space == POSITION else 1.0 / self.omega
         return float(state.l), b
 
-    def natural_scale(self, state: QuantumState) -> float:
-        root = math.sqrt(self.omega)
-        return 1.0 / root if state.space == POSITION else root
+    def scale(self, state: QuantumState) -> tuple[float, float]:
+        return math.sqrt(self._kappa_b(state)[1]), 1.0
 
     def closed_form(self, state: QuantumState) -> float:
         if not state.n_r:
@@ -480,13 +470,27 @@ class Hydrogenic(_Family):
     def label(self, state: QuantumState) -> str:
         return f"n={state.n},l={state.l}"
 
-    def compile(self, state: QuantumState) -> Evaluator:
+    def scale(self, state: QuantumState) -> tuple[float, float]:
         if state.space == POSITION:
-            return _hydrogen_position(state.n, state.l, self.Z)
-        return _hydrogen_momentum(state.n, state.l, self.Z)
+            return self.Z, float(state.n)
+        return 1.0 / self.Z, 1.0 / state.n
 
-    def natural_scale(self, state: QuantumState) -> float:
-        return self.Z / state.n if state.space == MOMENTUM else state.n / self.Z
+    def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
+        n, l = state.n, state.l
+        if state.space == POSITION:
+            # Circular reference sharing the target's length scale: r^l e^{-r/n}.
+            return _hydrogen_position(n, l), lambda r: l / r - 1.0 / n
+
+        def momentum_log_derivative(p: float) -> float:
+            t = n * p
+            if t <= 1.0:
+                decay = 2.0 * (l + 2.0) * t / (t * t + 1.0)
+            else:
+                decay = 2.0 * (l + 2.0) / (t * (1.0 + 1.0 / (t * t)))
+            growth = l / t if l else 0.0
+            return n * (growth - decay)
+
+        return _hydrogen_momentum(n, l), momentum_log_derivative
 
     def closed_form(self, state: QuantumState) -> float:
         n, l, Z = state.n, state.l, self.Z
@@ -497,24 +501,6 @@ class Hydrogenic(_Family):
         if n == l + 1:
             return 0.0
         return _over_z_squared(float(16 * n * n * (n * n - (l + 1) ** 2)), Z)
-
-    def reference_log_derivative(self, state: QuantumState) -> Callable[[float], float]:
-        n, l, Z = state.n, state.l, self.Z
-        if state.space == POSITION:
-            # Circular reference sharing the target's length scale: r^l e^{-Zr/n}.
-            return lambda r: l / r - Z / n
-        n_over_z = n / Z
-
-        def momentum_log_derivative(p: float) -> float:
-            t = n_over_z * p
-            if t <= 1.0:
-                decay = 2.0 * (l + 2.0) * t / (t * t + 1.0)
-            else:
-                decay = 2.0 * (l + 2.0) / (t * (1.0 + 1.0 / (t * t)))
-            growth = l / t if l else 0.0
-            return n_over_z * (growth - decay)
-
-        return momentum_log_derivative
 
     def spacing(self, space: str) -> float:
         raise UnsupportedSystemError("spacing is not constant for hydrogen-like systems")
@@ -544,9 +530,11 @@ class Pseudoharmonic(_RadialOscillator):
         b = 2.0 * derived.lam if state.space == POSITION else 0.5 / derived.lam
         return derived.gamma_l, b
 
-    def natural_scale(self, state: QuantumState) -> float:
-        root = math.sqrt(php_derived(self, state.l).lam)
-        return 1.0 / root if state.space == POSITION else root
+    def scale(self, state: QuantumState) -> tuple[float, float]:
+        # The unit length sqrt(b/lambda) keeps the quadrature's nodes where
+        # the length 1/sqrt(lambda) (sqrt(lambda) in momentum space) put them.
+        b = self._kappa_b(state)[1]
+        return math.sqrt(b), _SQRT2 if state.space == POSITION else 1.0 / _SQRT2
 
     def closed_form(self, state: QuantumState) -> float:
         lam = php_derived(self, state.l).lam

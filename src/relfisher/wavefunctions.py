@@ -2,9 +2,9 @@
 
 Position- and momentum-space forms for the 1D oscillator, the 3D isotropic
 oscillator, the hydrogen-like atom, and the pseudoharmonic potential. The
-evaluator of each system is built by its family object in systems.py; this
-module is the generic API over them: compile, the quadrature configuration
-and the normalization check.
+evaluator of each system is built by its family object in systems.py, from
+one unit-scale function and one length scale; this module is the generic API
+over them: compile, the quadrature configuration and the normalization check.
 
 compile_state binds a state once: everything that does not depend on the
 point (derived parameters, log-normalization, scales, the polynomial kernel
@@ -14,6 +14,8 @@ the returned closure does only the per-point work and returns a plain
 quadrature oracle, compile it once and call the closure.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .quadrature import NonConvergedError, QuadratureSpec, integrate
 from .systems import Evaluator, QuantumState
@@ -40,7 +42,7 @@ def compile_state(state: QuantumState) -> Evaluator:
     space and a momentum magnitude in momentum space. Beyond the point where
     the envelope drops under exp(-700) it returns exactly (0.0, 0.0). A 1D
     oscillator state whose wavefunction would reach that cutoff (n >= 189 at
-    omega = 1) raises ValueError here.
+    every omega) raises ValueError here.
     """
     return state.system.compile(state)
 
@@ -67,12 +69,14 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
 
     The density is s^2 R(s)^2 on the half line for radial systems. For the
     1D oscillator psi^2 is even, so its full-line integral is that of
-    2 psi^2 over the half line. Raises NonConvergedError if the quadrature
-    does not reach its tolerance.
+    2 psi^2 over the half line, both of the unit-scale f, as in numeric_ir.
+    Raises NonConvergedError if the quadrature does not reach its tolerance.
     """
     if spec is None:
         spec = default_quadrature_spec(state)
-    wave = compile_state(state)
+    c, _ = state.system.scale(state)
+    wave, _ = state.system.unit(state)
+    spec = replace(spec, scale=spec.scale * c)
     if state.system.radial:
         def density(s: float) -> float:
             value = wave(s)[0]

@@ -347,8 +347,8 @@ def test_a_closed_form_outside_double_range_is_an_error(argv, cell, output_forma
 def test_validate_stops_at_a_closed_form_outside_double_range(
     output_format, tmp_path, capsys, monkeypatch
 ):
-    # Where a closed form overflows, the reference cell's evaluator overflows
-    # too and stops the sweep first, so the overflow is put in by hand.
+    # The overflow is put in by hand, at a cell after the first, so that the
+    # rows before it show that an --out file stays untouched.
     real = relfisher.cli.closed_form_ir
     monkeypatch.setattr(
         relfisher.cli, "closed_form_ir", lambda state: math.inf if state.n == 2 else real(state)
@@ -365,6 +365,32 @@ def test_validate_stops_at_a_closed_form_outside_double_range(
     assert "closed form of qho1d position n=2 at omega=1 is inf" in captured.err
     assert target.read_bytes() == b"old table\n"
     assert os.listdir(tmp_path) == ["table.out"]
+
+
+@pytest.mark.parametrize(
+    "argv,cell",
+    [
+        (["--system", "hydrogen", "--Z", "1e-160", "--n-max", "2", "--space", "momentum"],
+         "hydrogen momentum n=2,l=0 at Z=1e-160"),
+        (["--system", "qho3d", "--omega", "1e308", "--nr-max", "1", "--l-max", "0",
+          "--space", "position"],
+         "qho3d position n_r=1,l=0 at omega=1e+308"),
+    ],
+    ids=["hydrogen", "qho3d"],
+)
+def test_validate_writes_the_reference_row_before_a_closed_form_outside_double_range(
+    argv, cell, capsys
+):
+    # At these scales the evaluators overflowed on the reference cell, and
+    # the sweep stopped with "integrand returned nan" before its first row.
+    code = run_cli(["validate", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    rows = parse_csv(captured.out)
+    assert [(row["ir_closed"], row["ir_numeric"], row["status"]) for row in rows] == [
+        ("0", "0", "reference_state")
+    ]
+    assert f"closed form of {cell} is inf, outside double range" in captured.err
 
 
 def test_json_rows_refuse_non_finite_values():
@@ -442,6 +468,25 @@ def test_php_validate_with_molecule_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert "molecule=XY" in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["molecules"],
+        ["molecules", "--format", "json"],
+        ["compute", "--system", "php", "--molecule", "X", "--nr", "0"],
+    ],
+    ids=["molecules", "molecules-json", "compute"],
+)
+def test_a_molecule_file_with_an_infinite_value_is_refused_with_its_line(argv, tmp_path, capsys):
+    path = tmp_path / "extra.csv"
+    path.write_text("X,lab,inf,1.0,1.0,src\n", encoding="utf-8")
+    code = run_cli([*argv, "--molecule-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"{path}:1: mu_amu must be positive and finite" in captured.err
 
 
 def test_validate_takes_the_adhoc_php_triple(capsys):
@@ -748,6 +793,14 @@ def test_oracle_sweep_tells_disagreement_from_errors(codes, expected, tmp_path, 
     assert sweep.main() == expected
     err = capsys.readouterr().err
     assert ("failed to run" in err) == (expected == 2)
+
+
+def test_oracle_extremes_finds_every_cell_ok(capsys):
+    extremes = _load_script("oracle_extremes")
+    assert extremes.main() == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 510
+    assert captured.err == "ok=510 silently-wrong=0 non-converged=0 raised=0\n"
 
 
 def test_output_digests_hashes_what_each_command_writes(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Molecule registry and unit conversion."""
 
+import re
+
 import pytest
 
 from relfisher.data_units import (
@@ -129,3 +131,17 @@ def test_parse_molecule_file_errors(tmp_path):
     negative.write_text("XY, s, -1.0, 2.5, 1.1, src\n", encoding="utf-8")
     with pytest.raises(ValueError):
         parse_molecule_file(str(negative))
+
+
+@pytest.mark.parametrize("field,line", [
+    ("mu_amu", "X,lab,inf,1.0,1.0,src"),
+    ("de_ev", "X,lab,1.0,inf,1.0,src"),
+    ("re_angstrom", "X,lab,1.0,1.0,Infinity,src"),
+])
+def test_parse_molecule_file_refuses_an_infinite_value(field, line, tmp_path):
+    # An infinite value was accepted: `molecules` printed inf, its JSON form
+    # failed after six rows, and `compute` failed without naming the file.
+    path = tmp_path / "extra.csv"
+    path.write_text(f"# name,label,mu,De,re,source\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {field} must be positive and finite")):
+        parse_molecule_file(str(path))

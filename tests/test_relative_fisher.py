@@ -8,6 +8,7 @@ better.
 """
 
 import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -485,15 +486,62 @@ def test_numeric_ir_keeps_state_work_out_of_the_integrand(monkeypatch):
     assert many >= 100 * (counts_many["php_derived"] + counts_many["ln_gamma"])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the quadrature's absolute tolerance (1e-14) dwarfs this integral of "
-    "3.4e-158, so it stops after 217 evaluations and reports convergence at "
-    "rel_diff 2.2e-8",
-)
 def test_a_tiny_integral_is_not_reported_converged_when_it_is_off():
+    # Integrated at omega = 1e160, the integral of 3.4e-158 fell under the
+    # quadrature's absolute tolerance (1e-14): it stopped after 217
+    # evaluations and reported convergence at rel_diff 2.2e-8.
     result = numeric_ir(QuantumState(system=Oscillator1D(omega=1e160), space=MOMENTUM, n=30))
     assert not result.quadrature.converged or result.rel_diff <= 1e-8
+
+
+def test_a_reference_cell_at_a_tiny_charge_converges_to_zero():
+    # The radial integrand 4 s^2 (...)^2 overflowed at s = 7.0e153 and
+    # raised IntegrandError, although psi is exactly 0 there.
+    result = numeric_ir(QuantumState(system=Hydrogenic(Z=1e-150), space=POSITION, n=1, l=0))
+    assert result.quadrature.converged
+    assert result.numeric == 0.0
+
+
+def test_a_reference_cell_at_a_huge_frequency_converges_at_once():
+    # Integrated at omega = 1e160, this cell ran to the panel cap: it stopped
+    # unconverged after 619,783 evaluations.
+    result = numeric_ir(QuantumState(system=Oscillator1D(omega=1e160), space=POSITION, n=0))
+    assert result.quadrature.converged
+    assert result.quadrature.evaluations == 217
+    assert result.numeric == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.37, 1e3])
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: QuantumState(Oscillator1D(omega=x), POSITION, n=3),
+        lambda x: QuantumState(Oscillator3D(omega=x), POSITION, n_r=2, l=1),
+        lambda x: QuantumState(Hydrogenic(Z=x), POSITION, n=4, l=1),
+        lambda x: QuantumState(Pseudoharmonic(mu=1e3 * x, De=0.1, re=2.0), POSITION, n_r=2, l=1),
+    ],
+    ids=["qho1d", "qho3d", "hydrogen", "php"],
+)
+def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
+    # The defining integral of the compiled state, against the reference
+    # log-derivative stretched by the same length scale c, at the state's
+    # own nodes: numeric_ir's unit-scale integral times c^2 must agree.
+    state = replace(make(scale), space=space)
+    wave = compile_state(state)
+    c, _ = state.system.scale(state)
+    _, unit_log_derivative = state.system.unit(state)
+    weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 8.0)
+
+    def integrand(s):
+        value, derivative = wave(s)
+        difference = derivative - value * c * unit_log_derivative(c * s)
+        return weight(s) * difference * difference
+
+    direct = integrate(integrand, default_quadrature_spec(state, rel_tol=1e-12))
+    result = numeric_ir(state, default_quadrature_spec(state, rel_tol=1e-12))
+    assert direct.converged and result.quadrature.converged
+    assert result.numeric == pytest.approx(direct.value, rel=1e-12, abs=0.0)
 
 
 def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
@@ -508,34 +556,31 @@ def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
         numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
 
 
-# n = 0 at omega = 1e160 in position space runs into the panel cap and does
-# not converge; its twin at 1e-160 in momentum space (the same argument scale)
-# is left out, because each takes seconds.
 _TWO_HALF_CASES = [
     (omega, space, n)
     for omega in (1e-160, 1e-3, 1.0, 3.7, 1e160)
     for space in (POSITION, MOMENTUM)
     for n in (0, 1, 6, 31, 150)
-    if (omega, space, n) != (1e-160, MOMENTUM, 0)
 ]
 
 
 @pytest.mark.parametrize("omega,space,n", _TWO_HALF_CASES)
 def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
-    # The full-line integral as the sum of the positive and the negative half,
-    # each at half the absolute tolerance. numeric_ir integrates twice the
-    # even integrand over the positive half instead: every number must be
-    # the same, at half the evaluations.
+    # The full-line integral of the unit-scale state as the sum of the
+    # positive and the negative half, each at half the absolute tolerance.
+    # numeric_ir integrates twice the even integrand over the positive half
+    # instead: every number must be the same, at half the evaluations.
     state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
-    wave = compile_state(state)
-    log_derivative = state.system.reference_log_derivative(state)
+    wave, log_derivative = state.system.unit(state)
+    c, _ = state.system.scale(state)
 
-    def integrand(x):
-        value, derivative = wave(x)
-        difference = derivative - value * log_derivative(x)
+    def integrand(y):
+        value, derivative = wave(y)
+        difference = derivative - value * log_derivative(y)
         return 4.0 * difference * difference
 
     spec = default_quadrature_spec(state)
+    spec = replace(spec, scale=spec.scale * c)
     half = replace(spec, abs_tol=5e-15)
     positive = integrate(integrand, half)
     negative = integrate(lambda s: integrand(-s), half)
@@ -550,11 +595,13 @@ def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
 
 @pytest.mark.parametrize("n", [194, 255, 265, 400])
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
-def test_1d_oscillator_refuses_states_its_cutoff_would_truncate(n, space):
+@pytest.mark.parametrize("omega", [1e-160, 1.0, 1e160])
+def test_1d_oscillator_refuses_states_its_cutoff_would_truncate(omega, space, n):
     # Without the guard these converged to wrong values: 323.2 against 1442.5
-    # at n=255, and exactly 0 from n=265.
-    state = QuantumState(system=Oscillator1D(omega=1.0), space=space, n=n)
-    with pytest.raises(ValueError, match=f"n={n} at omega=1.0.*limit -655"):
+    # at n=255, and exactly 0 from n=265. The unit-scale state is the same at
+    # every omega, and so is the guard.
+    state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
+    with pytest.raises(ValueError, match=re.escape(f"n={n} at omega={omega!r}") + ".*limit -655"):
         numeric_ir(state)
 
 

@@ -78,20 +78,14 @@ def test_1d_oscillator_is_exactly_parity_symmetric(omega, space):
     system = Oscillator1D(omega=omega)
     scale = natural_scale(QuantumState(system=system, space=space, n=0))
     points = [scale * u for u in (0.03, 0.4, 1.0, 2.5, 7.0, 13.0, 19.0)]
-    checked = []
+    # The 1D guard admits n <= 188 at every omega: the unit-scale state does
+    # not depend on it.
     for n in range(189):
-        try:
-            wave = compile_state(QuantumState(system=system, space=space, n=n))
-        except ValueError as exc:
-            # At extreme scales the 1D guard refuses the top degrees.
-            assert "out of the evaluator's range" in str(exc)
-            continue
+        wave = compile_state(QuantumState(system=system, space=space, n=n))
         sign = -1.0 if n % 2 else 1.0
         for x in points:
             value, derivative = wave(x)
             assert wave(-x) == (sign * value, -sign * derivative), (n, x)
-        checked.append(n)
-    assert checked == list(range(len(checked))) and len(checked) >= 160
 
 
 def test_3d_oscillator_ground_state_sample():
@@ -362,7 +356,12 @@ def test_compiled_radial_state_rejects_nonpositive_argument(state):
             wave(s)
 
 
-@pytest.mark.parametrize("state", ALL_STATES, ids=lambda v: str(v)[:40])
+# At Z = 1e300 the amplitude Z^(3/2) overflows: inf * 0.0 would be nan.
+@pytest.mark.parametrize(
+    "state",
+    ALL_STATES + [QuantumState(system=Hydrogenic(Z=1e300), space=POSITION, n=2, l=0)],
+    ids=lambda v: str(v)[:40],
+)
 def test_compiled_state_is_exactly_zero_far_in_the_tail(state):
     # the envelope is far below exp(-700) here; the hydrogen momentum
     # density decays only as a power of p, so its tail starts much further out
