@@ -8,8 +8,8 @@ once, by its system's grid method, before the first row, so a bad argument
 writes nothing. An --out file is still all-or-nothing: rows go to a temp file
 in the same directory, which is renamed over the target on success and
 removed on any error. Stdout may already hold rows written before an error
-line. Exit codes: 0 ok, 2 usage error, 3 validation or quadrature failure,
-4 I/O failure.
+line. Exit codes: 0 ok, 2 usage error, 3 validation or quadrature failure
+or a refused state, 4 I/O failure.
 
 compute and validate turn the flags into systems by one rule (_systems):
 hydrogen takes --Z and the oscillators --omega; php takes the
@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -51,6 +52,7 @@ from .systems import (
     Oscillator3D,
     Pseudoharmonic,
     QuantumState,
+    RefusedStateError,
     SystemParams,
 )
 
@@ -69,6 +71,7 @@ EXIT_IO = 4
 STATUS_OK = "ok"
 STATUS_QUADRATURE_FAILED = "quadrature_failed"
 STATUS_REFERENCE = "reference_state"
+STATUS_REFUSED = "refused"
 
 # Published reference values bundled for regression comparison. The computed
 # column never bends toward these: disagreement is reported, not absorbed.
@@ -262,11 +265,16 @@ def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: fl
     rel_diff = None
     status = STATUS_REFERENCE if state.radial_nodes == 0 else STATUS_OK
     if validate:
-        result = numeric_ir(state, default_quadrature_spec(state, rel_tol=rel_tol))
-        numeric = result.numeric
-        rel_diff = result.rel_diff
-        if not result.quadrature.converged:
-            status = STATUS_QUADRATURE_FAILED
+        try:
+            result = numeric_ir(state, default_quadrature_spec(state, rel_tol=rel_tol))
+        except RefusedStateError:
+            # The evaluator's cutoff would truncate the state: no value, and the sweep goes on.
+            status = STATUS_REFUSED
+        else:
+            numeric = result.numeric
+            rel_diff = result.rel_diff
+            if not result.quadrature.converged:
+                status = STATUS_QUADRATURE_FAILED
     return OutputRow(
         state.system.name,
         state.space,
@@ -305,18 +313,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         lambda _: {field: _parse_range(given[field], _FLAGS[field]) for field in fields},
         "no valid (n, l) combinations: every l exceeds n-1",
     )
-    failed = False
+    statuses: Counter[str] = Counter()
 
     def rows() -> Iterable[OutputRow]:
-        nonlocal failed
         for state, digest in cells:
             row = _evaluate_cell(state, digest, args.validate, args.rel_tol)
-            if row.status == STATUS_QUADRATURE_FAILED:
-                failed = True
+            statuses[row.status] += 1
             yield row
 
     _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
-    return EXIT_VALIDATION if failed else EXIT_OK
+    return EXIT_VALIDATION if statuses[STATUS_QUADRATURE_FAILED] or statuses[STATUS_REFUSED] else EXIT_OK
 
 
 def _sweep_max(args: argparse.Namespace, flag: str) -> int:
@@ -345,31 +351,31 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         args, families, lambda family: _sweep_ranges(args, family),
         "no cells to validate: every sweep range is empty",
     )
-    count = quadrature_failures = over_threshold = 0
+    statuses: Counter[str] = Counter()
+    over_threshold = 0
     max_rel = 0.0
 
     def rows() -> Iterable[OutputRow]:
-        nonlocal count, quadrature_failures, over_threshold, max_rel
+        nonlocal over_threshold, max_rel
         for state, digest in cells:
-            count += 1
             row = _evaluate_cell(state, digest, True, args.rel_tol)
-            if row.status == STATUS_QUADRATURE_FAILED:
-                quadrature_failures += 1
-            if row.rel_diff > args.threshold:
-                over_threshold += 1
-            max_rel = max(max_rel, row.rel_diff)
+            statuses[row.status] += 1
+            if row.rel_diff is not None:  # a refused row has none
+                over_threshold += row.rel_diff > args.threshold
+                max_rel = max(max_rel, row.rel_diff)
             yield row
 
     _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
+    failures, refused = statuses[STATUS_QUADRATURE_FAILED], statuses[STATUS_REFUSED]
+    # Named only when there are any, so a sweep without them prints what it always did.
+    refusals = f" refused={refused}" if refused else ""
     print(
-        f"validate: cells={count} max_rel_diff={max_rel:.3e} "
-        f"quadrature_failures={quadrature_failures} over_threshold={over_threshold} "
+        f"validate: cells={statuses.total()} max_rel_diff={max_rel:.3e} "
+        f"quadrature_failures={failures} over_threshold={over_threshold}{refusals} "
         f"(threshold={args.threshold:g})",
         file=sys.stderr,
     )
-    if quadrature_failures or over_threshold:
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return EXIT_VALIDATION if failures or over_threshold or refused else EXIT_OK
 
 
 def _reproduce_table1(args: argparse.Namespace) -> list[str]:

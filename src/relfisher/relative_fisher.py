@@ -1,15 +1,11 @@
 """Relative Fisher information: closed forms, the defining-integral oracle,
 spacing constants, conjugate-space products, and hydrogen-series analysis.
 
-closed_form_ir, numeric_ir and ir_spacing ask the state's system: each family
-object in systems.py holds its closed form, its spacing, and the unit-scale
-wavefunction, reference log-derivative and length scale the oracle uses.
-This module holds the generic routes and the hydrogen-series helpers.
-
-Every closed form here can be checked against numeric_ir, which evaluates the
-defining integral 4*Int s^2 (R' - R * ref_logderiv)^2 ds (full-line analog for
-the 1D oscillator, taken as twice its half line) by adaptive quadrature with
-an independently coded, node-less reference log-derivative. The two routes
+closed_form_ir, numeric_ir and ir_spacing ask the state's system (see
+systems._Family). Every closed form can be checked against numeric_ir, which
+evaluates the defining integral 4*Int s^2 (R' - R * ref_logderiv)^2 ds
+(full-line analog for the 1D oscillator) by adaptive quadrature with an
+independently coded, node-less reference log-derivative. The two routes
 share no algebra beyond the wavefunctions themselves.
 
 Known discrepancy, kept visible on purpose: the widely tabulated hydrogen-like
@@ -122,16 +118,14 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     """Relative Fisher information by adaptive quadrature of the defining
     integral, reported side by side with the closed form.
 
-    The integrand is 4 s^2 (R_t' - R_t * ref_logderiv)^2 on (0, inf), which
-    stays finite at the target's interior nodes. The 1D oscillator's full-line
-    integrand 4 (psi' - psi * ref_logderiv)^2 has no s^2 weight and is even,
-    bit for bit, so it is integrated as 8 (psi' - psi * ref_logderiv)^2 over
-    the half line: the value, the error estimate and the convergence verdict
-    are exactly those of the sum of the two halves, at half the evaluations.
-    It integrates the unit-scale f of psi(s) = c^(d/2) f(c s) and multiplies
-    by c^2; spec.scale is a length of the state, and c * spec.scale of f.
-    Quadrature trouble is reported through result.quadrature.converged, not
-    raised, so sweeps can tabulate per-state status.
+    The integrand is 4 s^2 (f' - f * ref_logderiv)^2 on (0, inf) for the
+    unit-scale f of the state (see systems._Family), without the s^2 for the
+    1D oscillator, whose |f| = sqrt(2) |psi| on the half line; the result is
+    multiplied by c^2. spec.scale is a length of the state, c * spec.scale of
+    f. Quadrature trouble is reported through result.quadrature.converged,
+    not raised; a state with nodes that integrates to exactly 0 (every sample
+    past the cutoff) is not converged. RefusedStateError if the evaluator's
+    cutoff would truncate the state.
     """
     reference = reference_state(target)
     if reference.radial_nodes != 0:
@@ -139,20 +133,18 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     c, _ = target.system.scale(target)
     wave, log_derivative = target.system.unit(target)
 
-    if target.system.radial:
-        def integrand(s: float) -> float:
-            value, derivative = wave(s)
-            difference = derivative - value * log_derivative(s)
-            return 4.0 * s * s * difference * difference
-    else:
-        def integrand(x: float) -> float:
-            value, derivative = wave(x)
-            difference = derivative - value * log_derivative(x)
-            return 8.0 * difference * difference
+    radial = target.system.radial
+
+    def integrand(s: float) -> float:
+        value, derivative = wave(s)
+        difference = derivative - value * log_derivative(s)
+        return (4.0 * s * s if radial else 4.0) * difference * difference
 
     if spec is None:
         spec = default_quadrature_spec(target)
     quad = integrate(integrand, replace(spec, scale=spec.scale * c))
+    if quad.value == 0.0 and target.radial_nodes:
+        quad = replace(quad, converged=False)
     # Multiplied by c twice, not by c^2, which over- or underflows first.
     numeric = quad.value * c * c
     closed = closed_form_ir(target)

@@ -9,33 +9,26 @@ index-shift identities, rather than finite differences, so the two are
 consistent to machine precision at any argument.
 
 Degree sweeps continue their recurrences. A family's column holds, for one
-parameter, the recurrence coefficients shared by every degree and the state
-the recurrence reached at each point: the degree and the last two terms
-(three for Gegenbauer). Laguerre and Gegenbauer columns are keyed by the
-recurrence's exact float parameter (alpha + 1), and Hermite has a single
-column. Each factory returns one closure, and _bind decides whether it gets
-its column's state table: a kernel of degree n does when n is at least
-_CONTINUE_FROM_DEGREE and its column already served a lower degree. With the
-table, at x it runs on from the stored state when that state's degree is
-<= n, and from degree 0 otherwise, and either way it stores the state it
-reached. Without it, it runs from degree 0 at every point and stores nothing,
-so a sweep that never ascends in degree at one parameter pays no lookups.
-The floating-point operations are those of a pass from degree 0, in the same
-order, so every value is bit-identical to it. A point is keyed by its value,
-so -0.0 continues the state of 0.0; the two passes differ at most in the
-sign of a zero.
+parameter (alpha + 1, exactly; Hermite has one column), the recurrence
+coefficients shared by every degree and the state reached at each point: the
+degree and the last two terms (three for Gegenbauer). _bind gives a kernel
+its column's state table when its degree n is at least _CONTINUE_FROM_DEGREE
+and the column already served a lower degree. With the table, at x it runs on
+from the stored state when that state's degree is <= n, and from degree 0
+otherwise, and stores the state it reached; without it, it runs from degree 0
+and stores nothing. The floating-point operations are those of a pass from
+degree 0, in the same order, so every value is bit-identical to it (a point
+is keyed by its value, so -0.0 continues the state of 0.0).
 
-Only the most recently compiled column of each family stays alive; compiling
-a kernel for another parameter replaces it. A kernel keeps its own column, so
-it stays correct after a switch. A column drops its states once it holds more
-than _MAX_STATES points, so memory is bounded by one bounded column per
-family. Sweeps in ascending degree at a fixed parameter gain: the
-pseudoharmonic molecules, `compute --validate --nr A..B --l L`, and the 1D
-oscillator, whose Hermite column serves every omega and both spaces. Sweeps
-that change the parameter at every cell, such as the default 3D oscillator
-and hydrogen sweeps with l innermost, start a new column each time and gain
-nothing; neither do cells below degree 10, such as the whole default
-`validate` grid.
+The columns of the two most recently compiled parameters of each family stay
+alive; a third parameter drops the older. A kernel keeps its own column, so
+it stays correct after a switch, and a column drops its states once it holds
+more than _MAX_STATES points. Sweeps ascending in degree at a fixed parameter
+gain: the pseudoharmonic molecules, `compute --validate --nr A..B --l L`, and
+the 1D oscillator, whose Laguerre parameter alternates between alpha = -1/2
+and +1/2 with the parity of n. Sweeps that change the parameter at every cell
+(the default 3D oscillator and hydrogen sweeps, l innermost) and cells below
+degree 10 gain nothing.
 """
 from __future__ import annotations
 
@@ -58,10 +51,9 @@ Kernel = Callable[[float], tuple[float, float]]
 _CONTINUE_FROM_DEGREE = 10
 
 # A column drops its states when a kernel is compiled on it while it holds
-# more than this many points, about 11 MB. One sweep at one scale stores up
-# to about 20,000 (the 1D oscillator to n = 188 in both spaces); a process
-# that sweeps many scales on one column, such as many omega at one l, would
-# otherwise keep the points of all of them.
+# more than this many points, about 11 MB: a process that sweeps many scales
+# on one column would otherwise keep the points of all of them. One sweep
+# stores a few thousand (4,600 per column: the 1D oscillator to n = 188).
 _MAX_STATES = 1 << 16
 
 
@@ -79,8 +71,9 @@ class _Column:
         self.lowest = lowest
 
 
-# The live column of each family.
-_LIVE: dict[str, _Column] = {}
+# The live columns of each family by parameter, the most recently compiled last.
+_LIVE_COLUMNS = 2
+_LIVE: dict[str, dict[float | None, _Column]] = {}
 
 
 def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[tuple, dict | None]:
@@ -94,9 +87,10 @@ def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[t
     """
     if n < _CONTINUE_FROM_DEGREE:
         return tuple(coefficients(parameter, 0, n)), None
-    column = _LIVE.get(family)
-    if column is None or column.parameter != parameter:
-        column = _LIVE[family] = _Column(parameter, n)
+    live = _LIVE.setdefault(family, {})
+    column = live[parameter] = live.pop(parameter, None) or _Column(parameter, n)
+    if len(live) > _LIVE_COLUMNS:
+        del live[next(iter(live))]
     steps = column.steps
     if len(steps) < n:
         # Replaced, never extended in place, and each state is stored as one
@@ -172,6 +166,12 @@ def laguerre_kernel(n: int, alpha: float) -> Kernel:
             state = states.get(x)
             if state is not None and state[0] <= n:
                 k, prev, cur = state
+                if k == n - 1:
+                    # One step, as a degree sweep takes at nearly every point.
+                    a_k, c_k, b_k = all_steps[k]
+                    prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev
+                    states[x] = (n, prev, cur)
+                    return cur - prev, -prev
                 run = all_steps[k:n]
         for a_k, c_k, b_k in run:
             prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev

@@ -1,28 +1,18 @@
-"""Physical-system model: the four system families, quantum states, the
-reference-state rule, derived pseudoharmonic parameters, and bound-state
-energies.
+"""The four system families (1D and 3D oscillator, hydrogen-like atom,
+pseudoharmonic molecule), quantum states, the reference-state rule, derived
+pseudoharmonic parameters and bound-state energies.
 
-Four solvable systems are supported: the one-dimensional harmonic oscillator,
-the three-dimensional isotropic oscillator, the hydrogen-like atom, and the
-pseudoharmonic diatomic potential. Each class holds one system's parameters
-and is also the family object for that system: it owns everything in which
-the systems differ (see _Family), so the wavefunction, relative-Fisher and CLI
-modules ask a state's system instead of testing its type. States carry no
-magnetic quantum number: the information measure computed downstream is
-invariant to it.
+Each class holds one system's parameters and is the family object for that
+system: it owns everything in which the systems differ (see _Family), so the
+other modules ask a state's system instead of testing its type. States carry
+no magnetic quantum number, to which the information measure is invariant.
+QuantumState(...) checks its own space and quantum numbers; a system's grid
+method checks a whole grid once, on its corner state.
 
-A state is checked where it is made. QuantumState(...) checks its own space
-and quantum numbers. A whole grid of states, as the CLI tabulates, comes from
-its system's grid method: that checks the grid once, on its corner state, and
-then builds each state without checking it again.
-
-The wavefunction evaluators live here with their families, at unit scale
-(see _Family). Their normalization prefactors are assembled in log space and
-exponentiated once, which keeps the pseudoharmonic family (effective angular
-exponents up to a few hundred for real molecules) inside double range.
-Derivatives are analytic throughout: prefactor product rule plus the
-polynomial derivative identities; nothing in the production path
-differentiates numerically.
+The unit-scale wavefunction evaluators live here with their families. Their
+normalizations are assembled in log space and exponentiated once, and their
+derivatives are analytic: nothing differentiates numerically. The three
+oscillator families share one evaluator, _radial_oscillator.
 """
 from __future__ import annotations
 
@@ -31,7 +21,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .specfun import gegenbauer_kernel, hermite_kernel, laguerre_kernel, ln_gamma
+from .specfun import gegenbauer_kernel, laguerre_kernel, ln_gamma
 
 __all__ = [
     "POSITION",
@@ -46,6 +36,7 @@ __all__ = [
     "QuantumState",
     "PhpDerived",
     "UnsupportedSystemError",
+    "RefusedStateError",
     "reference_state",
     "php_derived",
     "hydrogen_energy",
@@ -61,15 +52,12 @@ _SQRT2 = math.sqrt(2.0)
 # return exact zeros instead of risking underflow-times-overflow products.
 _LN_TINY = -700.0
 
-# The 1D oscillator's cutoff tests the envelope N*exp(-y^2/2) alone, while
-# H_n(y) grows as fast as the envelope falls, so at large n the cutoff lands
-# where psi still lives. A state is refused unless the log-envelope at the
-# classical turning point y^2 = 2n+1 sits this far above _LN_TINY, which leaves
-# the Airy tail beyond the turning point inside the cutoff. In a scan of
-# n = 150..300 at omega 0.5, 1 and 2 in both spaces the truncation shows in
-# rel_diff from n = 190 (log-envelope -662) and the last state this admits is
-# n = 188 (-654), at rel_diff 1.8e-13.
-_QHO1D_TAIL_MARGIN = 45.0
+# The cutoff tests the envelope alone, while the polynomial grows as fast as
+# it falls, so at large degree the cutoff lands where f still lives. An
+# oscillator state is refused unless its log-envelope at the outer turning
+# point sits this far above _LN_TINY. The truncation error follows that
+# log-envelope: about 1e-12 at -647, 1e-10 at -655, 1e-8 at -662.
+_TAIL_MARGIN = 50.0
 
 _LN_PI = math.log(math.pi)
 _QUARTER_LN_2 = 0.25 * math.log(2.0)
@@ -82,6 +70,10 @@ _ZERO = (0.0, 0.0)
 
 class UnsupportedSystemError(ValueError):
     """The requested quantity is not defined for this system family."""
+
+
+class RefusedStateError(ValueError):
+    """The evaluator's cutoff would truncate this state's wavefunction."""
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -98,49 +90,42 @@ def _require_quantum_number(name: str, value: int, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def _qho1d(n: int) -> Evaluator:
-    """Normalized 1D oscillator eigenfunction N*H_n(y)*exp(-y^2/2) at unit
-    scale (omega = sqrt(2)) on the full line; ValueError if the cutoff would
-    truncate it."""
-    ln_norm = -0.5 * (n * math.log(2.0) + ln_gamma(n + 1.0) + 0.5 * _LN_PI)
-    ln_turning = ln_norm - (n + 0.5)
-    limit = _LN_TINY + _QHO1D_TAIL_MARGIN
+def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], str]) -> Evaluator:
+    """A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2), normalized on the half line
+    with weight s^(2 alpha + 1 - 2 kappa): the 3D oscillator (kappa = l) and
+    pseudoharmonic potential (kappa = gamma_l) with alpha = kappa + 1/2, and
+    the 1D oscillator's n = 2 n_r + kappa with alpha = kappa - 1/2.
+    RefusedStateError, naming the state as name(), if the cutoff would truncate it.
+    """
+    ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + alpha + 1.0))
+    # The outer turning point u = E + sqrt(E^2 - alpha^2 + 1/4), E = 2 n_r + alpha + 1,
+    # with E^2 - alpha^2 factored so that a large alpha does not cancel.
+    energy = 2.0 * n_r + alpha + 1.0
+    u_turn = energy + math.sqrt((2.0 * n_r + 1.0) * (energy + alpha) + 0.25)
+    ln_turning = ln_norm - 0.5 * u_turn + 0.5 * kappa * math.log(u_turn)
+    limit = _LN_TINY + _TAIL_MARGIN
     if ln_turning < limit:
-        raise ValueError(
-            f"its log-envelope at the turning point is {ln_turning:.1f}, below the limit {limit:g}"
+        raise RefusedStateError(
+            f"{name()} is out of the evaluator's range: its log-envelope at the outer turning "
+            f"point is {ln_turning:.1f}, below the limit {limit:g}"
         )
-    hermite = hermite_kernel(n)
-
-    def full_line(y: float) -> tuple[float, float]:
-        ln_env = ln_norm - 0.5 * y * y
-        if ln_env < _LN_TINY:
-            return _ZERO
-        env = math.exp(ln_env)
-        h, dh = hermite(y)
-        return env * h, env * (dh - y * h)
-
-    return full_line
-
-
-def _radial_oscillator(n_r: int, kappa: float) -> Evaluator:
-    """Common radial family A * s^kappa * exp(-s^2/2) * L_{n_r}^{kappa+1/2}(s^2)
-    at unit scale: the 3D oscillator (kappa = l) and the pseudoharmonic
-    potential (kappa = gamma_l)."""
-    ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + kappa + 1.5))
-    laguerre = laguerre_kernel(n_r, kappa + 0.5)
+    laguerre = laguerre_kernel(n_r, alpha)
 
     def radial(s: float) -> tuple[float, float]:
         if not s > 0.0:
             raise ValueError(f"radial argument must be > 0, got {s!r}")
         u = s * s
         ln_env = ln_norm - 0.5 * u
+        # d/ds log(s^kappa exp(-s^2/2)); at kappa = 0, -s is kappa / s - s exactly.
+        slope = -s
         if kappa != 0.0:
             ln_env += kappa * math.log(s)
+            slope = kappa / s - s
         if ln_env < _LN_TINY:
             return _ZERO
         env = math.exp(ln_env)
         lag, dlag = laguerre(u)
-        return env * lag, env * ((kappa / s - s) * lag + 2.0 * s * dlag)
+        return env * lag, env * (slope * lag + 2.0 * s * dlag)
 
     return radial
 
@@ -229,20 +214,17 @@ def _over_z_squared(value: float, Z: float) -> float:
 class _Family:
     """What each system class provides for its own states.
 
-    A state is a unit-scale function f and a length scale c: psi(s) =
-    c^(d/2) f(c s), d = 1 for the 1D oscillator and 3 otherwise, so omega, Z
-    and b enter only through c, and the relative Fisher information is c^2
-    times that of f. compile and natural_scale are built here from scale and
-    unit; the oracle integrates f, where its tolerances hold at every scale.
+    A state is a unit-scale function f, normalized on the half line, and a
+    length scale c: R(s) = c^(3/2) f(c s), or for the 1D oscillator |psi(x)| =
+    c^(1/2) |f(c |x|)| / sqrt(2). omega, Z and b enter only through c, and the
+    relative Fisher information is c^2 times that of f. The oracle integrates
+    f, where its tolerances hold at every scale.
 
     name                    the CLI --system name
     number_fields           quantum-number fields, in label order; the
                             others must be left at None
-    radial                  True when a state's wavefunction is a radial
-                            function on s > 0; False only for the 1D
-                            oscillator, whose psi lives on the whole line and
-                            has parity (-1)^n, so its oracle integrates twice
-                            its even integrand over the half line
+    radial                  True when integrals of f take the weight s^2;
+                            False only for the 1D oscillator
     check(state)            raise ValueError unless the quantum numbers are valid
     radial_nodes(state)     interior nodes of the radial (or full-line) function
     reference(state)        the node-less state of the same system, space and l
@@ -263,17 +245,20 @@ class _Family:
     radial = True
 
     def compile(self, state: QuantumState) -> Evaluator:
-        """The normalized wavefunction psi(s) = c^(d/2) f(c s) as an Evaluator."""
+        """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
         c, _ = self.scale(state)
         wave, _ = self.unit(state)
-        # Factor by factor, as c^(d/2) may overflow and inf * 0.0 is nan.
-        root, inner = math.sqrt(c), (c if self.radial else 1.0)
+        # Factor by factor, as c^(3/2) may overflow and inf * 0.0 is nan.
+        root = math.sqrt(c)
 
         def scaled(s: float) -> tuple[float, float]:
             value, derivative = wave(c * s)
-            return value * inner * root, derivative * c * inner * root
+            return value * c * root, derivative * c * c * root
 
         return scaled
+
+    def _name(self, state: QuantumState) -> str:
+        return f"{self.name} {state.space} {self.label(state)} of {self!r}"
 
     def natural_scale(self, state: QuantumState) -> float:
         """Characteristic length of the state's density."""
@@ -348,11 +333,34 @@ class Oscillator1D(_Family):
         return math.exp(ln_c if state.space == POSITION else -ln_c), 1.0
 
     def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
-        try:
-            return _qho1d(state.n), lambda y: -y
-        except ValueError as exc:
-            where = f"1D oscillator n={state.n} at omega={self.omega!r}"
-            raise ValueError(f"{where} is out of the evaluator's range: {exc}") from None
+        # H_{2m+p}(y) = (-1)^m 2^(2m+p) m! y^p L_m^(p-1/2)(y^2) (Abramowitz &
+        # Stegun 22.5.40-41): sqrt(2) (-1)^m psi on the half line is the d = 1
+        # radial oscillator.
+        m, p = divmod(state.n, 2)
+        return _radial_oscillator(m, float(p), p - 0.5, lambda: self._name(state)), lambda y: -y
+
+    def compile(self, state: QuantumState) -> Evaluator:
+        """psi(x) = (-1)^m sqrt(c/2) f(c |x|) on the full line, n = 2m + p, with
+        parity (-1)^n bit for bit; at x = 0 from f(s) ~ sqrt(2) A(m, p) s^p."""
+        c, _ = self.scale(state)
+        wave, _ = self.unit(state)
+        m, p = divmod(state.n, 2)
+        half = math.sqrt(0.5 * c) * (-1.0) ** m
+        ln_a = 0.5 * (ln_gamma(m + p + 0.5) - ln_gamma(m + 1.0)) - ln_gamma(p + 0.5)
+        lead = half * _SQRT2 * math.exp(ln_a)
+        at_zero = (0.0, c * lead) if p else (lead, 0.0)
+
+        def full_line(x: float) -> tuple[float, float]:
+            y = c * abs(x)
+            if y == 0.0:
+                return at_zero
+            value, derivative = wave(y)
+            value, derivative = value * half, derivative * c * half
+            if x < 0.0:
+                return (-value, derivative) if p else (value, -derivative)
+            return value, derivative
+
+        return full_line
 
     def closed_form(self, state: QuantumState) -> float:
         if not state.n:
@@ -393,7 +401,8 @@ class _RadialOscillator(_Family):
 
     def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
         kappa, _ = self._kappa_b(state)
-        return _radial_oscillator(state.n_r, kappa), lambda s: kappa / s - s
+        wave = _radial_oscillator(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
+        return wave, lambda s: kappa / s - s
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,11 @@
-"""Normalized wavefunction evaluation with analytic first derivatives.
-
-Position- and momentum-space forms for the 1D oscillator, the 3D isotropic
-oscillator, the hydrogen-like atom, and the pseudoharmonic potential. The
-evaluator of each system is built by its family object in systems.py, from
-one unit-scale function and one length scale; this module is the generic API
-over them: compile, the quadrature configuration and the normalization check.
+"""Normalized wavefunctions with analytic first derivatives, in position and
+momentum space, over any system: compile, the quadrature configuration and
+the normalization check. Each system's family object in systems.py builds
+its evaluator from one unit-scale function and one length scale.
 
 compile_state binds a state once: everything that does not depend on the
-point (derived parameters, log-normalization, scales, the polynomial kernel
-and its recurrence coefficients) is computed when the state is compiled, and
-the returned closure does only the per-point work and returns a plain
-(value, derivative) tuple. Callers that sample a state, such as the
-quadrature oracle, compile it once and call the closure.
+point is computed then, and the returned closure does only the per-point
+work and returns a plain (value, derivative) tuple.
 """
 from __future__ import annotations
 
@@ -40,9 +34,9 @@ def compile_state(state: QuantumState) -> Evaluator:
     for the 1D oscillator, and the radial function R(s) with dR/ds at s > 0
     otherwise (it raises ValueError for s <= 0); s is a radius in position
     space and a momentum magnitude in momentum space. Beyond the point where
-    the envelope drops under exp(-700) it returns exactly (0.0, 0.0). A 1D
-    oscillator state whose wavefunction would reach that cutoff (n >= 189 at
-    every omega) raises ValueError here.
+    the envelope drops under exp(-700) it returns exactly (0.0, 0.0). An
+    oscillator state (1D, 3D or pseudoharmonic) whose wavefunction would reach
+    that cutoff raises RefusedStateError, a ValueError, here.
     """
     return state.system.compile(state)
 
@@ -67,9 +61,9 @@ def default_quadrature_spec(state: QuantumState, rel_tol: float = 1e-10) -> Quad
 def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None) -> float:
     """|integral of the density - 1|, by quadrature.
 
-    The density is s^2 R(s)^2 on the half line for radial systems. For the
-    1D oscillator psi^2 is even, so its full-line integral is that of
-    2 psi^2 over the half line, both of the unit-scale f, as in numeric_ir.
+    The density is that of the unit-scale f on the half line, as in
+    numeric_ir: s^2 f(s)^2 for radial systems, and f(x)^2 = 2 psi^2 for the
+    1D oscillator, whose psi^2 is even.
     Raises NonConvergedError if the quadrature does not reach its tolerance.
     """
     if spec is None:
@@ -77,14 +71,11 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
     c, _ = state.system.scale(state)
     wave, _ = state.system.unit(state)
     spec = replace(spec, scale=spec.scale * c)
-    if state.system.radial:
-        def density(s: float) -> float:
-            value = wave(s)[0]
-            return s * s * value * value
-    else:
-        def density(x: float) -> float:
-            value = wave(x)[0]
-            return 2.0 * value * value
+    radial = state.system.radial
+
+    def density(s: float) -> float:
+        value = wave(s)[0]
+        return (s * s if radial else 1.0) * value * value
     result = integrate(density, spec)
     if not result.converged:
         raise NonConvergedError(

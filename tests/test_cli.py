@@ -21,10 +21,19 @@ from hypothesis import strategies as st
 
 import relfisher.cli
 import relfisher.relative_fisher
+import relfisher.specfun
 from relfisher.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from relfisher.data_units import find_molecule, parse_molecule_file, registry, to_atomic_units
 from relfisher.relative_fisher import closed_form_ir
-from relfisher.systems import MOMENTUM, POSITION, Hydrogenic, Oscillator1D, Oscillator3D, QuantumState
+from relfisher.systems import (
+    MOMENTUM,
+    POSITION,
+    Hydrogenic,
+    Oscillator1D,
+    Oscillator3D,
+    QuantumState,
+    RefusedStateError,
+)
 
 HEADER = "system,space,quantum_numbers,params_digest,ir_closed,ir_numeric,rel_diff,status"
 
@@ -148,6 +157,42 @@ def test_validate_counts_quadrature_failures(capsys, monkeypatch):
     assert "cells=3 " in captured.err
     assert "quadrature_failures=3 over_threshold=0" in captured.err
     assert {row["status"] for row in parse_csv(captured.out)} == {"quadrature_failed"}
+
+
+def test_compute_validate_writes_a_refused_state_as_a_row(capsys):
+    # The 1D oscillator's last admitted state is n = 651; the sweep goes on
+    # past it, and each state beyond is a row without a numeric value.
+    code = run_cli(
+        ["compute", "--system", "qho1d", "--n", "650..653", "--space", "position", "--validate"]
+    )
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_VALIDATION
+    assert [row["status"] for row in rows] == ["ok", "ok", "refused", "refused"]
+    assert all(float(row["rel_diff"]) <= 1e-10 for row in rows[:2])
+    assert all(row["ir_closed"] and not row["ir_numeric"] and not row["rel_diff"] for row in rows[2:])
+
+
+def test_validate_counts_refused_rows(capsys, monkeypatch):
+    real = relfisher.cli.numeric_ir
+
+    def refuse_odd(state, spec=None):
+        if state.n % 2:
+            raise RefusedStateError(f"n={state.n} refused")
+        return real(state, spec)
+
+    monkeypatch.setattr(relfisher.cli, "numeric_ir", refuse_odd)
+    code = run_cli(["validate", "--system", "qho1d", "--n-max", "4", "--space", "position"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "cells=5 " in captured.err
+    assert "quadrature_failures=0 over_threshold=0 refused=2 " in captured.err
+    statuses = [row["status"] for row in parse_csv(captured.out)]
+    assert statuses == ["reference_state", "refused", "ok", "refused", "ok"]
+
+
+def test_validate_without_refusals_prints_no_refused_count(capsys):
+    assert run_cli(["validate", "--system", "qho1d", "--n-max", "2", "--space", "position"]) == EXIT_OK
+    assert "refused" not in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):
@@ -801,6 +846,19 @@ def test_oracle_extremes_finds_every_cell_ok(capsys):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 510
     assert captured.err == "ok=510 silently-wrong=0 non-converged=0 raised=0\n"
+
+
+def test_kernel_breakeven_runs_and_restores_the_columns(capsys):
+    # The script reads specfun's private column state; a change there must
+    # not leave it broken.
+    breakeven = _load_script("kernel_breakeven")
+    threshold = relfisher.specfun._CONTINUE_FROM_DEGREE
+    assert breakeven.main(["--points", "20", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "family,n,scratch_ns,miss_ns,continue_ns"
+    assert len(lines) == 1 + len(breakeven.FAMILIES) * len(breakeven.DEGREES)
+    assert relfisher.specfun._CONTINUE_FROM_DEGREE == threshold
+    assert relfisher.specfun._LIVE == {}
 
 
 def test_output_digests_hashes_what_each_command_writes(tmp_path, monkeypatch, capsys):

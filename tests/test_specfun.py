@@ -253,8 +253,8 @@ def test_one_point_forms_call_the_kernel(kernel, one_point, args):
         assert sample == compiled(x)
 
 
-# Recurrence columns. A degree-n kernel continues the state its family's live
-# column stored at x when that state's degree is <= n. Every value must be ==
+# Recurrence columns. A degree-n kernel continues the state its parameter's
+# live column stored at x when that state's degree is <= n. Every value must be ==
 # to a pass from degree 0, whatever order the degrees, parameters and points
 # come in. These passes are written out here, in the kernels' operation order.
 
@@ -324,7 +324,7 @@ def test_a_degree_sweep_continues_the_stored_state():
     laguerre_kernel(40, 99.0)  # start from another parameter's column
     first = specfun._CONTINUE_FROM_DEGREE
     laguerre_kernel(first, alpha)(x)  # a fresh column's first degree runs from 0
-    column = specfun._LIVE["laguerre"]
+    column = specfun._LIVE["laguerre"][alpha + 1.0]
     assert column.parameter == alpha + 1.0
     assert x not in column.states
     for n in range(first + 1, first + 30):
@@ -334,21 +334,39 @@ def test_a_degree_sweep_continues_the_stored_state():
     assert laguerre_kernel(first + 5, alpha)(x) == _laguerre_pass(first + 5, alpha, x)
     assert column.states[x][0] == first + 5
     assert len(column.steps) == first + 29
-    # Another parameter replaces the column; the old one is no longer live.
+    # A second parameter leaves the column live; a third drops it.
     laguerre_kernel(first + 1, alpha + 1.0)
-    assert specfun._LIVE["laguerre"] is not column
+    assert list(specfun._LIVE["laguerre"].values()) == [column, specfun._LIVE["laguerre"][alpha + 2.0]]
+    laguerre_kernel(first + 1, alpha + 2.0)
+    assert column not in specfun._LIVE["laguerre"].values()
+
+
+def test_a_sweep_that_alternates_two_parameters_continues_both():
+    # The 1D oscillator's n = 2m + p alternates alpha = -1/2 and +1/2 by parity.
+    x = 7.5
+    laguerre_kernel(40, 99.0)
+    first = specfun._CONTINUE_FROM_DEGREE
+    for n in range(2 * first, 2 * first + 40):
+        m, p = divmod(n, 2)
+        assert laguerre_kernel(m, p - 0.5)(x) == _laguerre_pass(m, p - 0.5, x)
+    live = list(specfun._LIVE["laguerre"].values())
+    assert [column.parameter for column in live] == [0.5, 1.5]
+    # Both columns served every degree from the first: each holds the state
+    # of its last degree, and no other column replaced it on the way.
+    assert [column.lowest for column in live] == [first, first]
+    assert [column.states[x][0] for column in live] == [first + 19, first + 19]
 
 
 def test_degrees_below_the_break_even_leave_the_columns_alone():
     laguerre_kernel(30, 7.0)
-    column = specfun._LIVE["laguerre"]
+    live = list(specfun._LIVE["laguerre"].values())
     for n in range(specfun._CONTINUE_FROM_DEGREE):
         laguerre_kernel(n, 0.25)(1.5)
-    assert specfun._LIVE["laguerre"] is column
+    assert list(specfun._LIVE["laguerre"].values()) == live
 
 
 @pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
-def test_one_column_per_family_stays_alive(family):
+def test_two_columns_per_family_stay_alive(family):
     make, _, _, points = _COLUMN_FAMILIES[family]
     n = specfun._CONTINUE_FROM_DEGREE
     grid = [points[0] + (points[-1] - points[0]) * k / 30 for k in range(31)]
@@ -361,18 +379,20 @@ def test_one_column_per_family_stays_alive(family):
 
     tracemalloc.start()
     try:
-        sweep(1000.25)  # a parameter no other test uses, so its column starts empty
-        one_column = tracemalloc.get_traced_memory()[0]
-        for k in range(1, 200):
+        # Parameters no other test uses, so their columns start empty.
+        for k in range(10):
+            sweep(1000.25 + 0.5 * k)
+        ten_sweeps = tracemalloc.get_traced_memory()[0]
+        for k in range(10, 200):
             sweep(1000.25 + 0.5 * k)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(specfun._LIVE[family].states) == len(grid)
+    assert [len(column.states) for column in specfun._LIVE[family].values()] == [len(grid)] * 2
     # Each column's state table alone takes about 1 kB here (small tuples and
-    # floats may come from free lists that tracemalloc does not see), so 200
-    # live columns would hold at least 200 kB.
-    assert after < 2 * one_column
+    # floats may come from free lists that tracemalloc does not see), so
+    # keeping the columns of 190 more parameters would add at least 190 kB.
+    assert after < 2 * ten_sweeps
 
 
 def test_a_full_column_drops_its_states(monkeypatch):
@@ -383,7 +403,7 @@ def test_a_full_column_drops_its_states(monkeypatch):
     kernel = gegenbauer_kernel(first + 1, 7.25)
     for x in points:
         kernel(x)
-    states = specfun._LIVE["gegenbauer"].states
+    states = specfun._LIVE["gegenbauer"][8.25].states
     assert len(states) == 80
     kernel = gegenbauer_kernel(first + 2, 7.25)
     assert len(states) == 0

@@ -74,18 +74,60 @@ def test_1d_parity():
 def test_1d_oscillator_is_exactly_parity_symmetric(omega, space):
     # The oracle integrates twice the half line, which is exact only if
     # psi_n(-x) = (-1)^n psi_n(x) holds bit for bit. Degrees ascend, so from
-    # degree 10 the Hermite kernels continue the states stored at each point.
+    # n = 20 the Laguerre kernels of both parities continue the states
+    # stored at each point.
     system = Oscillator1D(omega=omega)
     scale = natural_scale(QuantumState(system=system, space=space, n=0))
-    points = [scale * u for u in (0.03, 0.4, 1.0, 2.5, 7.0, 13.0, 19.0)]
-    # The 1D guard admits n <= 188 at every omega: the unit-scale state does
+    points = [scale * u for u in (0.03, 0.4, 1.0, 2.5, 7.0, 13.0, 19.0, 30.0, 36.0)]
+    # The guard admits n <= 651 at every omega: the unit-scale state does
     # not depend on it.
-    for n in range(189):
+    for n in range(652):
         wave = compile_state(QuantumState(system=system, space=space, n=n))
         sign = -1.0 if n % 2 else 1.0
         for x in points:
             value, derivative = wave(x)
             assert wave(-x) == (sign * value, -sign * derivative), (n, x)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 11, 50, 51, 188, 189, 400, 651])
+def test_1d_oscillator_is_the_hermite_function(n):
+    # psi_n(x) = sqrt(c) (2^n n! sqrt(pi))^(-1/2) H_n(c x) exp(-(c x)^2/2),
+    # with H_n's own sign, although the evaluator goes through L_m^(p-1/2).
+    mpmath = pytest.importorskip("mpmath")
+    state = QuantumState(system=Oscillator1D(omega=0.7), space=POSITION, n=n)
+    wave = compile_state(state)
+    c, _ = state.system.scale(state)
+    with mpmath.workdps(40):
+        norm = mpmath.sqrt(c) / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+        for y in (-3.1, -0.2, 0.45, 1.7, 0.9 * math.sqrt(2 * n + 1)):
+            x = y / c
+            envelope = norm * mpmath.exp(-mpmath.mpf(y) ** 2 / 2)
+            hermite, slope = mpmath.hermite(n, y), (2 * n * mpmath.hermite(n - 1, y) if n else 0)
+            value, derivative = wave(x)
+            # Measured against the size of the terms at x, as near a node
+            # the value itself may cancel to nothing.
+            size = abs(envelope) * (abs(hermite) + abs(slope) + abs(y * hermite))
+            assert abs(value - envelope * hermite) <= 1e-11 * size, (n, y)
+            assert abs(derivative - c * envelope * (slope - y * hermite)) <= 1e-11 * c * size, (n, y)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 41, 650, 651])
+@pytest.mark.parametrize("omega", [1e-160, 1.0, 1e160])
+def test_1d_oscillator_at_the_origin_is_its_limit(n, omega):
+    # x = 0 comes from f's leading term, not from the evaluator, which
+    # refuses s = 0; it must match the value a hair away.
+    state = QuantumState(system=Oscillator1D(omega=omega), space=MOMENTUM, n=n)
+    wave = compile_state(state)
+    c, _ = state.system.scale(state)
+    near = wave(1e-9 / c)
+    for x in (0.0, -0.0):
+        value, derivative = wave(x)
+        if n % 2:
+            assert value == 0.0
+            assert derivative == pytest.approx(near[1], rel=1e-12)
+        else:
+            assert derivative == 0.0
+            assert value == pytest.approx(near[0], rel=1e-12)
 
 
 def test_3d_oscillator_ground_state_sample():
