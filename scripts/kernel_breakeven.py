@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-call cost of a polynomial kernel that runs from degree 0 against one
-that continues a stored recurrence state, by degree, for all three families.
+that continues a stored recurrence state, by degree, for the two families
+that keep recurrence columns (the Hermite kernel always runs from degree 0).
 
     python3 scripts/kernel_breakeven.py [--points 3000] [--repeats 9]
 
@@ -14,7 +15,7 @@ For each degree n it prints the median nanoseconds per call of three paths:
 
 A continued call pays while `continue` < `scratch`. specfun's
 _CONTINUE_FROM_DEGREE sits at the lowest degree from which that holds for
-every family, allowing for run-to-run noise. Times depend on the interpreter
+both families, allowing for run-to-run noise. Times depend on the interpreter
 and the host; compare them only within one run.
 """
 from __future__ import annotations
@@ -35,7 +36,6 @@ DEGREES = (2, 4, 6, 8, 9, 10, 11, 12, 14, 16, 20, 24, 32)
 # (kernel factory, parameter, map from u in (0, 1) to a point inside the
 # polynomial's oscillatory range)
 FAMILIES = {
-    "hermite": (lambda n, _: specfun.hermite_kernel(n), None, lambda n, u: (2.0 * u - 1.0) * (2.0 * n + 1.0) ** 0.5),
     "laguerre": (specfun.laguerre_kernel, 40.0, lambda n, u: u * (4.0 * n + 82.0)),
     "gegenbauer": (specfun.gegenbauer_kernel, 3.0, lambda n, u: 2.0 * u - 1.0),
 }

@@ -34,6 +34,7 @@ COMMANDS: list[list[str]] = [
          "--space", "both", "--format", fmt, "--out", f"table.{fmt}"]
         for fmt in ("csv", "json")
     ),
+    ["compute", "--system", "hydrogen", "--n", "320..326", "--l", "0", "--space", "position", "--validate"],
     ["compute", "--system", "qho3d", "--nr", "0..40", "--l", "2", "--validate"],
     ["compute", "--system", "php", "--molecule", "CO", "--nr", "0..8", "--l", "0..2", "--validate"],
     ["compute", "--system", "php", "--mu-amu", "1.5", "--de-ev", "0.2", "--re-angstrom", "1.4",

@@ -3,8 +3,9 @@ spacing constants, conjugate-space products, and hydrogen-series analysis.
 
 closed_form_ir, numeric_ir and ir_spacing ask the state's system (see
 systems._Family). Every closed form can be checked against numeric_ir, which
-evaluates the defining integral 4*Int s^2 (R' - R * ref_logderiv)^2 ds
-(full-line analog for the 1D oscillator) by adaptive quadrature with an
+evaluates the defining integral 4*Int s^2 (f' - f * ref_logderiv)^2 ds of
+each state's unit-scale f on the half line (without the s^2 for the 1D
+oscillator, whose f is sqrt(2) |psi|) by adaptive quadrature with an
 independently coded, node-less reference log-derivative. The two routes
 share no algebra beyond the wavefunctions themselves.
 

@@ -8,8 +8,9 @@ double precision and reads both the value and the derivative off it through
 index-shift identities, rather than finite differences, so the two are
 consistent to machine precision at any argument.
 
-Degree sweeps continue their recurrences. A family's column holds, for one
-parameter (alpha + 1, exactly; Hermite has one column), the recurrence
+Laguerre and Gegenbauer degree sweeps continue their recurrences; the
+Hermite kernel, which no system calls, runs from degree 0 at every point. A
+family's column holds, for one parameter (alpha + 1, exactly), the recurrence
 coefficients shared by every degree and the state reached at each point: the
 degree and the last two terms (three for Gegenbauer). _bind gives a kernel
 its column's state table when its degree n is at least _CONTINUE_FROM_DEGREE
@@ -64,7 +65,7 @@ class _Column:
 
     __slots__ = ("parameter", "steps", "states", "lowest")
 
-    def __init__(self, parameter: float | None, lowest: int) -> None:
+    def __init__(self, parameter: float, lowest: int) -> None:
         self.parameter = parameter
         self.steps: tuple = ()
         self.states: dict[float, tuple] = {}
@@ -73,10 +74,10 @@ class _Column:
 
 # The live columns of each family by parameter, the most recently compiled last.
 _LIVE_COLUMNS = 2
-_LIVE: dict[str, dict[float | None, _Column]] = {}
+_LIVE: dict[str, dict[float, _Column]] = {}
 
 
-def _bind(family: str, parameter: float | None, n: int, coefficients) -> tuple[tuple, dict | None]:
+def _bind(family: str, parameter: float, n: int, coefficients) -> tuple[tuple, dict | None]:
     """The recurrence coefficients of at least n steps, and the state table a
     degree-n kernel continues in, or None when it runs from degree 0 at
     every point.
@@ -108,32 +109,20 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"polynomial degree must be a non-negative integer, got {n!r}")
 
 
-def _hermite_steps(_: None, start: int, stop: int) -> list[float]:
-    return [2.0 * k for k in range(start, stop)]
-
-
 def hermite_kernel(n: int) -> Kernel:
     """Physicists' Hermite polynomial H_n(x) with derivative 2*n*H_{n-1}(x).
 
     Recurrence: H_{k+1} = 2*x*H_k - 2*k*H_{k-1}, H_0 = 1, H_{-1} = 0.
     """
     _check_degree(n)
-    all_steps, states = _bind("hermite", None, n, _hermite_steps)
-    steps = all_steps[:n]
+    steps = tuple(2.0 * k for k in range(n))
     two_n = 2.0 * n
 
     def kernel(x: float) -> tuple[float, float]:
-        run, prev, cur = steps, 0.0, 1.0
-        if states is not None:
-            state = states.get(x)
-            if state is not None and state[0] <= n:
-                k, prev, cur = state
-                run = all_steps[k:n]
+        prev, cur = 0.0, 1.0
         two_x = 2.0 * x
-        for two_k in run:
+        for two_k in steps:
             prev, cur = cur, two_x * cur - two_k * prev
-        if states is not None:
-            states[x] = (n, prev, cur)
         return cur, two_n * prev
 
     return kernel

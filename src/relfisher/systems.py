@@ -11,8 +11,10 @@ method checks a whole grid once, on its corner state.
 
 The unit-scale wavefunction evaluators live here with their families. Their
 normalizations are assembled in log space and exponentiated once, and their
-derivatives are analytic: nothing differentiates numerically. The three
-oscillator families share one evaluator, _radial_oscillator.
+derivatives are analytic: nothing differentiates numerically. Every
+Laguerre state shares one evaluator and its truncation guard,
+_radial_oscillator: the 1D oscillator (D = 1), the 3D oscillator and the
+pseudoharmonic potential (D = 3), and hydrogen position (D = 4).
 """
 from __future__ import annotations
 
@@ -53,8 +55,8 @@ _SQRT2 = math.sqrt(2.0)
 _LN_TINY = -700.0
 
 # The cutoff tests the envelope alone, while the polynomial grows as fast as
-# it falls, so at large degree the cutoff lands where f still lives. An
-# oscillator state is refused unless its log-envelope at the outer turning
+# it falls, so at large degree the cutoff lands where f still lives. A
+# Laguerre state is refused unless its log-envelope at the outer turning
 # point sits this far above _LN_TINY. The truncation error follows that
 # log-envelope: about 1e-12 at -647, 1e-10 at -655, 1e-8 at -662.
 _TAIL_MARGIN = 50.0
@@ -91,10 +93,11 @@ def _require_quantum_number(name: str, value: int, minimum: int = 0) -> None:
 
 
 def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], str]) -> Evaluator:
-    """A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2), normalized on the half line
-    with weight s^(2 alpha + 1 - 2 kappa): the 3D oscillator (kappa = l) and
-    pseudoharmonic potential (kappa = gamma_l) with alpha = kappa + 1/2, and
-    the 1D oscillator's n = 2 n_r + kappa with alpha = kappa - 1/2.
+    """The D-dimensional radial oscillator A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2),
+    alpha = kappa + D/2 - 1, normalized on the half line with weight s^(D-1):
+    the 1D oscillator's n = 2 n_r + kappa (D = 1), the 3D oscillator
+    (kappa = l) and pseudoharmonic potential (kappa = gamma_l) at D = 3, and
+    hydrogen position (kappa = 2l) at D = 4.
     RefusedStateError, naming the state as name(), if the cutoff would truncate it.
     """
     ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + alpha + 1.0))
@@ -130,24 +133,22 @@ def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], 
     return radial
 
 
-def _hydrogen_position(n: int, l: int) -> Evaluator:
-    """Radial hydrogen function at unit charge."""
-    ln_norm = math.log(2.0) - 2.0 * math.log(n) + 0.5 * (ln_gamma(n - l) - ln_gamma(n + l + 1.0))
-    laguerre = laguerre_kernel(n - l - 1, 2.0 * l + 1.0)
-    dxi_dr = 2.0 / n
+def _hydrogen_position(n: int, l: int, name: Callable[[], str]) -> Evaluator:
+    """Radial hydrogen function at unit charge: at xi = 2r/n = s^2 it is
+    sqrt(2)/n^2 times the D = 4 radial oscillator, kappa = 2l, alpha = 2l + 1."""
+    oscillator = _radial_oscillator(n - l - 1, 2.0 * l, 2.0 * l + 1.0, name)
+    root = math.sqrt(2.0 / n)
+    factor = _SQRT2 / (n * n)
+    # ds/dr = 1 / (n s)
+    slope_factor = factor / n
 
     def radial(r: float) -> tuple[float, float]:
         if not r > 0.0:
             raise ValueError(f"radial argument must be > 0, got {r!r}")
-        xi = 2.0 * r / n
-        ln_env = ln_norm - 0.5 * xi
-        if l:
-            ln_env += l * math.log(xi)
-        if ln_env < _LN_TINY:
-            return _ZERO
-        env = math.exp(ln_env)
-        lag, dlag = laguerre(xi)
-        return env * lag, dxi_dr * env * ((l / xi - 0.5) * lag + dlag)
+        # sqrt(r) first, so that s > 0 even where 2r/n underflows.
+        s = root * math.sqrt(r)
+        value, derivative = oscillator(s)
+        return factor * value, slope_factor * derivative / s
 
     return radial
 
@@ -488,7 +489,8 @@ class Hydrogenic(_Family):
         n, l = state.n, state.l
         if state.space == POSITION:
             # Circular reference sharing the target's length scale: r^l e^{-r/n}.
-            return _hydrogen_position(n, l), lambda r: l / r - 1.0 / n
+            wave = _hydrogen_position(n, l, lambda: self._name(state))
+            return wave, lambda r: l / r - 1.0 / n
 
         def momentum_log_derivative(p: float) -> float:
             t = n * p

@@ -34,9 +34,10 @@ def compile_state(state: QuantumState) -> Evaluator:
     for the 1D oscillator, and the radial function R(s) with dR/ds at s > 0
     otherwise (it raises ValueError for s <= 0); s is a radius in position
     space and a momentum magnitude in momentum space. Beyond the point where
-    the envelope drops under exp(-700) it returns exactly (0.0, 0.0). An
-    oscillator state (1D, 3D or pseudoharmonic) whose wavefunction would reach
-    that cutoff raises RefusedStateError, a ValueError, here.
+    the envelope drops under exp(-700) it returns exactly (0.0, 0.0). Every
+    state but hydrogen momentum is a Laguerre state, evaluated as the D = 1,
+    3 or 4 radial oscillator; one whose wavefunction would reach that cutoff
+    raises RefusedStateError, a ValueError, here.
     """
     return state.system.compile(state)
 

@@ -172,6 +172,20 @@ def test_compute_validate_writes_a_refused_state_as_a_row(capsys):
     assert all(row["ir_closed"] and not row["ir_numeric"] and not row["rel_diff"] for row in rows[2:])
 
 
+def test_compute_validate_refuses_hydrogen_position_past_the_guard(capsys):
+    # Hydrogen position shares the radial oscillators' guard: at l = 0 the
+    # last admitted state is n = 323. Without it, n = 324 and 325 converged
+    # to rel_diff 6e-9 and 1.7e-8, and the command exited 0.
+    code = run_cli(
+        ["compute", "--system", "hydrogen", "--n", "322..325", "--l", "0", "--space", "position", "--validate"]
+    )
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_VALIDATION
+    assert [row["status"] for row in rows] == ["ok", "ok", "refused", "refused"]
+    assert all(float(row["rel_diff"]) <= 1e-10 for row in rows[:2])
+    assert all(row["ir_closed"] and not row["ir_numeric"] and not row["rel_diff"] for row in rows[2:])
+
+
 def test_validate_counts_refused_rows(capsys, monkeypatch):
     real = relfisher.cli.numeric_ir
 

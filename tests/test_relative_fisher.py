@@ -619,15 +619,19 @@ def test_1d_oscillator_normalization_refuses_a_truncated_state():
         normalization_defect(state)
 
 
-# (state, n_r) -> state: the last state each family admits, and the next,
-# which it refuses. The guard does not depend on the space or the scale.
-# At the parent of the shared guard, qho3d n_r=332, l=0 converged to
-# rel_diff 7.4e-8 and CO n_r=310 to 1.0e-6; both are refused now.
+# (state, k) -> state, k being n_r or the hydrogen n: the last state each
+# Laguerre family admits, and the next, which it refuses. The guard does not
+# depend on the space or the scale. Before the guard covered them, these
+# converged silently wrong: qho3d n_r=332, l=0 to rel_diff 7.4e-8, CO
+# n_r=310 to 1.0e-6, hydrogen position n=326, l=0 to 4.5e-8 and n=332,
+# l=10 to 1.4e-8; all are refused now.
 _EDGES = [
     ("qho3d l=0", lambda n_r: QuantumState(Oscillator3D(omega=1.0), POSITION, n_r=n_r, l=0), 323, 332),
     ("qho3d l=10", lambda n_r: QuantumState(Oscillator3D(omega=1.0), POSITION, n_r=n_r, l=10), 322, None),
     ("php H2", lambda n_r: QuantumState(H2_PARAMS, POSITION, n_r=n_r, l=0), 320, None),
     ("php CO", lambda n_r: QuantumState(to_atomic_units(find_molecule("CO")), POSITION, n_r=n_r, l=0), 298, 310),
+    ("hydrogen l=0", lambda n: QuantumState(Hydrogenic(Z=1.0), POSITION, n=n, l=0), 323, 326),
+    ("hydrogen l=10", lambda n: QuantumState(Hydrogenic(Z=1.0), POSITION, n=n, l=10), 330, 332),
 ]
 
 
@@ -636,9 +640,11 @@ def test_radial_oscillators_converge_up_to_their_limit_and_refuse_beyond(make, l
     result = numeric_ir(make(last))
     assert result.quadrature.converged
     assert result.rel_diff <= 1e-10
-    for n_r in (last + 1, silent) if silent else (last + 1,):
-        with pytest.raises(RefusedStateError, match=f"n_r={n_r},.*limit -650"):
-            numeric_ir(make(n_r))
+    for k in (last + 1, silent) if silent else (last + 1,):
+        state = make(k)
+        label = re.escape(f" {state.system.label(state)} of ")
+        with pytest.raises(RefusedStateError, match=f"{label}.*limit -650"):
+            numeric_ir(state)
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])

@@ -146,6 +146,55 @@ def test_hydrogen_1s_is_textbook():
     assert derivative == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("r", [5e-324, 1e-320])
+@pytest.mark.parametrize("n,l", [(1, 0), (5, 0), (5, 4), (300, 1)])
+def test_hydrogen_position_at_a_subnormal_radius_is_its_limit(n, l, r):
+    # 2r/n underflows to 0 here, but s = sqrt(2/n) sqrt(r) does not; the
+    # s-state keeps its cusp R(0) = 2 n^(-3/2), dR/dr(0) = -R(0), and the
+    # others vanish as r^l.
+    value, derivative = compile_state(QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=n, l=l))(r)
+    assert math.isfinite(value) and math.isfinite(derivative)
+    if l:
+        assert value == 0.0
+    else:
+        assert value == pytest.approx(2.0 * n**-1.5, rel=1e-13)
+        assert derivative == pytest.approx(-value, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n,l", [(n, l) for n in (1, 2, 7, 40, 150, 323) for l in sorted({0, 1, n - 1}) if l < n]
+)
+def test_hydrogen_position_is_the_laguerre_function(n, l):
+    # R(r) = (2Z/n)^(3/2) sqrt((n-l-1)! / (2n (n+l)!)) xi^l e^(-xi/2)
+    # L_{n-l-1}^(2l+1)(xi), xi = 2Zr/n, although the evaluator goes through
+    # the D = 4 radial oscillator at s = sqrt(xi). The points span the
+    # classically allowed band [xi_-, xi_+].
+    mpmath = pytest.importorskip("mpmath")
+    Z = 1.5
+    wave = compile_state(QuantumState(system=Hydrogenic(Z=Z), space=POSITION, n=n, l=l))
+    root = 2.0 * math.sqrt(n * n - l * (l + 1))
+    inner, outer = 2.0 * n - root, 2.0 * n + root
+    with mpmath.workdps(60):
+        norm = (2 * mpmath.mpf(Z) / n) ** 1.5 * mpmath.sqrt(
+            mpmath.factorial(n - l - 1) / (2 * n * mpmath.factorial(n + l))
+        )
+        for fraction in (0.001, 0.02, 0.3, 0.55, 0.97):
+            xi = inner + fraction * (outer - inner)
+            r = xi * n / (2.0 * Z)
+            xi = mpmath.mpf(2 * Z) * r / n
+            envelope = norm * xi**l * mpmath.exp(-xi / 2)
+            laguerre = mpmath.laguerre(n - l - 1, 2 * l + 1, xi)
+            slope = -mpmath.laguerre(n - l - 2, 2 * l + 2, xi) if n - l - 1 else 0
+            growth = l / xi - mpmath.mpf(1) / 2
+            value, derivative = wave(r)
+            # Measured against the size of the terms at r, as near a node
+            # the value itself may cancel to nothing.
+            size = abs(envelope) * (abs(laguerre) + abs(slope) + abs(growth * laguerre))
+            assert abs(value - envelope * laguerre) <= 1e-11 * size, (n, l, fraction)
+            exact = 2 * Z / n * envelope * (growth * laguerre + slope)
+            assert abs(derivative - exact) <= 1e-11 * 2 * Z / n * size, (n, l, fraction)
+
+
 def test_hydrogen_2p_momentum_vanishes_at_origin():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
     wave = compile_state(state)
