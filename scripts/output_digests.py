@@ -52,19 +52,27 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(argv: list[str]) -> str:
-    """One output line for one command: exit code, hashes, files, command."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+def run(argv: list[str], src: str = SRC) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """Run one command against the src tree in an empty temporary directory:
+    its exit code, stdout, stderr, and the files it wrote there by name."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(
             [sys.executable, "-m", "relfisher.cli", *argv], cwd=cwd, env=env, capture_output=True
         )
-        files = []
+        files = {}
         for name in sorted(os.listdir(cwd)):
             with open(os.path.join(cwd, name), "rb") as handle:
-                files.append(f"{name}={_sha(handle.read())}")
-    parts = [f"exit={done.returncode}", f"stdout={_sha(done.stdout)}", f"stderr={_sha(done.stderr)}"]
-    return " ".join(parts + files + ["|", *argv])
+                files[name] = handle.read()
+    return done.returncode, done.stdout, done.stderr, files
+
+
+def digest(argv: list[str]) -> str:
+    """One output line for one command: exit code, hashes, files, command."""
+    code, stdout, stderr, files = run(argv)
+    parts = [f"exit={code}", f"stdout={_sha(stdout)}", f"stderr={_sha(stderr)}"]
+    parts += [f"{name}={_sha(data)}" for name, data in files.items()]
+    return " ".join(parts + ["|", *argv])
 
 
 def main() -> int:

@@ -14,7 +14,8 @@ Gauss rule (QUADPACK's dqk31), 31 integrand evaluations per panel. The
 integral starts on 7 equal panels in t and bisects every panel whose error
 estimate exceeds its share of the tolerance, for up to 20 rounds and up to
 10,000 panels. On the pseudoharmonic CO sweep n_r = 0..60 at rel_tol 1e-10
-this takes 79,081 evaluations in all.
+this takes 79,081 evaluations in all, in either space; on the default
+validate grid the pseudoharmonic cells take 28,768 in each space.
 """
 from __future__ import annotations
 
@@ -96,8 +97,9 @@ class NonConvergedError(RuntimeError):
 class QuadratureSpec:
     """Tolerance and scale configuration for one integration over (0, inf).
 
-    scale is the integrand's natural length: the transform places t = 1/2
-    at s = scale, so it should sit near where the integrand lives.
+    scale is a length of the integrand: the transform places t = 1/2 at
+    s = scale, so it should sit near where the integrand lives. The oracle
+    integrates a state's unit-scale f, and scale is then a length of f.
     """
 
     rel_tol: float = 1e-10

@@ -122,8 +122,8 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     The integrand is 4 s^2 (f' - f * ref_logderiv)^2 on (0, inf) for the
     unit-scale f of the state (see systems._Family), without the s^2 for the
     1D oscillator, whose |f| = sqrt(2) |psi| on the half line; the result is
-    multiplied by c^2. spec.scale is a length of the state, c * spec.scale of
-    f. Quadrature trouble is reported through result.quadrature.converged,
+    multiplied by c^2. spec.scale, a length of f, goes to integrate as it
+    is. Quadrature trouble is reported through result.quadrature.converged,
     not raised; a state with nodes that integrates to exactly 0 (every sample
     past the cutoff) is not converged. RefusedStateError if the evaluator's
     cutoff would truncate the state.
@@ -143,7 +143,7 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
 
     if spec is None:
         spec = default_quadrature_spec(target)
-    quad = integrate(integrand, replace(spec, scale=spec.scale * c))
+    quad = integrate(integrand, spec)
     if quad.value == 0.0 and target.radial_nodes:
         quad = replace(quad, converged=False)
     # Multiplied by c twice, not by c^2, which over- or underflows first.

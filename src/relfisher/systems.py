@@ -125,7 +125,12 @@ def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], 
             ln_env += kappa * math.log(s)
             slope = kappa / s - s
         if ln_env < _LN_TINY:
-            return _ZERO
+            # The value is cut; the derivative only where env/s is cut too,
+            # as near the origin f ~ A s^kappa keeps its slope at kappa = 1.
+            if s >= 1.0 or ln_env - math.log(s) < _LN_TINY:
+                return _ZERO
+            lag, dlag = laguerre(u)
+            return 0.0, math.exp(ln_env - math.log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
         env = math.exp(ln_env)
         lag, dlag = laguerre(u)
         return env * lag, env * (slope * lag + 2.0 * s * dlag)
@@ -188,7 +193,12 @@ def _hydrogen_momentum(n: int, l: int) -> Evaluator:
         if l:
             ln_env += l * math.log(t)
         if ln_env < _LN_TINY:
-            return _ZERO
+            # As in _radial_oscillator, f ~ A t^l keeps its slope at l = 1.
+            if t >= 1.0 or ln_env - math.log(t) < _LN_TINY:
+                return _ZERO
+            geg, dgeg = gegenbauer(q)
+            over = math.exp(ln_env - math.log(t))
+            return 0.0, n * over * ((l - t * rational_decay) * geg + t * dgeg * dq_dt)
         env = math.exp(ln_env)
         geg, dgeg = gegenbauer(q)
         power_growth = l / t if l else 0.0
@@ -230,7 +240,8 @@ class _Family:
     radial_nodes(state)     interior nodes of the radial (or full-line) function
     reference(state)        the node-less state of the same system, space and l
     label(state)            the quantum numbers as text, for example "n=3,l=1"
-    scale(state)            (c, characteristic length of |f|^2)
+    scale(state)            (c, the unit length): the unit length is where
+                            |f|^2 lives, and the oracle's quadrature scale
     unit(state)             (f as an Evaluator, d/du log(reference f)); the
                             log-derivative is coded in closed form, apart
                             from f and closed_form, so the oracle stays an
@@ -260,11 +271,6 @@ class _Family:
 
     def _name(self, state: QuantumState) -> str:
         return f"{self.name} {state.space} {self.label(state)} of {self!r}"
-
-    def natural_scale(self, state: QuantumState) -> float:
-        """Characteristic length of the state's density."""
-        c, length = self.scale(state)
-        return length / c
 
     def grid(self, spaces: Sequence[str], **ranges: range) -> Iterator[QuantumState]:
         """The states of this system over a grid of quantum numbers, checked once.
@@ -380,10 +386,13 @@ class _RadialOscillator(_Family):
     """States (n_r, l) of the radial family A s^kappa exp(-b s^2/2) L_{n_r}^{kappa+1/2}(b s^2).
 
     A subclass supplies _kappa_b(state), the exponent kappa and the width b of
-    the state's space; the length scale is sqrt(b).
+    the state's space, and _unit_length; the length scale is sqrt(b). f and
+    the unit length do not depend on the space, so both spaces integrate the
+    same unit-scale integral.
     """
 
     number_fields = ("n_r", "l")
+    _unit_length = 1.0
 
     def check(self, state: QuantumState) -> None:
         if state.n_r is None or state.l is None or state.n is not None:
@@ -399,6 +408,9 @@ class _RadialOscillator(_Family):
 
     def label(self, state: QuantumState) -> str:
         return f"n_r={state.n_r},l={state.l}"
+
+    def scale(self, state: QuantumState) -> tuple[float, float]:
+        return math.sqrt(self._kappa_b(state)[1]), self._unit_length
 
     def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
         kappa, _ = self._kappa_b(state)
@@ -420,9 +432,6 @@ class Oscillator3D(_RadialOscillator):
     def _kappa_b(self, state: QuantumState) -> tuple[float, float]:
         b = self.omega if state.space == POSITION else 1.0 / self.omega
         return float(state.l), b
-
-    def scale(self, state: QuantumState) -> tuple[float, float]:
-        return math.sqrt(self._kappa_b(state)[1]), 1.0
 
     def closed_form(self, state: QuantumState) -> float:
         if not state.n_r:
@@ -530,6 +539,8 @@ class Pseudoharmonic(_RadialOscillator):
     re: float
 
     name = "php"
+    # In both spaces; it places the position nodes at the length 1/sqrt(lambda).
+    _unit_length = _SQRT2
 
     def __post_init__(self) -> None:
         _require_positive("mu", self.mu)
@@ -540,12 +551,6 @@ class Pseudoharmonic(_RadialOscillator):
         derived = php_derived(self, state.l)
         b = 2.0 * derived.lam if state.space == POSITION else 0.5 / derived.lam
         return derived.gamma_l, b
-
-    def scale(self, state: QuantumState) -> tuple[float, float]:
-        # The unit length sqrt(b/lambda) keeps the quadrature's nodes where
-        # the length 1/sqrt(lambda) (sqrt(lambda) in momentum space) put them.
-        b = self._kappa_b(state)[1]
-        return math.sqrt(b), _SQRT2 if state.space == POSITION else 1.0 / _SQRT2
 
     def closed_form(self, state: QuantumState) -> float:
         lam = php_derived(self, state.l).lam

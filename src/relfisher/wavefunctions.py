@@ -9,8 +9,6 @@ work and returns a plain (value, derivative) tuple.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .quadrature import NonConvergedError, QuadratureSpec, integrate
 from .systems import Evaluator, QuantumState
 
@@ -21,7 +19,6 @@ from .systems import php_derived  # noqa: F401
 
 __all__ = [
     "compile_state",
-    "natural_scale",
     "default_quadrature_spec",
     "normalization_defect",
 ]
@@ -33,11 +30,12 @@ def compile_state(state: QuantumState) -> Evaluator:
     The closure evaluates the normalized wavefunction psi(x) on the full line
     for the 1D oscillator, and the radial function R(s) with dR/ds at s > 0
     otherwise (it raises ValueError for s <= 0); s is a radius in position
-    space and a momentum magnitude in momentum space. Beyond the point where
-    the envelope drops under exp(-700) it returns exactly (0.0, 0.0). Every
-    state but hydrogen momentum is a Laguerre state, evaluated as the D = 1,
-    3 or 4 radial oscillator; one whose wavefunction would reach that cutoff
-    raises RefusedStateError, a ValueError, here.
+    space and a momentum magnitude in momentum space. Where the envelope
+    drops under exp(-700) the value is exactly 0.0, and so is the derivative
+    except near the origin, where a state that vanishes linearly keeps its
+    slope. Every state but hydrogen momentum is a Laguerre state, evaluated
+    as the D = 1, 3 or 4 radial oscillator; one whose wavefunction would
+    reach that cutoff raises RefusedStateError, a ValueError, here.
     """
     return state.system.compile(state)
 
@@ -49,14 +47,10 @@ def evaluate(state: QuantumState, s: float) -> tuple[float, float]:
     return compile_state(state)(s)
 
 
-def natural_scale(state: QuantumState) -> float:
-    """Characteristic length of the state's density, used as quadrature scale."""
-    return state.system.natural_scale(state)
-
-
 def default_quadrature_spec(state: QuantumState, rel_tol: float = 1e-10) -> QuadratureSpec:
-    """Quadrature configuration adapted to one state's scale."""
-    return QuadratureSpec(rel_tol=rel_tol, scale=natural_scale(state))
+    """Quadrature configuration for the state's unit-scale f: its scale is
+    the unit length of state.system.scale(state)."""
+    return QuadratureSpec(rel_tol=rel_tol, scale=state.system.scale(state)[1])
 
 
 def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None) -> float:
@@ -64,14 +58,12 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
 
     The density is that of the unit-scale f on the half line, as in
     numeric_ir: s^2 f(s)^2 for radial systems, and f(x)^2 = 2 psi^2 for the
-    1D oscillator, whose psi^2 is even.
+    1D oscillator, whose psi^2 is even; spec.scale is a length of f.
     Raises NonConvergedError if the quadrature does not reach its tolerance.
     """
     if spec is None:
         spec = default_quadrature_spec(state)
-    c, _ = state.system.scale(state)
     wave, _ = state.system.unit(state)
-    spec = replace(spec, scale=spec.scale * c)
     radial = state.system.radial
 
     def density(s: float) -> float:

@@ -898,3 +898,39 @@ def test_output_digests_hashes_what_each_command_writes(tmp_path, monkeypatch, c
         f"exit=0 stdout={sha(captured.out)} stderr={sha(captured.err)} table1.json={table} "
         f"| {' '.join(reproduce)}"
     )
+
+
+def test_output_moves_sees_no_move_between_a_tree_and_itself(monkeypatch, capsys):
+    moves = _load_script("output_moves")
+    validate = ["validate", "--system", "qho3d", "--nr-max", "2", "--l-max", "1"]
+    monkeypatch.setattr(moves.output_digests, "COMMANDS", [validate])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    assert moves.main([src, src]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"exit=0/0 identical=yes rows=12 ir_closed=0 status=0 rel_diff_move=0.00e+00 | {' '.join(validate)}\n"
+    )
+    assert captured.err == "commands=1 changed=0 failed=0\n"
+
+
+def test_output_moves_fails_on_a_moved_status(monkeypatch, capsys):
+    moves = _load_script("output_moves")
+    validate = ["validate", "--system", "qho3d", "--nr-max", "1", "--l-max", "0"]
+    monkeypatch.setattr(moves.output_digests, "COMMANDS", [validate])
+    run = moves.output_digests.run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run_in(argv, tree):
+        code, stdout, stderr, files = run(argv, src)
+        if tree == "new":
+            stdout = stdout.replace(b"ok", b"quadrature_failed")
+        return code, stdout, stderr, files
+
+    monkeypatch.setattr(moves.output_digests, "run", run_in)
+    assert moves.main(["old", "new"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "exit=0/0 identical=no rows=4 ir_closed=0 status=2 rel_diff_move=0.00e+00 "
+        f"FAIL: ir_closed or status differs | {' '.join(validate)}\n"
+    )
+    assert captured.err == "commands=1 changed=1 failed=1\n"

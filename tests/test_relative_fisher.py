@@ -530,7 +530,7 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
     # own nodes: numeric_ir's unit-scale integral times c^2 must agree.
     state = replace(make(scale), space=space)
     wave = compile_state(state)
-    c, _ = state.system.scale(state)
+    c, length = state.system.scale(state)
     _, unit_log_derivative = state.system.unit(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 8.0)
 
@@ -539,10 +539,81 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
         difference = derivative - value * c * unit_log_derivative(c * s)
         return weight(s) * difference * difference
 
-    direct = integrate(integrand, default_quadrature_spec(state, rel_tol=1e-12))
+    direct = integrate(integrand, replace(default_quadrature_spec(state, rel_tol=1e-12), scale=length / c))
     result = numeric_ir(state, default_quadrature_spec(state, rel_tol=1e-12))
     assert direct.converged and result.quadrature.converged
     assert result.numeric == pytest.approx(direct.value, rel=1e-12, abs=0.0)
+
+
+def _quadratures(make):
+    """numeric_ir's unit-scale quadrature of make(space) in each space."""
+    return [numeric_ir(make(space)).quadrature for space in (POSITION, MOMENTUM)]
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 3.7, 1e-3, 1e10])
+def test_oscillator_spaces_integrate_one_unit_scale_integral(omega):
+    # f, the reference log-derivative and the unit length do not depend on
+    # the space, so both spaces sample one integrand at the same nodes.
+    for n in (0, 1, 2, 3, 4, 5, 10, 11, 30, 31, 100, 101):
+        position, momentum = _quadratures(lambda space: QuantumState(Oscillator1D(omega), space, n=n))
+        assert position == momentum, n
+    for n_r, l in ((0, 0), (1, 0), (2, 1), (5, 3), (10, 7)):
+        position, momentum = _quadratures(
+            lambda space: QuantumState(Oscillator3D(omega), space, n_r=n_r, l=l)
+        )
+        assert position == momentum, (n_r, l)
+
+
+@pytest.mark.parametrize("record", registry(), ids=lambda record: record.name)
+def test_pseudoharmonic_spaces_integrate_one_unit_scale_integral(record):
+    params = to_atomic_units(record)
+    for n_r, l in ((0, 0), (1, 0), (2, 1), (3, 4), (8, 2)):
+        position, momentum = _quadratures(lambda space: QuantumState(params, space, n_r=n_r, l=l))
+        assert position == momentum, (n_r, l)
+
+
+_UNIT_SCALE_CASES = [
+    # The D-dimensional radial oscillator f against its node-less reference
+    # at the same kappa: 4 Int s^(D-1) (f' - f (kappa/s - s))^2 ds = 16 n_r
+    # at every kappa.
+    *(
+        (QuantumState(Oscillator3D(omega), space, n_r=n_r, l=l), 16 * n_r)
+        for omega in (1e-3, 1.0, 1e10)
+        for n_r in (1, 3, 12)
+        for l in (0, 1, 4, 11)
+        for space in (POSITION, MOMENTUM)
+    ),
+    # gamma_l is not an integer: 0.31 (l = 0) and 3.06 (l = 3) for the first system.
+    *(
+        (QuantumState(params, space, n_r=n_r, l=l), 16 * n_r)
+        for params in (Pseudoharmonic(mu=2.0, De=0.1, re=1.0), H2_PARAMS)
+        for n_r in (1, 3, 12)
+        for l in (0, 3)
+        for space in (POSITION, MOMENTUM)
+    ),
+    # Against the n = 0 Gaussian: 8 n.
+    *(
+        (QuantumState(Oscillator1D(omega), space, n=n), 8 * n)
+        for omega in (1e-3, 1.0, 1e10)
+        for n in (1, 2, 5, 30, 101)
+        for space in (POSITION, MOMENTUM)
+    ),
+    # Hydrogen position at unit charge: 8 n_r / n^3.
+    *(
+        (_hydrogen(n, l, POSITION, Z=Z), 8 * (n - l - 1) / n**3)
+        for Z in (0.5, 7.0)
+        for n, l in ((2, 0), (5, 1), (12, 4))
+    ),
+]
+
+
+@pytest.mark.parametrize("state,expected", _UNIT_SCALE_CASES, ids=str)
+def test_unit_scale_integral_is_parameter_free(state, expected):
+    # The unit-scale integral itself, apart from the closed forms, which
+    # multiply it by c^2.
+    quadrature = numeric_ir(state).quadrature
+    assert quadrature.converged
+    assert quadrature.value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
@@ -574,14 +645,14 @@ def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
     # half-line f, |f| = sqrt(2)|psi|, at unit scale instead, and must agree.
     state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
     wave = compile_state(state)
-    c, _ = state.system.scale(state)
+    c, length = state.system.scale(state)
 
     def integrand(x):
         value, derivative = wave(x)
         difference = derivative + value * c * (c * x)
         return 4.0 * difference * difference
 
-    spec = replace(default_quadrature_spec(state, rel_tol=1e-12), abs_tol=1e-14 * c * c)
+    spec = replace(default_quadrature_spec(state, rel_tol=1e-12), abs_tol=1e-14 * c * c, scale=length / c)
     positive = integrate(integrand, spec)
     negative = integrate(lambda s: integrand(-s), spec)
     assert negative == positive

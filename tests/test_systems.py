@@ -24,7 +24,7 @@ from relfisher.systems import (
     php_derived,
     reference_state,
 )
-from relfisher.wavefunctions import compile_state, default_quadrature_spec, natural_scale
+from relfisher.wavefunctions import compile_state, default_quadrature_spec
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0, float("nan"), float("inf"), True])
@@ -176,10 +176,11 @@ def test_family_conformance(family, space):
     assert closed_form_ir(ref) == 0.0
     assert closed_form_ir(state) > 0.0
 
-    scale = natural_scale(state)
+    c, length = state.system.scale(state)
+    scale = length / c
     assert math.isfinite(scale) and scale > 0.0
     spec = default_quadrature_spec(state)
-    assert spec.scale == scale
+    assert spec.scale == length
     assert family.radial == (family is not Oscillator1D)
     value, derivative = compile_state(state)(scale)
     assert math.isfinite(value) and math.isfinite(derivative) and value != 0.0

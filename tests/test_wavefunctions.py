@@ -7,6 +7,7 @@ in a line or two.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,11 +28,16 @@ from relfisher.wavefunctions import (
     compile_state,
     default_quadrature_spec,
     evaluate,
-    natural_scale,
     normalization_defect,
 )
 
 H2_PARAMS = Pseudoharmonic(mu=918.5724999, De=0.171535509264, re=1.401413504256)
+
+
+def _length(state):
+    """A length of the state's own density: the unit length over c."""
+    c, length = state.system.scale(state)
+    return length / c
 
 
 def test_1d_ground_state_at_special_frequency():
@@ -77,7 +83,7 @@ def test_1d_oscillator_is_exactly_parity_symmetric(omega, space):
     # n = 20 the Laguerre kernels of both parities continue the states
     # stored at each point.
     system = Oscillator1D(omega=omega)
-    scale = natural_scale(QuantumState(system=system, space=space, n=0))
+    scale = _length(QuantumState(system=system, space=space, n=0))
     points = [scale * u for u in (0.03, 0.4, 1.0, 2.5, 7.0, 13.0, 19.0, 30.0, 36.0)]
     # The guard admits n <= 651 at every omega: the unit-scale state does
     # not depend on it.
@@ -161,6 +167,58 @@ def test_hydrogen_position_at_a_subnormal_radius_is_its_limit(n, l, r):
         assert derivative == pytest.approx(-value, rel=1e-13)
 
 
+def _slope_at_the_origin(state, mpmath):
+    """The exact first derivative at 0 of a state that vanishes there
+    linearly, at unit omega or Z."""
+    n, n_r = state.n, state.n_r
+    if isinstance(state.system, Oscillator1D):
+        # psi_n'(0) = c (2^n n! sqrt(pi))^(-1/2) sqrt(c) 2n H_{n-1}(0)
+        c = mpmath.mpf(state.system.scale(state)[0])
+        norm = mpmath.sqrt(c) / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+        return c * norm * 2 * n * mpmath.hermite(n - 1, 0)
+    if isinstance(state.system, Oscillator3D):
+        # A L_{n_r}^(3/2)(0) at l = 1, A = sqrt(2 n_r! / Gamma(n_r + 5/2))
+        return mpmath.sqrt(2 * mpmath.factorial(n_r) / mpmath.gamma(n_r + 2.5)) * mpmath.laguerre(n_r, 1.5, 0)
+    if state.space == POSITION:
+        # (2/n)^(5/2) sqrt((n-2)! / (2n (n+1)!)) L_{n-2}^(3)(0) at l = 1
+        return (mpmath.mpf(2) / n) ** 2.5 * mpmath.sqrt(
+            mpmath.factorial(n - 2) / (2 * n * mpmath.factorial(n + 1))
+        ) * mpmath.laguerre(n - 2, 3, 0)
+    # n^2 2^4 sqrt(2/pi (n-2)!/(n+1)!) n C_{n-2}^(2)(-1) at l = 1
+    return n**2 * 16 * mpmath.sqrt(
+        2 / mpmath.pi * mpmath.factorial(n - 2) / mpmath.factorial(n + 1)
+    ) * n * mpmath.gegenbauer(n - 2, 2, -1)
+
+
+@pytest.mark.parametrize("point", [1e-280, 1e-300, 1e-310, 5e-324])
+@pytest.mark.parametrize(
+    "state",
+    [
+        QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=1),
+        QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=3),
+        QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=651),
+        QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=0, l=1),
+        QuantumState(system=Oscillator3D(omega=1.0), space=MOMENTUM, n_r=3, l=1),
+        QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=2, l=1),
+        QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=300, l=1),
+        QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1),
+        QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=300, l=1),
+    ],
+    ids=lambda state: f"{state.system.name}-{state.space}-{state.system.label(state)}",
+)
+def test_a_slope_at_the_origin_survives_the_cutoff(state, point):
+    # These states vanish linearly at 0. Below some point the envelope is
+    # under exp(-700) and the value is cut to 0, but the slope is not small.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(_slope_at_the_origin(state, mpmath))
+    value, derivative = compile_state(state)(point)
+    assert derivative == pytest.approx(exact, rel=1e-11)
+    assert abs(value) <= 2.0 * abs(exact) * point
+    if isinstance(state.system, Oscillator1D):
+        assert derivative == pytest.approx(compile_state(state)(0.0)[1], rel=1e-11)
+
+
 @pytest.mark.parametrize(
     "n,l", [(n, l) for n in (1, 2, 7, 40, 150, 323) for l in sorted({0, 1, n - 1}) if l < n]
 )
@@ -214,25 +272,37 @@ def test_radial_rejects_nonpositive_argument():
         wave(-0.5)
 
 
-def test_natural_scale_conventions():
+def test_scale_and_quadrature_spec_conventions():
+    # scale() is (c, unit length), and the quadrature runs at the unit length.
     hyd = Hydrogenic(Z=2.0)
-    assert natural_scale(QuantumState(system=hyd, space=POSITION, n=4, l=0)) == 2.0
-    assert natural_scale(QuantumState(system=hyd, space=MOMENTUM, n=4, l=0)) == 0.5
     osc = Oscillator3D(omega=4.0)
-    assert natural_scale(QuantumState(system=osc, space=POSITION, n_r=1, l=0)) == 0.5
-    assert natural_scale(QuantumState(system=osc, space=MOMENTUM, n_r=1, l=0)) == 2.0
-    php = QuantumState(system=H2_PARAMS, space=POSITION, n_r=0, l=0)
+    cases = [
+        (QuantumState(system=hyd, space=POSITION, n=4, l=0), (2.0, 4.0), 2.0),
+        (QuantumState(system=hyd, space=MOMENTUM, n=4, l=0), (0.5, 0.25), 0.5),
+        (QuantumState(system=osc, space=POSITION, n_r=1, l=0), (2.0, 1.0), 0.5),
+        (QuantumState(system=osc, space=MOMENTUM, n_r=1, l=0), (0.5, 1.0), 2.0),
+    ]
+    for state, scale, length in cases:
+        assert state.system.scale(state) == scale
+        assert _length(state) == length
+        assert default_quadrature_spec(state).scale == scale[1]
+    # php has the one unit length sqrt(2) in both spaces.
     lam = php_derived(H2_PARAMS, 0).lam
-    assert natural_scale(php) == pytest.approx(1.0 / math.sqrt(lam), rel=1e-15)
+    for space, c in ((POSITION, math.sqrt(2.0 * lam)), (MOMENTUM, math.sqrt(0.5 / lam))):
+        php = QuantumState(system=H2_PARAMS, space=space, n_r=0, l=0)
+        assert php.system.scale(php) == (pytest.approx(c, rel=1e-15), math.sqrt(2.0))
+        assert default_quadrature_spec(php).scale == math.sqrt(2.0)
+    php = QuantumState(system=H2_PARAMS, space=POSITION, n_r=0, l=0)
+    assert _length(php) == pytest.approx(1.0 / math.sqrt(lam), rel=1e-15)
 
 
 def test_default_quadrature_spec_domains():
     one_d = QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=0)
     radial = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
     assert not one_d.system.radial and radial.system.radial
-    assert default_quadrature_spec(one_d).scale == natural_scale(one_d)
+    assert default_quadrature_spec(one_d).scale == one_d.system.scale(one_d)[1]
     assert default_quadrature_spec(radial, rel_tol=1e-8).rel_tol == 1e-8
-    assert default_quadrature_spec(radial).scale == natural_scale(radial)
+    assert default_quadrature_spec(radial).scale == radial.system.scale(radial)[1]
 
 
 NORMALIZATION_GRID = []
@@ -298,7 +368,7 @@ def test_normalization_defect_raises_when_its_quadrature_does_not_converge(monke
     # Seven panels and no refinement cannot reach a 1e-15 tolerance.
     monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 0)
     state = QuantumState(system=Hydrogenic(Z=1.0), space=POSITION, n=8, l=0)
-    spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, scale=natural_scale(state))
+    spec = replace(default_quadrature_spec(state), rel_tol=1e-15, abs_tol=1e-300)
     with pytest.raises(NonConvergedError, match="normalization quadrature did not converge"):
         normalization_defect(state, spec)
 
@@ -333,7 +403,7 @@ FD_STATES = [
 @pytest.mark.parametrize("state,lo,hi", FD_STATES, ids=lambda v: str(v)[:40])
 def test_analytic_derivative_matches_finite_difference(state, lo, hi):
     rng = random.Random(20260819)
-    scale = natural_scale(state)
+    scale = _length(state)
     step = 1e-6 * scale
     wave = compile_state(state)
     for _ in range(20):
@@ -382,11 +452,9 @@ def _count_sign_changes(state, s_max, points=4000):
 
 @pytest.mark.parametrize("state,expected", NODE_CASES, ids=lambda v: str(v)[:40])
 def test_interior_node_count(state, expected):
-    scale = natural_scale(state)
+    scale = _length(state)
     if isinstance(state.system, Hydrogenic):
         s_max = scale * (2 * state.n + 10)
-    elif isinstance(state.system, Pseudoharmonic) and state.space == MOMENTUM:
-        s_max = 16.0 * scale
     else:
         s_max = 12.0 * scale
     assert _count_sign_changes(state, s_max) == expected
@@ -457,7 +525,7 @@ def test_compiled_state_is_exactly_zero_far_in_the_tail(state):
     # the envelope is far below exp(-700) here; the hydrogen momentum
     # density decays only as a power of p, so its tail starts much further out
     power_law = isinstance(state.system, Hydrogenic) and state.space == MOMENTUM
-    far = (1e100 if power_law else 1e3) * natural_scale(state)
+    far = (1e100 if power_law else 1e3) * _length(state)
     assert compile_state(state)(far) == (0.0, 0.0)
     if isinstance(state.system, Oscillator1D):
         assert compile_state(state)(-far) == (0.0, 0.0)
@@ -467,7 +535,7 @@ def test_compiled_state_is_exactly_zero_far_in_the_tail(state):
 def test_evaluate_matches_compiled_state_bit_for_bit(state):
     # evaluate is kept only as a name the benchmark hooks.
     wave = compile_state(state)
-    scale = natural_scale(state)
+    scale = _length(state)
     for k in range(1, 40):
         s = 0.2 * k * scale
         sample = evaluate(state, s)
