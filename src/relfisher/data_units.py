@@ -122,7 +122,7 @@ def parse_molecule_file(path: str) -> list[MoleculeRecord]:
     no thousands separators.
     """
     records: list[MoleculeRecord] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

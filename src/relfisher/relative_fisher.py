@@ -123,10 +123,11 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     unit-scale f of the state (see systems._Family), without the s^2 for the
     1D oscillator, whose |f| = sqrt(2) |psi| on the half line; the result is
     multiplied by c^2. spec.scale, a length of f, goes to integrate as it
-    is. Quadrature trouble is reported through result.quadrature.converged,
-    not raised; a state with nodes that integrates to exactly 0 (every sample
-    past the cutoff) is not converged. RefusedStateError if the evaluator's
-    cutoff would truncate the state.
+    is. The reference is reference_state's shape at the target's own scale
+    (see there). Quadrature trouble is reported through
+    result.quadrature.converged, not raised; a state with nodes that
+    integrates to exactly 0 (every sample past the cutoff) is not converged.
+    RefusedStateError if the evaluator cannot represent the state.
     """
     reference = reference_state(target)
     if reference.radial_nodes != 0:

@@ -75,7 +75,9 @@ class UnsupportedSystemError(ValueError):
 
 
 class RefusedStateError(ValueError):
-    """The evaluator's cutoff would truncate this state's wavefunction."""
+    """The evaluator's cutoff would truncate this state's wavefunction (a
+    Laguerre state, at compile time), or its Gegenbauer factor overflows (a
+    hydrogen momentum state, at the first point where it does)."""
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -158,10 +160,12 @@ def _hydrogen_position(n: int, l: int, name: Callable[[], str]) -> Evaluator:
     return radial
 
 
-def _hydrogen_momentum(n: int, l: int) -> Evaluator:
-    """Momentum-space radial hydrogen function at unit charge."""
-    # Evaluated through t = n p and q = (t^2-1)/(t^2+1); the t > 1 branch
-    # works in 1/t^2 so t^2 never overflows and q stays fully accurate.
+def _hydrogen_momentum(n: int, l: int, name: Callable[[], str]) -> Evaluator:
+    """Momentum-space radial hydrogen function at unit charge, in t = n p,
+    v = 1/(1+t^2) and q = (t^2-1) v; past t ~ 1.3e154, t*t is inf, v = 0 and
+    the cutoff returns zeros. RefusedStateError, naming the state as name(),
+    at the first point whose value or derivative is not finite: no bound on
+    the Gegenbauer factor tells the states where it overflows from the rest."""
     ln_norm = (
         2.0 * math.log(n)
         + (2.0 * l + 2.0) * math.log(2.0)
@@ -176,20 +180,12 @@ def _hydrogen_momentum(n: int, l: int) -> Evaluator:
         if not p > 0.0:
             raise ValueError(f"radial argument must be > 0, got {p!r}")
         t = n * p
-        if t <= 1.0:
-            t2p1 = t * t + 1.0
-            q = (t * t - 1.0) / t2p1
-            ln_t2p1 = math.log1p(t * t)
-            dq_dt = 4.0 * t / (t2p1 * t2p1)
-            rational_decay = two_decay_power * t / t2p1
-        else:
-            inv = 1.0 / (t * t)
-            one_plus = 1.0 + inv
-            q = (1.0 - inv) / one_plus
-            ln_t2p1 = 2.0 * math.log(t) + math.log1p(inv)
-            dq_dt = 4.0 / (t * t * t * one_plus * one_plus)
-            rational_decay = two_decay_power / (t * one_plus)
-        ln_env = ln_norm - decay_power * ln_t2p1
+        v = 1.0 / (1.0 + t * t)
+        q = (t * t - 1.0) * v
+        dq_dt = 4.0 * t * v * v
+        # d/dt log(1+t^2)^(l+2), rounded as the reference log-derivative rounds it.
+        rational_decay = two_decay_power * t * v
+        ln_env = ln_norm - decay_power * math.log1p(t * t)
         if l:
             ln_env += l * math.log(t)
         if ln_env < _LN_TINY:
@@ -198,12 +194,14 @@ def _hydrogen_momentum(n: int, l: int) -> Evaluator:
                 return _ZERO
             geg, dgeg = gegenbauer(q)
             over = math.exp(ln_env - math.log(t))
-            return 0.0, n * over * ((l - t * rational_decay) * geg + t * dgeg * dq_dt)
-        env = math.exp(ln_env)
-        geg, dgeg = gegenbauer(q)
-        power_growth = l / t if l else 0.0
-        d_dt = env * ((power_growth - rational_decay) * geg + dgeg * dq_dt)
-        return env * geg, n * d_dt
+            value, derivative = 0.0, n * over * ((l - t * rational_decay) * geg + t * dgeg * dq_dt)
+        else:
+            env = math.exp(ln_env)
+            geg, dgeg = gegenbauer(q)
+            value, derivative = env * geg, n * (env * ((l / t - rational_decay) * geg + dgeg * dq_dt))
+        if math.isfinite(value) and math.isfinite(derivative):
+            return value, derivative
+        raise RefusedStateError(f"{name()} is out of the evaluator's range: its Gegenbauer factor overflows at p = {p!r}")
 
     return radial
 
@@ -502,15 +500,11 @@ class Hydrogenic(_Family):
             return wave, lambda r: l / r - 1.0 / n
 
         def momentum_log_derivative(p: float) -> float:
+            # t^l / (1+t^2)^(l+2) at t = n p, its decay rounded as the evaluator's 2(l+2) t v.
             t = n * p
-            if t <= 1.0:
-                decay = 2.0 * (l + 2.0) * t / (t * t + 1.0)
-            else:
-                decay = 2.0 * (l + 2.0) / (t * (1.0 + 1.0 / (t * t)))
-            growth = l / t if l else 0.0
-            return n * (growth - decay)
+            return n * (l / t - (2.0 * (l + 2.0) * t) * (1.0 / (1.0 + t * t)))
 
-        return _hydrogen_momentum(n, l), momentum_log_derivative
+        return _hydrogen_momentum(n, l, lambda: self._name(state)), momentum_log_derivative
 
     def closed_form(self, state: QuantumState) -> float:
         n, l, Z = state.n, state.l, self.Z
@@ -639,6 +633,9 @@ def reference_state(target: QuantumState) -> QuantumState:
     1D oscillator: the n = 0 state. Radial oscillators and the pseudoharmonic
     potential: n_r = 0 at the target's l. Hydrogen-like: the circular state
     n = l + 1 at the target's l. Idempotent by construction.
+    For hydrogen the oracle's reference is this shape at the target's own
+    scale, not this state: at unit charge r^l e^(-r/n), and t^l/(1+t^2)^(l+2)
+    with t = n p; the Laguerre references already share the target's scale.
     """
     return target.system.reference(target)
 

@@ -35,7 +35,8 @@ def compile_state(state: QuantumState) -> Evaluator:
     except near the origin, where a state that vanishes linearly keeps its
     slope. Every state but hydrogen momentum is a Laguerre state, evaluated
     as the D = 1, 3 or 4 radial oscillator; one whose wavefunction would
-    reach that cutoff raises RefusedStateError, a ValueError, here.
+    reach that cutoff raises RefusedStateError, a ValueError, here; a
+    hydrogen momentum state raises it at the first point where it overflows.
     """
     return state.system.compile(state)
 

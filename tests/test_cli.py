@@ -23,7 +23,13 @@ import relfisher.cli
 import relfisher.relative_fisher
 import relfisher.specfun
 from relfisher.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from relfisher.data_units import find_molecule, parse_molecule_file, registry, to_atomic_units
+from relfisher.data_units import (
+    MoleculeRecord,
+    find_molecule,
+    parse_molecule_file,
+    registry,
+    to_atomic_units,
+)
 from relfisher.relative_fisher import closed_form_ir
 from relfisher.systems import (
     MOMENTUM,
@@ -184,6 +190,20 @@ def test_compute_validate_refuses_hydrogen_position_past_the_guard(capsys):
     assert [row["status"] for row in rows] == ["ok", "ok", "refused", "refused"]
     assert all(float(row["rel_diff"]) <= 1e-10 for row in rows[:2])
     assert all(row["ir_closed"] and not row["ir_numeric"] and not row["rel_diff"] for row in rows[2:])
+
+
+def test_compute_validate_refuses_hydrogen_momentum_where_it_overflows(capsys):
+    # The Gegenbauer factor of n = 1000, l = 190 overflows inside the
+    # envelope; the command used to stop with a usage error (exit 2).
+    code = run_cli(
+        ["compute", "--system", "hydrogen", "--n", "1000", "--l", "190", "--space", "momentum", "--validate"]
+    )
+    captured = capsys.readouterr()
+    rows = parse_csv(captured.out)
+    assert code == EXIT_VALIDATION
+    assert [row["status"] for row in rows] == ["refused"]
+    assert rows[0]["ir_closed"] and not rows[0]["ir_numeric"] and not rows[0]["rel_diff"]
+    assert captured.err == ""
 
 
 def test_validate_counts_refused_rows(capsys, monkeypatch):
@@ -608,6 +628,50 @@ def test_a_molecule_file_record_replaces_its_registry_molecule_in_a_sweep(tmp_pa
     )
     assert co[1]["ir_closed"] == format(closed_form_ir(state), ".12g")
     assert co[1]["ir_closed"] != format(closed_form_ir(registry_state), ".12g")
+
+
+# A file saved with a UTF-8 byte-order mark, as some editors write CSV.
+_BOM = "\ufeff"
+
+
+def test_a_molecule_file_with_a_byte_order_mark_names_its_first_molecule(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_text(f"{_BOM}XY, test state, 1.5, 0.2, 1.4, local\n", encoding="utf-8")
+    code = run_cli(
+        ["compute", "--system", "php", "--molecule", "XY", "--molecule-file", str(path),
+         "--nr", "1", "--space", "position"]
+    )
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [row["params_digest"] for row in rows] == ["molecule=XY,constants=paper"]
+
+
+def test_molecules_lists_a_byte_order_marked_record_by_its_name(tmp_path, capsysbinary):
+    path = tmp_path / "bom.csv"
+    path.write_text(f"{_BOM}XY, test state, 1.5, 0.2, 1.4, local\n", encoding="utf-8")
+    code = run_cli(["molecules", "--molecule-file", str(path)])
+    out = capsysbinary.readouterr().out
+    assert code == EXIT_OK
+    assert _BOM.encode("utf-8") not in out
+    assert out.decode("utf-8").splitlines()[-1].split(",")[0] == "XY"
+
+
+def test_a_byte_order_marked_record_replaces_its_registry_molecule(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_text(f"{_BOM}CO, test state, 1.5, 0.2, 1.4, local\n", encoding="utf-8")
+    code = run_cli(
+        ["compute", "--system", "php", "--molecule", "CO", "--molecule-file", str(path),
+         "--nr", "1", "--space", "position"]
+    )
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_OK
+    record = MoleculeRecord("CO", "test state", 1.5, 0.2, 1.4, "local")
+    state = QuantumState(system=to_atomic_units(record), space=POSITION, n_r=1, l=0)
+    registry_state = QuantumState(
+        system=to_atomic_units(find_molecule("CO")), space=POSITION, n_r=1, l=0
+    )
+    assert [row["ir_closed"] for row in rows] == [format(closed_form_ir(state), ".12g")]
+    assert rows[0]["ir_closed"] != format(closed_form_ir(registry_state), ".12g")
 
 
 def test_reproduce_table1(tmp_path, capsys):

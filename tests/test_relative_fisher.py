@@ -276,6 +276,25 @@ def test_hydrogen_monotonicity_in_l():
             assert left > right
 
 
+def test_hydrogen_momentum_rises_with_n_and_falls_with_l():
+    # The abstract has the IR in both conjugate spaces first rise with n at
+    # fixed l and then fall; that holds in position space only (the maxima
+    # below). Both momentum forms, the tabulated one and the defining
+    # integral, rise strictly with n and fall strictly with l
+    # (README, Known discrepancy 6).
+    def forms(n, l):
+        return closed_form_ir(_hydrogen(n, l, MOMENTUM)), hydrogen_momentum_integral_closed_form(n, l, 1.0)
+
+    for l in range(11):
+        values = [forms(n, l) for n in range(l + 1, l + 101)]
+        for form in (0, 1):
+            assert all(left[form] < right[form] for left, right in zip(values, values[1:])), (l, form)
+    for n in range(1, 111):
+        values = [forms(n, l) for l in range(n)]
+        for form in (0, 1):
+            assert all(left[form] > right[form] for left, right in zip(values, values[1:])), (n, form)
+
+
 EVEN_L_MAXIMA = {0: (2, Fraction(1, 1)), 2: (5, Fraction(16, 125)), 4: (8, Fraction(3, 64)),
                  6: (11, Fraction(32, 1331))}
 ODD_L_MAXIMA = {1: (3, Fraction(8, 27)), 3: (6, Fraction(2, 27)), 5: (9, Fraction(8, 243)),

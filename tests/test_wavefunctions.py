@@ -22,6 +22,7 @@ from relfisher.systems import (
     Oscillator3D,
     Pseudoharmonic,
     QuantumState,
+    RefusedStateError,
     php_derived,
 )
 from relfisher.wavefunctions import (
@@ -251,6 +252,69 @@ def test_hydrogen_position_is_the_laguerre_function(n, l):
             assert abs(value - envelope * laguerre) <= 1e-11 * size, (n, l, fraction)
             exact = 2 * Z / n * envelope * (growth * laguerre + slope)
             assert abs(derivative - exact) <= 1e-11 * 2 * Z / n * size, (n, l, fraction)
+
+
+@pytest.mark.parametrize(
+    "n,l", [(n, l) for n in (1, 2, 7, 40, 150, 300) for l in sorted({0, 1, n - 1}) if l < n]
+)
+def test_hydrogen_momentum_is_the_gegenbauer_function(n, l):
+    # Podolsky & Pauling: F(p) = sqrt(2/pi (n-l-1)!/(n+l)!) n^2 2^(2l+2) l!
+    # t^l / (1+t^2)^(l+2) C_{n-l-1}^{l+1}(q), t = n p, q = (t^2-1)/(t^2+1),
+    # at Z = 1, at points t on both sides of t = 1 and far into both tails.
+    mpmath = pytest.importorskip("mpmath")
+    state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=n, l=l)
+    wave = compile_state(state)
+    _, log_derivative = state.system.unit(state)
+    k, a = n - l - 1, l + 1
+    with mpmath.workdps(60):
+        norm = mpmath.sqrt(2 / mpmath.pi * mpmath.factorial(k) / mpmath.factorial(n + l))
+        norm *= mpmath.mpf(n) ** 2 * 2 ** (2 * l + 2) * mpmath.factorial(l)
+
+        def reference(p):
+            t = n * p
+            return t**l / (1 + t * t) ** (l + 2)
+
+        for point in (1e-8, 0.3, 1.0, 1.0000001, 3.0, 1e8):
+            p = point / n
+            t = n * mpmath.mpf(p)
+            envelope = norm * reference(mpmath.mpf(p))
+            q = (t * t - 1) / (t * t + 1)
+            gegenbauer = mpmath.gegenbauer(k, a, q, zeroprec=400)
+            slope = 2 * a * mpmath.gegenbauer(k - 1, a + 1, q, zeroprec=400) if k else 0
+            dq_dt = 4 * t / (1 + t * t) ** 2
+            growth = l / t - 2 * (l + 2) * t / (1 + t * t)
+            value, derivative = wave(p)
+            # Measured against the size of the terms at p, as near a node
+            # the value itself may cancel to nothing. Below exp(-700) the
+            # evaluator may cut a value to 0.
+            size = envelope * (abs(gegenbauer) + abs(slope * dq_dt) + abs(growth * gegenbauer))
+            cut = envelope < math.exp(-700.0)
+            exact = envelope * gegenbauer
+            assert abs(value - exact) <= 1e-11 * size or (cut and value == 0.0), (n, l, point)
+            exact = n * envelope * (growth * gegenbauer + slope * dq_dt)
+            assert abs(derivative - exact) <= 1e-11 * n * size or (cut and derivative == 0.0), (n, l, point)
+            exact = mpmath.diff(lambda x: mpmath.log(reference(x)), mpmath.mpf(p))
+            terms = n * (l / t + 2 * (l + 2) * t / (1 + t * t))
+            assert abs(log_derivative(p) - exact) <= 1e-13 * terms, (n, l, point)
+    # Past t ~ 1.3e154, t*t is inf and the state is cut.
+    assert wave(1e200) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("t,cut", [(0.214, True), (0.22, False)], ids=["slope-at-the-cutoff", "value"])
+def test_hydrogen_momentum_is_refused_where_its_gegenbauer_factor_overflows(t, cut):
+    # n = 1000, l = 300 compiles, but near t = 0.21 its Gegenbauer factor
+    # overflows while the envelope is about exp(-700): at t = 0.214 the
+    # value is cut and the kept slope is not finite, at 0.22 the value.
+    n, l = 1000, 300
+    state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=n, l=l)
+    wave = compile_state(state)
+    ln_norm = 0.5 * (math.log(2.0 / math.pi) + math.lgamma(n - l) - math.lgamma(n + l + 1))
+    ln_norm += 2.0 * math.log(n) + (2 * l + 2) * math.log(2.0) + math.lgamma(l + 1)
+    ln_envelope = ln_norm + l * math.log(t) - (l + 2) * math.log1p(t * t)
+    assert (ln_envelope < -700.0) == cut
+    assert ln_envelope - math.log(t) > -700.0
+    with pytest.raises(RefusedStateError, match=r"^hydrogen momentum n=1000,l=300 of Hydrogenic\(Z=1\.0\) "):
+        wave(t / n)
 
 
 def test_hydrogen_2p_momentum_vanishes_at_origin():
