@@ -15,7 +15,9 @@ integral starts on 7 equal panels in t and bisects every panel whose error
 estimate exceeds its share of the tolerance, for up to 20 rounds and up to
 10,000 panels. On the pseudoharmonic CO sweep n_r = 0..60 at rel_tol 1e-10
 this takes 79,081 evaluations in all, in either space; on the default
-validate grid the pseudoharmonic cells take 28,768 in each space.
+validate grid the pseudoharmonic cells take 28,768, integrated in one space
+only, since relative_fisher.numeric_ir gives the other space the same
+unit-scale integral.
 """
 from __future__ import annotations
 
@@ -118,12 +120,19 @@ class QuadratureResult:
     """Outcome of one adaptive integration.
 
     converged guarantees error_estimate <= max(rel_tol*|value|, abs_tol).
+    panels is the final number of panels. stop_reason says why refinement
+    stopped: "tol" (converged), "max_refinements" (every round of bisection
+    used), "panel_cap" (the panel limit left no panel to split) or
+    "no_split" (no panel's error estimate exceeded its share of the
+    tolerance, which happens only when the estimates are not finite).
     """
 
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+    panels: int
+    stop_reason: str
 
 
 def _eval_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -161,6 +170,7 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -
         panels.append((a, b) + _eval_panel(g, a, b))
         evaluations += len(_GK31)
 
+    stop_reason = "max_refinements"
     for _ in range(_MAX_REFINEMENTS):
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
@@ -180,10 +190,11 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -
             else:
                 refined.append((a, b, val, perr))
         if split == 0:
+            stop_reason = "panel_cap" if len(panels) >= _MAX_PANELS else "no_split"
             break
         panels = refined
 
     total = math.fsum(p[2] for p in panels)
     err = math.fsum(p[3] for p in panels)
     converged = err <= max(spec.rel_tol * abs(total), spec.abs_tol)
-    return QuadratureResult(total, err, evaluations, converged)
+    return QuadratureResult(total, err, evaluations, converged, len(panels), "tol" if converged else stop_reason)

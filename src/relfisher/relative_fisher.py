@@ -19,6 +19,7 @@ to the published values, and validation honestly reports the gap.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -54,6 +55,15 @@ __all__ = [
     "hydrogen_asymptotics",
 ]
 
+# Unit-scale integrals by (type(system), system.unit_key(state), spec), so
+# that states which integrate the same f (the two spaces of an oscillator or
+# pseudoharmonic cell) integrate it once per process. The oldest entry goes
+# first; a grid puts the space innermost, so both spaces of a cell meet
+# while the first is still stored. Every access is one call on the
+# OrderedDict: callers in other threads can lose an entry, never corrupt one.
+_UNIT_INTEGRALS: OrderedDict[tuple, QuadratureResult] = OrderedDict()
+_UNIT_INTEGRALS_MAX = 256
+
 
 @dataclass(frozen=True)
 class IRResult:
@@ -62,7 +72,10 @@ class IRResult:
     rel_diff is |numeric - closed_form| / |closed_form|, and
     |numeric - closed_form| / 1e-12 for reference states, whose closed form
     is exactly 0. quadrature holds the unit-scale integral: numeric is its
-    value times c^2, where c is the state's length scale.
+    value times c^2, where c is the state's length scale. Two results may
+    share one quadrature object, as the two spaces of an oscillator or
+    pseudoharmonic cell do; its evaluations then count that single
+    integration, once.
     """
 
     closed_form: float
@@ -124,7 +137,10 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     1D oscillator, whose |f| = sqrt(2) |psi| on the half line; the result is
     multiplied by c^2. spec.scale, a length of f, goes to integrate as it
     is. The reference is reference_state's shape at the target's own scale
-    (see there). Quadrature trouble is reported through
+    (see there). A unit-scale integral that this process has integrated
+    before for the same system.unit_key and spec is reused, not integrated
+    again; only completed integrations are kept, at most
+    _UNIT_INTEGRALS_MAX of them. Quadrature trouble is reported through
     result.quadrature.converged, not raised; a state with nodes that
     integrates to exactly 0 (every sample past the cutoff) is not converged.
     RefusedStateError if the evaluator cannot represent the state.
@@ -132,19 +148,25 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     reference = reference_state(target)
     if reference.radial_nodes != 0:
         raise ValueError(f"reference state {reference!r} has interior nodes")
-    c, _ = target.system.scale(target)
-    wave, log_derivative = target.system.unit(target)
-
-    radial = target.system.radial
-
-    def integrand(s: float) -> float:
-        value, derivative = wave(s)
-        difference = derivative - value * log_derivative(s)
-        return (4.0 * s * s if radial else 4.0) * difference * difference
-
+    system = target.system
+    c, _ = system.scale(target)
     if spec is None:
         spec = default_quadrature_spec(target)
-    quad = integrate(integrand, spec)
+    key = (type(system), system.unit_key(target), spec)
+    quad = _UNIT_INTEGRALS.get(key)
+    if quad is None:
+        wave, log_derivative = system.unit(target)
+        radial = system.radial
+
+        def integrand(s: float) -> float:
+            value, derivative = wave(s)
+            difference = derivative - value * log_derivative(s)
+            return (4.0 * s * s if radial else 4.0) * difference * difference
+
+        quad = integrate(integrand, spec)
+        if len(_UNIT_INTEGRALS) >= _UNIT_INTEGRALS_MAX:
+            _UNIT_INTEGRALS.popitem(last=False)
+        _UNIT_INTEGRALS[key] = quad
     if quad.value == 0.0 and target.radial_nodes:
         quad = replace(quad, converged=False)
     # Multiplied by c twice, not by c^2, which over- or underflows first.

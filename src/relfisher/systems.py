@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .specfun import gegenbauer_kernel, laguerre_kernel, ln_gamma
 
@@ -245,6 +245,12 @@ class _Family:
                             from f and closed_form, so the oracle stays an
                             independent route, and, the reference being
                             node-less, it never divides by a wavefunction value
+    unit_key(state)         a hashable name, within the family, for
+                            everything unit(state) evaluates: states with
+                            equal keys have the same f and reference
+                            log-derivative, and the oracle integrates them
+                            once. The default, the state itself, names the
+                            system and the space, so no other state shares it
     closed_form(state)      relative Fisher information against the reference
     spacing(space)          constant gap between adjacent closed forms
     _grid(ranges)           optional: the corner and the number tuples of
@@ -253,6 +259,9 @@ class _Family:
     """
 
     radial = True
+
+    def unit_key(self, state: QuantumState) -> Hashable:
+        return state
 
     def compile(self, state: QuantumState) -> Evaluator:
         """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
@@ -344,6 +353,9 @@ class Oscillator1D(_Family):
         m, p = divmod(state.n, 2)
         return _radial_oscillator(m, float(p), p - 0.5, lambda: self._name(state)), lambda y: -y
 
+    def unit_key(self, state: QuantumState) -> Hashable:
+        return (state.n,)
+
     def compile(self, state: QuantumState) -> Evaluator:
         """psi(x) = (-1)^m sqrt(c/2) f(c |x|) on the full line, n = 2m + p, with
         parity (-1)^n bit for bit; at x = 0 from f(s) ~ sqrt(2) A(m, p) s^p."""
@@ -386,7 +398,7 @@ class _RadialOscillator(_Family):
     A subclass supplies _kappa_b(state), the exponent kappa and the width b of
     the state's space, and _unit_length; the length scale is sqrt(b). f and
     the unit length do not depend on the space, so both spaces integrate the
-    same unit-scale integral.
+    same unit-scale integral, named by (n_r, kappa).
     """
 
     number_fields = ("n_r", "l")
@@ -414,6 +426,9 @@ class _RadialOscillator(_Family):
         kappa, _ = self._kappa_b(state)
         wave = _radial_oscillator(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
         return wave, lambda s: kappa / s - s
+
+    def unit_key(self, state: QuantumState) -> Hashable:
+        return state.n_r, self._kappa_b(state)[0]
 
 
 @dataclass(frozen=True)
@@ -506,6 +521,10 @@ class Hydrogenic(_Family):
 
         return _hydrogen_momentum(n, l, lambda: self._name(state)), momentum_log_derivative
 
+    def unit_key(self, state: QuantumState) -> Hashable:
+        # f is taken at unit charge, so Z is not part of it.
+        return state.space, state.n, state.l
+
     def closed_form(self, state: QuantumState) -> float:
         n, l, Z = state.n, state.l, self.Z
         if state.space == POSITION:
@@ -541,17 +560,22 @@ class Pseudoharmonic(_RadialOscillator):
         _require_positive("De", self.De)
         _require_positive("re", self.re)
 
+    @property
+    def _lam(self) -> float:
+        """lambda = sqrt(mu*De/2)/re, the same at every l."""
+        return math.sqrt(0.5 * self.mu * self.De) / self.re
+
     def _kappa_b(self, state: QuantumState) -> tuple[float, float]:
         derived = php_derived(self, state.l)
         b = 2.0 * derived.lam if state.space == POSITION else 0.5 / derived.lam
         return derived.gamma_l, b
 
     def closed_form(self, state: QuantumState) -> float:
-        lam = php_derived(self, state.l).lam
+        lam = self._lam
         return 32.0 * lam * state.n_r if state.space == POSITION else 8.0 * state.n_r / lam
 
     def spacing(self, space: str) -> float:
-        lam = php_derived(self, 0).lam
+        lam = self._lam
         return 32.0 * lam if space == POSITION else 8.0 / lam
 
 
@@ -648,8 +672,7 @@ def php_derived(params: Pseudoharmonic, l: int) -> PhpDerived:
     _require_quantum_number("l", l)
     two_l_plus_1 = 2 * l + 1
     gamma_l = 0.5 * (-1.0 + math.sqrt(two_l_plus_1 * two_l_plus_1 + 8.0 * params.mu * params.De * params.re * params.re))
-    lam = math.sqrt(0.5 * params.mu * params.De) / params.re
-    return PhpDerived(gamma_l=gamma_l, lam=lam)
+    return PhpDerived(gamma_l=gamma_l, lam=params._lam)
 
 
 def hydrogen_energy(Z: float, n: int) -> float:

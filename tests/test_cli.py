@@ -224,6 +224,25 @@ def test_validate_counts_refused_rows(capsys, monkeypatch):
     assert statuses == ["reference_state", "refused", "ok", "refused", "ok"]
 
 
+def test_the_default_validate_grid_integrates_each_unit_scale_integral_once(capsys, monkeypatch):
+    # The momentum cells of qho1d, qho3d and php integrate the unit-scale
+    # integral of their position cell, and are served it instead.
+    integrals = []
+    integrate = relfisher.relative_fisher.integrate
+
+    def counted(f, spec=None):
+        integrals.append(integrate(f, spec))
+        return integrals[-1]
+
+    monkeypatch.setattr(relfisher.relative_fisher, "integrate", counted)
+    run_cli(["validate", "--omega", "1", "--Z", "1"])
+    rows = parse_csv(capsys.readouterr().out)
+    served = [row for row in rows if row["space"] == "momentum" and row["system"] != "hydrogen"]
+    assert (len(rows), len(served)) == (270, 99)
+    assert len(integrals) == 270 - 99
+    assert sum(result.evaluations for result in integrals) == 58_559
+
+
 def test_validate_without_refusals_prints_no_refused_count(capsys):
     assert run_cli(["validate", "--system", "qho1d", "--n-max", "2", "--space", "position"]) == EXIT_OK
     assert "refused" not in capsys.readouterr().err

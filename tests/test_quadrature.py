@@ -146,6 +146,36 @@ def test_evaluation_accounting():
     assert hard.evaluations > smooth.evaluations
 
 
+def test_a_converged_result_stopped_at_its_tolerance():
+    result = integrate(lambda u: math.exp(-u))
+    assert result.converged
+    assert (result.panels, result.stop_reason) == (_INITIAL_PANELS, "tol")
+
+
+def test_an_endpoint_singularity_uses_every_round_of_refinement():
+    # Each round bisects only the panels next to u = 0.
+    result = integrate(lambda u: math.exp(-u) / math.sqrt(u))
+    assert not result.converged
+    assert result.stop_reason == "max_refinements"
+    assert _INITIAL_PANELS < result.panels < quadrature._MAX_PANELS
+
+
+def test_an_integrand_rough_everywhere_stops_at_the_panel_cap():
+    result = integrate(lambda u: math.exp(-u) * abs(math.sin(1e4 * u)))
+    assert not result.converged
+    assert (result.panels, result.stop_reason) == (quadrature._MAX_PANELS, "panel_cap")
+    assert result.evaluations == 619_783
+
+
+def test_error_estimates_that_overflow_split_no_panel():
+    # Every sample is finite, but the weighted samples overflow near t = 1,
+    # so a panel's |Kronrod - Gauss| is nan and never exceeds its share.
+    result = integrate(lambda u: 1e308)
+    assert not result.converged
+    assert math.isnan(result.error_estimate)
+    assert (result.panels, result.stop_reason, result.evaluations) == (_INITIAL_PANELS, "no_split", 217)
+
+
 # The Gauss-Kronrod 15/31 table.
 
 _NODES = [u for u, _, _ in _GK31]

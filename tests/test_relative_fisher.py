@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relfisher.relative_fisher
 import relfisher.systems
 from relfisher.data_units import MoleculeRecord, find_molecule, registry, to_atomic_units
 from relfisher.quadrature import IntegrandError, integrate
@@ -564,9 +565,24 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
     assert result.numeric == pytest.approx(direct.value, rel=1e-12, abs=0.0)
 
 
+def _unit_integral(state, spec=None):
+    """The unit-scale integral numeric_ir takes for state, integrated here
+    directly, so that no stored integral of another state can stand in."""
+    wave, log_derivative = state.system.unit(state)
+    weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 4.0)
+
+    def integrand(s):
+        value, derivative = wave(s)
+        difference = derivative - value * log_derivative(s)
+        return weight(s) * difference * difference
+
+    return integrate(integrand, spec or default_quadrature_spec(state))
+
+
 def _quadratures(make):
-    """numeric_ir's unit-scale quadrature of make(space) in each space."""
-    return [numeric_ir(make(space)).quadrature for space in (POSITION, MOMENTUM)]
+    """The unit-scale quadrature of make(space) in each space, each integrated
+    directly: numeric_ir gives the second space the first space's integral."""
+    return [_unit_integral(make(space)) for space in (POSITION, MOMENTUM)]
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0, 3.7, 1e-3, 1e10])
@@ -589,6 +605,92 @@ def test_pseudoharmonic_spaces_integrate_one_unit_scale_integral(record):
     for n_r, l in ((0, 0), (1, 0), (2, 1), (3, 4), (8, 2)):
         position, momentum = _quadratures(lambda space: QuantumState(params, space, n_r=n_r, l=l))
         assert position == momentum, (n_r, l)
+
+
+def _served(first, second, rel_tols=(1e-10, 1e-10)):
+    """Whether numeric_ir, having integrated first, serves second first's
+    unit-scale integral instead of integrating its own."""
+    relfisher.relative_fisher._UNIT_INTEGRALS.clear()
+    stored = numeric_ir(first, default_quadrature_spec(first, rel_tols[0])).quadrature
+    return numeric_ir(second, default_quadrature_spec(second, rel_tols[1])).quadrature is stored
+
+
+# Pairs of states that integrate one unit-scale integral.
+_SHARED = {
+    "qho1d across omega and space": (
+        QuantumState(Oscillator1D(0.5), POSITION, n=7),
+        QuantumState(Oscillator1D(40.0), MOMENTUM, n=7),
+    ),
+    "qho3d across omega and space": (
+        QuantumState(Oscillator3D(1.0), POSITION, n_r=3, l=2),
+        QuantumState(Oscillator3D(1e-3), MOMENTUM, n_r=3, l=2),
+    ),
+    "php across space": (
+        QuantumState(H2_PARAMS, POSITION, n_r=4, l=1),
+        QuantumState(H2_PARAMS, MOMENTUM, n_r=4, l=1),
+    ),
+    # 8 mu De re^2, and with it gamma_l, is the same bit for bit; lambda is not.
+    "php across molecules of one gamma_l": (
+        QuantumState(Pseudoharmonic(mu=2.0, De=0.1, re=1.0), POSITION, n_r=3, l=2),
+        QuantumState(Pseudoharmonic(mu=8.0, De=0.1, re=0.5), MOMENTUM, n_r=3, l=2),
+    ),
+    "hydrogen position across Z": (_hydrogen(6, 2, POSITION, Z=1.0), _hydrogen(6, 2, POSITION, Z=3.0)),
+    "hydrogen momentum across Z": (_hydrogen(6, 2, MOMENTUM, Z=1.0), _hydrogen(6, 2, MOMENTUM, Z=0.25)),
+}
+
+
+@pytest.mark.parametrize("first,second", _SHARED.values(), ids=_SHARED.keys())
+def test_states_of_one_unit_key_integrate_one_integral(first, second):
+    assert first.system.unit_key(first) == second.system.unit_key(second)
+    direct = _unit_integral(first)
+    assert _unit_integral(second) == direct
+    assert _served(first, second)
+    assert numeric_ir(second).quadrature == direct
+
+
+# Pairs of states, each with its rel_tol, that must not share a unit-scale integral.
+_APART = {
+    "php at two molecules of one n_r": (
+        QuantumState(H2_PARAMS, POSITION, n_r=2, l=0),
+        QuantumState(to_atomic_units(find_molecule("CO")), POSITION, n_r=2, l=0),
+        (1e-10, 1e-10),
+    ),
+    # Both are the radial oscillator at n_r = 1 and kappa = 1, in D = 1 and D = 3.
+    "qho1d n=2m+1 and qho3d (m, l=1)": (
+        QuantumState(Oscillator1D(1.0), POSITION, n=3),
+        QuantumState(Oscillator3D(1.0), POSITION, n_r=1, l=1),
+        (1e-10, 1e-10),
+    ),
+    "hydrogen position and momentum": (_hydrogen(5, 1, POSITION), _hydrogen(5, 1, MOMENTUM), (1e-10, 1e-10)),
+    "one state at two rel_tol": (
+        QuantumState(Oscillator3D(1.0), POSITION, n_r=4, l=0),
+        QuantumState(Oscillator3D(1.0), POSITION, n_r=4, l=0),
+        (1e-6, 1e-10),
+    ),
+}
+
+
+@pytest.mark.parametrize("first,second,rel_tols", _APART.values(), ids=_APART.keys())
+def test_states_of_different_unit_keys_integrate_their_own_integrals(first, second, rel_tols):
+    assert not _served(first, second, rel_tols)
+    first_spec = default_quadrature_spec(first, rel_tols[0])
+    second_spec = default_quadrature_spec(second, rel_tols[1])
+    own = _unit_integral(second, second_spec)
+    assert numeric_ir(second, second_spec).quadrature == own
+    assert own != _unit_integral(first, first_spec)
+
+
+def test_the_unit_integral_store_keeps_to_its_bound():
+    store = relfisher.relative_fisher._UNIT_INTEGRALS
+    bound = relfisher.relative_fisher._UNIT_INTEGRALS_MAX
+    states = [QuantumState(Oscillator3D(1.0), POSITION, n_r=0, l=l) for l in range(bound + 44)]
+    for state in states:
+        assert numeric_ir(state).quadrature.converged
+        assert len(store) <= bound
+    assert len(store) == bound
+    # The oldest integrals went first.
+    kept = {key[1] for key in store}
+    assert [state.system.unit_key(state) in kept for state in states] == [False] * 44 + [True] * bound
 
 
 _UNIT_SCALE_CASES = [
@@ -645,6 +747,22 @@ def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
     monkeypatch.setattr(relfisher.systems, "laguerre_kernel", poisoned)
     with pytest.raises(IntegrandError):
         numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
+
+
+def test_an_integral_that_raises_is_not_stored(monkeypatch):
+    # Refused inside the quadrature, where the Gegenbauer factor overflows.
+    with pytest.raises(RefusedStateError):
+        numeric_ir(_hydrogen(1000, 300, MOMENTUM))
+    monkeypatch.setattr(
+        relfisher.systems, "laguerre_kernel", lambda n, alpha: lambda x: (math.nan, math.nan)
+    )
+    with pytest.raises(IntegrandError):
+        numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
+    assert not relfisher.relative_fisher._UNIT_INTEGRALS
+    # The other space of that cell integrates again, with the real kernel.
+    monkeypatch.undo()
+    result = numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=MOMENTUM, n_r=2, l=0))
+    assert result.quadrature.converged and result.rel_diff <= 1e-8
 
 
 _TWO_HALF_CASES = [
@@ -777,6 +895,7 @@ def test_numeric_ir_is_the_same_with_or_without_a_degree_sweep_before_it():
     cold = numeric_ir(state)
     for n_r in range(60):
         numeric_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=n_r, l=0))
+    relfisher.relative_fisher._UNIT_INTEGRALS.clear()  # integrate it again, warm
     warm = numeric_ir(state)
     assert warm == cold
     assert cold.quadrature.converged and cold.rel_diff <= 1e-8
