@@ -19,6 +19,7 @@ to the published values, and validation honestly reports the gap.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -59,10 +60,11 @@ __all__ = [
 # that states which integrate the same f (the two spaces of an oscillator or
 # pseudoharmonic cell) integrate it once per process. The oldest entry goes
 # first; a grid puts the space innermost, so both spaces of a cell meet
-# while the first is still stored. Every access is one call on the
-# OrderedDict: callers in other threads can lose an entry, never corrupt one.
+# while the first is still stored. The lock keeps the bound when threads
+# store at once; two threads that miss together both integrate.
 _UNIT_INTEGRALS: OrderedDict[tuple, QuadratureResult] = OrderedDict()
 _UNIT_INTEGRALS_MAX = 256
+_UNIT_INTEGRALS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -164,9 +166,10 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
             return (4.0 * s * s if radial else 4.0) * difference * difference
 
         quad = integrate(integrand, spec)
-        if len(_UNIT_INTEGRALS) >= _UNIT_INTEGRALS_MAX:
-            _UNIT_INTEGRALS.popitem(last=False)
-        _UNIT_INTEGRALS[key] = quad
+        with _UNIT_INTEGRALS_LOCK:
+            if len(_UNIT_INTEGRALS) >= _UNIT_INTEGRALS_MAX:
+                _UNIT_INTEGRALS.popitem(last=False)
+            _UNIT_INTEGRALS[key] = quad
     if quad.value == 0.0 and target.radial_nodes:
         quad = replace(quad, converged=False)
     # Multiplied by c twice, not by c^2, which over- or underflows first.

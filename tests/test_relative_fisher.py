@@ -10,6 +10,9 @@ better.
 import math
 import re
 import sys
+import threading
+import time
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -735,6 +738,49 @@ def test_unit_scale_integral_is_parameter_free(state, expected):
     quadrature = numeric_ir(state).quadrature
     assert quadrature.converged
     assert quadrature.value == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+class _YieldingStore(OrderedDict):
+    """A store that hands the interpreter to another thread just after its
+    size is read, inside the check-then-act of numeric_ir's bound."""
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(1e-3)
+        return size
+
+
+def test_threads_that_share_the_unit_integral_store_keep_its_bound(monkeypatch):
+    store = _YieldingStore()
+    monkeypatch.setattr(relfisher.relative_fisher, "_UNIT_INTEGRALS", store)
+    monkeypatch.setattr(relfisher.relative_fisher, "_UNIT_INTEGRALS_MAX", 8)
+    # Each thread sweeps its own cells, in both spaces.
+    sweeps = [
+        [QuantumState(Oscillator3D(1.0), space, n_r=n_r, l=l) for n_r in range(4) for space in (POSITION, MOMENTUM)]
+        for l in range(6)
+    ]
+    expected = [[numeric_ir(state) for state in sweep] for sweep in sweeps]
+    store.clear()
+    sizes, results = [], {}
+
+    def run(worker):
+        for state in sweeps[worker]:
+            results.setdefault(worker, []).append(numeric_ir(state))
+            sizes.append(OrderedDict.__len__(store))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(worker,)) for worker in range(len(sweeps))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results[worker] for worker in range(len(sweeps))] == expected
+    assert max(sizes) <= 8
 
 
 def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
