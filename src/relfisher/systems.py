@@ -14,7 +14,8 @@ normalizations are assembled in log space and exponentiated once, and their
 derivatives are analytic: nothing differentiates numerically. Every
 Laguerre state shares one evaluator and its truncation guard,
 _radial_oscillator: the 1D oscillator (D = 1), the 3D oscillator and the
-pseudoharmonic potential (D = 3), and hydrogen position (D = 4).
+pseudoharmonic potential (D = 3), and hydrogen position (D = 4). Its
+turning points also give the oracle's initial breaks (_lattice).
 """
 from __future__ import annotations
 
@@ -61,6 +62,28 @@ _LN_TINY = -700.0
 # log-envelope: about 1e-12 at -647, 1e-10 at -655, 1e-8 at -662.
 _TAIL_MARGIN = 50.0
 
+# ln_norm, -u/2 and kappa ln s are each rounded to 2^-52 of their size, and
+# at a large kappa they cancel in the log-envelope. A Laguerre state is
+# refused when the rounding of the three at the outer turning point,
+# 2^-52 (|ln_norm| + u/2 + kappa |ln s|), exceeds this budget: from there on
+# the envelope carries too few digits, and at kappa ~ 1e16 none.
+_LN_ENV_ROUNDING = 1e-9
+_ULP = 2.0 ** -52
+
+# The oracle cuts a Laguerre integral's initial panels at the points
+# k * _BREAK_WIDTH of unit-scale s across the classical window
+# [s_in - _WINDOW_MARGIN, s_out + _WINDOW_MARGIN] (see _lattice). The lattice
+# is the same for every state, so a degree sweep at a fixed kappa keeps its
+# nodes and its recurrence columns keep hitting. Measured in one process
+# (CPython 3.11, 2-core VM, medians of 7), with the CO sweep n_r = 0..60 in
+# position space and the default validate grid: at widths 1, 1.25, 1.5, 2
+# and 3 they took 0.147, 0.146, 0.140, 0.151 and 0.168 s, and 0.176, 0.162,
+# 0.151, 0.154 and 0.164 s. With a margin of 0 or 1, 8 or 2 pseudoharmonic
+# cells of the mu_amu scan in README Known discrepancy 5 converge to wrong
+# values; a margin of 3 costs 4% more evaluations on the CO sweep.
+_BREAK_WIDTH = 1.5
+_WINDOW_MARGIN = 2.0
+
 _LN_PI = math.log(math.pi)
 _QUARTER_LN_2 = 0.25 * math.log(2.0)
 
@@ -94,20 +117,49 @@ def _require_quantum_number(name: str, value: int, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _turning_points(n_r: int, alpha: float) -> tuple[float, float]:
+    """The radial oscillator's inner and outer turning points in u = s^2,
+    u = E -+ sqrt(E^2 - alpha^2 + 1/4), E = 2 n_r + alpha + 1: E^2 - alpha^2
+    is factored, and u_in is taken from u_in u_out = alpha^2 - 1/4, so that
+    a large alpha cancels in neither."""
+    energy = 2.0 * n_r + alpha + 1.0
+    u_out = energy + math.sqrt((2.0 * n_r + 1.0) * (energy + alpha) + 0.25)
+    return (alpha - 0.5) * (alpha + 0.5) / u_out, u_out
+
+
+def _lattice(n_r: int, alpha: float) -> tuple[float, ...]:
+    """The oracle's initial breaks for the radial oscillator (n_r, alpha): the
+    points k * _BREAK_WIDTH, k >= 1, of unit-scale s that cover its classical
+    window, from the last at or below its start to the first at or above its
+    end. Empty for a state whose u_out alone spends the rounding budget,
+    which _radial_oscillator refuses."""
+    u_in, u_out = _turning_points(n_r, alpha)
+    if not 0.5 * u_out * _ULP <= _LN_ENV_ROUNDING:
+        return ()
+    first = max(1, math.floor((math.sqrt(max(u_in, 0.0)) - _WINDOW_MARGIN) / _BREAK_WIDTH))
+    last = math.ceil((math.sqrt(u_out) + _WINDOW_MARGIN) / _BREAK_WIDTH)
+    return tuple(k * _BREAK_WIDTH for k in range(first, last + 1))
+
+
 def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], str]) -> Evaluator:
     """The D-dimensional radial oscillator A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2),
     alpha = kappa + D/2 - 1, normalized on the half line with weight s^(D-1):
     the 1D oscillator's n = 2 n_r + kappa (D = 1), the 3D oscillator
     (kappa = l) and pseudoharmonic potential (kappa = gamma_l) at D = 3, and
     hydrogen position (kappa = 2l) at D = 4.
-    RefusedStateError, naming the state as name(), if the cutoff would truncate it.
+    RefusedStateError, naming the state as name(), if its log-envelope
+    rounds beyond _LN_ENV_ROUNDING or the cutoff would truncate it.
     """
     ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + alpha + 1.0))
-    # The outer turning point u = E + sqrt(E^2 - alpha^2 + 1/4), E = 2 n_r + alpha + 1,
-    # with E^2 - alpha^2 factored so that a large alpha does not cancel.
-    energy = 2.0 * n_r + alpha + 1.0
-    u_turn = energy + math.sqrt((2.0 * n_r + 1.0) * (energy + alpha) + 0.25)
-    ln_turning = ln_norm - 0.5 * u_turn + 0.5 * kappa * math.log(u_turn)
+    _, u_turn = _turning_points(n_r, alpha)
+    ln_s_turn = 0.5 * math.log(u_turn)
+    rounding = _ULP * (abs(ln_norm) + 0.5 * u_turn + kappa * abs(ln_s_turn))
+    if not rounding <= _LN_ENV_ROUNDING:
+        raise RefusedStateError(
+            f"{name()} is out of the evaluator's range: its log-envelope terms round to "
+            f"{rounding:.1e}, above the budget {_LN_ENV_ROUNDING:g}"
+        )
+    ln_turning = ln_norm - 0.5 * u_turn + kappa * ln_s_turn
     limit = _LN_TINY + _TAIL_MARGIN
     if ln_turning < limit:
         raise RefusedStateError(
@@ -240,6 +292,10 @@ class _Family:
     label(state)            the quantum numbers as text, for example "n=3,l=1"
     scale(state)            (c, the unit length): the unit length is where
                             |f|^2 lives, and the oracle's quadrature scale
+    layout(state)           (the unit length, the oracle's initial breaks in
+                            f's argument): the lattice points across a
+                            Laguerre state's classical window; none by
+                            default
     unit(state)             (f as an Evaluator, d/du log(reference f)); the
                             log-derivative is coded in closed form, apart
                             from f and closed_form, so the oracle stays an
@@ -259,6 +315,9 @@ class _Family:
     """
 
     radial = True
+
+    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
+        return self.scale(state)[1], ()
 
     def unit_key(self, state: QuantumState) -> Hashable:
         return state
@@ -353,6 +412,10 @@ class Oscillator1D(_Family):
         m, p = divmod(state.n, 2)
         return _radial_oscillator(m, float(p), p - 0.5, lambda: self._name(state)), lambda y: -y
 
+    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
+        m, p = divmod(state.n, 2)
+        return self.scale(state)[1], _lattice(m, p - 0.5)
+
     def unit_key(self, state: QuantumState) -> Hashable:
         return (state.n,)
 
@@ -426,6 +489,10 @@ class _RadialOscillator(_Family):
         kappa, _ = self._kappa_b(state)
         wave = _radial_oscillator(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
         return wave, lambda s: kappa / s - s
+
+    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
+        kappa, _ = self._kappa_b(state)
+        return self._unit_length, _lattice(state.n_r, kappa + 0.5)
 
     def unit_key(self, state: QuantumState) -> Hashable:
         return state.n_r, self._kappa_b(state)[0]
@@ -520,6 +587,15 @@ class Hydrogenic(_Family):
             return n * (l / t - (2.0 * (l + 2.0) * t) * (1.0 / (1.0 + t * t)))
 
         return _hydrogen_momentum(n, l, lambda: self._name(state)), momentum_log_derivative
+
+    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
+        length = self.scale(state)[1]
+        if state.space == MOMENTUM:
+            return length, ()
+        # The D = 4 oscillator's s is at r = n s^2 / 2, and n is the unit
+        # length, so the breaks' t-images s^2 / (s^2 + 2) do not depend on n.
+        lattice = _lattice(state.n - state.l - 1, 2.0 * state.l + 1.0)
+        return length, tuple(0.5 * length * s * s for s in lattice)
 
     def unit_key(self, state: QuantumState) -> Hashable:
         # f is taken at unit charge, so Z is not part of it.

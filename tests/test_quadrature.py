@@ -129,6 +129,45 @@ def test_spec_validation():
         QuadratureSpec(scale=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(scale=float("inf"))
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="breaks must be positive and finite"):
+            QuadratureSpec(breaks=(1.0, bad))
+    assert QuadratureSpec(breaks=[2.0, 1.0]) == QuadratureSpec(breaks=(2.0, 1.0))
+
+
+def test_breaks_replace_the_uniform_edges_between_them():
+    spec = QuadratureSpec(scale=2.0, breaks=(6.0, 2.0, 3.0))
+    # t-images s / (s + 2): 1/2, 3/5 and 3/4; 4/7 and 5/7 lie between them.
+    uniform = [k / _INITIAL_PANELS for k in range(_INITIAL_PANELS + 1)]
+    expected = sorted({*uniform[:4], 0.5, 0.6, 0.75, *uniform[6:]})
+    assert quadrature._initial_edges(spec) == expected
+    assert quadrature._initial_edges(QuadratureSpec(scale=2.0)) == uniform
+    result = integrate(lambda u: math.exp(-u), spec)
+    assert result.converged
+    assert result.value == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e10])
+def test_a_break_whose_image_rounds_to_an_end_or_repeats_an_edge_is_dropped(scale):
+    # 1e300 maps to t = 1.0, 2^52 scale to 1 - 2^-52, whose panel against
+    # t = 1 has its nodes at 1.0, and 1e-320 below the smallest normal
+    # double (to t = 0.0 at scale 1e10).
+    spec = QuadratureSpec(scale=scale, breaks=(1e300, 2.0**52 * scale, 1e-320, scale, scale, 3.0 * scale))
+    edges = quadrature._initial_edges(spec)
+    assert edges[0] == 0.0 and edges[-1] == 1.0
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    assert all(t == 0.5 or t == 0.75 or t * _INITIAL_PANELS == round(t * _INITIAL_PANELS) for t in edges)
+    seen = []
+
+    def f(u):
+        assert 0.0 < u < math.inf
+        seen.append(u)
+        return math.exp(-u / scale) / scale
+
+    result = integrate(f, spec)
+    assert result.converged
+    assert result.value == pytest.approx(1.0, rel=1e-12)
+    assert len(seen) == result.evaluations == 31 * (len(edges) - 1)
 
 
 def test_evaluation_accounting():

@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relfisher.relative_fisher
+import relfisher.specfun
 import relfisher.systems
 from relfisher.data_units import MoleculeRecord, find_molecule, registry, to_atomic_units
-from relfisher.quadrature import IntegrandError, integrate
+from relfisher.quadrature import IntegrandError, QuadratureResult, _initial_edges, integrate
 from relfisher.specfun import laguerre_kernel
 from relfisher.relative_fisher import (
     UnsupportedSystemError,
@@ -393,7 +394,8 @@ def test_numeric_oracle_agrees_with_closed_form(state):
 
 
 def test_oracle_cost_of_a_degree_sweep():
-    # The 31-point rule needs 79,081 evaluations for this sweep; the
+    # The 31-point rule needs 53,320 evaluations for this sweep from the
+    # classical window's panels, and 79,081 from 7 equal panels; the
     # 15-point rule before it needed 142,230.
     co = to_atomic_units(find_molecule("CO"))
     total = 0
@@ -401,7 +403,7 @@ def test_oracle_cost_of_a_degree_sweep():
         result = numeric_ir(QuantumState(system=co, space=POSITION, n_r=n_r, l=0))
         assert result.quadrature.converged
         total += result.quadrature.evaluations
-    assert total < 80_000
+    assert total < 54_000
 
 
 def test_numeric_oracle_hydrogen_3s_value():
@@ -529,9 +531,12 @@ def test_a_reference_cell_at_a_tiny_charge_converges_to_zero():
 def test_a_reference_cell_at_a_huge_frequency_converges_at_once():
     # Integrated at omega = 1e160, this cell ran to the panel cap: it stopped
     # unconverged after 619,783 evaluations.
-    result = numeric_ir(QuantumState(system=Oscillator1D(omega=1e160), space=POSITION, n=0))
+    state = QuantumState(system=Oscillator1D(omega=1e160), space=POSITION, n=0)
+    initial = len(_initial_edges(default_quadrature_spec(state))) - 1
+    result = numeric_ir(state)
     assert result.quadrature.converged
-    assert result.quadrature.evaluations == 217
+    assert result.quadrature.panels == initial
+    assert result.quadrature.evaluations == 31 * initial
     assert result.numeric == 0.0
 
 
@@ -665,9 +670,10 @@ _APART = {
         (1e-10, 1e-10),
     ),
     "hydrogen position and momentum": (_hydrogen(5, 1, POSITION), _hydrogen(5, 1, MOMENTUM), (1e-10, 1e-10)),
+    # n_r = 12, as below it both tolerances hold on the initial panels.
     "one state at two rel_tol": (
-        QuantumState(Oscillator3D(1.0), POSITION, n_r=4, l=0),
-        QuantumState(Oscillator3D(1.0), POSITION, n_r=4, l=0),
+        QuantumState(Oscillator3D(1.0), POSITION, n_r=12, l=0),
+        QuantumState(Oscillator3D(1.0), POSITION, n_r=12, l=0),
         (1e-6, 1e-10),
     ),
 }
@@ -914,23 +920,56 @@ def _molecule(mu_amu):
 
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
 @pytest.mark.parametrize("mu_amu", [1e10, 1e20])
-def test_a_state_with_nodes_that_integrates_to_zero_is_not_converged(mu_amu, space):
-    # At gamma_l above about 1e5 every quadrature node falls past the cutoff
-    # around the narrow peak, and the all-zero integral passed the convergence
-    # test: a converged 0.0 against the closed form.
-    result = numeric_ir(QuantumState(_molecule(mu_amu), space, n_r=1, l=0))
+def test_a_state_whose_log_envelope_cancels_is_refused(mu_amu, space):
+    # At gamma_l above about 1e5 every quadrature node on 7 equal panels fell
+    # past the cutoff around the narrow peak, and the all-zero integral
+    # passed the convergence test: a converged 0.0 against the closed form.
+    # The envelope's terms now round beyond the evaluator's budget there.
+    state = QuantumState(_molecule(mu_amu), space, n_r=1, l=0)
+    label = re.escape(f"php {space} n_r=1,l=0 of ")
+    with pytest.raises(RefusedStateError, match=f"{label}.*round to .* above the budget 1e-09"):
+        numeric_ir(state)
+
+
+def test_a_state_with_nodes_that_integrates_to_zero_is_not_converged(monkeypatch):
+    # An all-zero integral passes the convergence test; for a state with
+    # nodes it means that no node reached the wavefunction.
+    zero = QuadratureResult(0.0, 0.0, 217, True, 7, "tol")
+    monkeypatch.setattr(relfisher.relative_fisher, "integrate", lambda f, spec: zero)
+    result = numeric_ir(QuantumState(H2_PARAMS, POSITION, n_r=1, l=0))
     assert result.numeric == 0.0
     assert not result.quadrature.converged
 
 
-@pytest.mark.xfail(strict=True, reason="README Known discrepancies: the large-mu band")
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
 def test_a_narrow_pseudoharmonic_peak_is_not_reported_converged_when_it_is_off(space):
-    # At mu_amu = 1e6 (gamma_l about 2e4) a few nodes reach the peak's far
-    # tail: a value of 1.2e-297 (2.4e-83 in momentum space), not 0, is
-    # reported converged against the closed form.
+    # At mu_amu = 1e6 (gamma_l about 2e4) a few nodes of 7 equal panels
+    # reached the peak's far tail: a value of 1.2e-297 (2.4e-83 in momentum
+    # space), not 0, was reported converged against the closed form.
     result = numeric_ir(QuantumState(_molecule(1e6), space, n_r=1, l=0))
     assert not result.quadrature.converged or result.rel_diff <= 1e-8
+
+
+def test_the_large_mass_scan_ends_every_cell_ok_or_refused():
+    # README Known discrepancy 5's scan. On 7 equal panels it had 12 ok, 6
+    # silently wrong, 142 not converged and 20 refused cells; now the
+    # classical window's panels reach every peak up to mu_amu = 1e8, and the
+    # envelope's rounding budget refuses the rest.
+    outcomes = {}
+    for exponent in range(2, 62, 2):
+        molecule = _molecule(10.0**exponent)
+        for n_r in (1, 2, 5):
+            for space in (POSITION, MOMENTUM):
+                try:
+                    result = numeric_ir(QuantumState(molecule, space, n_r=n_r, l=0))
+                except RefusedStateError:
+                    outcome = "refused"
+                else:
+                    assert result.quadrature.converged, (exponent, n_r, space)
+                    assert result.rel_diff <= 1e-8, (exponent, n_r, space, result.rel_diff)
+                    outcome = "ok"
+                outcomes.setdefault(outcome, set()).add(exponent)
+    assert outcomes == {"ok": {2, 4, 6, 8}, "refused": set(range(10, 62, 2))}
 
 
 def test_numeric_ir_is_the_same_with_or_without_a_degree_sweep_before_it():
@@ -945,3 +984,52 @@ def test_numeric_ir_is_the_same_with_or_without_a_degree_sweep_before_it():
     warm = numeric_ir(state)
     assert warm == cold
     assert cold.quadrature.converged and cold.rel_diff <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n_r: QuantumState(H2_PARAMS, POSITION, n_r=n_r, l=0),
+        lambda n_r: QuantumState(Oscillator3D(omega=1.0), MOMENTUM, n_r=n_r, l=3),
+    ],
+    ids=["php H2", "qho3d l=3"],
+)
+def test_two_degrees_at_one_kappa_share_their_initial_edges_where_their_windows_overlap(make):
+    # The breaks come from one lattice, not from each state's turning points.
+    specs = [default_quadrature_spec(make(n_r)) for n_r in (10, 40)]
+    assert specs[0].scale == specs[1].scale
+    scale = specs[0].scale
+    for spec in specs:
+        assert all(b / 1.5 == round(b / 1.5) for b in spec.breaks)
+    start = max(min(spec.breaks) for spec in specs)
+    end = min(max(spec.breaks) for spec in specs)
+    low, high = start / (start + scale), end / (end + scale)
+    shared = [[t for t in _initial_edges(spec) if low <= t <= high] for spec in specs]
+    assert shared[0] == shared[1]
+    assert len(shared[0]) >= 5
+
+
+def test_a_degree_sweep_continues_its_recurrence_at_most_nodes_of_the_next_degree(monkeypatch):
+    # Consecutive degrees start on the same panels, so the n_r = 60 integral
+    # finds the state that n_r = 59 stored at most of its nodes.
+    for n_r in range(60):
+        numeric_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=n_r, l=0))
+    alpha = php_derived(H2_PARAMS, 0).gamma_l + 0.5
+    stored = dict(relfisher.specfun._LIVE["laguerre"][alpha + 1.0].states)
+    points = []
+    kernel = relfisher.systems.laguerre_kernel
+
+    def recorded(n, a):
+        inner = kernel(n, a)
+
+        def evaluate(x):
+            points.append(x)
+            return inner(x)
+
+        return evaluate
+
+    monkeypatch.setattr(relfisher.systems, "laguerre_kernel", recorded)
+    assert numeric_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=60, l=0)).quadrature.converged
+    continued = [x for x in points if x in stored]
+    assert all(stored[x][0] == 59 for x in continued)
+    assert len(continued) > 0.5 * len(points)
