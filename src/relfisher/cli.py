@@ -28,7 +28,7 @@ import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .data_units import (
     CONSTANT_PROFILES,
@@ -61,7 +61,7 @@ from .systems import (
 from .systems import reference_state  # noqa: F401
 from .wavefunctions import default_quadrature_spec
 
-__all__ = ["OutputRow", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,20 +102,12 @@ _FAMILIES = {family.name: family for family in FAMILIES}
 _FLAGS = {"n": "--n", "n_r": "--nr", "l": "--l"}
 
 
-class OutputRow(NamedTuple):
-    """One computed cell of a compute or validate sweep, in output column order."""
-
-    system: str
-    space: str
-    quantum_numbers: str
-    params_digest: str
-    ir_closed: float
-    ir_numeric: float | None
-    rel_diff: float | None
-    status: str
-
-
-_ROW_HEADER = list(OutputRow._fields)
+# The columns of a compute or validate row, which _evaluate_cell builds as a
+# plain tuple in this order.
+_ROW_HEADER = [
+    "system", "space", "quantum_numbers", "params_digest", "ir_closed", "ir_numeric", "rel_diff", "status",
+]
+_Row = tuple[str, str, str, str, float, float | None, float | None, str]
 
 
 def _write_rows(
@@ -253,7 +245,7 @@ def _cells(
     return _nonempty(cells, empty)
 
 
-def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> OutputRow:
+def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> _Row:
     # The reference state is the node-less state of the same system, space and l.
     closed = closed_form_ir(state)
     if not math.isfinite(closed):
@@ -275,16 +267,7 @@ def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: fl
             rel_diff = result.rel_diff
             if not result.quadrature.converged:
                 status = STATUS_QUADRATURE_FAILED
-    return OutputRow(
-        state.system.name,
-        state.space,
-        state.system.label(state),
-        digest,
-        closed,
-        numeric,
-        rel_diff,
-        status,
-    )
+    return (state.system.name, state.space, state.system.label(state), digest, closed, numeric, rel_diff, status)
 
 
 def _row_formats(digits: int) -> dict[str, str]:
@@ -315,10 +298,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     )
     statuses: Counter[str] = Counter()
 
-    def rows() -> Iterable[OutputRow]:
+    def rows() -> Iterable[_Row]:
         for state, digest in cells:
             row = _evaluate_cell(state, digest, args.validate, args.rel_tol)
-            statuses[row.status] += 1
+            statuses[row[-1]] += 1
             yield row
 
     _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
@@ -355,14 +338,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     over_threshold = 0
     max_rel = 0.0
 
-    def rows() -> Iterable[OutputRow]:
+    def rows() -> Iterable[_Row]:
         nonlocal over_threshold, max_rel
         for state, digest in cells:
             row = _evaluate_cell(state, digest, True, args.rel_tol)
-            statuses[row.status] += 1
-            if row.rel_diff is not None:  # a refused row has none
-                over_threshold += row.rel_diff > args.threshold
-                max_rel = max(max_rel, row.rel_diff)
+            *_, rel_diff, status = row
+            statuses[status] += 1
+            if rel_diff is not None:  # a refused row has none
+                over_threshold += rel_diff > args.threshold
+                max_rel = max(max_rel, rel_diff)
             yield row
 
     _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)

@@ -14,16 +14,18 @@ Gauss rule (QUADPACK's dqk31), 31 integrand evaluations per panel. The
 integral starts on 7 equal panels in t and bisects every panel whose error
 estimate exceeds its share of the tolerance, for up to 20 rounds and up to
 10,000 panels. A spec may name break points, as QUADPACK's dqagp takes them:
-the uniform edges between the first and the last break are then replaced by
-the breaks' t-images. The oracle breaks every Laguerre integral at the
+the initial edges are then t = 0, the breaks' t-images and t = 1, and no
+uniform edge is kept. The oracle breaks every Laguerre integral at the
 points of a fixed lattice across the state's classical window (see
-systems._lattice), so consecutive degrees share their initial panels. On
-the pseudoharmonic CO sweep n_r = 0..60 at rel_tol 1e-10 this takes
-53,320 evaluations in all, in either space, against 79,081 on 7 equal
-panels; on the default validate grid the pseudoharmonic cells take 22,971
-against 28,768, integrated in one space only, since
-relative_fisher.numeric_ir gives the other space the same unit-scale
-integral.
+systems._lattice), so consecutive degrees share their initial panels; the
+integrand only falls beyond the last break, so the panel from there to
+t = 1 needs no cut. On the pseudoharmonic CO sweep n_r = 0..60 at rel_tol
+1e-10 this takes 43,152 evaluations in all, in either space, against
+53,320 with the uniform edges outside the window kept and 79,081 on 7 equal
+panels. On the default validate grid the 171 integrals take 37,231
+(54,188 and 58,559), the pseudoharmonic ones 13,826 (22,971 and 28,768),
+integrated in one space only, since relative_fisher.numeric_ir gives the
+other space the same unit-scale integral.
 """
 from __future__ import annotations
 
@@ -117,8 +119,9 @@ class QuadratureSpec:
     scale is a length of the integrand: the transform places t = 1/2 at
     s = scale, so it should sit near where the integrand lives. The oracle
     integrates a state's unit-scale f, and scale is then a length of f.
-    breaks are points s > 0 at which the initial panels are cut (see
-    integrate); they are stored as a tuple, in any order.
+    breaks are points s > 0 that, with the two ends, make the initial
+    panels' edges (see _initial_edges); they are stored as a tuple, in any
+    order. Without breaks the integral starts on 7 equal panels in t.
     """
 
     rel_tol: float = 1e-10
@@ -172,18 +175,16 @@ def _eval_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float,
 
 
 def _initial_edges(spec: QuadratureSpec) -> list[float]:
-    """The initial panel edges in t, ascending: the uniform k/7, with those
-    strictly between the first and the last break replaced by the breaks'
-    t-images s / (s + scale). An image that repeats an edge, or that lies
-    outside [_SMALLEST_EDGE, _LAST_EDGE), is dropped, so no node is ever
-    t = 0 or t = 1."""
-    edges = [k / _INITIAL_PANELS for k in range(_INITIAL_PANELS + 1)]
+    """The initial panel edges in t, ascending: 0, the breaks' t-images
+    s / (s + scale) and 1, as dqagp takes its break points; n kept images
+    give n + 1 panels. An image that repeats another, or that lies outside
+    [_SMALLEST_EDGE, _LAST_EDGE), is dropped, so no node is ever t = 0 or
+    t = 1. Without breaks, or when every image is dropped, the uniform k/7."""
     scale = spec.scale
     marks = {t for t in (s / (s + scale) for s in spec.breaks) if _SMALLEST_EDGE <= t < _LAST_EDGE}
     if not marks:
-        return edges
-    low, high = min(marks), max(marks)
-    return sorted(marks.union(t for t in edges if not low < t < high))
+        return [k / _INITIAL_PANELS for k in range(_INITIAL_PANELS + 1)]
+    return sorted(marks | {0.0, 1.0})
 
 
 def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> QuadratureResult:

@@ -74,7 +74,9 @@ _ULP = 2.0 ** -52
 # k * _BREAK_WIDTH of unit-scale s across the classical window
 # [s_in - _WINDOW_MARGIN, s_out + _WINDOW_MARGIN] (see _lattice). The lattice
 # is the same for every state, so a degree sweep at a fixed kappa keeps its
-# nodes and its recurrence columns keep hitting. Measured in one process
+# nodes and its recurrence columns keep hitting. Both were chosen while the
+# 7 equal initial edges outside the window were still kept
+# (quadrature._initial_edges now keeps none). Measured then in one process
 # (CPython 3.11, 2-core VM, medians of 7), with the CO sweep n_r = 0..60 in
 # position space and the default validate grid: at widths 1, 1.25, 1.5, 2
 # and 3 they took 0.147, 0.146, 0.140, 0.151 and 0.168 s, and 0.176, 0.162,

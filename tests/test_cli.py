@@ -240,7 +240,7 @@ def test_the_default_validate_grid_integrates_each_unit_scale_integral_once(caps
     served = [row for row in rows if row["space"] == "momentum" and row["system"] != "hydrogen"]
     assert (len(rows), len(served)) == (270, 99)
     assert len(integrals) == 270 - 99
-    assert sum(result.evaluations for result in integrals) == 54_188
+    assert sum(result.evaluations for result in integrals) == 37_231
 
 
 def test_validate_without_refusals_prints_no_refused_count(capsys):

@@ -135,13 +135,16 @@ def test_spec_validation():
     assert QuadratureSpec(breaks=[2.0, 1.0]) == QuadratureSpec(breaks=(2.0, 1.0))
 
 
-def test_breaks_replace_the_uniform_edges_between_them():
+def test_breaks_replace_the_uniform_edges():
+    # t-images s / (s + 2): 1/2, 3/5 and 3/4. The edges are the ends and
+    # the images, as QUADPACK's dqagp takes them; no uniform edge is kept.
     spec = QuadratureSpec(scale=2.0, breaks=(6.0, 2.0, 3.0))
-    # t-images s / (s + 2): 1/2, 3/5 and 3/4; 4/7 and 5/7 lie between them.
+    assert quadrature._initial_edges(spec) == [0.0, 0.5, 0.6, 0.75, 1.0]
+    assert quadrature._initial_edges(QuadratureSpec(scale=2.0, breaks=(2.0,))) == [0.0, 0.5, 1.0]
+    # Without breaks, or when every image is dropped, the 7 equal edges stay.
     uniform = [k / _INITIAL_PANELS for k in range(_INITIAL_PANELS + 1)]
-    expected = sorted({*uniform[:4], 0.5, 0.6, 0.75, *uniform[6:]})
-    assert quadrature._initial_edges(spec) == expected
     assert quadrature._initial_edges(QuadratureSpec(scale=2.0)) == uniform
+    assert quadrature._initial_edges(QuadratureSpec(scale=2.0, breaks=(1e300, 1e-320))) == uniform
     result = integrate(lambda u: math.exp(-u), spec)
     assert result.converged
     assert result.value == pytest.approx(1.0, rel=1e-12)
@@ -167,7 +170,7 @@ def test_a_break_whose_image_rounds_to_an_end_or_repeats_an_edge_is_dropped(scal
     result = integrate(f, spec)
     assert result.converged
     assert result.value == pytest.approx(1.0, rel=1e-12)
-    assert len(seen) == result.evaluations == 31 * (len(edges) - 1)
+    assert len(seen) == result.evaluations
 
 
 def test_evaluation_accounting():
