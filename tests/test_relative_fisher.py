@@ -51,6 +51,7 @@ from relfisher.systems import (
 from relfisher.wavefunctions import compile_state, default_quadrature_spec, normalization_defect
 
 H2_PARAMS = to_atomic_units(find_molecule("H2"))
+CO_PARAMS = to_atomic_units(find_molecule("CO"))
 
 
 def _hydrogen(n, l, space, Z=1.0):
@@ -1037,7 +1038,6 @@ def test_a_degree_sweep_continues_its_recurrence_at_most_nodes_of_the_next_degre
     assert len(continued) > 0.5 * len(points)
 
 
-_CO_PARAMS = to_atomic_units(find_molecule("CO"))
 _MONOTONE_STATES = [
     *(
         pytest.param(QuantumState(Oscillator1D(omega=omega), POSITION, n=n), id=f"qho1d-omega={omega:g}-n={n}")
@@ -1055,7 +1055,7 @@ _MONOTONE_STATES = [
         pytest.param(QuantumState(H2_PARAMS, POSITION, n_r=n_r, l=l), id=f"php-H2-{n_r},{l}")
         for n_r, l in ((1, 0), (15, 10), (60, 0))
     ),
-    *(pytest.param(QuantumState(_CO_PARAMS, MOMENTUM, n_r=n_r, l=0), id=f"php-CO-{n_r},0") for n_r in (1, 60)),
+    *(pytest.param(QuantumState(CO_PARAMS, MOMENTUM, n_r=n_r, l=0), id=f"php-CO-{n_r},0") for n_r in (1, 60)),
     *(
         pytest.param(QuantumState(Pseudoharmonic(mu=mu, De=0.1, re=2.0), POSITION, n_r=5, l=0), id=f"php-mu={mu:g}-5,0")
         for mu in (1e2, 1e4, 1e6)
