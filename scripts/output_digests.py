@@ -37,6 +37,8 @@ COMMANDS: list[list[str]] = [
     ["compute", "--system", "hydrogen", "--n", "320..326", "--l", "0", "--space", "position", "--validate"],
     # Both sides of the upper edge of the band where hydrogen momentum overflows: 11 refused rows, then 10 values.
     ["compute", "--system", "hydrogen", "--n", "1000", "--l", "660..680", "--space", "momentum", "--validate"],
+    # n ascends at a fixed l, so each Gegenbauer column is continued, not restarted.
+    ["compute", "--system", "hydrogen", "--n", "11..60", "--l", "3", "--space", "both", "--validate"],
     ["compute", "--system", "qho3d", "--nr", "0..40", "--l", "2", "--validate"],
     ["compute", "--system", "php", "--molecule", "CO", "--nr", "0..8", "--l", "0..2", "--validate"],
     ["compute", "--system", "php", "--mu-amu", "1.5", "--de-ev", "0.2", "--re-angstrom", "1.4",

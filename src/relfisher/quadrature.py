@@ -6,8 +6,9 @@ ever evaluated, so integrands may be singular or undefined at s = 0 and need
 only decay at infinity. Nothing integrates over the full line: the one
 full-line integrand in use, the 1D oscillator's, is even, and its caller
 integrates twice it over the half line. Non-convergence is reported through
-the result, never silently; a non-finite integrand sample aborts with the
-offending node in the message.
+the result, never silently; a non-finite weighted sample aborts with the
+offending node in the message, and a panel sum that overflows with the
+offending panel.
 
 Each panel is integrated with the 31-point Kronrod extension of the 15-point
 Gauss rule (QUADPACK's dqk31), 31 integrand evaluations per panel. The
@@ -83,16 +84,19 @@ _GK31 = (
     (0.9980022986933971, 0.005377479872923349, 0.0),
 )
 
-# 7 initial panels is a measured choice; scripts/oracle_extremes.py shows
-# what another count does to extreme-scale states. With 6, eight 3D
-# oscillator cells at omega 1e+-100 and 1e+-150 turn from correct to
-# converged-but-wrong.
+# Equal initial panels of a spec without breaks. Every Laguerre integral of
+# the oracle starts on its lattice breaks instead, so this count now matters
+# only for hydrogen momentum: with 6, scripts/oracle_extremes.py still gives
+# 510 ok, and only its 66 hydrogen momentum cells change their counts
+# (200,508 evaluations in all, against 200,322).
 _INITIAL_PANELS = 7
-# Bounds a panel-capped integral at about 620,000 evaluations (619,783 for
-# the 1D oscillator's n = 0 at omega = 1e160, position).
+# Bounds a panel-capped integral at about 620,000 evaluations. No oracle
+# integral is known to reach it; the rough integrand of
+# test_an_integrand_rough_everywhere_stops_at_the_panel_cap takes 619,783.
 _MAX_PANELS = 10000
-# Rounds of bisection before an integral stops unconverged. It binds: the 3D
-# oscillator's n_r = 400, l = 0 stops after 10,819 evaluations.
+# Rounds of bisection before an integral stops unconverged. No oracle
+# integral is known to reach it either: only the endpoint singularity of
+# test_an_endpoint_singularity_uses_every_round_of_refinement does.
 _MAX_REFINEMENTS = 20
 
 
@@ -105,7 +109,7 @@ _LAST_EDGE = 1.0 - 2.0 ** -20
 
 
 class IntegrandError(ValueError):
-    """The integrand returned a non-finite value at a quadrature node."""
+    """A weighted integrand sample, or a panel's quadrature sum, is not finite."""
 
 
 class NonConvergedError(RuntimeError):
@@ -147,9 +151,7 @@ class QuadratureResult:
     converged guarantees error_estimate <= max(rel_tol*|value|, abs_tol).
     panels is the final number of panels. stop_reason says why refinement
     stopped: "tol" (converged), "max_refinements" (every round of bisection
-    used), "panel_cap" (the panel limit left no panel to split) or
-    "no_split" (no panel's error estimate exceeded its share of the
-    tolerance, which happens only when the estimates are not finite).
+    used) or "panel_cap" (the panel limit left no panel to split).
     """
 
     value: float
@@ -161,7 +163,8 @@ class QuadratureResult:
 
 
 def _eval_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and |Kronrod - Gauss| error estimate on [a, b] in t-space."""
+    """Kronrod value and |Kronrod - Gauss| error estimate on [a, b] in t-space.
+    IntegrandError if either sum overflows."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     kron = 0.0
@@ -171,6 +174,8 @@ def _eval_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float,
         v = g(t)
         kron += wk * v
         gauss += wg * v
+    if not (math.isfinite(kron) and math.isfinite(gauss)):
+        raise IntegrandError(f"the quadrature sums overflow on the panel t = [{a!r}, {b!r}]")
     return h * kron, abs(h * (kron - gauss))
 
 
@@ -197,9 +202,11 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -
         one_minus = 1.0 - t
         s = scale * t / one_minus
         v = f(s)
-        if not math.isfinite(v):
-            raise IntegrandError(f"integrand returned {v!r} at s = {s!r} (t = {t!r})")
-        return v * scale / (one_minus * one_minus)
+        weighted = v * scale / (one_minus * one_minus)
+        # A non-finite v always gives a non-finite weighted sample.
+        if not math.isfinite(weighted):
+            raise IntegrandError(f"integrand returned {v!r} at s = {s!r} (t = {t!r}), weighted {weighted!r}")
+        return weighted
 
     edges = _initial_edges(spec)
     panels = []
@@ -228,7 +235,9 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -
             else:
                 refined.append((a, b, val, perr))
         if split == 0:
-            stop_reason = "panel_cap" if len(panels) >= _MAX_PANELS else "no_split"
+            # With every sum finite, the panels' estimates add up to err > tol,
+            # so one of them exceeds its share: only the cap stops the split.
+            stop_reason = "panel_cap"
             break
         panels = refined
 

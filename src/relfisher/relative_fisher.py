@@ -28,6 +28,7 @@ from .quadrature import QuadratureResult, QuadratureSpec, integrate
 from .systems import (
     MOMENTUM,
     POSITION,
+    Hydrogenic,
     QuantumState,
     SystemParams,
     UnsupportedSystemError,
@@ -115,11 +116,7 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     192 at n=2, l=0, Z=1); both are exposed so the disagreement is checkable
     rather than hidden.
     """
-    _require_positive("Z", Z)
-    _require_quantum_number("n", n, minimum=1)
-    _require_quantum_number("l", l)
-    if l > n - 1:
-        raise ValueError(f"l must satisfy l <= n-1, got n={n}, l={l}")
+    QuantumState(Hydrogenic(Z=Z), MOMENTUM, n=n, l=l)
     k = n - l - 1
     if k == 0:
         return 0.0
@@ -151,7 +148,7 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     if reference.radial_nodes != 0:
         raise ValueError(f"reference state {reference!r} has interior nodes")
     system = target.system
-    c, _ = system.scale(target)
+    c = system.scale(target)
     if spec is None:
         spec = default_quadrature_spec(target)
     key = (type(system), system.unit_key(target), spec)
@@ -204,12 +201,8 @@ def ir_product(target: QuantumState) -> float:
     Parameter-free: 64 n^2 (1D), 256 n_r^2 (3D oscillator and pseudoharmonic),
     and 128 (n-l-1)(n^2-(l+1)^2)/n for hydrogen-like states regardless of Z.
     """
-    position = QuantumState(
-        system=target.system, space=POSITION, n=target.n, l=target.l, n_r=target.n_r
-    )
-    momentum = QuantumState(
-        system=target.system, space=MOMENTUM, n=target.n, l=target.l, n_r=target.n_r
-    )
+    position = replace(target, space=POSITION)
+    momentum = replace(target, space=MOMENTUM)
     return closed_form_ir(position) * closed_form_ir(momentum)
 
 
@@ -219,10 +212,8 @@ def hydrogen_ir_max(l: int, n_max: int = 200) -> tuple[int, float]:
 
     Exact rational comparison, so no floating-point ties.
     """
-    if isinstance(l, bool) or not isinstance(l, int) or l < 0:
-        raise ValueError(f"l must be a nonnegative integer, got {l!r}")
-    if n_max < l + 1:
-        raise ValueError(f"n_max must be at least l+1, got {n_max}")
+    _require_quantum_number("l", l)
+    _require_quantum_number("n_max", n_max, minimum=l + 1)
     best_n = l + 1
     best = hydrogen_position_rational(best_n, l)
     for n in range(l + 2, n_max + 1):

@@ -61,12 +61,12 @@ _MAX_STATES = 1 << 16
 class _Column:
     """One parameter's recurrence: the coefficients of steps 0, 1, ..., shared
     by every degree, the state reached at each point, x -> (degree, terms),
-    and the lowest degree compiled on it."""
+    and the lowest degree compiled on it. The parameter is its key in
+    _LIVE[family]."""
 
-    __slots__ = ("parameter", "steps", "states", "lowest")
+    __slots__ = ("steps", "states", "lowest")
 
-    def __init__(self, parameter: float, lowest: int) -> None:
-        self.parameter = parameter
+    def __init__(self, lowest: int) -> None:
         self.steps: tuple = ()
         self.states: dict[float, tuple] = {}
         self.lowest = lowest
@@ -89,7 +89,7 @@ def _bind(family: str, parameter: float, n: int, coefficients) -> tuple[tuple, d
     if n < _CONTINUE_FROM_DEGREE:
         return tuple(coefficients(parameter, 0, n)), None
     live = _LIVE.setdefault(family, {})
-    column = live[parameter] = live.pop(parameter, None) or _Column(parameter, n)
+    column = live[parameter] = live.pop(parameter, None) or _Column(n)
     if len(live) > _LIVE_COLUMNS:
         del live[next(iter(live))]
     steps = column.steps

@@ -283,6 +283,9 @@ class _Family:
     relative Fisher information is c^2 times that of f. The oracle integrates
     f, where its tolerances hold at every scale.
 
+    _Family gives no default but radial and _grid, and builds compile from
+    scale and unit; each family states every other entry once.
+
     name                    the CLI --system name
     number_fields           quantum-number fields, in label order; the
                             others must be left at None
@@ -292,12 +295,11 @@ class _Family:
     radial_nodes(state)     interior nodes of the radial (or full-line) function
     reference(state)        the node-less state of the same system, space and l
     label(state)            the quantum numbers as text, for example "n=3,l=1"
-    scale(state)            (c, the unit length): the unit length is where
-                            |f|^2 lives, and the oracle's quadrature scale
-    layout(state)           (the unit length, the oracle's initial breaks in
-                            f's argument): the lattice points across a
-                            Laguerre state's classical window; none by
-                            default
+    scale(state)            c, the length scale above
+    layout(state)           (the unit length, where |f|^2 lives and the
+                            oracle's quadrature scale; the oracle's initial
+                            breaks in f's argument, the lattice points across
+                            a Laguerre state's classical window, or none)
     unit(state)             (f as an Evaluator, d/du log(reference f)); the
                             log-derivative is coded in closed form, apart
                             from f and closed_form, so the oracle stays an
@@ -307,8 +309,7 @@ class _Family:
                             everything unit(state) evaluates: states with
                             equal keys have the same f and reference
                             log-derivative, and the oracle integrates them
-                            once. The default, the state itself, names the
-                            system and the space, so no other state shares it
+                            once
     closed_form(state)      relative Fisher information against the reference
     spacing(space)          constant gap between adjacent closed forms
     _grid(ranges)           optional: the corner and the number tuples of
@@ -318,15 +319,9 @@ class _Family:
 
     radial = True
 
-    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
-        return self.scale(state)[1], ()
-
-    def unit_key(self, state: QuantumState) -> Hashable:
-        return state
-
     def compile(self, state: QuantumState) -> Evaluator:
         """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
-        c, _ = self.scale(state)
+        c = self.scale(state)
         wave, _ = self.unit(state)
         # Factor by factor, as c^(3/2) may overflow and inf * 0.0 is nan.
         root = math.sqrt(c)
@@ -401,11 +396,11 @@ class Oscillator1D(_Family):
     def label(self, state: QuantumState) -> str:
         return f"n={state.n}"
 
-    def scale(self, state: QuantumState) -> tuple[float, float]:
+    def scale(self, state: QuantumState) -> float:
         # c^2 = omega/sqrt(2) in position space and its reciprocal in
         # momentum space, formed in logs so that neither over- nor underflows.
         ln_c = 0.5 * math.log(self.omega) - _QUARTER_LN_2
-        return math.exp(ln_c if state.space == POSITION else -ln_c), 1.0
+        return math.exp(ln_c if state.space == POSITION else -ln_c)
 
     def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
         # H_{2m+p}(y) = (-1)^m 2^(2m+p) m! y^p L_m^(p-1/2)(y^2) (Abramowitz &
@@ -416,7 +411,7 @@ class Oscillator1D(_Family):
 
     def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
         m, p = divmod(state.n, 2)
-        return self.scale(state)[1], _lattice(m, p - 0.5)
+        return 1.0, _lattice(m, p - 0.5)
 
     def unit_key(self, state: QuantumState) -> Hashable:
         return (state.n,)
@@ -424,7 +419,7 @@ class Oscillator1D(_Family):
     def compile(self, state: QuantumState) -> Evaluator:
         """psi(x) = (-1)^m sqrt(c/2) f(c |x|) on the full line, n = 2m + p, with
         parity (-1)^n bit for bit; at x = 0 from f(s) ~ sqrt(2) A(m, p) s^p."""
-        c, _ = self.scale(state)
+        c = self.scale(state)
         wave, _ = self.unit(state)
         m, p = divmod(state.n, 2)
         half = math.sqrt(0.5 * c) * (-1.0) ** m
@@ -484,8 +479,8 @@ class _RadialOscillator(_Family):
     def label(self, state: QuantumState) -> str:
         return f"n_r={state.n_r},l={state.l}"
 
-    def scale(self, state: QuantumState) -> tuple[float, float]:
-        return math.sqrt(self._kappa_b(state)[1]), self._unit_length
+    def scale(self, state: QuantumState) -> float:
+        return math.sqrt(self._kappa_b(state)[1])
 
     def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
         kappa, _ = self._kappa_b(state)
@@ -571,10 +566,8 @@ class Hydrogenic(_Family):
     def label(self, state: QuantumState) -> str:
         return f"n={state.n},l={state.l}"
 
-    def scale(self, state: QuantumState) -> tuple[float, float]:
-        if state.space == POSITION:
-            return self.Z, float(state.n)
-        return 1.0 / self.Z, 1.0 / state.n
+    def scale(self, state: QuantumState) -> float:
+        return self.Z if state.space == POSITION else 1.0 / self.Z
 
     def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
         n, l = state.n, state.l
@@ -591,11 +584,11 @@ class Hydrogenic(_Family):
         return _hydrogen_momentum(n, l, lambda: self._name(state)), momentum_log_derivative
 
     def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
-        length = self.scale(state)[1]
         if state.space == MOMENTUM:
-            return length, ()
+            return 1.0 / state.n, ()
         # The D = 4 oscillator's s is at r = n s^2 / 2, and n is the unit
         # length, so the breaks' t-images s^2 / (s^2 + 2) do not depend on n.
+        length = float(state.n)
         lattice = _lattice(state.n - state.l - 1, 2.0 * state.l + 1.0)
         return length, tuple(0.5 * length * s * s for s in lattice)
 

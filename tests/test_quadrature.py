@@ -209,13 +209,21 @@ def test_an_integrand_rough_everywhere_stops_at_the_panel_cap():
     assert result.evaluations == 619_783
 
 
-def test_error_estimates_that_overflow_split_no_panel():
-    # Every sample is finite, but the weighted samples overflow near t = 1,
-    # so a panel's |Kronrod - Gauss| is nan and never exceeds its share.
-    result = integrate(lambda u: 1e308)
-    assert not result.converged
-    assert math.isnan(result.error_estimate)
-    assert (result.panels, result.stop_reason, result.evaluations) == (_INITIAL_PANELS, "no_split", 217)
+def test_overflowing_weighted_samples_and_panel_sums_raise():
+    # Every sample of f is finite, but the weighted samples overflow near
+    # t = 1, and on the first panel already the sums do.
+    with pytest.raises(IntegrandError):
+        integrate(lambda u: 1e308)
+    # A weighted sample that overflows is named by its node, with f's value.
+    with pytest.raises(IntegrandError) as excinfo:
+        integrate(lambda u: 1e300, QuadratureSpec(scale=1e10))
+    message = str(excinfo.value)
+    assert message.startswith("integrand returned 1e+300 at s = ")
+    assert message.endswith("weighted inf")
+    # Every weighted sample is 1.7e308 or below, but a panel's Kronrod sum,
+    # about twice that, overflows: the panel is named.
+    with pytest.raises(IntegrandError, match=r"sums overflow on the panel t = \[0\.0, 0\.14285714285714285\]"):
+        integrate(lambda s: 1.7e308 / (1.0 + s) ** 2)
 
 
 # The Gauss-Kronrod 15/31 table.

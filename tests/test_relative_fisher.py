@@ -324,6 +324,9 @@ def test_hydrogen_maxima_validation():
         hydrogen_ir_max(-1)
     with pytest.raises(ValueError):
         hydrogen_ir_max(5, n_max=3)
+    for l, n_max in ((2, 10.0), (2, True)):
+        with pytest.raises(ValueError):
+            hydrogen_ir_max(l, n_max)
 
 
 def test_asymptotics():
@@ -560,7 +563,7 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
     # own nodes: numeric_ir's unit-scale integral times c^2 must agree.
     state = replace(make(scale), space=space)
     wave = compile_state(state)
-    c, length = state.system.scale(state)
+    c, length = state.system.scale(state), state.system.layout(state)[0]
     _, unit_log_derivative = state.system.unit(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 8.0)
 
@@ -837,7 +840,7 @@ def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
     # half-line f, |f| = sqrt(2)|psi|, at unit scale instead, and must agree.
     state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
     wave = compile_state(state)
-    c, length = state.system.scale(state)
+    c, length = state.system.scale(state), state.system.layout(state)[0]
 
     def integrand(x):
         value, derivative = wave(x)

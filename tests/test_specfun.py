@@ -325,7 +325,7 @@ def test_a_degree_sweep_continues_the_stored_state():
     first = specfun._CONTINUE_FROM_DEGREE
     laguerre_kernel(first, alpha)(x)  # a fresh column's first degree runs from 0
     column = specfun._LIVE["laguerre"][alpha + 1.0]
-    assert column.parameter == alpha + 1.0
+    assert list(specfun._LIVE["laguerre"]) == [100.0, alpha + 1.0]
     assert x not in column.states
     for n in range(first + 1, first + 30):
         assert laguerre_kernel(n, alpha)(x) == _laguerre_pass(n, alpha, x)
@@ -349,8 +349,8 @@ def test_a_sweep_that_alternates_two_parameters_continues_both():
     for n in range(2 * first, 2 * first + 40):
         m, p = divmod(n, 2)
         assert laguerre_kernel(m, p - 0.5)(x) == _laguerre_pass(m, p - 0.5, x)
+    assert list(specfun._LIVE["laguerre"]) == [0.5, 1.5]
     live = list(specfun._LIVE["laguerre"].values())
-    assert [column.parameter for column in live] == [0.5, 1.5]
     # Both columns served every degree from the first: each holds the state
     # of its last degree, and no other column replaced it on the way.
     assert [column.lowest for column in live] == [first, first]

@@ -176,7 +176,8 @@ def test_family_conformance(family, space):
     assert closed_form_ir(ref) == 0.0
     assert closed_form_ir(state) > 0.0
 
-    c, length = state.system.scale(state)
+    c, length = state.system.scale(state), state.system.layout(state)[0]
+    assert type(c) is float and type(length) is float
     scale = length / c
     assert math.isfinite(scale) and scale > 0.0
     spec = default_quadrature_spec(state)

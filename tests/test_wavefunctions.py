@@ -37,8 +37,7 @@ H2_PARAMS = Pseudoharmonic(mu=918.5724999, De=0.171535509264, re=1.401413504256)
 
 def _length(state):
     """A length of the state's own density: the unit length over c."""
-    c, length = state.system.scale(state)
-    return length / c
+    return state.system.layout(state)[0] / state.system.scale(state)
 
 
 def test_1d_ground_state_at_special_frequency():
@@ -103,7 +102,7 @@ def test_1d_oscillator_is_the_hermite_function(n):
     mpmath = pytest.importorskip("mpmath")
     state = QuantumState(system=Oscillator1D(omega=0.7), space=POSITION, n=n)
     wave = compile_state(state)
-    c, _ = state.system.scale(state)
+    c = state.system.scale(state)
     with mpmath.workdps(40):
         norm = mpmath.sqrt(c) / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
         for y in (-3.1, -0.2, 0.45, 1.7, 0.9 * math.sqrt(2 * n + 1)):
@@ -125,7 +124,7 @@ def test_1d_oscillator_at_the_origin_is_its_limit(n, omega):
     # refuses s = 0; it must match the value a hair away.
     state = QuantumState(system=Oscillator1D(omega=omega), space=MOMENTUM, n=n)
     wave = compile_state(state)
-    c, _ = state.system.scale(state)
+    c = state.system.scale(state)
     near = wave(1e-9 / c)
     for x in (0.0, -0.0):
         value, derivative = wave(x)
@@ -174,7 +173,7 @@ def _slope_at_the_origin(state, mpmath):
     n, n_r = state.n, state.n_r
     if isinstance(state.system, Oscillator1D):
         # psi_n'(0) = c (2^n n! sqrt(pi))^(-1/2) sqrt(c) 2n H_{n-1}(0)
-        c = mpmath.mpf(state.system.scale(state)[0])
+        c = mpmath.mpf(state.system.scale(state))
         norm = mpmath.sqrt(c) / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
         return c * norm * 2 * n * mpmath.hermite(n - 1, 0)
     if isinstance(state.system, Oscillator3D):
@@ -337,7 +336,8 @@ def test_radial_rejects_nonpositive_argument():
 
 
 def test_scale_and_quadrature_spec_conventions():
-    # scale() is (c, unit length), and the quadrature runs at the unit length.
+    # scale() is c, layout() starts with the unit length, and the quadrature
+    # runs at the unit length.
     hyd = Hydrogenic(Z=2.0)
     osc = Oscillator3D(omega=4.0)
     cases = [
@@ -347,14 +347,16 @@ def test_scale_and_quadrature_spec_conventions():
         (QuantumState(system=osc, space=MOMENTUM, n_r=1, l=0), (0.5, 1.0), 2.0),
     ]
     for state, scale, length in cases:
-        assert state.system.scale(state) == scale
+        assert state.system.scale(state) == scale[0]
+        assert state.system.layout(state)[0] == scale[1]
         assert _length(state) == length
         assert default_quadrature_spec(state).scale == scale[1]
     # php has the one unit length sqrt(2) in both spaces.
     lam = php_derived(H2_PARAMS, 0).lam
     for space, c in ((POSITION, math.sqrt(2.0 * lam)), (MOMENTUM, math.sqrt(0.5 / lam))):
         php = QuantumState(system=H2_PARAMS, space=space, n_r=0, l=0)
-        assert php.system.scale(php) == (pytest.approx(c, rel=1e-15), math.sqrt(2.0))
+        assert php.system.scale(php) == pytest.approx(c, rel=1e-15)
+        assert php.system.layout(php)[0] == math.sqrt(2.0)
         assert default_quadrature_spec(php).scale == math.sqrt(2.0)
     php = QuantumState(system=H2_PARAMS, space=POSITION, n_r=0, l=0)
     assert _length(php) == pytest.approx(1.0 / math.sqrt(lam), rel=1e-15)
@@ -364,9 +366,9 @@ def test_default_quadrature_spec_domains():
     one_d = QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=0)
     radial = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
     assert not one_d.system.radial and radial.system.radial
-    assert default_quadrature_spec(one_d).scale == one_d.system.scale(one_d)[1]
+    assert default_quadrature_spec(one_d).scale == one_d.system.layout(one_d)[0]
     assert default_quadrature_spec(radial, rel_tol=1e-8).rel_tol == 1e-8
-    assert default_quadrature_spec(radial).scale == radial.system.scale(radial)[1]
+    assert default_quadrature_spec(radial).scale == radial.system.layout(radial)[0]
 
 
 NORMALIZATION_GRID = []
