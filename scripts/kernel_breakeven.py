@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-call cost of a polynomial kernel that runs from degree 0 against one
-that continues a stored recurrence state, by degree, for the two families
-that keep recurrence columns (the Hermite kernel always runs from degree 0).
+that continues a stored recurrence state, by degree, for the two kernel
+families, Laguerre and Gegenbauer (specfun has no Hermite kernel).
 
     python3 scripts/kernel_breakeven.py [--points 3000] [--repeats 9]
 

@@ -43,6 +43,10 @@ COMMANDS: list[list[str]] = [
     ["compute", "--system", "php", "--molecule", "CO", "--nr", "0..8", "--l", "0..2", "--validate"],
     ["compute", "--system", "php", "--mu-amu", "1.5", "--de-ev", "0.2", "--re-angstrom", "1.4",
      "--nr", "0..8", "--space", "both"],
+    # n from 2**63 - 1, past the largest range length: 8 rows, exit 0.
+    ["compute", "--system", "hydrogen", "--n", f"{2**63 - 1}..{2**63}", "--l", "0..1", "--space", "both"],
+    # n = 2**1024 does not convert to a float: a closed form outside double range, exit 2.
+    ["compute", "--system", "qho1d", "--n", str(2**1024)],
     *(
         ["reproduce", target, "--format", fmt]
         for target in ("table1", "table3", "figure1")

@@ -247,7 +247,11 @@ def _cells(
 
 def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> _Row:
     # The reference state is the node-less state of the same system, space and l.
-    closed = closed_form_ir(state)
+    try:
+        closed = closed_form_ir(state)
+    except OverflowError:
+        # A quantum number past the largest double does not convert to one.
+        closed = math.inf
     if not math.isfinite(closed):
         raise ValueError(
             f"the closed form of {state.system.name} {state.space} {state.system.label(state)} "

@@ -21,10 +21,8 @@ points of a fixed lattice across the state's classical window (see
 systems._lattice), so consecutive degrees share their initial panels; the
 integrand only falls beyond the last break, so the panel from there to
 t = 1 needs no cut. On the pseudoharmonic CO sweep n_r = 0..60 at rel_tol
-1e-10 this takes 43,152 evaluations in all, in either space, against
-53,320 with the uniform edges outside the window kept and 79,081 on 7 equal
-panels. On the default validate grid the 171 integrals take 37,231
-(54,188 and 58,559), the pseudoharmonic ones 13,826 (22,971 and 28,768),
+1e-10 this takes 43,152 evaluations in all, in either space. On the default
+validate grid the 171 integrals take 37,231, the pseudoharmonic ones 13,826,
 integrated in one space only, since relative_fisher.numeric_ir gives the
 other space the same unit-scale integral.
 """

@@ -1,25 +1,24 @@
 """Orthogonal-polynomial kernels with analytic derivatives, and log-gamma.
 
-Each family has one kernel. `hermite_kernel`, `laguerre_kernel` and
-`gegenbauer_kernel` bind a degree and a parameter once: they validate them,
-take the coefficients of the forward three-term recurrence, and return a
-closure x -> (value, derivative). The closure runs one recurrence pass in
-double precision and reads both the value and the derivative off it through
-index-shift identities, rather than finite differences, so the two are
-consistent to machine precision at any argument.
+Each family has one kernel. `laguerre_kernel` and `gegenbauer_kernel` bind a
+degree and a parameter once: they validate them, take the coefficients of the
+forward three-term recurrence, and return a closure x -> (value, derivative).
+The closure runs one recurrence pass in double precision and reads both the
+value and the derivative off it through index-shift identities, rather than
+finite differences, so the two are consistent to machine precision at any
+argument.
 
-Laguerre and Gegenbauer degree sweeps continue their recurrences; the
-Hermite kernel, which no system calls, runs from degree 0 at every point. A
-family's column holds, for one parameter (alpha + 1, exactly), the recurrence
-coefficients shared by every degree and the state reached at each point: the
-degree and the last two terms (three for Gegenbauer). _bind gives a kernel
-its column's state table when its degree n is at least _CONTINUE_FROM_DEGREE
-and the column already served a lower degree. With the table, at x it runs on
-from the stored state when that state's degree is <= n, and from degree 0
-otherwise, and stores the state it reached; without it, it runs from degree 0
-and stores nothing. The floating-point operations are those of a pass from
-degree 0, in the same order, so every value is bit-identical to it (a point
-is keyed by its value, so -0.0 continues the state of 0.0).
+Degree sweeps continue their recurrences. A family's column holds, for one
+parameter (alpha + 1, exactly), the recurrence coefficients shared by every
+degree and the state reached at each point: the degree and the last two terms
+(three for Gegenbauer). _bind gives a kernel its column's state table when its
+degree n is at least _CONTINUE_FROM_DEGREE and the column already served a
+lower degree. With the table, at x it runs on from the stored state when that
+state's degree is <= n, and from degree 0 otherwise, and stores the state it
+reached; without it, it runs from degree 0 and stores nothing. The
+floating-point operations are those of a pass from degree 0, in the same
+order, so every value is bit-identical to it (a point is keyed by its value,
+so -0.0 continues the state of 0.0).
 
 The columns of the two most recently compiled parameters of each family stay
 alive; a third parameter drops the older. A kernel keeps its own column, so
@@ -37,7 +36,6 @@ import math
 from typing import Callable
 
 __all__ = [
-    "hermite_kernel",
     "laguerre_kernel",
     "gegenbauer_kernel",
     "ln_gamma",
@@ -107,25 +105,6 @@ def _bind(family: str, parameter: float, n: int, coefficients) -> tuple[tuple, d
 def _check_degree(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"polynomial degree must be a non-negative integer, got {n!r}")
-
-
-def hermite_kernel(n: int) -> Kernel:
-    """Physicists' Hermite polynomial H_n(x) with derivative 2*n*H_{n-1}(x).
-
-    Recurrence: H_{k+1} = 2*x*H_k - 2*k*H_{k-1}, H_0 = 1, H_{-1} = 0.
-    """
-    _check_degree(n)
-    steps = tuple(2.0 * k for k in range(n))
-    two_n = 2.0 * n
-
-    def kernel(x: float) -> tuple[float, float]:
-        prev, cur = 0.0, 1.0
-        two_x = 2.0 * x
-        for two_k in steps:
-            prev, cur = cur, two_x * cur - two_k * prev
-        return cur, two_n * prev
-
-    return kernel
 
 
 def _laguerre_steps(a: float, start: int, stop: int) -> list[tuple[float, float, float]]:
@@ -208,10 +187,19 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     return kernel
 
 
-# One-point forms: compile, then call once. Not part of the API and not called
-# in the package; kept because perfbench/layers.py times them under these names.
+# One-point forms. Not part of the API and not called in the package; kept
+# only as the names perfbench/layers.py times. The Laguerre and Gegenbauer
+# forms compile a kernel and call it once; no system uses a Hermite kernel, so
+# hermite runs its recurrence directly.
 def hermite(n: int, x: float) -> tuple[float, float]:
-    return hermite_kernel(n)(x)
+    """Physicists' Hermite polynomial H_n(x) with derivative 2*n*H_{n-1}(x),
+    by H_{k+1} = 2*x*H_k - 2*k*H_{k-1} from H_0 = 1, H_{-1} = 0 at every call."""
+    _check_degree(n)
+    prev, cur = 0.0, 1.0
+    two_x = 2.0 * x
+    for k in range(n):
+        prev, cur = cur, two_x * cur - 2.0 * k * prev
+    return cur, 2.0 * n * prev
 
 
 def assoc_laguerre(n: int, alpha: float, x: float) -> tuple[float, float]:

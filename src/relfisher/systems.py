@@ -180,7 +180,8 @@ def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], 
         if kappa != 0.0:
             ln_env += kappa * math.log(s)
             slope = kappa / s - s
-        if ln_env < _LN_TINY:
+        # Written `not >=` so that the nan of s = inf at kappa > 0, inf - inf, is cut too.
+        if not ln_env >= _LN_TINY:
             # The value is cut; the derivative only where env/s is cut too,
             # as near the origin f ~ A s^kappa keeps its slope at kappa = 1.
             if s >= 1.0 or ln_env - math.log(s) < _LN_TINY:
@@ -242,7 +243,8 @@ def _hydrogen_momentum(n: int, l: int, name: Callable[[], str]) -> Evaluator:
         ln_env = ln_norm - decay_power * math.log1p(t * t)
         if l:
             ln_env += l * math.log(t)
-        if ln_env < _LN_TINY:
+        # `not >=` also cuts the nan of p = inf at l > 0, inf - inf.
+        if not ln_env >= _LN_TINY:
             # As in _radial_oscillator, f ~ A t^l keeps its slope at l = 1.
             if t >= 1.0 or ln_env - math.log(t) < _LN_TINY:
                 return _ZERO
@@ -549,12 +551,10 @@ class Hydrogenic(_Family):
         # The grid skips l > n-1 instead of refusing it, so its corner takes
         # the largest l that the first n admits when the first l is above it.
         n_range, l_range = ranges
-
-        def below(n: int) -> range:
-            return l_range[: len(range(l_range.start, n, l_range.step))]
-
         corner = (n_range[0], min(l_range[0], n_range[0] - 1))
-        return corner, ((n, l) for n in n_range for l in below(n))
+        return corner, (
+            (n, l) for n in n_range for l in range(l_range.start, min(n, l_range.stop), l_range.step)
+        )
 
     def radial_nodes(self, state: QuantumState) -> int:
         return state.n - state.l - 1  # type: ignore[operator]

@@ -31,12 +31,13 @@ def compile_state(state: QuantumState) -> Evaluator:
     for the 1D oscillator, and the radial function R(s) with dR/ds at s > 0
     otherwise (it raises ValueError for s <= 0); s is a radius in position
     space and a momentum magnitude in momentum space. Where the envelope
-    drops under exp(-700) the value is exactly 0.0, and so is the derivative
-    except near the origin, where a state that vanishes linearly keeps its
-    slope. Every state but hydrogen momentum is a Laguerre state, evaluated
-    as the D = 1, 3 or 4 radial oscillator; one whose wavefunction would
-    reach that cutoff raises RefusedStateError, a ValueError, here; a
-    hydrogen momentum state raises it at the first point where it overflows.
+    drops under exp(-700), and at +-inf, the value is exactly 0.0, and so is
+    the derivative except near the origin, where a state that vanishes
+    linearly keeps its slope. Every state but hydrogen momentum is a Laguerre
+    state, evaluated as the D = 1, 3 or 4 radial oscillator; one whose
+    wavefunction would reach that cutoff raises RefusedStateError, a
+    ValueError, here; a hydrogen momentum state raises it at the first point
+    where it overflows.
     """
     return state.system.compile(state)
 

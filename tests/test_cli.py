@@ -424,8 +424,16 @@ def test_a_maximum_the_system_does_not_read_is_not_checked(argv, capsys):
         # Z * Z underflows to 0, so the momentum form divides by zero.
         (["compute", "--system", "hydrogen", "--Z", "1e-170", "--n", "3", "--space", "momentum"],
          "hydrogen momentum n=3,l=0"),
+        # A quantum number past the largest double does not convert to a float.
+        (["compute", "--system", "qho1d", "--n", str(2**1024)], f"qho1d position n={2**1024}"),
+        (["compute", "--system", "qho3d", "--nr", str(2**1024)], f"qho3d position n_r={2**1024},l=0"),
+        (["compute", "--system", "php", "--molecule", "CO", "--nr", str(2**1024)],
+         f"php position n_r={2**1024},l=0"),
+        (["compute", "--system", "hydrogen", "--n", str(10**80), "--space", "momentum"],
+         f"hydrogen momentum n={10**80},l=0"),
     ],
-    ids=["qho1d", "qho3d", "hydrogen", "hydrogen-underflow"],
+    ids=["qho1d", "qho3d", "hydrogen", "hydrogen-underflow", "qho1d-n-past-double", "qho3d-n_r-past-double",
+         "php-n_r-past-double", "hydrogen-n-past-double"],
 )
 def test_a_closed_form_outside_double_range_is_an_error(argv, cell, output_format, tmp_path, capsys):
     # Infinity is not valid JSON, and inf is not a value.
@@ -439,6 +447,19 @@ def test_a_closed_form_outside_double_range_is_an_error(argv, cell, output_forma
     assert "is inf, outside double range" in captured.err
     assert target.read_bytes() == b"old table\n"
     assert os.listdir(tmp_path) == ["table.out"]
+
+
+def test_a_hydrogen_grid_runs_past_the_largest_range_length(capsys):
+    # len() of a range stops at sys.maxsize, 2**63 - 1 on 64-bit builds; the
+    # grid takes no length, so every row is written.
+    n = 2**63 - 1
+    code = run_cli(["compute", "--system", "hydrogen", "--n", f"{n}..{n + 1}", "--l", "0..1", "--space", "both"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    rows = parse_csv(captured.out)
+    assert [(row["space"], row["quantum_numbers"]) for row in rows] == [
+        (space, f"n={m},l={l}") for m in (n, n + 1) for l in (0, 1) for space in ("position", "momentum")
+    ]
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])

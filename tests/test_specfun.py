@@ -22,21 +22,20 @@ from relfisher.specfun import (
     gegenbauer,
     gegenbauer_kernel,
     hermite,
-    hermite_kernel,
     laguerre_kernel,
     ln_gamma,
 )
 
 
 def test_hermite_low_orders():
-    assert hermite_kernel(0)(0.7) == (1.0, 0.0)
-    assert hermite_kernel(1)(1.0) == (2.0, 2.0)
+    assert hermite(0, 0.7) == (1.0, 0.0)
+    assert hermite(1, 1.0) == (2.0, 2.0)
     # H2 = 4x^2 - 2, H2' = 8x
-    value, derivative = hermite_kernel(2)(0.3)
+    value, derivative = hermite(2, 0.3)
     assert value == pytest.approx(-1.64, rel=1e-15)
     assert derivative == pytest.approx(2.4, rel=1e-15)
     # H3 = 8x^3 - 12x, H3' = 24x^2 - 12
-    value, derivative = hermite_kernel(3)(0.5)
+    value, derivative = hermite(3, 0.5)
     assert value == pytest.approx(-5.0, rel=1e-15)
     assert derivative == pytest.approx(-6.0, rel=1e-15)
 
@@ -68,7 +67,7 @@ def test_gegenbauer_low_orders():
 
 @pytest.mark.parametrize("x", [-1.8, 0.0, 0.4, 2.6])
 def test_degree_zero_derivative_is_exactly_zero(x):
-    assert hermite_kernel(0)(x)[1] == 0.0
+    assert hermite(0, x)[1] == 0.0
     assert laguerre_kernel(0, 1.5)(abs(x))[1] == 0.0
     assert gegenbauer_kernel(0, 1.0)(max(min(x, 0.9), -0.9))[1] == 0.0
 
@@ -97,9 +96,9 @@ def test_ln_gamma_rejects_nonpositive(x):
 
 def test_degree_and_parameter_validation():
     with pytest.raises(ValueError):
-        hermite_kernel(-1)
+        hermite(-1, 0.5)
     with pytest.raises(ValueError):
-        hermite_kernel(True)
+        hermite(True, 0.5)
     with pytest.raises(ValueError):
         laguerre_kernel(2, -1.0)
     with pytest.raises(ValueError):
@@ -116,7 +115,7 @@ def _assert_derivative_matches(kernel, x, h=1e-6):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(0, 60), x=st.floats(-3.0, 3.0))
 def test_hermite_derivative_matches_finite_difference(n, x):
-    _assert_derivative_matches(hermite_kernel(n), x)
+    _assert_derivative_matches(lambda y: hermite(n, y), x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -165,10 +164,8 @@ def test_hermite_orthogonality_by_quadrature():
 
     for m in range(9):
         for k in range(m, 9):
-            h_m, h_k = hermite_kernel(m), hermite_kernel(k)
-
             def integrand(y):
-                return math.exp(-y * y) * h_m(y)[0] * h_k(y)[0]
+                return math.exp(-y * y) * hermite(m, y)[0] * hermite(k, y)[0]
 
             if (m + k) % 2:
                 for y in (0.1, 0.7, 1.3, 2.9, 4.4):
@@ -239,7 +236,6 @@ def test_gegenbauer_one_pass_matches_mpmath(n, alpha):
 @pytest.mark.parametrize(
     "kernel,one_point,args",
     [
-        (hermite_kernel, hermite, (37,)),
         (laguerre_kernel, assoc_laguerre, (37, 151.3)),
         (gegenbauer_kernel, gegenbauer, (37, 3.0)),
     ],
@@ -257,6 +253,7 @@ def test_one_point_forms_call_the_kernel(kernel, one_point, args):
 # live column stored at x when that state's degree is <= n. Every value must be ==
 # to a pass from degree 0, whatever order the degrees, parameters and points
 # come in. These passes are written out here, in the kernels' operation order.
+# `hermite` keeps no column; it runs its pass at every call and must equal it too.
 
 
 def _hermite_pass(n, _, x):
@@ -285,7 +282,7 @@ def _gegenbauer_pass(n, alpha, x):
 
 
 _COLUMN_FAMILIES = {
-    "hermite": (lambda n, _: hermite_kernel(n), _hermite_pass, (None, None),
+    "hermite": (lambda n, _: lambda x: hermite(n, x), _hermite_pass, (None, None),
                 (-4.5, -1.25, -0.0, 0.0, 0.3, 2.75, 6.0)),
     "laguerre": (laguerre_kernel, _laguerre_pass, (0.5, 151.3),
                  (-0.0, 0.0, 0.04, 1.5, 17.0, 60.0, 240.0)),

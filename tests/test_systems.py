@@ -230,6 +230,14 @@ def test_grid_builds_the_quantum_states_after_checking_the_grid_once(grid):
     assert [hash(state) for state in states] == [hash(state) for state in expected]
 
 
+def test_a_hydrogen_grid_takes_quantum_numbers_past_the_largest_range_length():
+    # len() of a range stops at sys.maxsize, 2**63 - 1 on 64-bit builds, and
+    # this l range is longer at each n.
+    big = 2**63
+    states = Hydrogenic(Z=1.0).grid([POSITION], n=range(big, big + 2), l=range(0, 2 * big))
+    assert [(state.n, state.l) for state in itertools.islice(states, 3)] == [(big, 0), (big, 1), (big, 2)]
+
+
 def test_grid_refuses_ranges_it_cannot_check_by_their_corner():
     with pytest.raises(ValueError, match="takes ranges for exactly n, l"):
         Hydrogenic(Z=1.0).grid(SPACES, n=range(1, 3))

@@ -316,6 +316,27 @@ def test_hydrogen_momentum_is_refused_where_its_gegenbauer_factor_overflows(t, c
         wave(t / n)
 
 
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize(
+    "system,numbers",
+    [
+        (Oscillator1D(omega=0.7), [{"n": n} for n in (0, 1, 2, 7)]),
+        (Oscillator3D(omega=1.3), [{"n_r": n_r, "l": l} for n_r in (0, 3) for l in (0, 1, 5)]),
+        (Hydrogenic(Z=2.0), [{"n": n, "l": l} for n in (1, 2, 6) for l in range(n)]),
+        (H2_PARAMS, [{"n_r": n_r, "l": l} for n_r in (0, 3) for l in (0, 1)]),
+    ],
+    ids=["qho1d", "qho3d", "hydrogen", "php"],
+)
+def test_every_evaluator_is_zero_at_infinity(system, numbers, space):
+    # At kappa > 0 (l > 0 for hydrogen momentum) the log-envelope at inf is
+    # inf - inf = nan, which the cutoff must take for a cut.
+    points = (math.inf, -math.inf) if isinstance(system, Oscillator1D) else (math.inf,)
+    for fields in numbers:
+        wave = compile_state(QuantumState(system=system, space=space, **fields))
+        for x in points:
+            assert wave(x) == (0.0, 0.0), (fields, x)
+
+
 def test_hydrogen_2p_momentum_vanishes_at_origin():
     state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
     wave = compile_state(state)
