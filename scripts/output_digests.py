@@ -45,8 +45,11 @@ COMMANDS: list[list[str]] = [
      "--nr", "0..8", "--space", "both"],
     # n from 2**63 - 1, past the largest range length: 8 rows, exit 0.
     ["compute", "--system", "hydrogen", "--n", f"{2**63 - 1}..{2**63}", "--l", "0..1", "--space", "both"],
-    # n = 2**1024 does not convert to a float: a closed form outside double range, exit 2.
+    # n = 2**1024 does not convert to a float, so the closed form is not evaluated: exit 2.
     ["compute", "--system", "qho1d", "--n", str(2**1024)],
+    # ln_gamma(2**1023) overflows: one refused row each, exit 3.
+    ["compute", "--system", "qho3d", "--omega", "1e-300", "--nr", str(2**1023), "--space", "position", "--validate"],
+    ["compute", "--system", "hydrogen", "--n", str(2**1023), "--l", "0", "--space", "position", "--validate"],
     *(
         ["reproduce", target, "--format", fmt]
         for target in ("table1", "table3", "figure1")

@@ -250,12 +250,13 @@ def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: fl
     try:
         closed = closed_form_ir(state)
     except OverflowError:
-        # A quantum number past the largest double does not convert to one.
-        closed = math.inf
-    if not math.isfinite(closed):
+        # The form converts an int past the largest double to a float; its value may still fit one.
+        trouble = "is not evaluated: a quantum number or an integer formed from them does not convert to a float"
+    else:
+        trouble = None if math.isfinite(closed) else f"is {closed!r}, outside double range"
+    if trouble:
         raise ValueError(
-            f"the closed form of {state.system.name} {state.space} {state.system.label(state)} "
-            f"at {digest} is {closed!r}, outside double range"
+            f"the closed form of {state.system.name} {state.space} {state.system.label(state)} at {digest} {trouble}"
         )
     numeric = None
     rel_diff = None

@@ -57,7 +57,7 @@ __all__ = [
     "hydrogen_asymptotics",
 ]
 
-# Unit-scale integrals by (type(system), system.unit_key(state), spec), so
+# Unit-scale integrals by (type(system), system.layout(state)[0], spec), so
 # that states which integrate the same f (the two spaces of an oscillator or
 # pseudoharmonic cell) integrate it once per process. The oldest entry goes
 # first; a grid puts the space innermost, so both spaces of a cell meet
@@ -82,10 +82,10 @@ class IRResult:
     """
 
     closed_form: float
-    numeric: float | None = None
-    abs_diff: float | None = None
-    rel_diff: float | None = None
-    quadrature: QuadratureResult | None = None
+    numeric: float
+    abs_diff: float
+    rel_diff: float
+    quadrature: QuadratureResult
 
 
 def hydrogen_position_rational(n: int, l: int) -> Fraction:
@@ -137,8 +137,8 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     multiplied by c^2. spec.scale, a length of f, goes to integrate as it
     is. The reference is reference_state's shape at the target's own scale
     (see there). A unit-scale integral that this process has integrated
-    before for the same system.unit_key and spec is reused, not integrated
-    again; only completed integrations are kept, at most
+    before for the same name, system.layout(target)[0], and spec is reused,
+    not integrated again; only completed integrations are kept, at most
     _UNIT_INTEGRALS_MAX of them. Quadrature trouble is reported through
     result.quadrature.converged, not raised; a state with nodes that
     integrates to exactly 0 (every sample past the cutoff) is not converged.
@@ -151,7 +151,7 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     c = system.scale(target)
     if spec is None:
         spec = default_quadrature_spec(target)
-    key = (type(system), system.unit_key(target), spec)
+    key = (type(system), system.layout(target)[0], spec)
     quad = _UNIT_INTEGRALS.get(key)
     if quad is None:
         wave, log_derivative = system.unit(target)
@@ -174,13 +174,7 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     closed = closed_form_ir(target)
     abs_diff = abs(numeric - closed)
     rel_diff = abs_diff / (abs(closed) if closed else 1e-12)
-    return IRResult(
-        closed_form=closed,
-        numeric=numeric,
-        abs_diff=abs_diff,
-        rel_diff=rel_diff,
-        quadrature=quad,
-    )
+    return IRResult(closed_form=closed, numeric=numeric, abs_diff=abs_diff, rel_diff=rel_diff, quadrature=quad)
 
 
 def ir_spacing(params: SystemParams, space: str) -> float:

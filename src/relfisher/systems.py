@@ -100,9 +100,10 @@ class UnsupportedSystemError(ValueError):
 
 
 class RefusedStateError(ValueError):
-    """The evaluator's cutoff would truncate this state's wavefunction (a
-    Laguerre state, at compile time), or its Gegenbauer factor overflows (a
-    hydrogen momentum state, at the first point where it does)."""
+    """This state's log-normalization overflows, or the evaluator's cutoff
+    would truncate its wavefunction (a Laguerre state), both at compile time;
+    or its Gegenbauer factor overflows (a hydrogen momentum state, at the
+    first point where it does)."""
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -149,10 +150,14 @@ def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], 
     the 1D oscillator's n = 2 n_r + kappa (D = 1), the 3D oscillator
     (kappa = l) and pseudoharmonic potential (kappa = gamma_l) at D = 3, and
     hydrogen position (kappa = 2l) at D = 4.
-    RefusedStateError, naming the state as name(), if its log-envelope
-    rounds beyond _LN_ENV_ROUNDING or the cutoff would truncate it.
+    RefusedStateError, naming the state as name(), if its log-normalization
+    overflows, its log-envelope rounds beyond _LN_ENV_ROUNDING or the cutoff
+    would truncate it.
     """
-    ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + alpha + 1.0))
+    try:
+        ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + alpha + 1.0))
+    except OverflowError:
+        raise RefusedStateError(f"{name()} is out of the evaluator's range: its log-normalization overflows") from None
     _, u_turn = _turning_points(n_r, alpha)
     ln_s_turn = 0.5 * math.log(u_turn)
     rounding = _ULP * (abs(ln_norm) + 0.5 * u_turn + kappa * abs(ln_s_turn))
@@ -219,14 +224,18 @@ def _hydrogen_momentum(n: int, l: int, name: Callable[[], str]) -> Evaluator:
     """Momentum-space radial hydrogen function at unit charge, in t = n p,
     v = 1/(1+t^2) and q = (t^2-1) v; past t ~ 1.3e154, t*t is inf, v = 0 and
     the cutoff returns zeros. RefusedStateError, naming the state as name(),
-    at the first point whose value or derivative is not finite: no bound on
-    the Gegenbauer factor tells the states where it overflows from the rest."""
-    ln_norm = (
-        2.0 * math.log(n)
-        + (2.0 * l + 2.0) * math.log(2.0)
-        + ln_gamma(l + 1.0)
-        + 0.5 * (math.log(2.0) - _LN_PI + ln_gamma(n - l) - ln_gamma(n + l + 1.0))
-    )
+    if its log-normalization overflows, and at the first point whose value or
+    derivative is not finite: no bound on the Gegenbauer factor tells the
+    states where it overflows from the rest."""
+    try:
+        ln_norm = (
+            2.0 * math.log(n)
+            + (2.0 * l + 2.0) * math.log(2.0)
+            + ln_gamma(l + 1.0)
+            + 0.5 * (math.log(2.0) - _LN_PI + ln_gamma(n - l) - ln_gamma(n + l + 1.0))
+        )
+    except OverflowError:
+        raise RefusedStateError(f"{name()} is out of the evaluator's range: its log-normalization overflows") from None
     gegenbauer = gegenbauer_kernel(n - l - 1, l + 1.0)
     decay_power = l + 2.0
     two_decay_power = 2.0 * (l + 2.0)
@@ -298,20 +307,19 @@ class _Family:
     reference(state)        the node-less state of the same system, space and l
     label(state)            the quantum numbers as text, for example "n=3,l=1"
     scale(state)            c, the length scale above
-    layout(state)           (the unit length, where |f|^2 lives and the
-                            oracle's quadrature scale; the oracle's initial
-                            breaks in f's argument, the lattice points across
-                            a Laguerre state's classical window, or none)
+    layout(state)           (a hashable name, within the family, for the
+                            unit-scale integral: states of equal names have
+                            the same f, reference log-derivative and layout,
+                            and the oracle integrates them once; the unit
+                            length, where |f|^2 lives and the oracle's
+                            quadrature scale; the oracle's initial breaks in
+                            f's argument, the lattice points across a
+                            Laguerre state's classical window, or none)
     unit(state)             (f as an Evaluator, d/du log(reference f)); the
                             log-derivative is coded in closed form, apart
                             from f and closed_form, so the oracle stays an
                             independent route, and, the reference being
                             node-less, it never divides by a wavefunction value
-    unit_key(state)         a hashable name, within the family, for
-                            everything unit(state) evaluates: states with
-                            equal keys have the same f and reference
-                            log-derivative, and the oracle integrates them
-                            once
     closed_form(state)      relative Fisher information against the reference
     spacing(space)          constant gap between adjacent closed forms
     _grid(ranges)           optional: the corner and the number tuples of
@@ -411,12 +419,9 @@ class Oscillator1D(_Family):
         m, p = divmod(state.n, 2)
         return _radial_oscillator(m, float(p), p - 0.5, lambda: self._name(state)), lambda y: -y
 
-    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
+    def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         m, p = divmod(state.n, 2)
-        return 1.0, _lattice(m, p - 0.5)
-
-    def unit_key(self, state: QuantumState) -> Hashable:
-        return (state.n,)
+        return (state.n,), 1.0, _lattice(m, p - 0.5)
 
     def compile(self, state: QuantumState) -> Evaluator:
         """psi(x) = (-1)^m sqrt(c/2) f(c |x|) on the full line, n = 2m + p, with
@@ -489,12 +494,9 @@ class _RadialOscillator(_Family):
         wave = _radial_oscillator(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
         return wave, lambda s: kappa / s - s
 
-    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
+    def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         kappa, _ = self._kappa_b(state)
-        return self._unit_length, _lattice(state.n_r, kappa + 0.5)
-
-    def unit_key(self, state: QuantumState) -> Hashable:
-        return state.n_r, self._kappa_b(state)[0]
+        return (state.n_r, kappa), self._unit_length, _lattice(state.n_r, kappa + 0.5)
 
 
 @dataclass(frozen=True)
@@ -583,18 +585,16 @@ class Hydrogenic(_Family):
 
         return _hydrogen_momentum(n, l, lambda: self._name(state)), momentum_log_derivative
 
-    def layout(self, state: QuantumState) -> tuple[float, tuple[float, ...]]:
+    def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
+        # f is taken at unit charge, so Z is not part of its name.
+        name = state.space, state.n, state.l
         if state.space == MOMENTUM:
-            return 1.0 / state.n, ()
+            return name, 1.0 / state.n, ()
         # The D = 4 oscillator's s is at r = n s^2 / 2, and n is the unit
         # length, so the breaks' t-images s^2 / (s^2 + 2) do not depend on n.
         length = float(state.n)
         lattice = _lattice(state.n - state.l - 1, 2.0 * state.l + 1.0)
-        return length, tuple(0.5 * length * s * s for s in lattice)
-
-    def unit_key(self, state: QuantumState) -> Hashable:
-        # f is taken at unit charge, so Z is not part of it.
-        return state.space, state.n, state.l
+        return name, length, tuple(0.5 * length * s * s for s in lattice)
 
     def closed_form(self, state: QuantumState) -> float:
         n, l, Z = state.n, state.l, self.Z

@@ -51,9 +51,9 @@ def evaluate(state: QuantumState, s: float) -> tuple[float, float]:
 
 def default_quadrature_spec(state: QuantumState, rel_tol: float = 1e-10) -> QuadratureSpec:
     """Quadrature configuration for the state's unit-scale f: its scale and
-    its breaks are state.system.layout(state), the state's unit length and,
-    for a Laguerre state, the lattice points across its classical window."""
-    length, breaks = state.system.layout(state)
+    its breaks are state.system.layout(state)[1:], the state's unit length
+    and, for a Laguerre state, the lattice points across its classical window."""
+    _, length, breaks = state.system.layout(state)
     return QuadratureSpec(rel_tol=rel_tol, scale=length, breaks=breaks)
 
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import relfisher.cli
 import relfisher.relative_fisher
 import relfisher.specfun
+import relfisher.systems
 from relfisher.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from relfisher.data_units import (
     MoleculeRecord,
@@ -198,6 +199,32 @@ def test_compute_validate_refuses_hydrogen_momentum_where_it_overflows(capsys):
     code = run_cli(
         ["compute", "--system", "hydrogen", "--n", "1000", "--l", "190", "--space", "momentum", "--validate"]
     )
+    captured = capsys.readouterr()
+    rows = parse_csv(captured.out)
+    assert code == EXIT_VALIDATION
+    assert [row["status"] for row in rows] == ["refused"]
+    assert rows[0]["ir_closed"] and not rows[0]["ir_numeric"] and not rows[0]["rel_diff"]
+    assert captured.err == ""
+
+
+def _no_kernel(n, alpha):
+    raise AssertionError(f"a degree-{n} kernel was bound")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--system", "qho3d", "--omega", "1e-300", "--nr", str(2**1023)],
+        ["--system", "hydrogen", "--n", str(2**1023), "--l", "0"],
+    ],
+    ids=["qho3d", "hydrogen"],
+)
+def test_compute_validate_refuses_a_state_whose_log_gamma_overflows(argv, capsys, monkeypatch):
+    # ln_gamma(2**1023) overflows; the closed form is finite. The command
+    # used to exit 1 with a traceback from math.lgamma. The refusal comes
+    # before a kernel would bind its 2**1022 recurrence steps.
+    monkeypatch.setattr(relfisher.systems, "laguerre_kernel", _no_kernel)
+    code = run_cli(["compute", *argv, "--space", "position", "--validate"])
     captured = capsys.readouterr()
     rows = parse_csv(captured.out)
     assert code == EXIT_VALIDATION
@@ -424,29 +451,51 @@ def test_a_maximum_the_system_does_not_read_is_not_checked(argv, capsys):
         # Z * Z underflows to 0, so the momentum form divides by zero.
         (["compute", "--system", "hydrogen", "--Z", "1e-170", "--n", "3", "--space", "momentum"],
          "hydrogen momentum n=3,l=0"),
-        # A quantum number past the largest double does not convert to a float.
-        (["compute", "--system", "qho1d", "--n", str(2**1024)], f"qho1d position n={2**1024}"),
-        (["compute", "--system", "qho3d", "--nr", str(2**1024)], f"qho3d position n_r={2**1024},l=0"),
-        (["compute", "--system", "php", "--molecule", "CO", "--nr", str(2**1024)],
-         f"php position n_r={2**1024},l=0"),
-        (["compute", "--system", "hydrogen", "--n", str(10**80), "--space", "momentum"],
-         f"hydrogen momentum n={10**80},l=0"),
     ],
-    ids=["qho1d", "qho3d", "hydrogen", "hydrogen-underflow", "qho1d-n-past-double", "qho3d-n_r-past-double",
-         "php-n_r-past-double", "hydrogen-n-past-double"],
+    ids=["qho1d", "qho3d", "hydrogen", "hydrogen-underflow"],
 )
 def test_a_closed_form_outside_double_range_is_an_error(argv, cell, output_format, tmp_path, capsys):
     # Infinity is not valid JSON, and inf is not a value.
+    err = _usage_error_leaves_the_output_alone(argv, output_format, tmp_path, capsys)
+    assert f"closed form of {cell} at " in err
+    assert "is inf, outside double range" in err
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv,cell",
+    [
+        (["compute", "--system", "qho1d", "--n", str(2**1024)], f"qho1d position n={2**1024}"),
+        # 8 (omega / sqrt 2) n is about 1e9, but n does not convert to a float.
+        (["compute", "--system", "qho1d", "--omega", "1e-300", "--n", str(2**1024)],
+         f"qho1d position n={2**1024}"),
+        (["compute", "--system", "qho3d", "--nr", str(2**1024)], f"qho3d position n_r={2**1024},l=0"),
+        (["compute", "--system", "php", "--molecule", "CO", "--nr", str(2**1024)],
+         f"php position n_r={2**1024},l=0"),
+        # n converts; the integer 16 n^2 (n^2 - (l+1)^2) does not.
+        (["compute", "--system", "hydrogen", "--n", str(10**80), "--space", "momentum"],
+         f"hydrogen momentum n={10**80},l=0"),
+    ],
+    ids=["qho1d", "qho1d-tiny-omega", "qho3d", "php", "hydrogen"],
+)
+def test_a_quantum_number_past_the_largest_double_is_an_error(argv, cell, output_format, tmp_path, capsys):
+    err = _usage_error_leaves_the_output_alone(argv, output_format, tmp_path, capsys)
+    assert f"closed form of {cell} at " in err
+    assert "is not evaluated: a quantum number or an integer formed from them does not convert to a float" in err
+    assert "inf" not in err
+
+
+def _usage_error_leaves_the_output_alone(argv, output_format, tmp_path, capsys):
+    """Run argv with --out into tmp_path: exit 2, nothing written, and the stderr."""
     target = tmp_path / "table.out"
     target.write_bytes(b"old table\n")
     code = run_cli([*argv, "--format", output_format, "--out", str(target)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    assert f"closed form of {cell} at " in captured.err
-    assert "is inf, outside double range" in captured.err
     assert target.read_bytes() == b"old table\n"
     assert os.listdir(tmp_path) == ["table.out"]
+    return captured.err
 
 
 def test_a_hydrogen_grid_runs_past_the_largest_range_length(capsys):

@@ -563,7 +563,7 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
     # own nodes: numeric_ir's unit-scale integral times c^2 must agree.
     state = replace(make(scale), space=space)
     wave = compile_state(state)
-    c, length = state.system.scale(state), state.system.layout(state)[0]
+    c, length = state.system.scale(state), state.system.layout(state)[1]
     _, unit_log_derivative = state.system.unit(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 8.0)
 
@@ -654,8 +654,8 @@ _SHARED = {
 
 
 @pytest.mark.parametrize("first,second", _SHARED.values(), ids=_SHARED.keys())
-def test_states_of_one_unit_key_integrate_one_integral(first, second):
-    assert first.system.unit_key(first) == second.system.unit_key(second)
+def test_states_of_one_name_integrate_one_integral(first, second):
+    assert first.system.layout(first)[0] == second.system.layout(second)[0]
     direct = _unit_integral(first)
     assert _unit_integral(second) == direct
     assert _served(first, second)
@@ -686,7 +686,7 @@ _APART = {
 
 
 @pytest.mark.parametrize("first,second,rel_tols", _APART.values(), ids=_APART.keys())
-def test_states_of_different_unit_keys_integrate_their_own_integrals(first, second, rel_tols):
+def test_states_of_different_names_integrate_their_own_integrals(first, second, rel_tols):
     assert not _served(first, second, rel_tols)
     first_spec = default_quadrature_spec(first, rel_tols[0])
     second_spec = default_quadrature_spec(second, rel_tols[1])
@@ -705,7 +705,7 @@ def test_the_unit_integral_store_keeps_to_its_bound():
     assert len(store) == bound
     # The oldest integrals went first.
     kept = {key[1] for key in store}
-    assert [state.system.unit_key(state) in kept for state in states] == [False] * 44 + [True] * bound
+    assert [state.system.layout(state)[0] in kept for state in states] == [False] * 44 + [True] * bound
 
 
 _UNIT_SCALE_CASES = [
@@ -840,7 +840,7 @@ def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
     # half-line f, |f| = sqrt(2)|psi|, at unit scale instead, and must agree.
     state = QuantumState(system=Oscillator1D(omega=omega), space=space, n=n)
     wave = compile_state(state)
-    c, length = state.system.scale(state), state.system.layout(state)[0]
+    c, length = state.system.scale(state), state.system.layout(state)[1]
 
     def integrand(x):
         value, derivative = wave(x)

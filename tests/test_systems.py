@@ -176,12 +176,18 @@ def test_family_conformance(family, space):
     assert closed_form_ir(ref) == 0.0
     assert closed_form_ir(state) > 0.0
 
-    c, length = state.system.scale(state), state.system.layout(state)[0]
+    name, length, breaks = state.system.layout(state)
+    c = state.system.scale(state)
     assert type(c) is float and type(length) is float
     scale = length / c
     assert math.isfinite(scale) and scale > 0.0
     spec = default_quadrature_spec(state)
-    assert spec.scale == length
+    assert (spec.scale, spec.breaks) == (length, breaks)
+    # The name keys the unit-integral store, and f does not depend on the
+    # space except for hydrogen.
+    hash(name)
+    other = QuantumState(system=params, space=MOMENTUM if space == POSITION else POSITION, **numbers)
+    assert (other.system.layout(other)[0] == name) == (family is not Hydrogenic)
     assert family.radial == (family is not Oscillator1D)
     value, derivative = compile_state(state)(scale)
     assert math.isfinite(value) and math.isfinite(derivative) and value != 0.0

@@ -11,8 +11,10 @@ from dataclasses import replace
 
 import pytest
 
+import relfisher.systems
 from relfisher import quadrature
 from relfisher.quadrature import NonConvergedError, QuadratureSpec, integrate
+from relfisher.relative_fisher import numeric_ir
 from relfisher.specfun import gegenbauer_kernel
 from relfisher.systems import (
     MOMENTUM,
@@ -37,7 +39,7 @@ H2_PARAMS = Pseudoharmonic(mu=918.5724999, De=0.171535509264, re=1.401413504256)
 
 def _length(state):
     """A length of the state's own density: the unit length over c."""
-    return state.system.layout(state)[0] / state.system.scale(state)
+    return state.system.layout(state)[1] / state.system.scale(state)
 
 
 def test_1d_ground_state_at_special_frequency():
@@ -316,6 +318,34 @@ def test_hydrogen_momentum_is_refused_where_its_gegenbauer_factor_overflows(t, c
         wave(t / n)
 
 
+def _no_kernel(n, alpha):
+    raise AssertionError(f"a degree-{n} kernel was bound")
+
+
+@pytest.mark.parametrize("space", [POSITION, MOMENTUM])
+@pytest.mark.parametrize(
+    "system,numbers,label",
+    [
+        (Oscillator1D(omega=1e-300), {"n": 2**1024}, f"n={2**1024}"),
+        (Oscillator3D(omega=1e-300), {"n_r": 2**1023, "l": 0}, f"n_r={2**1023},l=0"),
+        (Hydrogenic(Z=1.0), {"n": 2**1023, "l": 0}, f"n={2**1023},l=0"),
+        (H2_PARAMS, {"n_r": 2**1023, "l": 0}, f"n_r={2**1023},l=0"),
+    ],
+    ids=["qho1d", "qho3d", "hydrogen", "php"],
+)
+def test_a_state_whose_log_gamma_overflows_is_refused(system, numbers, label, space, monkeypatch):
+    # math.lgamma raised OverflowError; the refusal must come before a kernel
+    # binds its n recurrence steps.
+    monkeypatch.setattr(relfisher.systems, "laguerre_kernel", _no_kernel)
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    state = QuantumState(system=system, space=space, **numbers)
+    message = rf"^{system.name} {space} {label} of .* its log-normalization overflows$"
+    with pytest.raises(RefusedStateError, match=message):
+        compile_state(state)
+    with pytest.raises(RefusedStateError, match=message):
+        numeric_ir(state)
+
+
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
 @pytest.mark.parametrize(
     "system,numbers",
@@ -357,8 +387,8 @@ def test_radial_rejects_nonpositive_argument():
 
 
 def test_scale_and_quadrature_spec_conventions():
-    # scale() is c, layout() starts with the unit length, and the quadrature
-    # runs at the unit length.
+    # scale() is c, layout() gives the unit length after the name, and the
+    # quadrature runs at the unit length.
     hyd = Hydrogenic(Z=2.0)
     osc = Oscillator3D(omega=4.0)
     cases = [
@@ -369,7 +399,7 @@ def test_scale_and_quadrature_spec_conventions():
     ]
     for state, scale, length in cases:
         assert state.system.scale(state) == scale[0]
-        assert state.system.layout(state)[0] == scale[1]
+        assert state.system.layout(state)[1] == scale[1]
         assert _length(state) == length
         assert default_quadrature_spec(state).scale == scale[1]
     # php has the one unit length sqrt(2) in both spaces.
@@ -377,7 +407,7 @@ def test_scale_and_quadrature_spec_conventions():
     for space, c in ((POSITION, math.sqrt(2.0 * lam)), (MOMENTUM, math.sqrt(0.5 / lam))):
         php = QuantumState(system=H2_PARAMS, space=space, n_r=0, l=0)
         assert php.system.scale(php) == pytest.approx(c, rel=1e-15)
-        assert php.system.layout(php)[0] == math.sqrt(2.0)
+        assert php.system.layout(php)[1] == math.sqrt(2.0)
         assert default_quadrature_spec(php).scale == math.sqrt(2.0)
     php = QuantumState(system=H2_PARAMS, space=POSITION, n_r=0, l=0)
     assert _length(php) == pytest.approx(1.0 / math.sqrt(lam), rel=1e-15)
@@ -387,9 +417,9 @@ def test_default_quadrature_spec_domains():
     one_d = QuantumState(system=Oscillator1D(omega=1.0), space=POSITION, n=0)
     radial = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1)
     assert not one_d.system.radial and radial.system.radial
-    assert default_quadrature_spec(one_d).scale == one_d.system.layout(one_d)[0]
+    assert default_quadrature_spec(one_d).scale == one_d.system.layout(one_d)[1]
     assert default_quadrature_spec(radial, rel_tol=1e-8).rel_tol == 1e-8
-    assert default_quadrature_spec(radial).scale == radial.system.layout(radial)[0]
+    assert default_quadrature_spec(radial).scale == radial.system.layout(radial)[1]
 
 
 NORMALIZATION_GRID = []
