@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -50,6 +51,8 @@ COMMANDS: list[list[str]] = [
     # ln_gamma(2**1023) overflows: one refused row each, exit 3.
     ["compute", "--system", "qho3d", "--omega", "1e-300", "--nr", str(2**1023), "--space", "position", "--validate"],
     ["compute", "--system", "hydrogen", "--n", str(2**1023), "--l", "0", "--space", "position", "--validate"],
+    # Its log-gamma terms round past the budget: one refused row, exit 3, before the Gegenbauer kernel binds.
+    ["compute", "--system", "hydrogen", "--n", str(10**20), "--l", "0", "--space", "momentum", "--validate"],
     *(
         ["reproduce", target, "--format", fmt]
         for target in ("table1", "table3", "figure1")
@@ -63,13 +66,26 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# Each command's address space, far above what any of them needs: an older
+# tree that does not refuse a huge state (hydrogen momentum at n = 1e20
+# before its rounding budget) then fails with MemoryError instead of filling
+# the machine's memory.
+_ADDRESS_SPACE = 4 << 30
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
 def run(argv: list[str], src: str = SRC) -> tuple[int, bytes, bytes, dict[str, bytes]]:
-    """Run one command against the src tree in an empty temporary directory:
-    its exit code, stdout, stderr, and the files it wrote there by name."""
+    """Run one command against the src tree in an empty temporary directory,
+    its address space capped at _ADDRESS_SPACE: its exit code, stdout,
+    stderr, and the files it wrote there by name."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(
-            [sys.executable, "-m", "relfisher.cli", *argv], cwd=cwd, env=env, capture_output=True
+            [sys.executable, "-m", "relfisher.cli", *argv], cwd=cwd, env=env, capture_output=True,
+            preexec_fn=_cap_memory,
         )
         files = {}
         for name in sorted(os.listdir(cwd)):

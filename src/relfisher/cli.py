@@ -21,13 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import math
 import os
 import sys
 import tempfile
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .data_units import (
@@ -73,25 +71,26 @@ STATUS_QUADRATURE_FAILED = "quadrature_failed"
 STATUS_REFERENCE = "reference_state"
 STATUS_REFUSED = "refused"
 
-# Published reference values bundled for regression comparison. The computed
-# column never bends toward these: disagreement is reported, not absorbed.
+# Published reference values bundled for regression comparison, each as
+# (numerator, denominator), of which _reproduce_table1 makes a Fraction. The
+# computed column never bends toward these: disagreement is reported, not absorbed.
 _TABLE1_ORBITALS = (
-    ("2s", 2, 0, Fraction(1)),
-    ("3s", 3, 0, Fraction(16, 27)),
-    ("4s", 4, 0, Fraction(3, 8)),
-    ("5s", 5, 0, Fraction(32, 125)),
-    ("3p", 3, 1, Fraction(8, 27)),
-    ("4p", 4, 1, Fraction(1, 4)),
-    ("5p", 5, 1, Fraction(24, 125)),
-    ("6p", 6, 1, Fraction(4, 27)),
-    ("4d", 4, 2, Fraction(1, 8)),
-    ("5d", 5, 2, Fraction(16, 125)),
-    ("6d", 6, 2, Fraction(1, 9)),
-    ("7d", 7, 2, Fraction(32, 343)),
-    ("5f", 5, 3, Fraction(8, 125)),
-    ("6f", 6, 3, Fraction(2, 27)),
-    ("7f", 7, 3, Fraction(24, 343)),
-    ("8f", 8, 3, Fraction(1, 6)),
+    ("2s", 2, 0, (1, 1)),
+    ("3s", 3, 0, (16, 27)),
+    ("4s", 4, 0, (3, 8)),
+    ("5s", 5, 0, (32, 125)),
+    ("3p", 3, 1, (8, 27)),
+    ("4p", 4, 1, (1, 4)),
+    ("5p", 5, 1, (24, 125)),
+    ("6p", 6, 1, (4, 27)),
+    ("4d", 4, 2, (1, 8)),
+    ("5d", 5, 2, (16, 125)),
+    ("6d", 6, 2, (1, 9)),
+    ("7d", 7, 2, (32, 343)),
+    ("5f", 5, 3, (8, 125)),
+    ("6f", 6, 3, (2, 27)),
+    ("7f", 7, 3, (24, 343)),
+    ("8f", 8, 3, (1, 6)),
 )
 
 _TABLE3_NR = (1, 2, 3, 10, 25, 50, 100)
@@ -124,7 +123,9 @@ def _write_rows(
     JSON has no header line.
     """
     if output_format == "json":
-        dumps = json.dumps
+        # Imported here, as only JSON output needs it: it costs every other run start-up time.
+        from json import dumps
+
         for row in rows:
             stream.write(dumps(dict(zip(header, row)), ensure_ascii=False, allow_nan=False) + "\n")
         return
@@ -154,14 +155,18 @@ def _emit(
 
     The temp file is renamed over out_path once every row is written and is
     removed on any exception, so the file is all-or-nothing; stdout keeps the
-    rows written before an error.
+    rows written before an error. It takes the mode open(out_path, "w") would
+    leave: an existing target's own, else 0o666 less the umask.
     """
     if not out_path:
         _write_rows(sys.stdout, header, rows, formats, output_format)
         return
+    mode = _out_mode(out_path)
     fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)))
     try:
         with open(fd, "w", encoding="utf-8", newline="") as stream:
+            # mkstemp creates the file 0o600, and the rename would keep that.
+            os.fchmod(fd, mode)
             _write_rows(stream, header, rows, formats, output_format)
         os.replace(temp_path, out_path)
     except BaseException:
@@ -170,6 +175,18 @@ def _emit(
         except OSError:
             pass
         raise
+
+
+def _out_mode(path: str) -> int:
+    """The permission bits open(path, "w") leaves on path. A path that cannot
+    be looked up gets the new file's mode; mkstemp or the rename then reports
+    what is wrong with it."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except OSError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _parse_range(text: str, name: str) -> range:
@@ -368,10 +385,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _reproduce_table1(args: argparse.Namespace) -> list[str]:
+    # Imported here, as no other command needs it: fractions loads decimal too.
+    from fractions import Fraction
+
     digits = args.digits if args.digits is not None else 12
     header = ["orbital", "n", "l", "ir_exact", "ir_value", "printed_value", "status"]
     rows = []
-    for orbital, n, l, printed in _TABLE1_ORBITALS:
+    for orbital, n, l, (numerator, denominator) in _TABLE1_ORBITALS:
+        printed = Fraction(numerator, denominator)
         computed = hydrogen_position_rational(n, l)
         status = STATUS_OK if computed == printed else "mismatch"
         rows.append((orbital, n, l, str(computed), float(computed), str(printed), status))

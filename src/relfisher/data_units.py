@@ -8,8 +8,8 @@ CODATA 2018 values for users who care about physical accuracy instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .systems import Pseudoharmonic
 
 __all__ = [
@@ -28,7 +28,7 @@ class UnknownMoleculeError(ValueError):
     """Requested molecule name is not in the registry."""
 
 
-@dataclass(frozen=True)
+@record
 class MoleculeRecord:
     """One diatomic species: reduced mass (amu), dissociation energy (eV),
     equilibrium separation (angstrom), plus labels and data provenance."""
@@ -47,7 +47,7 @@ class MoleculeRecord:
                 raise ValueError(f"{field} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ConversionConstants:
     """Multiplicative factors taking (amu, eV, angstrom) to atomic units."""
 

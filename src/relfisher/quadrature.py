@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
+
+from ._record import record
 
 __all__ = [
     "QuadratureSpec",
@@ -114,7 +115,7 @@ class NonConvergedError(RuntimeError):
     """Raised by callers that require a converged quadrature result."""
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureSpec:
     """Tolerance and scale configuration for one integration over (0, inf).
 
@@ -142,7 +143,7 @@ class QuadratureSpec:
                 raise ValueError(f"breaks must be positive and finite, got {s!r}")
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureResult:
     """Outcome of one adaptive integration.
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
+from ._record import record, replace
 from .quadrature import QuadratureResult, QuadratureSpec, integrate
 from .systems import (
     MOMENTUM,
@@ -38,6 +38,9 @@ from .systems import (
     reference_state,
 )
 from .wavefunctions import default_quadrature_spec
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Not called here any more; kept in this namespace because perfbench/tracer.py
 # hooks the wavefunction and derived-parameter layers under these names.
@@ -68,7 +71,7 @@ _UNIT_INTEGRALS_MAX = 256
 _UNIT_INTEGRALS_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
+@record
 class IRResult:
     """Closed-form value next to its independent numeric check.
 
@@ -90,6 +93,10 @@ class IRResult:
 
 def hydrogen_position_rational(n: int, l: int) -> Fraction:
     """Exact position-space value 8(n-l-1)/n^3 at unit nuclear charge."""
+    # fractions is imported where a Fraction is made, as it loads decimal
+    # and no CLI command but reproduce table1 needs it.
+    from fractions import Fraction
+
     return Fraction(8 * (n - l - 1), n ** 3)
 
 
@@ -116,6 +123,8 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     192 at n=2, l=0, Z=1); both are exposed so the disagreement is checkable
     rather than hidden.
     """
+    from fractions import Fraction  # imported here, as in hydrogen_position_rational
+
     QuantumState(Hydrogenic(Z=Z), MOMENTUM, n=n, l=l)
     k = n - l - 1
     if k == 0:

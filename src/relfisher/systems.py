@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+from ._record import record, replace
 from .specfun import gegenbauer_kernel, laguerre_kernel, ln_gamma
 
 __all__ = [
@@ -100,10 +100,11 @@ class UnsupportedSystemError(ValueError):
 
 
 class RefusedStateError(ValueError):
-    """This state's log-normalization overflows, or the evaluator's cutoff
-    would truncate its wavefunction (a Laguerre state), both at compile time;
-    or its Gegenbauer factor overflows (a hydrogen momentum state, at the
-    first point where it does)."""
+    """This state's log-normalization overflows or rounds beyond
+    _LN_ENV_ROUNDING, or the evaluator's cutoff would truncate its
+    wavefunction (a Laguerre state), all at compile time; or its Gegenbauer
+    factor overflows (a hydrogen momentum state, at the first point where it
+    does)."""
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -224,18 +225,29 @@ def _hydrogen_momentum(n: int, l: int, name: Callable[[], str]) -> Evaluator:
     """Momentum-space radial hydrogen function at unit charge, in t = n p,
     v = 1/(1+t^2) and q = (t^2-1) v; past t ~ 1.3e154, t*t is inf, v = 0 and
     the cutoff returns zeros. RefusedStateError, naming the state as name(),
-    if its log-normalization overflows, and at the first point whose value or
-    derivative is not finite: no bound on the Gegenbauer factor tells the
-    states where it overflows from the rest."""
+    if its log-normalization overflows or its log-gamma terms round beyond
+    _LN_ENV_ROUNDING, both before the Gegenbauer kernel binds its n - l - 1
+    steps; and at the first point whose value or derivative is not finite:
+    no bound on the Gegenbauer factor tells the states where it overflows
+    from the rest."""
     try:
-        ln_norm = (
-            2.0 * math.log(n)
-            + (2.0 * l + 2.0) * math.log(2.0)
-            + ln_gamma(l + 1.0)
-            + 0.5 * (math.log(2.0) - _LN_PI + ln_gamma(n - l) - ln_gamma(n + l + 1.0))
-        )
+        ln_gamma_l, ln_gamma_low, ln_gamma_high = ln_gamma(l + 1.0), ln_gamma(n - l), ln_gamma(n + l + 1.0)
     except OverflowError:
         raise RefusedStateError(f"{name()} is out of the evaluator's range: its log-normalization overflows") from None
+    # As in _radial_oscillator, each term is rounded to 2^-52 of its size, and
+    # ln_gamma_low - ln_gamma_high cancels; at l = 0 this refuses from n ~ 3.8e5.
+    rounding = _ULP * (ln_gamma_l + 0.5 * (ln_gamma_low + ln_gamma_high))
+    if not rounding <= _LN_ENV_ROUNDING:
+        raise RefusedStateError(
+            f"{name()} is out of the evaluator's range: its log-normalization terms round to "
+            f"{rounding:.1e}, above the budget {_LN_ENV_ROUNDING:g}"
+        )
+    ln_norm = (
+        2.0 * math.log(n)
+        + (2.0 * l + 2.0) * math.log(2.0)
+        + ln_gamma_l
+        + 0.5 * (math.log(2.0) - _LN_PI + ln_gamma_low - ln_gamma_high)
+    )
     gegenbauer = gegenbauer_kernel(n - l - 1, l + 1.0)
     decay_power = l + 2.0
     two_decay_power = 2.0 * (l + 2.0)
@@ -379,7 +391,7 @@ class _Family:
         return tuple(r[0] for r in ranges), itertools.product(*ranges)
 
 
-@dataclass(frozen=True)
+@record
 class Oscillator1D(_Family):
     """Harmonic oscillator on the full line; omega in atomic units."""
 
@@ -499,7 +511,7 @@ class _RadialOscillator(_Family):
         return (state.n_r, kappa), self._unit_length, _lattice(state.n_r, kappa + 0.5)
 
 
-@dataclass(frozen=True)
+@record
 class Oscillator3D(_RadialOscillator):
     """Isotropic three-dimensional harmonic oscillator; omega in atomic units."""
 
@@ -525,7 +537,7 @@ class Oscillator3D(_RadialOscillator):
         return 8.0 * self.omega if space == POSITION else 8.0 / self.omega
 
 
-@dataclass(frozen=True)
+@record
 class Hydrogenic(_Family):
     """One-electron atom with nuclear charge Z.
 
@@ -610,7 +622,7 @@ class Hydrogenic(_Family):
         raise UnsupportedSystemError("spacing is not constant for hydrogen-like systems")
 
 
-@dataclass(frozen=True)
+@record
 class Pseudoharmonic(_RadialOscillator):
     """Diatomic pseudoharmonic potential De*(r/re - re/r)^2, all in atomic units.
 
@@ -656,7 +668,7 @@ FAMILIES = (Oscillator1D, Oscillator3D, Hydrogenic, Pseudoharmonic)
 SystemParams = Oscillator1D | Oscillator3D | Hydrogenic | Pseudoharmonic
 
 
-@dataclass(frozen=True)
+@record
 class PhpDerived:
     """Derived pseudoharmonic parameters.
 
@@ -668,7 +680,7 @@ class PhpDerived:
     lam: float
 
 
-@dataclass(frozen=True)
+@record
 class QuantumState:
     """A bound state of one system in one space.
 
@@ -710,7 +722,7 @@ def _checked_states(
     combo and space, built without __post_init__: only for a checked grid."""
     new = object.__new__
     set_attribute = object.__setattr__
-    blank = dict.fromkeys(field.name for field in fields(QuantumState))
+    blank = dict.fromkeys(QuantumState._fields)
     for combo in numbers:
         values = blank.copy()
         values["system"] = system

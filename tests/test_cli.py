@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -23,6 +22,7 @@ import relfisher.cli
 import relfisher.relative_fisher
 import relfisher.specfun
 import relfisher.systems
+from relfisher._record import replace
 from relfisher.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from relfisher.data_units import (
     MoleculeRecord,
@@ -139,9 +139,7 @@ def _unconverged_numeric_ir(monkeypatch):
 
     def unconverged(state, spec=None):
         result = real(state, spec)
-        return dataclasses.replace(
-            result, quadrature=dataclasses.replace(result.quadrature, converged=False)
-        )
+        return replace(result, quadrature=replace(result.quadrature, converged=False))
 
     monkeypatch.setattr(relfisher.cli, "numeric_ir", unconverged)
 
@@ -230,6 +228,21 @@ def test_compute_validate_refuses_a_state_whose_log_gamma_overflows(argv, capsys
     assert code == EXIT_VALIDATION
     assert [row["status"] for row in rows] == ["refused"]
     assert rows[0]["ir_closed"] and not rows[0]["ir_numeric"] and not rows[0]["rel_diff"]
+    assert captured.err == ""
+
+
+def test_compute_validate_refuses_a_hydrogen_momentum_state_of_huge_n(capsys, monkeypatch):
+    # The closed form 1.6e81 is finite. The Gegenbauer kernel of n = 1e20
+    # used to bind until memory ran out; the state is refused before that.
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    code = run_cli(
+        ["compute", "--system", "hydrogen", "--n", str(10**20), "--l", "0", "--space", "momentum", "--validate"]
+    )
+    captured = capsys.readouterr()
+    rows = parse_csv(captured.out)
+    assert code == EXIT_VALIDATION
+    assert [row["status"] for row in rows] == ["refused"]
+    assert rows[0]["ir_closed"] == "1.6e+81" and not rows[0]["ir_numeric"] and not rows[0]["rel_diff"]
     assert captured.err == ""
 
 
@@ -868,6 +881,37 @@ def test_out_file_is_clean_csv(tmp_path, capsys):
     blob = path.read_bytes()
     assert blob.endswith(b"\n")
     assert b"\r" not in blob
+
+
+_OUT_COMMANDS = {
+    "compute": (["compute", "--system", "qho1d", "--n", "0..2"], None),
+    "validate": (["validate", "--system", "qho1d", "--n-max", "2"], None),
+    "molecules": (["molecules"], None),
+    "reproduce": (["reproduce", "table1"], "table1.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_an_out_file_takes_the_mode_open_would_give(command, tmp_path, capsys):
+    # A new file gets 0o666 less the umask, and an existing one keeps its own
+    # mode, as with open(path, "w"); mkstemp alone would leave 0o600.
+    argv, name = _OUT_COMMANDS[command]
+    old_umask = os.umask(0o027)
+    try:
+        for existing_mode, expected in ((None, 0o640), (0o604, 0o604)):
+            target = tmp_path / f"{command}-{existing_mode}"
+            out = target / name if name else target
+            if name:
+                target.mkdir()
+            if existing_mode is not None:
+                out.write_bytes(b"old\n")
+                os.chmod(out, existing_mode)
+            assert run_cli([*argv, "--out", str(target)]) == EXIT_OK
+            assert out.read_bytes() != b"old\n"
+            assert os.stat(out).st_mode & 0o777 == expected, oct(os.stat(out).st_mode)
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()
 
 
 def test_console_script_smoke():

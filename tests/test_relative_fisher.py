@@ -13,7 +13,6 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 import relfisher.relative_fisher
 import relfisher.specfun
 import relfisher.systems
+from relfisher._record import replace
 from relfisher.data_units import MoleculeRecord, find_molecule, registry, to_atomic_units
 from relfisher.quadrature import IntegrandError, QuadratureResult, _initial_edges, integrate
 from relfisher.specfun import laguerre_kernel

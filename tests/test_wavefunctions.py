@@ -7,11 +7,11 @@ in a line or two.
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 import relfisher.systems
+from relfisher._record import replace
 from relfisher import quadrature
 from relfisher.quadrature import NonConvergedError, QuadratureSpec, integrate
 from relfisher.relative_fisher import numeric_ir
@@ -344,6 +344,28 @@ def test_a_state_whose_log_gamma_overflows_is_refused(system, numbers, label, sp
         compile_state(state)
     with pytest.raises(RefusedStateError, match=message):
         numeric_ir(state)
+
+
+@pytest.mark.parametrize("n", [380_108, 10**20])
+def test_a_hydrogen_momentum_state_whose_log_gammas_round_too_far_is_refused(n, monkeypatch):
+    # ln_gamma(n) - ln_gamma(n + 1) cancels, and from n ~ 3.8e5 at l = 0 the
+    # rounding of the two passes _LN_ENV_ROUNDING. The refusal comes before
+    # the Gegenbauer kernel binds its n - 1 steps, which at n = 1e20 would
+    # grow until memory runs out.
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=n, l=0)
+    message = rf"^hydrogen momentum n={n},l=0 of .* its log-normalization terms round to .*, above the budget 1e-09$"
+    with pytest.raises(RefusedStateError, match=message):
+        compile_state(state)
+    with pytest.raises(RefusedStateError, match=message):
+        numeric_ir(state)
+
+
+def test_the_hydrogen_momentum_rounding_budget_admits_the_state_below_its_edge(monkeypatch):
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=380_107, l=0)
+    with pytest.raises(AssertionError, match="a degree-380106 kernel was bound"):
+        compile_state(state)
 
 
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
