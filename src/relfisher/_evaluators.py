@@ -1,0 +1,232 @@
+"""The unit-scale evaluators of the families in systems.py, each in two
+forms built from the same terms, the log-normalization and the bound
+polynomial kernel that systems._oscillator_terms and _momentum_terms give:
+
+    point form  an Evaluator s -> (value, derivative), for compile_state and
+                normalization_defect: radial_oscillator, for every Laguerre
+                state, with hydrogen_position over it, and hydrogen_momentum
+    panel form  the oracle's integrand 4 x^2 (f' - f L)^2, L the
+                log-derivative of the state's reference, as a
+                quadrature.Panel: oscillator_panel and momentum_panel
+
+A panel loop runs, at each of a GK31 panel's 31 nodes, the t-map, the steps
+of its point form in their order, with the same kernel call, then L, the
+integrand and the weight scale / (1-t)^2. So every sample is bit for bit
+that of the point form put through quadrature.point_panel, and the oracle
+makes one Python call per node, the kernel's. L is coded in the loops, apart
+from the point forms, so the oracle stays an independent route. A node
+where the point form cuts value and slope is skipped: its sample,
+(0 - 0 L)^2 times the weight, is 0 and adds nothing.
+
+Normalizations are assembled in log space and exponentiated once, and
+derivatives are analytic: nothing differentiates numerically.
+"""
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+from .quadrature import _GK31, Panel, sample_error
+from .specfun import Kernel
+
+# A point -> (value, derivative).
+Evaluator = Callable[[float], tuple[float, float]]
+
+# exp(LN_TINY) is far below every tolerance in use; beyond it the evaluators
+# return exact zeros instead of risking underflow-times-overflow products.
+LN_TINY = -700.0
+
+_ZERO = (0.0, 0.0)
+
+
+def radial_oscillator(ln_norm: float, laguerre: Kernel, kappa: float) -> Evaluator:
+    """The D-dimensional radial oscillator exp(ln_norm) s^kappa exp(-s^2/2)
+    laguerre(s^2) of systems._oscillator_terms."""
+
+    def radial(s: float) -> tuple[float, float]:
+        if not s > 0.0:
+            raise ValueError(f"radial argument must be > 0, got {s!r}")
+        u = s * s
+        ln_env = ln_norm - 0.5 * u
+        # d/ds log(s^kappa exp(-s^2/2)); at kappa = 0, -s is kappa / s - s exactly.
+        slope = -s
+        if kappa != 0.0:
+            ln_env += kappa * math.log(s)
+            slope = kappa / s - s
+        # Written `not >=` so that the nan of s = inf at kappa > 0, inf - inf, is cut too.
+        if not ln_env >= LN_TINY:
+            # The value is cut; the derivative only where env/s is cut too,
+            # as near the origin f ~ A s^kappa keeps its slope at kappa = 1.
+            if s >= 1.0 or ln_env - math.log(s) < LN_TINY:
+                return _ZERO
+            lag, dlag = laguerre(u)
+            return 0.0, math.exp(ln_env - math.log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
+        env = math.exp(ln_env)
+        lag, dlag = laguerre(u)
+        return env * lag, env * (slope * lag + 2.0 * s * dlag)
+
+    return radial
+
+
+def hydrogen_position(oscillator: Evaluator, n: int) -> Evaluator:
+    """Radial hydrogen function at unit charge: at xi = 2r/n = s^2 it is
+    sqrt(2)/n^2 times the D = 4 radial oscillator, kappa = 2l, alpha = 2l + 1."""
+    root = math.sqrt(2.0 / n)
+    factor = math.sqrt(2.0) / (n * n)
+    # ds/dr = 1 / (n s)
+    slope_factor = factor / n
+
+    def radial(r: float) -> tuple[float, float]:
+        if not r > 0.0:
+            raise ValueError(f"radial argument must be > 0, got {r!r}")
+        # sqrt(r) first, so that s > 0 even where 2r/n underflows.
+        s = root * math.sqrt(r)
+        value, derivative = oscillator(s)
+        return factor * value, slope_factor * derivative / s
+
+    return radial
+
+
+def hydrogen_momentum(
+    ln_norm: float, gegenbauer: Kernel, overflow: Callable[[float], Exception], n: int, l: int
+) -> Evaluator:
+    """The momentum-space function exp(ln_norm) t^l (1+t^2)^-(l+2)
+    gegenbauer(q) of systems._momentum_terms, at t = n p, with v = 1/(1+t^2)
+    and q = (t^2-1) v; past t ~ 1.3e154, t*t is inf, v = 0 and the cutoff
+    returns zeros. Raises overflow(p) at the first point whose value or
+    derivative is not finite: no bound on the Gegenbauer factor tells the
+    states where it overflows from the rest."""
+    decay_power = l + 2.0
+    two_decay_power = 2.0 * (l + 2.0)
+
+    def radial(p: float) -> tuple[float, float]:
+        if not p > 0.0:
+            raise ValueError(f"radial argument must be > 0, got {p!r}")
+        t = n * p
+        v = 1.0 / (1.0 + t * t)
+        q = (t * t - 1.0) * v
+        dq_dt = 4.0 * t * v * v
+        # d/dt log(1+t^2)^(l+2), rounded as the reference log-derivative rounds it.
+        rational_decay = two_decay_power * t * v
+        ln_env = ln_norm - decay_power * math.log1p(t * t)
+        if l:
+            ln_env += l * math.log(t)
+        # `not >=` also cuts the nan of p = inf at l > 0, inf - inf.
+        if not ln_env >= LN_TINY:
+            # As in radial_oscillator, f ~ A t^l keeps its slope at l = 1.
+            if t >= 1.0 or ln_env - math.log(t) < LN_TINY:
+                return _ZERO
+            geg, dgeg = gegenbauer(q)
+            over = math.exp(ln_env - math.log(t))
+            value, derivative = 0.0, n * over * ((l - t * rational_decay) * geg + t * dgeg * dq_dt)
+        else:
+            env = math.exp(ln_env)
+            geg, dgeg = gegenbauer(q)
+            value, derivative = env * geg, n * (env * ((l / t - rational_decay) * geg + dgeg * dq_dt))
+        if math.isfinite(value) and math.isfinite(derivative):
+            return value, derivative
+        raise overflow(p)
+
+    return radial
+
+
+def oscillator_panel(ln_norm: float, laguerre: Kernel, kappa: float, reference: float, radial: bool, n: int) -> Panel:
+    """The panel of radial_oscillator(ln_norm, laguerre, kappa): at x = s
+    for n = 0, with L = reference / s - s, the log-derivative of
+    s^reference exp(-s^2/2); for hydrogen position, as hydrogen_position
+    maps it, at r = x = n s^2 / 2, with L = reference / r - 1/n, that of
+    r^reference exp(-r/n). The x^2 of the integrand only if radial.
+    """
+    exp, log, isfinite = math.exp, math.log, math.isfinite
+    if n:
+        root = math.sqrt(2.0 / n)
+        factor = math.sqrt(2.0) / (n * n)
+        slope_factor = factor / n
+        inverse_n = 1.0 / n
+
+    def panel(c: float, h: float, scale: float) -> tuple[float, float]:
+        kron = 0.0
+        gauss = 0.0
+        for node, wk, wg in _GK31:
+            t = c + h * node
+            one_minus = 1.0 - t
+            x = scale * t / one_minus
+            s = root * math.sqrt(x) if n else x
+            u = s * s
+            if kappa != 0.0:
+                ln_env = ln_norm - 0.5 * u + kappa * log(s)
+                slope = kappa / s - s
+            else:
+                ln_env = ln_norm - 0.5 * u
+                slope = -s
+            if ln_env >= LN_TINY:
+                env = exp(ln_env)
+                lag, dlag = laguerre(u)
+                value, derivative = env * lag, env * (slope * lag + 2.0 * s * dlag)
+            elif s >= 1.0 or ln_env - log(s) < LN_TINY:
+                continue
+            else:
+                lag, dlag = laguerre(u)
+                value, derivative = 0.0, exp(ln_env - log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
+            if n:
+                difference = slope_factor * derivative / s - factor * value * (reference / x - inverse_n)
+            else:
+                difference = derivative - value * (reference / x - x)
+            sample = (4.0 * x * x if radial else 4.0) * difference * difference
+            weighted = sample * scale / (one_minus * one_minus)
+            if not isfinite(weighted):
+                raise sample_error(sample, x, t, weighted)
+            kron += wk * weighted
+            gauss += wg * weighted
+        return kron, gauss
+
+    return panel
+
+
+def momentum_panel(ln_norm: float, gegenbauer: Kernel, overflow: Callable[[float], Exception], n: int, l: int) -> Panel:
+    """The panel of hydrogen_momentum(ln_norm, gegenbauer, overflow, n, l),
+    with L = n (l/t - 2(l+2) t / (1+t^2)), the log-derivative of
+    t^l / (1+t^2)^(l+2) at t = n p. Raises overflow(p) where
+    hydrogen_momentum does.
+    """
+    exp, log, log1p, isfinite = math.exp, math.log, math.log1p, math.isfinite
+    decay_power = l + 2.0
+    two_decay_power = 2.0 * (l + 2.0)
+
+    def panel(c: float, h: float, scale: float) -> tuple[float, float]:
+        kron = 0.0
+        gauss = 0.0
+        for node, wk, wg in _GK31:
+            t = c + h * node
+            one_minus = 1.0 - t
+            p = scale * t / one_minus
+            y = n * p  # the evaluator's t
+            v = 1.0 / (1.0 + y * y)
+            q = (y * y - 1.0) * v
+            dq_dt = 4.0 * y * v * v
+            rational_decay = two_decay_power * y * v
+            ln_env = ln_norm - decay_power * log1p(y * y)
+            if l:
+                ln_env += l * log(y)
+            if ln_env >= LN_TINY:
+                env = exp(ln_env)
+                geg, dgeg = gegenbauer(q)
+                value, derivative = env * geg, n * (env * ((l / y - rational_decay) * geg + dgeg * dq_dt))
+            elif y >= 1.0 or ln_env - log(y) < LN_TINY:
+                continue
+            else:
+                geg, dgeg = gegenbauer(q)
+                over = exp(ln_env - log(y))
+                value, derivative = 0.0, n * over * ((l - y * rational_decay) * geg + y * dgeg * dq_dt)
+            if not (isfinite(value) and isfinite(derivative)):
+                raise overflow(p)
+            difference = derivative - value * (n * (l / y - 2.0 * (l + 2.0) * y * (1.0 / (1.0 + y * y))))
+            sample = 4.0 * p * p * difference * difference
+            weighted = sample * scale / (one_minus * one_minus)
+            if not isfinite(weighted):
+                raise sample_error(sample, p, t, weighted)
+            kron += wk * weighted
+            gauss += wg * weighted
+        return kron, gauss
+
+    return panel

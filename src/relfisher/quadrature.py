@@ -10,6 +10,12 @@ the result, never silently; a non-finite weighted sample aborts with the
 offending node in the message, and a panel sum that overflows with the
 offending panel.
 
+integrate takes its integrand as a Panel, a function that returns one
+panel's Kronrod and Gauss sums, so that a caller can evaluate the 31 nodes
+of a panel in one loop: the oracle's panel loops (relfisher._evaluators) run the
+t-map, the wavefunction and the weight inline. point_panel makes the Panel
+of a point integrand f(s), one call of f per node, for every other caller.
+
 Each panel is integrated with the 31-point Kronrod extension of the 15-point
 Gauss rule (QUADPACK's dqk31), 31 integrand evaluations per panel. The
 integral starts on 7 equal panels in t and bisects every panel whose error
@@ -39,7 +45,10 @@ __all__ = [
     "QuadratureResult",
     "IntegrandError",
     "NonConvergedError",
+    "Panel",
     "integrate",
+    "point_panel",
+    "sample_error",
 ]
 
 # Gauss-Kronrod 15/31 rule on (-1, 1), as QUADPACK's dqk31 (Piessens et al.,
@@ -107,6 +116,14 @@ _SMALLEST_EDGE = sys.float_info.min
 _LAST_EDGE = 1.0 - 2.0 ** -20
 
 
+# panel(c, h, scale) -> (kron, gauss): the Kronrod and Gauss sums, not yet
+# times h, of the weighted integrand over the panel of center c and half-width
+# h in t, that is of f(s) scale / (1-t)^2 at s = scale t / (1-t) for each
+# node t = c + h u of _GK31. A panel raises sample_error for a weighted sample
+# that is not finite.
+Panel = Callable[[float, float, float], tuple[float, float]]
+
+
 class IntegrandError(ValueError):
     """A weighted integrand sample, or a panel's quadrature sum, is not finite."""
 
@@ -161,18 +178,39 @@ class QuadratureResult:
     stop_reason: str
 
 
-def _eval_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def sample_error(sample: float, s: float, t: float, weighted: float) -> IntegrandError:
+    """The IntegrandError for a weighted sample that is not finite, naming its node."""
+    return IntegrandError(f"integrand returned {sample!r} at s = {s!r} (t = {t!r}), weighted {weighted!r}")
+
+
+def point_panel(f: Callable[[float], float]) -> Panel:
+    """The panel of a point integrand f(s): each node of _GK31 through the
+    t-map, f and the weight, one call of f per node."""
+
+    def panel(c: float, h: float, scale: float) -> tuple[float, float]:
+        kron = 0.0
+        gauss = 0.0
+        for u, wk, wg in _GK31:
+            t = c + h * u
+            one_minus = 1.0 - t
+            s = scale * t / one_minus
+            v = f(s)
+            weighted = v * scale / (one_minus * one_minus)
+            # A non-finite v always gives a non-finite weighted sample.
+            if not math.isfinite(weighted):
+                raise sample_error(v, s, t, weighted)
+            kron += wk * weighted
+            gauss += wg * weighted
+        return kron, gauss
+
+    return panel
+
+
+def _eval_panel(panel: Panel, a: float, b: float, scale: float) -> tuple[float, float]:
     """Kronrod value and |Kronrod - Gauss| error estimate on [a, b] in t-space.
     IntegrandError if either sum overflows."""
-    c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    kron = 0.0
-    gauss = 0.0
-    for u, wk, wg in _GK31:
-        t = c + h * u
-        v = g(t)
-        kron += wk * v
-        gauss += wg * v
+    kron, gauss = panel(0.5 * (a + b), h, scale)
     if not (math.isfinite(kron) and math.isfinite(gauss)):
         raise IntegrandError(f"the quadrature sums overflow on the panel t = [{a!r}, {b!r}]")
     return h * kron, abs(h * (kron - gauss))
@@ -191,27 +229,18 @@ def _initial_edges(spec: QuadratureSpec) -> list[float]:
     return sorted(marks | {0.0, 1.0})
 
 
-def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Integrate f over (0, inf), starting on the panels of _initial_edges."""
+def integrate(panel: Panel, spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Integrate over (0, inf) the integrand whose panel sums panel gives
+    (see Panel), starting on the panels of _initial_edges."""
     if spec is None:
         spec = QuadratureSpec()
     scale = spec.scale
-
-    def g(t: float) -> float:
-        one_minus = 1.0 - t
-        s = scale * t / one_minus
-        v = f(s)
-        weighted = v * scale / (one_minus * one_minus)
-        # A non-finite v always gives a non-finite weighted sample.
-        if not math.isfinite(weighted):
-            raise IntegrandError(f"integrand returned {v!r} at s = {s!r} (t = {t!r}), weighted {weighted!r}")
-        return weighted
 
     edges = _initial_edges(spec)
     panels = []
     evaluations = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        panels.append((a, b) + _eval_panel(g, a, b))
+        panels.append((a, b) + _eval_panel(panel, a, b, scale))
         evaluations += len(_GK31)
 
     stop_reason = "max_refinements"
@@ -227,8 +256,8 @@ def integrate(f: Callable[[float], float], spec: QuadratureSpec | None = None) -
         for a, b, val, perr in panels:
             if perr > share and len(panels) + split < _MAX_PANELS:
                 mid = 0.5 * (a + b)
-                refined.append((a, mid) + _eval_panel(g, a, mid))
-                refined.append((mid, b) + _eval_panel(g, mid, b))
+                refined.append((a, mid) + _eval_panel(panel, a, mid, scale))
+                refined.append((mid, b) + _eval_panel(panel, mid, b, scale))
                 evaluations += 2 * len(_GK31)
                 split += 1
             else:

@@ -7,7 +7,10 @@ evaluates the defining integral 4*Int s^2 (f' - f * ref_logderiv)^2 ds of
 each state's unit-scale f on the half line (without the s^2 for the 1D
 oscillator, whose f is sqrt(2) |psi|) by adaptive quadrature with an
 independently coded, node-less reference log-derivative. The two routes
-share no algebra beyond the wavefunctions themselves.
+share no algebra beyond the wavefunctions themselves. The integrand is the
+state's system.fisher_panel: one loop per quadrature panel (relfisher._evaluators)
+that runs the t-map, f's evaluator, the reference log-derivative, which is
+still coded apart from the evaluators, and the weight at each node.
 
 Known discrepancy, kept visible on purpose: the widely tabulated hydrogen-like
 momentum-space closed form (16 n^2 (n^2-(l+1)^2), Z-scaled) does not equal the
@@ -142,8 +145,8 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
 
     The integrand is 4 s^2 (f' - f * ref_logderiv)^2 on (0, inf) for the
     unit-scale f of the state (see systems._Family), without the s^2 for the
-    1D oscillator, whose |f| = sqrt(2) |psi| on the half line; the result is
-    multiplied by c^2. spec.scale, a length of f, goes to integrate as it
+    1D oscillator, whose |f| = sqrt(2) |psi| on the half line, integrated as
+    system.fisher_panel(target); the result is multiplied by c^2. spec.scale, a length of f, goes to integrate as it
     is. The reference is reference_state's shape at the target's own scale
     (see there). A unit-scale integral that this process has integrated
     before for the same name, system.layout(target)[0], and spec is reused,
@@ -163,15 +166,7 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
     key = (type(system), system.layout(target)[0], spec)
     quad = _UNIT_INTEGRALS.get(key)
     if quad is None:
-        wave, log_derivative = system.unit(target)
-        radial = system.radial
-
-        def integrand(s: float) -> float:
-            value, derivative = wave(s)
-            difference = derivative - value * log_derivative(s)
-            return (4.0 * s * s if radial else 4.0) * difference * difference
-
-        quad = integrate(integrand, spec)
+        quad = integrate(system.fisher_panel(target), spec)
         with _UNIT_INTEGRALS_LOCK:
             if len(_UNIT_INTEGRALS) >= _UNIT_INTEGRALS_MAX:
                 _UNIT_INTEGRALS.popitem(last=False)

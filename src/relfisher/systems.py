@@ -9,13 +9,15 @@ no magnetic quantum number, to which the information measure is invariant.
 QuantumState(...) checks its own space and quantum numbers; a system's grid
 method checks a whole grid once, on its corner state.
 
-The unit-scale wavefunction evaluators live here with their families. Their
-normalizations are assembled in log space and exponentiated once, and their
-derivatives are analytic: nothing differentiates numerically. Every
-Laguerre state shares one evaluator and its truncation guard,
-_radial_oscillator: the 1D oscillator (D = 1), the 3D oscillator and the
-pseudoharmonic potential (D = 3), and hydrogen position (D = 4). Its
-turning points also give the oracle's initial breaks (_lattice).
+The families build their unit-scale evaluators, in the point form and in
+the oracle's panel form (see _evaluators), from terms bound here: the
+log-normalization, checked against the evaluators' range, and the
+polynomial kernel, bound through this module's laguerre_kernel and
+gegenbauer_kernel. Every Laguerre state shares one set of terms and its
+truncation guard, _oscillator_terms: the 1D oscillator (D = 1), the 3D
+oscillator and the pseudoharmonic potential (D = 3), and hydrogen position
+(D = 4). Its turning points also give the oracle's initial breaks
+(_lattice); hydrogen momentum's terms are _momentum_terms.
 """
 from __future__ import annotations
 
@@ -23,8 +25,18 @@ import itertools
 import math
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+from ._evaluators import LN_TINY as _LN_TINY
+from ._evaluators import (
+    Evaluator,
+    hydrogen_momentum,
+    hydrogen_position,
+    momentum_panel,
+    oscillator_panel,
+    radial_oscillator,
+)
 from ._record import record, replace
-from .specfun import gegenbauer_kernel, laguerre_kernel, ln_gamma
+from .quadrature import Panel
+from .specfun import Kernel, gegenbauer_kernel, laguerre_kernel, ln_gamma
 
 __all__ = [
     "POSITION",
@@ -50,10 +62,6 @@ MOMENTUM = "momentum"
 SPACES = (POSITION, MOMENTUM)
 
 _SQRT2 = math.sqrt(2.0)
-
-# exp(_LN_TINY) is far below every tolerance in use; beyond it the evaluators
-# return exact zeros instead of risking underflow-times-overflow products.
-_LN_TINY = -700.0
 
 # The cutoff tests the envelope alone, while the polynomial grows as fast as
 # it falls, so at large degree the cutoff lands where f still lives. A
@@ -88,11 +96,6 @@ _WINDOW_MARGIN = 2.0
 
 _LN_PI = math.log(math.pi)
 _QUARTER_LN_2 = 0.25 * math.log(2.0)
-
-# A compiled state: point -> (value, derivative).
-Evaluator = Callable[[float], tuple[float, float]]
-
-_ZERO = (0.0, 0.0)
 
 
 class UnsupportedSystemError(ValueError):
@@ -136,7 +139,7 @@ def _lattice(n_r: int, alpha: float) -> tuple[float, ...]:
     points k * _BREAK_WIDTH, k >= 1, of unit-scale s that cover its classical
     window, from the last at or below its start to the first at or above its
     end. Empty for a state whose u_out alone spends the rounding budget,
-    which _radial_oscillator refuses."""
+    which _oscillator_terms refuses."""
     u_in, u_out = _turning_points(n_r, alpha)
     if not 0.5 * u_out * _ULP <= _LN_ENV_ROUNDING:
         return ()
@@ -145,12 +148,13 @@ def _lattice(n_r: int, alpha: float) -> tuple[float, ...]:
     return tuple(k * _BREAK_WIDTH for k in range(first, last + 1))
 
 
-def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], str]) -> Evaluator:
-    """The D-dimensional radial oscillator A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2),
-    alpha = kappa + D/2 - 1, normalized on the half line with weight s^(D-1):
-    the 1D oscillator's n = 2 n_r + kappa (D = 1), the 3D oscillator
-    (kappa = l) and pseudoharmonic potential (kappa = gamma_l) at D = 3, and
-    hydrogen position (kappa = 2l) at D = 4.
+def _oscillator_terms(n_r: int, kappa: float, alpha: float, name: Callable[[], str]) -> tuple[float, Kernel]:
+    """(ln A, L_{n_r}^alpha kernel) of the D-dimensional radial oscillator
+    A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2), alpha = kappa + D/2 - 1,
+    normalized on the half line with weight s^(D-1): the 1D oscillator's
+    n = 2 n_r + kappa (D = 1), the 3D oscillator (kappa = l) and
+    pseudoharmonic potential (kappa = gamma_l) at D = 3, and hydrogen position
+    (kappa = 2l) at D = 4.
     RefusedStateError, naming the state as name(), if its log-normalization
     overflows, its log-envelope rounds beyond _LN_ENV_ROUNDING or the cutoff
     would truncate it.
@@ -174,67 +178,24 @@ def _radial_oscillator(n_r: int, kappa: float, alpha: float, name: Callable[[], 
             f"{name()} is out of the evaluator's range: its log-envelope at the outer turning "
             f"point is {ln_turning:.1f}, below the limit {limit:g}"
         )
-    laguerre = laguerre_kernel(n_r, alpha)
-
-    def radial(s: float) -> tuple[float, float]:
-        if not s > 0.0:
-            raise ValueError(f"radial argument must be > 0, got {s!r}")
-        u = s * s
-        ln_env = ln_norm - 0.5 * u
-        # d/ds log(s^kappa exp(-s^2/2)); at kappa = 0, -s is kappa / s - s exactly.
-        slope = -s
-        if kappa != 0.0:
-            ln_env += kappa * math.log(s)
-            slope = kappa / s - s
-        # Written `not >=` so that the nan of s = inf at kappa > 0, inf - inf, is cut too.
-        if not ln_env >= _LN_TINY:
-            # The value is cut; the derivative only where env/s is cut too,
-            # as near the origin f ~ A s^kappa keeps its slope at kappa = 1.
-            if s >= 1.0 or ln_env - math.log(s) < _LN_TINY:
-                return _ZERO
-            lag, dlag = laguerre(u)
-            return 0.0, math.exp(ln_env - math.log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
-        env = math.exp(ln_env)
-        lag, dlag = laguerre(u)
-        return env * lag, env * (slope * lag + 2.0 * s * dlag)
-
-    return radial
+    return ln_norm, laguerre_kernel(n_r, alpha)
 
 
-def _hydrogen_position(n: int, l: int, name: Callable[[], str]) -> Evaluator:
-    """Radial hydrogen function at unit charge: at xi = 2r/n = s^2 it is
-    sqrt(2)/n^2 times the D = 4 radial oscillator, kappa = 2l, alpha = 2l + 1."""
-    oscillator = _radial_oscillator(n - l - 1, 2.0 * l, 2.0 * l + 1.0, name)
-    root = math.sqrt(2.0 / n)
-    factor = _SQRT2 / (n * n)
-    # ds/dr = 1 / (n s)
-    slope_factor = factor / n
-
-    def radial(r: float) -> tuple[float, float]:
-        if not r > 0.0:
-            raise ValueError(f"radial argument must be > 0, got {r!r}")
-        # sqrt(r) first, so that s > 0 even where 2r/n underflows.
-        s = root * math.sqrt(r)
-        value, derivative = oscillator(s)
-        return factor * value, slope_factor * derivative / s
-
-    return radial
-
-
-def _hydrogen_momentum(n: int, l: int, name: Callable[[], str]) -> Evaluator:
-    """Momentum-space radial hydrogen function at unit charge, in t = n p,
-    v = 1/(1+t^2) and q = (t^2-1) v; past t ~ 1.3e154, t*t is inf, v = 0 and
-    the cutoff returns zeros. RefusedStateError, naming the state as name(),
+def _momentum_terms(
+    n: int, l: int, name: Callable[[], str]
+) -> tuple[float, Kernel, Callable[[float], RefusedStateError]]:
+    """(ln A, C_{n-l-1}^{l+1} kernel, the error for a point p where the
+    Gegenbauer factor overflows) of the momentum-space radial hydrogen
+    function at unit charge, A t^l (1+t^2)^-(l+2) C_{n-l-1}^{l+1}(q) in t = n p
+    and q = (t^2-1)/(t^2+1). RefusedStateError, naming the state as name(),
     if its log-normalization overflows or its log-gamma terms round beyond
     _LN_ENV_ROUNDING, both before the Gegenbauer kernel binds its n - l - 1
-    steps; and at the first point whose value or derivative is not finite:
-    no bound on the Gegenbauer factor tells the states where it overflows
-    from the rest."""
+    steps."""
     try:
         ln_gamma_l, ln_gamma_low, ln_gamma_high = ln_gamma(l + 1.0), ln_gamma(n - l), ln_gamma(n + l + 1.0)
     except OverflowError:
         raise RefusedStateError(f"{name()} is out of the evaluator's range: its log-normalization overflows") from None
-    # As in _radial_oscillator, each term is rounded to 2^-52 of its size, and
+    # As in _oscillator_terms, each term is rounded to 2^-52 of its size, and
     # ln_gamma_low - ln_gamma_high cancels; at l = 0 this refuses from n ~ 3.8e5.
     rounding = _ULP * (ln_gamma_l + 0.5 * (ln_gamma_low + ln_gamma_high))
     if not rounding <= _LN_ENV_ROUNDING:
@@ -248,39 +209,13 @@ def _hydrogen_momentum(n: int, l: int, name: Callable[[], str]) -> Evaluator:
         + ln_gamma_l
         + 0.5 * (math.log(2.0) - _LN_PI + ln_gamma_low - ln_gamma_high)
     )
-    gegenbauer = gegenbauer_kernel(n - l - 1, l + 1.0)
-    decay_power = l + 2.0
-    two_decay_power = 2.0 * (l + 2.0)
 
-    def radial(p: float) -> tuple[float, float]:
-        if not p > 0.0:
-            raise ValueError(f"radial argument must be > 0, got {p!r}")
-        t = n * p
-        v = 1.0 / (1.0 + t * t)
-        q = (t * t - 1.0) * v
-        dq_dt = 4.0 * t * v * v
-        # d/dt log(1+t^2)^(l+2), rounded as the reference log-derivative rounds it.
-        rational_decay = two_decay_power * t * v
-        ln_env = ln_norm - decay_power * math.log1p(t * t)
-        if l:
-            ln_env += l * math.log(t)
-        # `not >=` also cuts the nan of p = inf at l > 0, inf - inf.
-        if not ln_env >= _LN_TINY:
-            # As in _radial_oscillator, f ~ A t^l keeps its slope at l = 1.
-            if t >= 1.0 or ln_env - math.log(t) < _LN_TINY:
-                return _ZERO
-            geg, dgeg = gegenbauer(q)
-            over = math.exp(ln_env - math.log(t))
-            value, derivative = 0.0, n * over * ((l - t * rational_decay) * geg + t * dgeg * dq_dt)
-        else:
-            env = math.exp(ln_env)
-            geg, dgeg = gegenbauer(q)
-            value, derivative = env * geg, n * (env * ((l / t - rational_decay) * geg + dgeg * dq_dt))
-        if math.isfinite(value) and math.isfinite(derivative):
-            return value, derivative
-        raise RefusedStateError(f"{name()} is out of the evaluator's range: its Gegenbauer factor overflows at p = {p!r}")
+    def overflow(p: float) -> RefusedStateError:
+        return RefusedStateError(
+            f"{name()} is out of the evaluator's range: its Gegenbauer factor overflows at p = {p!r}"
+        )
 
-    return radial
+    return ln_norm, gegenbauer_kernel(n - l - 1, l + 1.0), overflow
 
 
 def _over_z_squared(value: float, Z: float) -> float:
@@ -332,6 +267,11 @@ class _Family:
                             from f and closed_form, so the oracle stays an
                             independent route, and, the reference being
                             node-less, it never divides by a wavefunction value
+    fisher_panel(state)     the oracle's integrand 4 s^2 (f' - f L)^2 of f
+                            and unit's L (without the s^2 unless radial) as
+                            a quadrature.Panel: the loop of _evaluators for the
+                            state's evaluator, from the same terms; its
+                            samples are those of unit's pair, bit for bit
     closed_form(state)      relative Fisher information against the reference
     spacing(space)          constant gap between adjacent closed forms
     _grid(ranges)           optional: the corner and the number tuples of
@@ -429,7 +369,13 @@ class Oscillator1D(_Family):
         # Stegun 22.5.40-41): sqrt(2) (-1)^m psi on the half line is the d = 1
         # radial oscillator.
         m, p = divmod(state.n, 2)
-        return _radial_oscillator(m, float(p), p - 0.5, lambda: self._name(state)), lambda y: -y
+        terms = _oscillator_terms(m, float(p), p - 0.5, lambda: self._name(state))
+        return radial_oscillator(*terms, kappa=float(p)), lambda y: -y
+
+    def fisher_panel(self, state: QuantumState) -> Panel:
+        m, p = divmod(state.n, 2)
+        terms = _oscillator_terms(m, float(p), p - 0.5, lambda: self._name(state))
+        return oscillator_panel(*terms, kappa=float(p), reference=0.0, radial=False, n=0)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         m, p = divmod(state.n, 2)
@@ -503,8 +449,13 @@ class _RadialOscillator(_Family):
 
     def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
         kappa, _ = self._kappa_b(state)
-        wave = _radial_oscillator(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
-        return wave, lambda s: kappa / s - s
+        terms = _oscillator_terms(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
+        return radial_oscillator(*terms, kappa=kappa), lambda s: kappa / s - s
+
+    def fisher_panel(self, state: QuantumState) -> Panel:
+        kappa, _ = self._kappa_b(state)
+        terms = _oscillator_terms(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
+        return oscillator_panel(*terms, kappa=kappa, reference=kappa, radial=True, n=0)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         kappa, _ = self._kappa_b(state)
@@ -587,7 +538,8 @@ class Hydrogenic(_Family):
         n, l = state.n, state.l
         if state.space == POSITION:
             # Circular reference sharing the target's length scale: r^l e^{-r/n}.
-            wave = _hydrogen_position(n, l, lambda: self._name(state))
+            terms = _oscillator_terms(n - l - 1, 2.0 * l, 2.0 * l + 1.0, lambda: self._name(state))
+            wave = hydrogen_position(radial_oscillator(*terms, kappa=2.0 * l), n)
             return wave, lambda r: l / r - 1.0 / n
 
         def momentum_log_derivative(p: float) -> float:
@@ -595,7 +547,15 @@ class Hydrogenic(_Family):
             t = n * p
             return n * (l / t - (2.0 * (l + 2.0) * t) * (1.0 / (1.0 + t * t)))
 
-        return _hydrogen_momentum(n, l, lambda: self._name(state)), momentum_log_derivative
+        wave = hydrogen_momentum(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
+        return wave, momentum_log_derivative
+
+    def fisher_panel(self, state: QuantumState) -> Panel:
+        n, l = state.n, state.l
+        if state.space == POSITION:
+            terms = _oscillator_terms(n - l - 1, 2.0 * l, 2.0 * l + 1.0, lambda: self._name(state))
+            return oscillator_panel(*terms, kappa=2.0 * l, reference=l, radial=True, n=n)
+        return momentum_panel(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         # f is taken at unit charge, so Z is not part of its name.

@@ -9,7 +9,7 @@ work and returns a plain (value, derivative) tuple.
 """
 from __future__ import annotations
 
-from .quadrature import NonConvergedError, QuadratureSpec, integrate
+from .quadrature import NonConvergedError, QuadratureSpec, integrate, point_panel
 from .systems import Evaluator, QuantumState
 
 # Not called here any more; kept in this namespace because perfbench/tracer.py
@@ -73,7 +73,7 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
     def density(s: float) -> float:
         value = wave(s)[0]
         return (s * s if radial else 1.0) * value * value
-    result = integrate(density, spec)
+    result = integrate(point_panel(density), spec)
     if not result.converged:
         raise NonConvergedError(
             f"normalization quadrature did not converge for {state!r}: "

@@ -19,18 +19,19 @@ from relfisher.quadrature import (
     IntegrandError,
     QuadratureSpec,
     integrate,
+    point_panel,
 )
 
 
 def test_unit_exponential():
-    result = integrate(lambda u: math.exp(-u))
+    result = integrate(point_panel(lambda u: math.exp(-u)))
     assert result.converged
     assert result.value == pytest.approx(1.0, rel=1e-12)
     assert result.error_estimate <= max(1e-10 * abs(result.value), 1e-14)
 
 
 def test_gamma_five_halves():
-    result = integrate(lambda u: u**1.5 * math.exp(-u), QuadratureSpec(scale=2.5))
+    result = integrate(point_panel(lambda u: u**1.5 * math.exp(-u)), QuadratureSpec(scale=2.5))
     assert result.converged
     # Gamma(5/2) = (3/4) sqrt(pi)
     assert result.value == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-11)
@@ -45,7 +46,7 @@ def test_weighted_laguerre_square_moment():
         poly = 2.5 - u
         return u**2.5 * math.exp(-u) * poly * poly
 
-    result = integrate(integrand, QuadratureSpec(scale=4.0))
+    result = integrate(point_panel(integrand), QuadratureSpec(scale=4.0))
     assert result.converged
     assert result.value == pytest.approx(expected, rel=1e-11)
     assert expected == pytest.approx(14.955079367015301, rel=1e-13)
@@ -57,14 +58,14 @@ def test_laguerre_orthonormality_diagonal_cell():
         poly = 2.5 - u
         return u**1.5 * math.exp(-u) * poly * poly
 
-    result = integrate(integrand, QuadratureSpec(scale=3.0))
+    result = integrate(point_panel(integrand), QuadratureSpec(scale=3.0))
     assert result.converged
     assert result.value == pytest.approx(math.gamma(3.5), rel=1e-11)
 
 
 @pytest.mark.parametrize("a", [0.5 + k for k in range(26)])
 def test_gamma_family(a):
-    result = integrate(lambda u: u**a * math.exp(-u), QuadratureSpec(scale=a + 1.0))
+    result = integrate(point_panel(lambda u: u**a * math.exp(-u)), QuadratureSpec(scale=a + 1.0))
     assert result.converged
     assert result.value == pytest.approx(math.gamma(a + 1.0), rel=1e-11)
     assert result.error_estimate <= max(1e-10 * abs(result.value), 1e-14)
@@ -77,8 +78,8 @@ def test_tightening_tolerance_stays_within_error_estimate(a, b):
         return u**a * math.exp(-u) * (1.0 + 0.5 * math.cos(b * u))
 
     scale = a + 1.0
-    coarse = integrate(integrand, QuadratureSpec(rel_tol=1e-8, scale=scale))
-    fine = integrate(integrand, QuadratureSpec(rel_tol=1e-9, scale=scale))
+    coarse = integrate(point_panel(integrand), QuadratureSpec(rel_tol=1e-8, scale=scale))
+    fine = integrate(point_panel(integrand), QuadratureSpec(rel_tol=1e-9, scale=scale))
     assert coarse.converged and fine.converged
     assert abs(coarse.value - fine.value) <= coarse.error_estimate + 1e-15
 
@@ -90,7 +91,7 @@ def test_non_finite_integrand_reports_offending_node():
         return math.exp(-s)
 
     with pytest.raises(IntegrandError) as excinfo:
-        integrate(integrand)
+        integrate(point_panel(integrand))
     message = str(excinfo.value)
     assert "s = " in message
     node = float(message.split("s = ")[1].split(" ")[0])
@@ -102,7 +103,7 @@ def test_non_convergence_is_a_result_not_an_exception(monkeypatch):
     # endpoint singularity u^{-1/2} starves a one-round refinement budget
     monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 1)
     spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-30)
-    result = integrate(lambda u: math.exp(-u) / math.sqrt(u), spec)
+    result = integrate(point_panel(lambda u: math.exp(-u) / math.sqrt(u)), spec)
     assert not result.converged
     assert result.value == pytest.approx(math.sqrt(math.pi), rel=1e-2)
 
@@ -110,7 +111,7 @@ def test_non_convergence_is_a_result_not_an_exception(monkeypatch):
 def test_error_estimate_is_honest_when_not_converged():
     # bisection alone resolves an endpoint singularity slowly; the returned
     # estimate must still bracket the true error
-    result = integrate(lambda u: math.exp(-u) / math.sqrt(u))
+    result = integrate(point_panel(lambda u: math.exp(-u) / math.sqrt(u)))
     assert not result.converged
     assert abs(result.value - math.sqrt(math.pi)) <= result.error_estimate
 
@@ -145,7 +146,7 @@ def test_breaks_replace_the_uniform_edges():
     uniform = [k / _INITIAL_PANELS for k in range(_INITIAL_PANELS + 1)]
     assert quadrature._initial_edges(QuadratureSpec(scale=2.0)) == uniform
     assert quadrature._initial_edges(QuadratureSpec(scale=2.0, breaks=(1e300, 1e-320))) == uniform
-    result = integrate(lambda u: math.exp(-u), spec)
+    result = integrate(point_panel(lambda u: math.exp(-u)), spec)
     assert result.converged
     assert result.value == pytest.approx(1.0, rel=1e-12)
 
@@ -167,14 +168,14 @@ def test_a_break_whose_image_rounds_to_an_end_or_repeats_an_edge_is_dropped(scal
         seen.append(u)
         return math.exp(-u / scale) / scale
 
-    result = integrate(f, spec)
+    result = integrate(point_panel(f), spec)
     assert result.converged
     assert result.value == pytest.approx(1.0, rel=1e-12)
     assert len(seen) == result.evaluations
 
 
 def test_evaluation_accounting():
-    smooth = integrate(lambda u: math.exp(-u))
+    smooth = integrate(point_panel(lambda u: math.exp(-u)))
     assert smooth.evaluations % len(_GK31) == 0
     assert smooth.evaluations >= len(_GK31) * _INITIAL_PANELS
 
@@ -182,28 +183,28 @@ def test_evaluation_accounting():
     def narrow(u):
         return math.exp(-((u - 4.0) ** 2) * 400.0)
 
-    hard = integrate(narrow, QuadratureSpec(scale=1.0))
+    hard = integrate(point_panel(narrow), QuadratureSpec(scale=1.0))
     assert hard.converged
     assert hard.value == pytest.approx(math.sqrt(math.pi) / 20.0, rel=1e-9)
     assert hard.evaluations > smooth.evaluations
 
 
 def test_a_converged_result_stopped_at_its_tolerance():
-    result = integrate(lambda u: math.exp(-u))
+    result = integrate(point_panel(lambda u: math.exp(-u)))
     assert result.converged
     assert (result.panels, result.stop_reason) == (_INITIAL_PANELS, "tol")
 
 
 def test_an_endpoint_singularity_uses_every_round_of_refinement():
     # Each round bisects only the panels next to u = 0.
-    result = integrate(lambda u: math.exp(-u) / math.sqrt(u))
+    result = integrate(point_panel(lambda u: math.exp(-u) / math.sqrt(u)))
     assert not result.converged
     assert result.stop_reason == "max_refinements"
     assert _INITIAL_PANELS < result.panels < quadrature._MAX_PANELS
 
 
 def test_an_integrand_rough_everywhere_stops_at_the_panel_cap():
-    result = integrate(lambda u: math.exp(-u) * abs(math.sin(1e4 * u)))
+    result = integrate(point_panel(lambda u: math.exp(-u) * abs(math.sin(1e4 * u))))
     assert not result.converged
     assert (result.panels, result.stop_reason) == (quadrature._MAX_PANELS, "panel_cap")
     assert result.evaluations == 619_783
@@ -213,17 +214,17 @@ def test_overflowing_weighted_samples_and_panel_sums_raise():
     # Every sample of f is finite, but the weighted samples overflow near
     # t = 1, and on the first panel already the sums do.
     with pytest.raises(IntegrandError):
-        integrate(lambda u: 1e308)
+        integrate(point_panel(lambda u: 1e308))
     # A weighted sample that overflows is named by its node, with f's value.
     with pytest.raises(IntegrandError) as excinfo:
-        integrate(lambda u: 1e300, QuadratureSpec(scale=1e10))
+        integrate(point_panel(lambda u: 1e300), QuadratureSpec(scale=1e10))
     message = str(excinfo.value)
     assert message.startswith("integrand returned 1e+300 at s = ")
     assert message.endswith("weighted inf")
     # Every weighted sample is 1.7e308 or below, but a panel's Kronrod sum,
     # about twice that, overflows: the panel is named.
     with pytest.raises(IntegrandError, match=r"sums overflow on the panel t = \[0\.0, 0\.14285714285714285\]"):
-        integrate(lambda s: 1.7e308 / (1.0 + s) ** 2)
+        integrate(point_panel(lambda s: 1.7e308 / (1.0 + s) ** 2))
 
 
 # The Gauss-Kronrod 15/31 table.

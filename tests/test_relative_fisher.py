@@ -24,7 +24,7 @@ import relfisher.specfun
 import relfisher.systems
 from relfisher._record import replace
 from relfisher.data_units import MoleculeRecord, find_molecule, registry, to_atomic_units
-from relfisher.quadrature import IntegrandError, QuadratureResult, _initial_edges, integrate
+from relfisher.quadrature import IntegrandError, QuadratureResult, _initial_edges, integrate, point_panel
 from relfisher.specfun import laguerre_kernel
 from relfisher.relative_fisher import (
     UnsupportedSystemError,
@@ -573,15 +573,16 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
         return weight(s) * difference * difference
 
     spec = default_quadrature_spec(state, rel_tol=1e-12)
-    direct = integrate(integrand, replace(spec, scale=length / c, breaks=[b / c for b in spec.breaks]))
+    direct = integrate(point_panel(integrand), replace(spec, scale=length / c, breaks=[b / c for b in spec.breaks]))
     result = numeric_ir(state, spec)
     assert direct.converged and result.quadrature.converged
     assert result.numeric == pytest.approx(direct.value, rel=1e-12, abs=0.0)
 
 
-def _unit_integral(state, spec=None):
-    """The unit-scale integral numeric_ir takes for state, integrated here
-    directly, so that no stored integral of another state can stand in."""
+def _point_integrand(state):
+    """The Fisher integrand of state's unit-scale f as a point function of
+    system.unit(state)'s evaluator and reference log-derivative: what the
+    panel loops of numeric_ir must match bit for bit."""
     wave, log_derivative = state.system.unit(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 4.0)
 
@@ -590,7 +591,89 @@ def _unit_integral(state, spec=None):
         difference = derivative - value * log_derivative(s)
         return weight(s) * difference * difference
 
-    return integrate(integrand, spec or default_quadrature_spec(state))
+    return integrand
+
+
+def _unit_integral(state, spec=None):
+    """The unit-scale integral numeric_ir takes for state, integrated here
+    directly, so that no stored integral of another state can stand in."""
+    return integrate(point_panel(_point_integrand(state)), spec or default_quadrature_spec(state))
+
+
+# States whose oracle integral runs each branch of the panel loops: both
+# parities of qho1d, qho3d at l > 0, php at two molecules, hydrogen position
+# and momentum at l = 0 and l >= 1, each in both spaces, and hydrogen
+# momentum (89, 87). qho3d (2, 79) and hydrogen momentum (89, 87) have nodes
+# in the near-origin branch, where the value is cut and the slope kept;
+# every Laguerre state, and hydrogen momentum (89, 87), has nodes where both
+# are cut.
+_PANEL_STATES = [
+    *(QuantumState(Oscillator1D(0.7), space, n=n) for n in (6, 7) for space in (POSITION, MOMENTUM)),
+    *(QuantumState(Oscillator3D(2.0), space, n_r=n_r, l=l)
+      for n_r, l in ((3, 2), (2, 79)) for space in (POSITION, MOMENTUM)),
+    *(QuantumState(params, space, n_r=5, l=l)
+      for params in (H2_PARAMS, CO_PARAMS) for l in (0, 3) for space in (POSITION, MOMENTUM)),
+    *(_hydrogen(n, l, space, 2.0) for n, l in ((5, 0), (7, 3)) for space in (POSITION, MOMENTUM)),
+    _hydrogen(89, 87, MOMENTUM),
+]
+
+
+def _state_id(state):
+    return f"{state.system.name}-{state.space}-{state.system.label(state)}"
+
+
+@pytest.mark.parametrize("state", _PANEL_STATES, ids=_state_id)
+def test_the_panel_loop_integrates_the_point_integrand_bit_for_bit(state):
+    # numeric_ir integrates system.fisher_panel(state), one loop per panel;
+    # the point integrand is built from system.unit(state), the evaluator
+    # compile_state uses, and integrated through the point adapter. Every
+    # field of the result must agree: value, error estimate, evaluations,
+    # panels and stop reason.
+    assert numeric_ir(state).quadrature == _unit_integral(state)
+
+
+def _branches(state):
+    """The nodes s of state's oracle integral where the evaluator cuts both
+    value and slope, and those where it cuts the value only."""
+    wave, _ = state.system.unit(state)
+    nodes = ([], [])
+
+    def density(s):
+        value, derivative = wave(s)
+        if value == 0.0:
+            nodes[derivative != 0.0].append(s)
+        return value * value
+
+    integrate(point_panel(density), default_quadrature_spec(state))
+    return nodes
+
+
+def test_the_panel_states_reach_the_cut_and_near_origin_branches():
+    # A zero value with a nonzero slope is the near-origin branch at qho3d
+    # (2, 79) and hydrogen momentum (89, 87), whose polynomial factors are
+    # far from 0 near the origin. That branch's slope is below e^-700 / s,
+    # so its Fisher sample underflows to 0: the results above pin the
+    # branch's cut, not its slope.
+    for state in _PANEL_STATES:
+        cut, _ = _branches(state)
+        if state.system.name != "hydrogen" or state.space == POSITION:
+            assert cut, _state_id(state)
+    assert all(_branches(QuantumState(Oscillator3D(2.0), POSITION, n_r=2, l=79)))
+    assert all(_branches(_hydrogen(89, 87, MOMENTUM)))
+
+
+def test_a_sweep_across_the_continuation_degree_matches_the_point_integrand(monkeypatch):
+    # From degree specfun._CONTINUE_FROM_DEGREE on, the kernels continue the
+    # column's stored states; below it they run from degree 0. The panel loop
+    # must give the point form's result on both sides of that degree.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    start = relfisher.specfun._CONTINUE_FROM_DEGREE - 3
+    for n_r in range(start, start + 8):
+        state = QuantumState(CO_PARAMS, POSITION, n_r=n_r, l=0)
+        assert numeric_ir(state).quadrature == _unit_integral(state), n_r
+    alpha = php_derived(CO_PARAMS, 0).gamma_l + 0.5
+    column = relfisher.specfun._LIVE["laguerre"][alpha + 1.0]
+    assert column.states and column.lowest == relfisher.specfun._CONTINUE_FROM_DEGREE
 
 
 def _quadratures(make):
@@ -823,6 +906,50 @@ def test_an_integral_that_raises_is_not_stored(monkeypatch):
     assert result.quadrature.converged and result.rel_diff <= 1e-8
 
 
+_SAMPLE_ERROR = r"^integrand returned (nan|inf) at s = \S+ \(t = \S+\), weighted (nan|inf)$"
+
+
+def _overflowing_kernel(kernel):
+    """Binds like kernel, but returns a finite (value, derivative) whose
+    Fisher sample overflows, at every point above 0.5."""
+
+    def bind(n, alpha):
+        inner = kernel(n, alpha)
+        return lambda x: (1e200, 1e200) if x > 0.5 else inner(x)
+
+    return bind
+
+
+@pytest.mark.parametrize(
+    "seam,state",
+    [
+        ("laguerre_kernel", QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0)),
+        ("gegenbauer_kernel", _hydrogen(4, 1, MOMENTUM)),
+    ],
+    ids=["laguerre", "gegenbauer"],
+)
+def test_a_non_finite_sample_names_its_node(monkeypatch, seam, state):
+    monkeypatch.setattr(relfisher.systems, seam, _overflowing_kernel(getattr(relfisher.systems, seam)))
+    with pytest.raises(IntegrandError, match=_SAMPLE_ERROR):
+        numeric_ir(state)
+
+
+def test_a_hydrogen_momentum_integral_that_raises_is_not_stored(monkeypatch):
+    # A Gegenbauer factor that is not finite is a refused state, not a bad sample.
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", lambda n, alpha: lambda x: (math.nan, math.nan))
+    with pytest.raises(RefusedStateError):
+        numeric_ir(_hydrogen(4, 1, MOMENTUM))
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", lambda n, alpha: lambda x: (1e200, 1e200))
+    with pytest.raises(IntegrandError):
+        numeric_ir(_hydrogen(4, 1, MOMENTUM))
+    assert not relfisher.relative_fisher._UNIT_INTEGRALS
+    # The same cell integrates again, with the real kernel.
+    monkeypatch.undo()
+    result = numeric_ir(_hydrogen(4, 1, MOMENTUM))
+    assert result.quadrature.converged
+    assert result.numeric == pytest.approx(hydrogen_momentum_integral_closed_form(4, 1, 1.0), rel=1e-8)
+
+
 _TWO_HALF_CASES = [
     (omega, space, n)
     for omega in (1e-160, 1e-3, 1.0, 3.7, 1e160)
@@ -848,8 +975,8 @@ def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
         return 4.0 * difference * difference
 
     spec = replace(default_quadrature_spec(state, rel_tol=1e-12), abs_tol=1e-14 * c * c, scale=length / c)
-    positive = integrate(integrand, spec)
-    negative = integrate(lambda s: integrand(-s), spec)
+    positive = integrate(point_panel(integrand), spec)
+    negative = integrate(point_panel(lambda s: integrand(-s)), spec)
     assert negative == positive
     result = numeric_ir(state, default_quadrature_spec(state, rel_tol=1e-12))
     assert positive.converged and result.quadrature.converged

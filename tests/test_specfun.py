@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher import specfun
-from relfisher.quadrature import QuadratureSpec, integrate
+from relfisher.quadrature import QuadratureSpec, integrate, point_panel
 from relfisher.specfun import (
     assoc_laguerre,
     gegenbauer,
@@ -148,7 +148,7 @@ def test_laguerre_orthogonality_by_quadrature(alpha):
             def integrand(u):
                 return u**alpha * math.exp(-u) * l_i(u)[0] * l_j(u)[0]
 
-            result = integrate(integrand, spec)
+            result = integrate(point_panel(integrand), spec)
             assert result.converged
             if i == j:
                 assert result.value == pytest.approx(norm(i), rel=1e-9)
@@ -177,7 +177,7 @@ def test_hermite_orthogonality_by_quadrature():
                 abs_tol=1e-11 * pair_scale,
                 scale=math.sqrt(m + k + 1.0),
             )
-            result = integrate(lambda y: 2.0 * integrand(y), spec)
+            result = integrate(point_panel(lambda y: 2.0 * integrand(y)), spec)
             assert result.converged
             if m == k:
                 assert result.value == pytest.approx(norm(m), rel=1e-9)

@@ -13,7 +13,7 @@ import pytest
 import relfisher.systems
 from relfisher._record import replace
 from relfisher import quadrature
-from relfisher.quadrature import NonConvergedError, QuadratureSpec, integrate
+from relfisher.quadrature import NonConvergedError, QuadratureSpec, integrate, point_panel
 from relfisher.relative_fisher import numeric_ir
 from relfisher.specfun import gegenbauer_kernel
 from relfisher.systems import (
@@ -621,11 +621,11 @@ def test_momentum_odd_moment_vanishes(n, l):
         jac = 4.0 * t / ((t * t + 1.0) ** 2)
         return (1.0 - q * q) ** power * poly * poly * jac
 
-    base = integrate(even_part, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
+    base = integrate(point_panel(even_part), QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14))
     assert base.converged and base.value > 0.0
 
     odd = integrate(
-        lambda t: q_of(t) * even_part(t),
+        point_panel(lambda t: q_of(t) * even_part(t)),
         QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12 * base.value),
     )
     assert odd.converged
