@@ -42,8 +42,9 @@ def _states(cli, argv: list[str]) -> list:
     """The states the CLI's validate sweep for argv takes, in its order."""
     args = cli.build_parser().parse_args(argv)
     families = [cli._FAMILIES[args.system]] if args.system else cli.FAMILIES
-    cells = cli._cells(args, families, lambda family: cli._sweep_ranges(args, family), "empty grid")
-    return [state for state, _ in cells]
+    spaces = [cli.POSITION, cli.MOMENTUM] if args.space == "both" else [args.space]
+    grids = cli._grids(args, families, lambda family: cli._sweep_ranges(args, family), spaces, "empty grid")
+    return [state for _, _, combinations in grids for states in combinations for state in states]
 
 
 def _run(relfisher, states: list) -> dict[tuple[str, str], list[int]]:

@@ -14,19 +14,25 @@ or a refused state, 4 I/O failure.
 compute and validate turn the flags into systems by one rule (_systems):
 hydrogen takes --Z and the oscillators --omega; php takes the
 --mu-amu/--de-ev/--re-angstrom triple if any of it is given, else --molecule,
-else every registry molecule. Both then stream their grids through _cells.
+else every registry molecule. Both then run their grids through one row loop
+(_run_cells). In CSV it writes each row as one ready-made line, with one
+write: the system and space fields and the params digest are quoted once
+per grid, and the label once per quantum-number combination, which each
+space of the combination shares. The bytes are those csv.writer would write
+(_csv_field). reproduce and molecules write their short tables through
+csv.writer (_write_rows).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import math
 import os
 import sys
 import tempfile
-from collections import Counter
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .data_units import (
     CONSTANT_PROFILES,
@@ -101,12 +107,36 @@ _FAMILIES = {family.name: family for family in FAMILIES}
 _FLAGS = {"n": "--n", "n_r": "--nr", "l": "--l"}
 
 
-# The columns of a compute or validate row, which _evaluate_cell builds as a
-# plain tuple in this order.
+# The columns of a compute or validate row.
 _ROW_HEADER = [
     "system", "space", "quantum_numbers", "params_digest", "ir_closed", "ir_numeric", "rel_diff", "status",
 ]
-_Row = tuple[str, str, str, str, float, float | None, float | None, str]
+
+_T = TypeVar("_T")
+
+
+def _json_encoder() -> Callable[[object], str]:
+    """json.dumps(obj, ensure_ascii=False, allow_nan=False) as one encoder
+    built once, where dumps builds one per call; a non-finite float raises
+    ValueError."""
+    # Imported here, as only JSON output needs it: it costs every other run start-up time.
+    from json import JSONEncoder
+
+    return JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer(stream, lineterminator="\\n") writes it as one field of a row.
+
+    A field with a comma and none of '"', CR and LF is only quoted. csv.writer
+    renders the rest itself, as its rule for CR has changed between Python
+    versions: 3.13 quotes a field with CR, 3.10 to 3.12 do not.
+    """
+    if '"' in text or "\r" in text or "\n" in text:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow([text])
+        return line.getvalue()[:-1]
+    return f'"{text}"' if "," in text else text
 
 
 def _write_rows(
@@ -123,11 +153,9 @@ def _write_rows(
     JSON has no header line.
     """
     if output_format == "json":
-        # Imported here, as only JSON output needs it: it costs every other run start-up time.
-        from json import dumps
-
+        encode = _json_encoder()
         for row in rows:
-            stream.write(dumps(dict(zip(header, row)), ensure_ascii=False, allow_nan=False) + "\n")
+            stream.write(encode(dict(zip(header, row))) + "\n")
         return
     float_columns = [(i, formats[column]) for i, column in enumerate(header) if column in formats]
 
@@ -144,30 +172,24 @@ def _write_rows(
     writer.writerows(map(cells, rows))
 
 
-def _emit(
-    header: list[str],
-    rows: Iterable[Sequence[object]],
-    formats: dict[str, str],
-    output_format: str,
-    out_path: str | None,
-) -> None:
-    """Stream rows to stdout, or to out_path through a temp file in its directory.
+def _emit(out_path: str | None, write: Callable[[TextIO], _T]) -> _T:
+    """write(stream) to stdout, or to out_path through a temp file in its
+    directory, and return what it returns.
 
-    The temp file is renamed over out_path once every row is written and is
-    removed on any exception, so the file is all-or-nothing; stdout keeps the
-    rows written before an error. It takes the mode open(out_path, "w") would
+    The temp file is renamed over out_path once write returns and is removed
+    on any exception, so the file is all-or-nothing; stdout keeps the rows
+    written before an error. It takes the mode open(out_path, "w") would
     leave: an existing target's own, else 0o666 less the umask.
     """
     if not out_path:
-        _write_rows(sys.stdout, header, rows, formats, output_format)
-        return
+        return write(sys.stdout)
     mode = _out_mode(out_path)
     fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)))
     try:
         with open(fd, "w", encoding="utf-8", newline="") as stream:
             # mkstemp creates the file 0o600, and the rename would keep that.
             os.fchmod(fd, mode)
-            _write_rows(stream, header, rows, formats, output_format)
+            result = write(stream)
         os.replace(temp_path, out_path)
     except BaseException:
         try:
@@ -175,6 +197,7 @@ def _emit(
         except OSError:
             pass
         raise
+    return result
 
 
 def _out_mode(path: str) -> int:
@@ -202,14 +225,6 @@ def _parse_range(text: str, name: str) -> range:
         return range(value, value + 1)
     except ValueError:
         raise ValueError(f"{name} must be an integer or an A..B range, got {text!r}") from None
-
-
-def _nonempty(items: Iterator, message: str) -> Iterator:
-    """items, unchanged, once it has yielded its first item; ValueError(message) if it has none."""
-    first = next(items, None)
-    if first is None:
-        raise ValueError(message)
-    return itertools.chain((first,), items)
 
 
 def _systems(args: argparse.Namespace, family: type) -> list[tuple[SystemParams, str]]:
@@ -243,58 +258,119 @@ def _systems(args: argparse.Namespace, family: type) -> list[tuple[SystemParams,
     ]
 
 
-def _cells(
+def _grids(
     args: argparse.Namespace,
     families: Sequence[type],
     ranges: Callable[[type], dict[str, range]],
+    spaces: Sequence[str],
     empty: str,
-) -> Iterator[tuple[QuantumState, str]]:
-    """(state, params digest) over the grid of every system the flags select
-    in families, each over its family's ranges; ValueError(empty) if there is
-    none. Every grid is built, and so checked, before the first cell."""
-    spaces = [POSITION, MOMENTUM] if args.space == "both" else [args.space]
-    grids = [
-        (params.grid(spaces, **ranges(family)), digest)
-        for family in families
-        for params, digest in _systems(args, family)
-    ]
-    cells = ((state, digest) for states, digest in grids for state in states)
-    return _nonempty(cells, empty)
+) -> list[tuple[SystemParams, str, Iterator[tuple[QuantumState, ...]]]]:
+    """(system, params digest, states) for every system the flags select in
+    families, over its family's ranges and the spaces. The states come as one
+    tuple per quantum-number combination, a state per space in spaces order.
+
+    Every grid is built, and so checked, before the first cell. A grid with no
+    states is left out; ValueError(empty) if every grid is.
+    """
+    grids = []
+    for family in families:
+        for params, digest in _systems(args, family):
+            states = params.grid(spaces, **ranges(family))
+            # The space is innermost, so each run of len(spaces) states shares its quantum numbers.
+            combinations = zip(*[states] * len(spaces))
+            first = next(combinations, None)
+            if first is not None:
+                grids.append((params, digest, itertools.chain((first,), combinations)))
+    if not grids:
+        raise ValueError(empty)
+    return grids
 
 
-def _evaluate_cell(state: QuantumState, digest: str, validate: bool, rel_tol: float) -> _Row:
-    # The reference state is the node-less state of the same system, space and l.
+def _closed_form(state: QuantumState, digest: str) -> float:
+    """closed_form_ir(state); ValueError if it is not evaluated or not finite."""
     try:
         closed = closed_form_ir(state)
     except OverflowError:
         # The form converts an int past the largest double to a float; its value may still fit one.
         trouble = "is not evaluated: a quantum number or an integer formed from them does not convert to a float"
     else:
-        trouble = None if math.isfinite(closed) else f"is {closed!r}, outside double range"
-    if trouble:
-        raise ValueError(
-            f"the closed form of {state.system.name} {state.space} {state.system.label(state)} at {digest} {trouble}"
-        )
-    numeric = None
-    rel_diff = None
-    status = STATUS_REFERENCE if state.radial_nodes == 0 else STATUS_OK
-    if validate:
-        try:
-            result = numeric_ir(state, default_quadrature_spec(state, rel_tol=rel_tol))
-        except RefusedStateError:
-            # The evaluator's cutoff would truncate the state: no value, and the sweep goes on.
-            status = STATUS_REFUSED
-        else:
-            numeric = result.numeric
-            rel_diff = result.rel_diff
-            if not result.quadrature.converged:
-                status = STATUS_QUADRATURE_FAILED
-    return (state.system.name, state.space, state.system.label(state), digest, closed, numeric, rel_diff, status)
+        if math.isfinite(closed):
+            return closed
+        trouble = f"is {closed!r}, outside double range"
+    raise ValueError(
+        f"the closed form of {state.system.name} {state.space} {state.system.label(state)} at {digest} {trouble}"
+    )
 
 
-def _row_formats(digits: int) -> dict[str, str]:
-    spec = f".{digits}g"
-    return {"ir_closed": spec, "ir_numeric": spec, "rel_diff": ".3e"}
+def _run_cells(
+    args: argparse.Namespace,
+    families: Sequence[type],
+    ranges: Callable[[type], dict[str, range]],
+    empty: str,
+    validate: bool,
+    threshold: float,
+) -> tuple[int, int, int, int, float]:
+    """Write a row for every cell of the grids (_grids) and return what the
+    exit code and the validate summary read: the count of cells, of
+    quadrature failures, of refused cells and of cells whose rel_diff exceeds
+    threshold, and the largest rel_diff.
+
+    Each cell's reference state is the node-less state of the same system,
+    space and l. validate runs the quadrature oracle on every cell.
+    """
+    spaces = [POSITION, MOMENTUM] if args.space == "both" else [args.space]
+    grids = _grids(args, families, ranges, spaces, empty)
+    spec = f".{args.digits}g"
+    as_csv = args.format == "csv"
+    encode = None if as_csv else _json_encoder()
+
+    def write_rows(stream: TextIO) -> tuple[int, int, int, int, float]:
+        write = stream.write
+        cells = failures = refused = over_threshold = 0
+        max_rel = 0.0
+        if as_csv:
+            write(",".join(_ROW_HEADER) + "\n")
+        for system, digest, combinations in grids:
+            heads = [f"{_csv_field(system.name)},{_csv_field(space)}," for space in spaces]
+            digest_field = _csv_field(digest)
+            for states in combinations:
+                label = system.label(states[0])
+                label_field = _csv_field(label)
+                nodeless_status = STATUS_REFERENCE if system.radial_nodes(states[0]) == 0 else STATUS_OK
+                for head, state in zip(heads, states):
+                    closed = _closed_form(state, digest)
+                    numeric = rel_diff = None
+                    status = nodeless_status
+                    if validate:
+                        try:
+                            result = numeric_ir(state, default_quadrature_spec(state, rel_tol=args.rel_tol))
+                        except RefusedStateError:
+                            # The evaluator's cutoff would truncate the state: no value, and the sweep goes on.
+                            status = STATUS_REFUSED
+                            refused += 1
+                        else:
+                            numeric = result.numeric
+                            rel_diff = result.rel_diff
+                            if not result.quadrature.converged:
+                                status = STATUS_QUADRATURE_FAILED
+                                failures += 1
+                            over_threshold += rel_diff > threshold
+                            if rel_diff > max_rel:
+                                max_rel = rel_diff
+                    if as_csv:
+                        numeric_field = "" if numeric is None else format(numeric, spec)
+                        rel_diff_field = "" if rel_diff is None else format(rel_diff, ".3e")
+                        write(
+                            f"{head}{label_field},{digest_field},{closed:{spec}},"
+                            f"{numeric_field},{rel_diff_field},{status}\n"
+                        )
+                    else:
+                        row = (system.name, state.space, label, digest, closed, numeric, rel_diff, status)
+                        write(encode(dict(zip(_ROW_HEADER, row))) + "\n")
+                    cells += 1
+        return cells, failures, refused, over_threshold, max_rel
+
+    return _emit(args.out, write_rows)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -312,22 +388,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if given[field] is None:
             raise ValueError(f"{family.name} needs {_FLAGS[field]}")
     # A hydrogen grid skips the part of an --l range beyond n-1 at each n.
-    cells = _cells(
+    _, failures, refused, _, _ = _run_cells(
         args,
         [family],
         lambda _: {field: _parse_range(given[field], _FLAGS[field]) for field in fields},
         "no valid (n, l) combinations: every l exceeds n-1",
+        args.validate,
+        math.inf,
     )
-    statuses: Counter[str] = Counter()
-
-    def rows() -> Iterable[_Row]:
-        for state, digest in cells:
-            row = _evaluate_cell(state, digest, args.validate, args.rel_tol)
-            statuses[row[-1]] += 1
-            yield row
-
-    _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
-    return EXIT_VALIDATION if statuses[STATUS_QUADRATURE_FAILED] or statuses[STATUS_REFUSED] else EXIT_OK
+    return EXIT_VALIDATION if failures or refused else EXIT_OK
 
 
 def _sweep_max(args: argparse.Namespace, flag: str) -> int:
@@ -352,31 +421,14 @@ def _sweep_ranges(args: argparse.Namespace, family: type) -> dict[str, range]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     families = [_FAMILIES[args.system]] if args.system else FAMILIES
-    cells = _cells(
+    cells, failures, refused, over_threshold, max_rel = _run_cells(
         args, families, lambda family: _sweep_ranges(args, family),
-        "no cells to validate: every sweep range is empty",
+        "no cells to validate: every sweep range is empty", True, args.threshold,
     )
-    statuses: Counter[str] = Counter()
-    over_threshold = 0
-    max_rel = 0.0
-
-    def rows() -> Iterable[_Row]:
-        nonlocal over_threshold, max_rel
-        for state, digest in cells:
-            row = _evaluate_cell(state, digest, True, args.rel_tol)
-            *_, rel_diff, status = row
-            statuses[status] += 1
-            if rel_diff is not None:  # a refused row has none
-                over_threshold += rel_diff > args.threshold
-                max_rel = max(max_rel, rel_diff)
-            yield row
-
-    _emit(_ROW_HEADER, rows(), _row_formats(args.digits), args.format, args.out)
-    failures, refused = statuses[STATUS_QUADRATURE_FAILED], statuses[STATUS_REFUSED]
     # Named only when there are any, so a sweep without them prints what it always did.
     refusals = f" refused={refused}" if refused else ""
     print(
-        f"validate: cells={statuses.total()} max_rel_diff={max_rel:.3e} "
+        f"validate: cells={cells} max_rel_diff={max_rel:.3e} "
         f"quadrature_failures={failures} over_threshold={over_threshold}{refusals} "
         f"(threshold={args.threshold:g})",
         file=sys.stderr,
@@ -397,7 +449,7 @@ def _reproduce_table1(args: argparse.Namespace) -> list[str]:
         status = STATUS_OK if computed == printed else "mismatch"
         rows.append((orbital, n, l, str(computed), float(computed), str(printed), status))
     path = os.path.join(args.out, f"table1.{args.format}")
-    _emit(header, rows, {"ir_value": f".{digits}g"}, args.format, path)
+    _emit(path, lambda stream: _write_rows(stream, header, rows, {"ir_value": f".{digits}g"}, args.format))
     return [path]
 
 
@@ -413,7 +465,7 @@ def _reproduce_table3(args: argparse.Namespace) -> list[str]:
             rows.append((record.name, n_r, closed_form_ir(position), closed_form_ir(momentum)))
     path = os.path.join(args.out, f"table3.{args.format}")
     formats = {"ir_position": f".{digits}f", "ir_momentum": f".{digits}f"}
-    _emit(header, rows, formats, args.format, path)
+    _emit(path, lambda stream: _write_rows(stream, header, rows, formats, args.format))
     return [path]
 
 
@@ -438,7 +490,7 @@ def _reproduce_figure1(args: argparse.Namespace) -> list[str]:
                     value = math.log(value)
                 rows.append((l, n, value))
         path = os.path.join(args.out, f"{stem}.{args.format}")
-        _emit(header, rows, {"value": f".{digits}g"}, args.format, path)
+        _emit(path, lambda stream: _write_rows(stream, header, rows, {"value": f".{digits}g"}, args.format))
         paths.append(path)
     return paths
 
@@ -465,7 +517,7 @@ def _cmd_molecules(args: argparse.Namespace) -> int:
         for record in records
     ]
     formats = dict.fromkeys(("mu_amu", "de_ev", "re_angstrom"), f".{args.digits}g")
-    _emit(header, rows, formats, args.format, args.out)
+    _emit(args.out, lambda stream: _write_rows(stream, header, rows, formats, args.format))
     return EXIT_OK
 
 

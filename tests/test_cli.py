@@ -11,11 +11,12 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relfisher.cli
@@ -579,6 +580,115 @@ def test_json_rows_refuse_non_finite_values():
         relfisher.cli._write_rows(io.StringIO(), ["value"], [(math.inf,)], {}, "json")
 
 
+# Text with every character csv.writer treats specially, and plain ones.
+_FIELD_TEXT = st.text(alphabet=st.sampled_from(list('ab= ,"\n\r')), min_size=1, max_size=6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=_FIELD_TEXT,
+    digest=_FIELD_TEXT,
+    labels=st.lists(_FIELD_TEXT, min_size=3, max_size=3),
+    # per cell: the closed form, and the oracle's (numeric, rel_diff, converged) or None for a refusal
+    cells=st.lists(
+        st.tuples(_FINITE, st.none() | st.tuples(_FINITE, _FINITE, st.booleans())), min_size=6, max_size=6
+    ),
+    digits=st.integers(0, 17),
+)
+# csv.writer at lineterminator "\n" quotes a field with LF; whether it quotes
+# one with CR depends on the Python version (3.13 does, 3.11 does not).
+@example(
+    name="a\rb", digest='a"b', labels=["a,b", "a\nb", "ab"], cells=[(1.5, (1.5, 0.0, True))] * 6, digits=12
+)
+def test_cell_rows_are_the_bytes_csv_writer_writes(name, digest, labels, cells, digits):
+    # The row loop writes through compute --validate, with the closed forms,
+    # the oracle's results and the text fields replaced by the drawn ones.
+    def fake_numeric_ir(state, spec):
+        result = next(oracle)
+        if result is None:
+            raise RefusedStateError("refused")
+        numeric, rel_diff, converged = result
+        return types.SimpleNamespace(
+            numeric=numeric, rel_diff=rel_diff, quadrature=types.SimpleNamespace(converged=converged)
+        )
+
+    argv = ["compute", "--system", "hydrogen", "--n", "1..3", "--space", "both", "--validate",
+            "--digits", str(digits)]
+    outputs = {}
+    for output_format in ("csv", "json"):
+        closed_forms = iter(closed for closed, _ in cells)
+        oracle = iter(result for _, result in cells)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relfisher.cli, "_systems", lambda args, family: [(Hydrogenic(Z=1.0), digest)])
+            patch.setattr(relfisher.cli, "closed_form_ir", lambda state: next(closed_forms))
+            patch.setattr(relfisher.cli, "numeric_ir", fake_numeric_ir)
+            patch.setattr(relfisher.cli, "default_quadrature_spec", lambda state, rel_tol: None)
+            patch.setattr(Hydrogenic, "name", name)
+            patch.setattr(Hydrogenic, "label", lambda self, state: labels[state.n - 1])
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                code = main([*argv, "--format", output_format])
+        outputs[output_format] = stdout.getvalue()
+
+    spec = f".{digits}g"
+    rows = []
+    for i, (closed, result) in enumerate(cells):
+        n, space = i // 2 + 1, (POSITION, MOMENTUM)[i % 2]
+        numeric = rel_diff = None
+        status = "reference_state" if n == 1 else "ok"
+        if result is None:
+            status = "refused"
+        else:
+            numeric, rel_diff, converged = result
+            if not converged:
+                status = "quadrature_failed"
+        rows.append((name, space, labels[n - 1], digest, closed, numeric, rel_diff, status))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(HEADER.split(","))
+    for *text, closed, numeric, rel_diff, status in rows:
+        writer.writerow([
+            *text,
+            format(closed, spec),
+            None if numeric is None else format(numeric, spec),
+            None if rel_diff is None else format(rel_diff, ".3e"),
+            status,
+        ])
+    assert outputs["csv"] == expected.getvalue()
+    assert outputs["json"] == "".join(
+        json.dumps(dict(zip(HEADER.split(","), row)), ensure_ascii=False) + "\n" for row in rows
+    )
+    failed = any(row[-1] in ("refused", "quadrature_failed") for row in rows)
+    assert code == (EXIT_VALIDATION if failed else EXIT_OK)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--system", "php", "--nr", "0..1", "--space", "both"],
+        ["validate", "--system", "php", "--nr-max", "1", "--space", "both"],
+    ],
+    ids=["compute", "validate"],
+)
+def test_a_molecule_name_with_a_quote_is_quoted_once_in_every_row(argv, tmp_path, capsys):
+    path = tmp_path / "quoted.csv"
+    path.write_text('X"Y, test state, 1.5, 0.2, 1.4, local\n', encoding="utf-8")
+    argv = [*argv, "--molecule", 'X"Y', "--molecule-file", str(path)]
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    lines = captured.out.splitlines()
+    assert lines[0] == HEADER
+    assert len(lines) == 5
+    assert all(',"molecule=X""Y,constants=paper",' in line for line in lines[1:])
+    assert {row["params_digest"] for row in parse_csv(captured.out)} == {'molecule=X"Y,constants=paper'}
+    out = tmp_path / "rows.csv"
+    assert run_cli([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == captured.out
+
+
 def test_validate_small_sweep(capsys):
     code = run_cli(
         ["validate", "--system", "qho3d", "--omega", "1", "--nr-max", "2", "--l-max", "1",
@@ -1029,47 +1139,12 @@ def _load_script(name):
     return module
 
 
-@pytest.mark.parametrize(
-    "codes,expected",
-    [
-        ({}, 0),
-        ({("hydrogen", "momentum"): EXIT_VALIDATION}, 1),
-        ({("php", "position"): EXIT_USAGE}, 2),
-        ({("hydrogen", "momentum"): EXIT_VALIDATION, ("qho1d", "position"): EXIT_IO}, 2),
-    ],
-)
-def test_oracle_sweep_tells_disagreement_from_errors(codes, expected, tmp_path, monkeypatch, capsys):
-    sweep = _load_script("oracle_sweep")
-
-    def fake_cli(argv):
-        return codes.get((argv[argv.index("--system") + 1], argv[argv.index("--space") + 1]), EXIT_OK)
-
-    monkeypatch.setattr(sweep, "cli_main", fake_cli)
-    monkeypatch.setattr(sys, "argv", ["oracle_sweep.py", "--out", str(tmp_path)])
-    assert sweep.main() == expected
-    err = capsys.readouterr().err
-    assert ("failed to run" in err) == (expected == 2)
-
-
 def test_oracle_extremes_finds_every_cell_ok(capsys):
     extremes = _load_script("oracle_extremes")
     assert extremes.main() == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 510
     assert captured.err == "ok=510 silently-wrong=0 non-converged=0 raised=0\n"
-
-
-def test_kernel_breakeven_runs_and_restores_the_columns(capsys):
-    # The script reads specfun's private column state; a change there must
-    # not leave it broken.
-    breakeven = _load_script("kernel_breakeven")
-    threshold = relfisher.specfun._CONTINUE_FROM_DEGREE
-    assert breakeven.main(["--points", "20", "--repeats", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "family,n,scratch_ns,miss_ns,continue_ns"
-    assert len(lines) == 1 + len(breakeven.FAMILIES) * len(breakeven.DEGREES)
-    assert relfisher.specfun._CONTINUE_FROM_DEGREE == threshold
-    assert relfisher.specfun._LIVE == {}
 
 
 def test_output_digests_hashes_what_each_command_writes(tmp_path, monkeypatch, capsys):

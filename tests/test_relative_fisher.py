@@ -456,6 +456,87 @@ def test_hydrogen_momentum_integral_form_values():
         hydrogen_momentum_integral_closed_form(2, 2, 1.0)
 
 
+# An exact witness for the defining hydrogen momentum integral, in rational
+# arithmetic with no quadrature. With t = n p (Z = 1) the state is
+# t^l / (1+t^2)^(l+2) C(q) with C = C_{n-l-1}^(l+1) and q = (t^2-1)/(t^2+1),
+# and its reference is the same shape without C, so the integral is
+# 4 n^2 Int w C'(q)^2 (dq/dt)^2 dt / Int w C(q)^2 dt, w = t^(2l+2) / (1+t^2)^(2l+4).
+# In x = (1+q)/2 = t^2/(1+t^2) both become sums of Beta moments:
+#   Int w C^2 dt              = 1/2 Int x^(l+1/2) (1-x)^(l+3/2) C^2 dx,
+#   Int w C'^2 (dq/dt)^2 dt   = 8 Int x^(l+3/2) (1-x)^(l+9/2) C'(q)^2 dx,
+# with C'(q) = (1/2) d/dx C(2x-1). B(a+1/2, b+1/2) = pi G(a) G(b) / (a+b)!
+# for integers a, b, where G(m) = Gamma(m+1/2) / sqrt(pi) = (2m)! / (4^m m!),
+# so the pi cancels in the ratio and the value is rational.
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _gegenbauer_in_x(m, lam):
+    """The integer coefficients, lowest power first, of C_m^(lam)(2x-1), for integer lam >= 1:
+    C_m^(lam)(q) = sum_k (-1)^k (m-k+lam-1)! / ((lam-1)! k! (m-2k)!) (2q)^(m-2k)."""
+    powers = [[1]]
+    for _ in range(m):
+        powers.append(_poly_mul(powers[-1], [-2, 4]))  # 2q = 4x - 2
+    result = [0] * (m + 1)
+    for k in range(m // 2 + 1):
+        c = (-1) ** k * math.factorial(m - k + lam - 1) // (
+            math.factorial(lam - 1) * math.factorial(k) * math.factorial(m - 2 * k)
+        )
+        for i, p in enumerate(powers[m - 2 * k]):
+            result[i] += c * p
+    return result
+
+
+def _beta_moments(poly, a, b):
+    """sum_k poly[k] B(a + k + 1/2, b + 1/2) / pi, for integers a, b >= 0."""
+
+    def g(m):
+        return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+
+    total = Fraction(0)
+    moment = g(a) * g(b) / math.factorial(a + b)
+    for k, c in enumerate(poly):
+        total += c * moment
+        # G(a+k+1) / G(a+k) = a+k+1/2, and (a+k+b+1)! / (a+k+b)! = a+k+b+1.
+        moment *= Fraction(2 * (a + k) + 1, 2 * (a + k + b + 1))
+    return total
+
+
+def _hydrogen_momentum_witness(n, l):
+    """The defining momentum-space integral of hydrogen (n, l) at Z = 1, exactly."""
+    c = _gegenbauer_in_x(n - l - 1, l + 1)
+    dc = [i * coefficient for i, coefficient in enumerate(c)][1:] or [0]
+    norm = Fraction(1, 2) * _beta_moments(_poly_mul(c, c), l + 1, l + 2)
+    fisher = 8 * Fraction(1, 4) * _beta_moments(_poly_mul(dc, dc), l + 2, l + 5)
+    return 4 * n * n * fisher / norm
+
+
+def test_hydrogen_momentum_exact_witness_values():
+    assert _hydrogen_momentum_witness(2, 0) == 72
+    assert _hydrogen_momentum_witness(3, 0) == 612
+    assert _hydrogen_momentum_witness(3, 1) == Fraction(495, 2)
+    assert _hydrogen_momentum_witness(4, 2) == Fraction(2912, 5)
+    assert _hydrogen_momentum_witness(4, 3) == 0
+
+
+def test_hydrogen_momentum_exact_witness_is_the_integral_form_not_the_tabulated_one():
+    # Known discrepancy 2 with no tolerance on either side: the integral form
+    # equals the exact integral, and the tabulated form differs from it
+    # wherever the state has nodes.
+    for n in range(1, 31):
+        for l in range(n):
+            exact = _hydrogen_momentum_witness(n, l)
+            assert float(exact) == hydrogen_momentum_integral_closed_form(n, l, 1.0), (n, l)
+            tabulated = closed_form_ir(_hydrogen(n, l, MOMENTUM))
+            assert (Fraction(tabulated) != exact) == (n - l - 1 > 0), (n, l)
+
+
 @pytest.mark.parametrize("Z", [1.0, 2.0])
 @pytest.mark.parametrize("n,l", [(2, 0), (3, 0), (3, 1), (4, 2)])
 def test_hydrogen_momentum_integral_form_matches_quadrature(n, l, Z):
