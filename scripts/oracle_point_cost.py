@@ -6,7 +6,8 @@ and space.
 
 The package in SRC (default: the src/ tree next to this script) is imported
 into this process. Each run integrates two grids with numeric_ir, each from
-empty recurrence columns (specfun._LIVE) and an empty unit-integral store
+empty recurrence columns (specfun._LIVE, which holds the Laguerre panel
+tables and the Gegenbauer point states) and an empty unit-integral store
 (relative_fisher._UNIT_INTEGRALS), as a fresh CLI process starts them:
 
     default   the cells of `relfisher validate` (omega 1, Z 1)

@@ -1,6 +1,6 @@
 """The unit-scale evaluators of the families in systems.py, each in two
 forms built from the same terms, the log-normalization and the bound
-polynomial kernel that systems._oscillator_terms and _momentum_terms give:
+polynomial that systems._oscillator_terms and _momentum_terms give:
 
     point form  an Evaluator s -> (value, derivative), for compile_state and
                 normalization_defect: radial_oscillator, for every Laguerre
@@ -10,13 +10,16 @@ polynomial kernel that systems._oscillator_terms and _momentum_terms give:
                 quadrature.Panel: oscillator_panel and momentum_panel
 
 A panel loop runs, at each of a GK31 panel's 31 nodes, the t-map, the steps
-of its point form in their order, with the same kernel call, then L, the
-integrand and the weight scale / (1-t)^2. So every sample is bit for bit
-that of the point form put through quadrature.point_panel, and the oracle
-makes one Python call per node, the kernel's. L is coded in the loops, apart
-from the point forms, so the oracle stays an independent route. A node
-where the point form cuts value and slope is skipped: its sample,
-(0 - 0 L)^2 times the weight, is 0 and adds nothing.
+of its point form in their order, then L, the integrand and the weight
+scale / (1-t)^2. So every sample is bit for bit that of the point form put
+through quadrature.point_panel. momentum_panel calls the Gegenbauer kernel at
+each node. oscillator_panel runs the Laguerre recurrence inline, with no
+Python call per node; in a degree sweep it looks each panel up once in its
+Laguerre column (specfun.laguerre_column), which holds the panel's node
+table and each node's recurrence state, and continues from there. L is
+coded in the loops, apart from the point forms, so the oracle stays an
+independent route. A node where the point form cuts value and slope is
+skipped: its sample, (0 - 0 L)^2 times the weight, is 0 and adds nothing.
 
 Normalizations are assembled in log space and exponentiated once, and
 derivatives are analytic: nothing differentiates numerically.
@@ -24,10 +27,11 @@ derivatives are analytic: nothing differentiates numerically.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Callable
 
 from .quadrature import _GK31, Panel, sample_error
-from .specfun import Kernel
+from .specfun import Column, Kernel
 
 # A point -> (value, derivative).
 Evaluator = Callable[[float], tuple[float, float]]
@@ -37,6 +41,10 @@ Evaluator = Callable[[float], tuple[float, float]]
 LN_TINY = -700.0
 
 _ZERO = (0.0, 0.0)
+
+_NODES, _KRONROD, _GAUSS = zip(*_GK31)
+# The recurrence state (degree, prev, cur) of a node no degree has reached.
+_FROM_ZERO = (0, 0.0, 1.0)
 
 
 def radial_oscillator(ln_norm: float, laguerre: Kernel, kappa: float) -> Evaluator:
@@ -130,57 +138,157 @@ def hydrogen_momentum(
     return radial
 
 
-def oscillator_panel(ln_norm: float, laguerre: Kernel, kappa: float, reference: float, radial: bool, n: int) -> Panel:
-    """The panel of radial_oscillator(ln_norm, laguerre, kappa): at x = s
-    for n = 0, with L = reference / s - s, the log-derivative of
-    s^reference exp(-s^2/2); for hydrogen position, as hydrogen_position
-    maps it, at r = x = n s^2 / 2, with L = reference / r - 1/n, that of
-    r^reference exp(-r/n). The x^2 of the integrand only if radial.
+def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: float, radial: bool, n: int) -> Panel:
+    """The panel of radial_oscillator(ln_norm, L_degree, kappa), column =
+    (degree, steps, table) from specfun.laguerre_column: at x = s for n = 0,
+    with L = reference / s - s, the log-derivative of s^reference
+    exp(-s^2/2); for hydrogen position, as hydrogen_position maps it, at r =
+    x = n s^2 / 2, with L = reference / r - 1/n, that of r^reference
+    exp(-r/n). The x^2 of the integrand only if radial.
+
+    Without a table, each panel runs from degree 0 at every node (fresh).
+    With one, a panel is looked up once by its key (c, h, scale, n, kappa,
+    reference, radial), the inputs of its node table. The entry (rows,
+    degrees, prevs, curs) holds the table, u = s^2, s, kappa log s, the
+    slope, L, the weight 4 x^2 (or 4) and (1-t)^2 as arrays of the nodes,
+    and each node's recurrence state (degree, L_{degree-1}, L_degree) of
+    alpha + 1. A live node continues its state, or restarts from degree 0
+    when the state's degree is above degree; a node the envelope cuts keeps
+    its state. t, x and log s are taken again only where the near-origin
+    branch or an error message needs them; every value is rounded as the
+    fresh loop rounds it. The panel is stored back as one new tuple, so a
+    thread can lose another's store but never see half of one.
     """
-    exp, log, isfinite = math.exp, math.log, math.isfinite
+    exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
+    degree, steps, table = column
+    last = degree - 1
+    run = steps[:degree]
+    # The step a degree sweep takes at nearly every node.
+    a_last, c_last, b_last = steps[last] if degree else (0.0, 0.0, 0.0)
     if n:
         root = math.sqrt(2.0 / n)
         factor = math.sqrt(2.0) / (n * n)
         slope_factor = factor / n
         inverse_n = 1.0 / n
 
-    def panel(c: float, h: float, scale: float) -> tuple[float, float]:
+    # fresh is a loop of its own, not continued's loop over rows computed
+    # first: that made panels without a table, most of the default validate
+    # sweep's, 15 to 25% slower.
+    def fresh(c: float, h: float, scale: float, key: tuple | None = None) -> tuple[float, float]:
+        """The panel from degree 0 at every node; with a key, it is stored
+        in table under it."""
+        keep = key is not None
+        if keep:
+            rows, states = [], []
         kron = 0.0
         gauss = 0.0
         for node, wk, wg in _GK31:
             t = c + h * node
             one_minus = 1.0 - t
             x = scale * t / one_minus
-            s = root * math.sqrt(x) if n else x
+            s = root * sqrt(x) if n else x
             u = s * s
             if kappa != 0.0:
-                ln_env = ln_norm - 0.5 * u + kappa * log(s)
+                kappa_log_s = kappa * log(s)
+                ln_env = ln_norm - 0.5 * u + kappa_log_s
                 slope = kappa / s - s
             else:
+                kappa_log_s = 0.0
                 ln_env = ln_norm - 0.5 * u
                 slope = -s
+            ref = reference / x - inverse_n if n else reference / x - x
+            weight = 4.0 * x * x if radial else 4.0
+            square = one_minus * one_minus
+            if keep:
+                rows += u, s, kappa_log_s, slope, ref, weight, square
             if ln_env >= LN_TINY:
                 env = exp(ln_env)
-                lag, dlag = laguerre(u)
-                value, derivative = env * lag, env * (slope * lag + 2.0 * s * dlag)
             elif s >= 1.0 or ln_env - log(s) < LN_TINY:
+                if keep:
+                    states.append(_FROM_ZERO)
                 continue
             else:
-                lag, dlag = laguerre(u)
+                env = None
+            prev, cur = 0.0, 1.0
+            for a_k, c_k, b_k in run:
+                prev, cur = cur, (a_k - c_k * u) * cur - b_k * prev
+            if keep:
+                states.append((degree, prev, cur))
+            lag, dlag = cur - prev, -prev
+            if env is None:
                 value, derivative = 0.0, exp(ln_env - log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
-            if n:
-                difference = slope_factor * derivative / s - factor * value * (reference / x - inverse_n)
             else:
-                difference = derivative - value * (reference / x - x)
-            sample = (4.0 * x * x if radial else 4.0) * difference * difference
-            weighted = sample * scale / (one_minus * one_minus)
-            if not isfinite(weighted):
+                value, derivative = env * lag, env * (slope * lag + 2.0 * s * dlag)
+            if n:
+                difference = slope_factor * derivative / s - factor * value * ref
+            else:
+                difference = derivative - value * ref
+            sample = weight * difference * difference
+            weighted = sample * scale / square
+            # weighted is >= 0 or nan: this is not isfinite(weighted).
+            if not weighted < inf:
                 raise sample_error(sample, x, t, weighted)
             kron += wk * weighted
             gauss += wg * weighted
+        if keep:
+            table[key] = (tuple(array("d", rows[i::7]) for i in range(7)), *zip(*states))
         return kron, gauss
 
-    return panel
+    def continued(c: float, h: float, scale: float) -> tuple[float, float]:
+        """fresh's loop over the rows and states of the panel's entry, or
+        fresh, storing it, for a panel the table does not hold."""
+        key = (c, h, scale, n, kappa, reference, radial)
+        entry = table.get(key)
+        if entry is None:
+            return fresh(c, h, scale, key)
+        nodes, degrees, prevs, curs = entry
+        to_degrees, to_prevs, to_curs = [], [], []
+        kron = 0.0
+        gauss = 0.0
+        for node, wk, wg, u, s, kappa_log_s, slope, ref, weight, square, k, prev, cur in zip(
+            _NODES, _KRONROD, _GAUSS, *nodes, degrees, prevs, curs
+        ):
+            # ln_norm - u/2 + kappa log s; at kappa = 0 the + 0.0 leaves it as it is.
+            ln_env = ln_norm - 0.5 * u + kappa_log_s
+            if ln_env >= LN_TINY:
+                env = exp(ln_env)
+            elif s >= 1.0 or ln_env - log(s) < LN_TINY:
+                to_degrees.append(k)
+                to_prevs.append(prev)
+                to_curs.append(cur)
+                continue
+            else:
+                env = None
+            if k == last:
+                prev, cur = cur, (a_last - c_last * u) * cur - b_last * prev
+            elif k != degree:
+                if k > degree:
+                    k, prev, cur = 0, 0.0, 1.0
+                for a_k, c_k, b_k in (steps[k:degree] if k else run):
+                    prev, cur = cur, (a_k - c_k * u) * cur - b_k * prev
+            to_degrees.append(degree)
+            to_prevs.append(prev)
+            to_curs.append(cur)
+            lag, dlag = cur - prev, -prev
+            if env is None:
+                value, derivative = 0.0, exp(ln_env - log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
+            else:
+                value, derivative = env * lag, env * (slope * lag + 2.0 * s * dlag)
+            if n:
+                difference = slope_factor * derivative / s - factor * value * ref
+            else:
+                difference = derivative - value * ref
+            sample = weight * difference * difference
+            weighted = sample * scale / square
+            if not weighted < inf:  # as in fresh
+                t = c + h * node
+                raise sample_error(sample, scale * t / (1.0 - t), t, weighted)
+            kron += wk * weighted
+            gauss += wg * weighted
+        table[key] = (nodes, tuple(to_degrees), tuple(to_prevs), tuple(to_curs))
+        return kron, gauss
+
+    return fresh if table is None else continued
 
 
 def momentum_panel(ln_norm: float, gegenbauer: Kernel, overflow: Callable[[float], Exception], n: int, l: int) -> Panel:

@@ -8,27 +8,36 @@ value and the derivative off it through index-shift identities, rather than
 finite differences, so the two are consistent to machine precision at any
 argument.
 
-Degree sweeps continue their recurrences. A family's column holds, for one
-parameter (alpha + 1, exactly), the recurrence coefficients shared by every
-degree and the state reached at each point: the degree and the last two terms
-(three for Gegenbauer). _bind gives a kernel its column's state table when its
-degree n is at least _CONTINUE_FROM_DEGREE and the column already served a
-lower degree. With the table, at x it runs on from the stored state when that
-state's degree is <= n, and from degree 0 otherwise, and stores the state it
-reached; without it, it runs from degree 0 and stores nothing. The
+Degree sweeps continue their recurrences in columns. A family's column holds,
+for one parameter (alpha + 1, exactly), the recurrence coefficients shared by
+every degree and a table of recurrence states:
+
+    laguerre    by oracle panel: `laguerre_column` binds a degree, the steps
+                and the table, and the oracle's panel loop
+                (relfisher._evaluators.oscillator_panel) looks a panel up
+                once, runs the steps inline at each of its nodes and stores
+                the panel back; the Laguerre kernel serves compile_state and
+                normalization_defect, and runs from degree 0
+    gegenbauer  by point: a kernel of degree >= _CONTINUE_FROM_DEGREE looks
+                up each x, runs on from the stored state (degree, last three
+                terms) when its degree is <= n, and from degree 0 otherwise,
+                and stores the state it reached
+
+A degree n gets its column's table only when the column already served a
+lower degree; otherwise it runs from degree 0 and stores nothing. The
 floating-point operations are those of a pass from degree 0, in the same
 order, so every value is bit-identical to it (a point is keyed by its value,
 so -0.0 continues the state of 0.0).
 
-The columns of the two most recently compiled parameters of each family stay
-alive; a third parameter drops the older. A kernel keeps its own column, so
-it stays correct after a switch, and a column drops its states once it holds
-more than _MAX_STATES points. Sweeps ascending in degree at a fixed parameter
-gain: the pseudoharmonic molecules, `compute --validate --nr A..B --l L`, and
-the 1D oscillator, whose Laguerre parameter alternates between alpha = -1/2
-and +1/2 with the parity of n. Sweeps that change the parameter at every cell
-(the default 3D oscillator and hydrogen sweeps, l innermost) and cells below
-degree 10 gain nothing.
+The columns of the two most recently bound parameters of each family stay
+alive; a third parameter drops the older. A kernel or panel keeps its own
+column, so it stays correct after a switch, and a column drops its table
+once it holds more than _MAX_STATES nodes. Sweeps ascending in degree at a
+fixed parameter gain: the pseudoharmonic molecules, `compute --validate --nr
+A..B --l L`, and the 1D oscillator, whose Laguerre parameter alternates
+between alpha = -1/2 and +1/2 with the parity of n. Sweeps that change the
+parameter at every cell (the default 3D oscillator and hydrogen sweeps, l
+innermost) gain nothing.
 """
 from __future__ import annotations
 
@@ -37,70 +46,83 @@ from typing import Callable
 
 __all__ = [
     "laguerre_kernel",
+    "laguerre_column",
     "gegenbauer_kernel",
     "ln_gamma",
 ]
 
 Kernel = Callable[[float], tuple[float, float]]
 
-# Below this degree a pass from degree 0 costs less than a continued call,
-# whose lookup and store cost about as much as eight recurrence steps; such
-# kernels neither read nor write a column. Timed per call (CPython 3.11.7,
-# 2-core VM, median of 15 repeats of 3,000 points), a pass from degree 0
-# against a call continued one step: Laguerre 615 / 505 ns at degree 6,
-# 928 / 521 at 10, 1148 / 542 at 12; Gegenbauer 843 / 595 at 8, 841 / 569 at
-# 10, 957 / 562 at 12. The crossing (Laguerre 6, Gegenbauer 8) is inside the
+# (n, the recurrence steps of at least n steps, the column's panel table or
+# None): a Laguerre degree bound for the oracle's panel loop.
+Column = tuple[int, tuple, dict | None]
+
+# Below this degree a Gegenbauer pass from degree 0 costs less than a
+# continued call, whose lookup and store cost about as much as eight
+# recurrence steps; such kernels neither read nor write a column. Timed per
+# call (CPython 3.11.7, 2-core VM, median of 15 repeats of 3,000 points), a
+# pass from degree 0 against a call continued one step: 843 / 595 ns at
+# degree 8, 841 / 569 at 10, 957 / 562 at 12. The crossing is inside the
 # run-to-run noise, which moved single timings by up to 60%, so continuing
-# starts at 10.
+# starts at 10. A Laguerre panel pays its one lookup at every degree, so
+# laguerre_column has no such threshold: on one CO panel (same machine,
+# least of 9 repeats of 2,000 calls) a panel continued one step took 30 us
+# against 43 us from degree 0 at degree 2, and 29 against 74 us at degree
+# 12; storing a panel the table lacks costs about 20 us more than a pass
+# from degree 0, once.
 _CONTINUE_FROM_DEGREE = 10
 
-# A column drops its states when a kernel is compiled on it while it holds
-# more than this many points, about 11 MB: a process that sweeps many scales
-# on one column would otherwise keep the points of all of them. One sweep
-# stores a few thousand (4,600 per column: the 1D oscillator to n = 188).
+# A column drops its table when a degree is bound on it while it holds more
+# than this many nodes, about 10 MB of Laguerre panels or 13 MB of
+# Gegenbauer points: a process that sweeps many scales on one column would
+# otherwise keep the states of all of them. Measured with tracemalloc, a
+# Laguerre panel holds 31 nodes in about 4.7 kB, 153 bytes a node (the 1D
+# oscillator to n = 300: 247 panels, 1.17 MB), and a Gegenbauer point is one
+# node of 195 bytes (hydrogen momentum at l = 0 to n = 120: 5,936 points).
+# One sweep stores a few thousand nodes.
 _MAX_STATES = 1 << 16
+# The nodes of an oracle panel (quadrature._GK31): an entry of a Laguerre table.
+_PANEL_NODES = 31
 
 
 class _Column:
     """One parameter's recurrence: the coefficients of steps 0, 1, ..., shared
-    by every degree, the state reached at each point, x -> (degree, terms),
-    and the lowest degree compiled on it. The parameter is its key in
-    _LIVE[family]."""
+    by every degree, the table of states (Gegenbauer: x -> (degree, terms);
+    Laguerre: a panel's key -> its entry, see oscillator_panel), and the
+    lowest degree bound on it. The parameter is its key in _LIVE[family]."""
 
     __slots__ = ("steps", "states", "lowest")
 
     def __init__(self, lowest: int) -> None:
         self.steps: tuple = ()
-        self.states: dict[float, tuple] = {}
+        self.states: dict = {}
         self.lowest = lowest
 
 
-# The live columns of each family by parameter, the most recently compiled last.
+# The live columns of each family by parameter, the most recently bound last.
 _LIVE_COLUMNS = 2
 _LIVE: dict[str, dict[float, _Column]] = {}
 
 
-def _bind(family: str, parameter: float, n: int, coefficients) -> tuple[tuple, dict | None]:
-    """The recurrence coefficients of at least n steps, and the state table a
-    degree-n kernel continues in, or None when it runs from degree 0 at
-    every point.
+def _bind(family: str, parameter: float, n: int, coefficients, nodes: int) -> tuple[tuple, dict | None]:
+    """The recurrence coefficients of at least n steps, and the table a
+    degree-n pass continues in, or None when it runs from degree 0 at every
+    point. An entry of the table holds nodes nodes.
 
-    A kernel continues only when its column already served a lower degree, so
+    A degree continues only when its column already served a lower degree, so
     sweeps that change the parameter at every cell, or that never ascend in
     degree, pay no lookups and store no states.
     """
-    if n < _CONTINUE_FROM_DEGREE:
-        return tuple(coefficients(parameter, 0, n)), None
     live = _LIVE.setdefault(family, {})
     column = live[parameter] = live.pop(parameter, None) or _Column(n)
     if len(live) > _LIVE_COLUMNS:
         del live[next(iter(live))]
     steps = column.steps
     if len(steps) < n:
-        # Replaced, never extended in place, and each state is stored as one
+        # Replaced, never extended in place, and each entry is stored as one
         # tuple: callers in other threads can lose a store, never corrupt one.
         steps = column.steps = steps + tuple(coefficients(parameter, len(steps), n))
-    if len(column.states) > _MAX_STATES:
+    if len(column.states) * nodes > _MAX_STATES:
         column.states.clear()
     continues = column.lowest < n
     column.lowest = min(column.lowest, n)
@@ -119,6 +141,12 @@ def _laguerre_steps(a: float, start: int, stop: int) -> list[tuple[float, float,
     ]
 
 
+def _check_laguerre(n: int, alpha: float) -> None:
+    _check_degree(n)
+    if alpha <= -1.0:
+        raise ValueError(f"assoc_laguerre requires alpha > -1, got {alpha}")
+
+
 def laguerre_kernel(n: int, alpha: float) -> Kernel:
     """Generalized Laguerre polynomial L_n^alpha(x), alpha > -1.
 
@@ -127,32 +155,25 @@ def laguerre_kernel(n: int, alpha: float) -> Kernel:
     gives L_n^a and L_{n-1}^a, and with them
     L_n^alpha = L_n^a - L_{n-1}^a and d/dx L_n^alpha = -L_{n-1}^a.
     """
-    _check_degree(n)
-    if alpha <= -1.0:
-        raise ValueError(f"assoc_laguerre requires alpha > -1, got {alpha}")
-    all_steps, states = _bind("laguerre", alpha + 1.0, n, _laguerre_steps)
-    steps = all_steps[:n]
+    _check_laguerre(n, alpha)
+    steps = tuple(_laguerre_steps(alpha + 1.0, 0, n))
 
     def kernel(x: float) -> tuple[float, float]:
-        run, prev, cur = steps, 0.0, 1.0
-        if states is not None:
-            state = states.get(x)
-            if state is not None and state[0] <= n:
-                k, prev, cur = state
-                if k == n - 1:
-                    # One step, as a degree sweep takes at nearly every point.
-                    a_k, c_k, b_k = all_steps[k]
-                    prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev
-                    states[x] = (n, prev, cur)
-                    return cur - prev, -prev
-                run = all_steps[k:n]
-        for a_k, c_k, b_k in run:
+        prev, cur = 0.0, 1.0
+        for a_k, c_k, b_k in steps:
             prev, cur = cur, (a_k - c_k * x) * cur - b_k * prev
-        if states is not None:
-            states[x] = (n, prev, cur)
         return cur - prev, -prev
 
     return kernel
+
+
+def laguerre_column(n: int, alpha: float) -> Column:
+    """laguerre_kernel's pass for the oracle's panel loop: n, the steps of
+    the column of alpha + 1 (at least n of them, the same coefficients as
+    the kernel's) and the column's panel table, or None when the panels of
+    this degree run from degree 0 and store nothing."""
+    _check_laguerre(n, alpha)
+    return (n, *_bind("laguerre", alpha + 1.0, n, _laguerre_steps, _PANEL_NODES))
 
 
 def _gegenbauer_steps(g: float, start: int, stop: int) -> list[tuple[float, float]]:
@@ -171,7 +192,10 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     _check_degree(n)
     if alpha <= 0.0:
         raise ValueError(f"gegenbauer requires alpha > 0, got {alpha}")
-    all_steps, states = _bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps)
+    if n < _CONTINUE_FROM_DEGREE:
+        all_steps, states = tuple(_gegenbauer_steps(alpha + 1.0, 0, n)), None
+    else:
+        all_steps, states = _bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps, 1)
     steps = all_steps[:n]
     ratio = alpha / (n + alpha)
     two_alpha = 2.0 * alpha

@@ -36,7 +36,7 @@ from ._evaluators import (
 )
 from ._record import record, replace
 from .quadrature import Panel
-from .specfun import Kernel, gegenbauer_kernel, laguerre_kernel, ln_gamma
+from .specfun import Column, Kernel, gegenbauer_kernel, laguerre_column, laguerre_kernel, ln_gamma
 
 __all__ = [
     "POSITION",
@@ -148,8 +148,10 @@ def _lattice(n_r: int, alpha: float) -> tuple[float, ...]:
     return tuple(k * _BREAK_WIDTH for k in range(first, last + 1))
 
 
-def _oscillator_terms(n_r: int, kappa: float, alpha: float, name: Callable[[], str]) -> tuple[float, Kernel]:
-    """(ln A, L_{n_r}^alpha kernel) of the D-dimensional radial oscillator
+def _oscillator_terms(
+    n_r: int, kappa: float, alpha: float, name: Callable[[], str], panel: bool = False
+) -> tuple[float, Kernel | Column]:
+    """(ln A, L_{n_r}^alpha kernel, or its column if panel) of the D-dimensional radial oscillator
     A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2), alpha = kappa + D/2 - 1,
     normalized on the half line with weight s^(D-1): the 1D oscillator's
     n = 2 n_r + kappa (D = 1), the 3D oscillator (kappa = l) and
@@ -178,7 +180,7 @@ def _oscillator_terms(n_r: int, kappa: float, alpha: float, name: Callable[[], s
             f"{name()} is out of the evaluator's range: its log-envelope at the outer turning "
             f"point is {ln_turning:.1f}, below the limit {limit:g}"
         )
-    return ln_norm, laguerre_kernel(n_r, alpha)
+    return ln_norm, laguerre_column(n_r, alpha) if panel else laguerre_kernel(n_r, alpha)
 
 
 def _momentum_terms(
@@ -262,16 +264,16 @@ class _Family:
                             quadrature scale; the oracle's initial breaks in
                             f's argument, the lattice points across a
                             Laguerre state's classical window, or none)
-    unit(state)             (f as an Evaluator, d/du log(reference f)); the
-                            log-derivative is coded in closed form, apart
-                            from f and closed_form, so the oracle stays an
-                            independent route, and, the reference being
-                            node-less, it never divides by a wavefunction value
-    fisher_panel(state)     the oracle's integrand 4 s^2 (f' - f L)^2 of f
-                            and unit's L (without the s^2 unless radial) as
-                            a quadrature.Panel: the loop of _evaluators for the
-                            state's evaluator, from the same terms; its
-                            samples are those of unit's pair, bit for bit
+    unit(state)             f as an Evaluator
+    fisher_panel(state)     the oracle's integrand 4 s^2 (f' - f L)^2 of f,
+                            L = d/du log(reference f), without the s^2 unless
+                            radial, as a quadrature.Panel: the loop of
+                            _evaluators for unit's evaluator, from the same
+                            terms, with its samples bit for bit. L is coded
+                            in closed form in the loop, apart from f and
+                            closed_form, so the oracle stays an independent
+                            route, and, the reference being node-less, it
+                            never divides by a wavefunction value
     closed_form(state)      relative Fisher information against the reference
     spacing(space)          constant gap between adjacent closed forms
     _grid(ranges)           optional: the corner and the number tuples of
@@ -284,7 +286,7 @@ class _Family:
     def compile(self, state: QuantumState) -> Evaluator:
         """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
         c = self.scale(state)
-        wave, _ = self.unit(state)
+        wave = self.unit(state)
         # Factor by factor, as c^(3/2) may overflow and inf * 0.0 is nan.
         root = math.sqrt(c)
 
@@ -364,17 +366,17 @@ class Oscillator1D(_Family):
         ln_c = 0.5 * math.log(self.omega) - _QUARTER_LN_2
         return math.exp(ln_c if state.space == POSITION else -ln_c)
 
-    def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
+    def unit(self, state: QuantumState) -> Evaluator:
         # H_{2m+p}(y) = (-1)^m 2^(2m+p) m! y^p L_m^(p-1/2)(y^2) (Abramowitz &
         # Stegun 22.5.40-41): sqrt(2) (-1)^m psi on the half line is the d = 1
         # radial oscillator.
         m, p = divmod(state.n, 2)
         terms = _oscillator_terms(m, float(p), p - 0.5, lambda: self._name(state))
-        return radial_oscillator(*terms, kappa=float(p)), lambda y: -y
+        return radial_oscillator(*terms, kappa=float(p))
 
     def fisher_panel(self, state: QuantumState) -> Panel:
         m, p = divmod(state.n, 2)
-        terms = _oscillator_terms(m, float(p), p - 0.5, lambda: self._name(state))
+        terms = _oscillator_terms(m, float(p), p - 0.5, lambda: self._name(state), panel=True)
         return oscillator_panel(*terms, kappa=float(p), reference=0.0, radial=False, n=0)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
@@ -385,7 +387,7 @@ class Oscillator1D(_Family):
         """psi(x) = (-1)^m sqrt(c/2) f(c |x|) on the full line, n = 2m + p, with
         parity (-1)^n bit for bit; at x = 0 from f(s) ~ sqrt(2) A(m, p) s^p."""
         c = self.scale(state)
-        wave, _ = self.unit(state)
+        wave = self.unit(state)
         m, p = divmod(state.n, 2)
         half = math.sqrt(0.5 * c) * (-1.0) ** m
         ln_a = 0.5 * (ln_gamma(m + p + 0.5) - ln_gamma(m + 1.0)) - ln_gamma(p + 0.5)
@@ -447,14 +449,14 @@ class _RadialOscillator(_Family):
     def scale(self, state: QuantumState) -> float:
         return math.sqrt(self._kappa_b(state)[1])
 
-    def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
+    def unit(self, state: QuantumState) -> Evaluator:
         kappa, _ = self._kappa_b(state)
         terms = _oscillator_terms(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
-        return radial_oscillator(*terms, kappa=kappa), lambda s: kappa / s - s
+        return radial_oscillator(*terms, kappa=kappa)
 
     def fisher_panel(self, state: QuantumState) -> Panel:
         kappa, _ = self._kappa_b(state)
-        terms = _oscillator_terms(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
+        terms = _oscillator_terms(state.n_r, kappa, kappa + 0.5, lambda: self._name(state), panel=True)
         return oscillator_panel(*terms, kappa=kappa, reference=kappa, radial=True, n=0)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
@@ -534,26 +536,17 @@ class Hydrogenic(_Family):
     def scale(self, state: QuantumState) -> float:
         return self.Z if state.space == POSITION else 1.0 / self.Z
 
-    def unit(self, state: QuantumState) -> tuple[Evaluator, Callable[[float], float]]:
+    def unit(self, state: QuantumState) -> Evaluator:
         n, l = state.n, state.l
         if state.space == POSITION:
-            # Circular reference sharing the target's length scale: r^l e^{-r/n}.
             terms = _oscillator_terms(n - l - 1, 2.0 * l, 2.0 * l + 1.0, lambda: self._name(state))
-            wave = hydrogen_position(radial_oscillator(*terms, kappa=2.0 * l), n)
-            return wave, lambda r: l / r - 1.0 / n
-
-        def momentum_log_derivative(p: float) -> float:
-            # t^l / (1+t^2)^(l+2) at t = n p, its decay rounded as the evaluator's 2(l+2) t v.
-            t = n * p
-            return n * (l / t - (2.0 * (l + 2.0) * t) * (1.0 / (1.0 + t * t)))
-
-        wave = hydrogen_momentum(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
-        return wave, momentum_log_derivative
+            return hydrogen_position(radial_oscillator(*terms, kappa=2.0 * l), n)
+        return hydrogen_momentum(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
 
     def fisher_panel(self, state: QuantumState) -> Panel:
         n, l = state.n, state.l
         if state.space == POSITION:
-            terms = _oscillator_terms(n - l - 1, 2.0 * l, 2.0 * l + 1.0, lambda: self._name(state))
+            terms = _oscillator_terms(n - l - 1, 2.0 * l, 2.0 * l + 1.0, lambda: self._name(state), panel=True)
             return oscillator_panel(*terms, kappa=2.0 * l, reference=l, radial=True, n=n)
         return momentum_panel(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
 

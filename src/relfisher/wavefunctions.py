@@ -67,7 +67,7 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
     """
     if spec is None:
         spec = default_quadrature_spec(state)
-    wave, _ = state.system.unit(state)
+    wave = state.system.unit(state)
     radial = state.system.radial
 
     def density(s: float) -> float:

@@ -223,6 +223,7 @@ def test_compute_validate_refuses_a_state_whose_log_gamma_overflows(argv, capsys
     # used to exit 1 with a traceback from math.lgamma. The refusal comes
     # before a kernel would bind its 2**1022 recurrence steps.
     monkeypatch.setattr(relfisher.systems, "laguerre_kernel", _no_kernel)
+    monkeypatch.setattr(relfisher.systems, "laguerre_column", _no_kernel)
     code = run_cli(["compute", *argv, "--space", "position", "--validate"])
     captured = capsys.readouterr()
     rows = parse_csv(captured.out)
@@ -1145,6 +1146,30 @@ def test_oracle_extremes_finds_every_cell_ok(capsys):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 510
     assert captured.err == "ok=510 silently-wrong=0 non-converged=0 raised=0\n"
+
+
+def test_oracle_point_cost_runs_each_grid_from_empty_tables(monkeypatch, capsys):
+    cost = _load_script("oracle_point_cost")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    # A column with a panel table left by another sweep: no run starts from it.
+    stale = relfisher.specfun._Column(0)
+    stale.states[(0.5, 0.1, 1.0, 0, 1.0, 0.0, False)] = ()
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {"laguerre": {1.5: stale}})
+    numeric_ir, stale_at = relfisher.relative_fisher.numeric_ir, []
+
+    def watched(state, spec=None):
+        live = relfisher.specfun._LIVE.values()
+        stale_at.append(any(column is stale for columns in live for column in columns.values()))
+        return numeric_ir(state, spec)
+
+    monkeypatch.setattr(relfisher.relative_fisher, "numeric_ir", watched)
+    assert cost.main(["--runs", "1"]) == 0
+    assert stale_at and not any(stale_at)
+    totals = [line.split() for line in capsys.readouterr().out.splitlines() if line.split()[1:2] == ["all"]]
+    # grid, "all", integrals, evaluations, ns/eval (median), ns/eval (least)
+    assert [total[:4] for total in totals] == [["default", "all", "171", "37231"], ["CO", "all", "61", "43152"]]
+    assert all(int(total[4]) == int(total[5]) > 0 for total in totals)
 
 
 def test_output_digests_hashes_what_each_command_writes(tmp_path, monkeypatch, capsys):

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relfisher._evaluators
 import relfisher.relative_fisher
 import relfisher.specfun
 import relfisher.systems
 from relfisher._record import replace
 from relfisher.data_units import MoleculeRecord, find_molecule, registry, to_atomic_units
 from relfisher.quadrature import IntegrandError, QuadratureResult, _initial_edges, integrate, point_panel
-from relfisher.specfun import laguerre_kernel
 from relfisher.relative_fisher import (
     UnsupportedSystemError,
     closed_form_ir,
@@ -645,7 +645,7 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
     state = replace(make(scale), space=space)
     wave = compile_state(state)
     c, length = state.system.scale(state), state.system.layout(state)[1]
-    _, unit_log_derivative = state.system.unit(state)
+    unit_log_derivative = _reference_log_derivative(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 8.0)
 
     def integrand(s):
@@ -660,11 +660,34 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
     assert result.numeric == pytest.approx(direct.value, rel=1e-12, abs=0.0)
 
 
+def _reference_log_derivative(state):
+    """L, the log-derivative of the state's node-less reference at unit
+    scale, with the rounding of the L that the panel loops of
+    relfisher._evaluators code: for the hydrogen momentum decay, 2(l+2) t
+    times 1/(1+t^2), as the evaluator's 2(l+2) t v."""
+    system = state.system
+    if isinstance(system, Oscillator1D):
+        return lambda y: -y
+    if isinstance(system, Hydrogenic):
+        n, l = state.n, state.l
+        if state.space == POSITION:
+            # The circular reference r^l e^{-r/n} at the target's length scale.
+            return lambda r: l / r - 1.0 / n
+
+        def momentum(p):
+            t = n * p
+            return n * (l / t - (2.0 * (l + 2.0) * t) * (1.0 / (1.0 + t * t)))
+
+        return momentum
+    kappa, _ = system._kappa_b(state)
+    return lambda s: kappa / s - s
+
+
 def _point_integrand(state):
     """The Fisher integrand of state's unit-scale f as a point function of
-    system.unit(state)'s evaluator and reference log-derivative: what the
-    panel loops of numeric_ir must match bit for bit."""
-    wave, log_derivative = state.system.unit(state)
+    system.unit(state) and _reference_log_derivative(state): what the panel
+    loops of numeric_ir must match bit for bit."""
+    wave, log_derivative = state.system.unit(state), _reference_log_derivative(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 4.0)
 
     def integrand(s):
@@ -707,7 +730,8 @@ def _state_id(state):
 def test_the_panel_loop_integrates_the_point_integrand_bit_for_bit(state):
     # numeric_ir integrates system.fisher_panel(state), one loop per panel;
     # the point integrand is built from system.unit(state), the evaluator
-    # compile_state uses, and integrated through the point adapter. Every
+    # compile_state uses, and _reference_log_derivative(state), and
+    # integrated through the point adapter. Every
     # field of the result must agree: value, error estimate, evaluations,
     # panels and stop reason.
     assert numeric_ir(state).quadrature == _unit_integral(state)
@@ -716,7 +740,7 @@ def test_the_panel_loop_integrates_the_point_integrand_bit_for_bit(state):
 def _branches(state):
     """The nodes s of state's oracle integral where the evaluator cuts both
     value and slope, and those where it cuts the value only."""
-    wave, _ = state.system.unit(state)
+    wave = state.system.unit(state)
     nodes = ([], [])
 
     def density(s):
@@ -743,18 +767,112 @@ def test_the_panel_states_reach_the_cut_and_near_origin_branches():
     assert all(_branches(_hydrogen(89, 87, MOMENTUM)))
 
 
-def test_a_sweep_across_the_continuation_degree_matches_the_point_integrand(monkeypatch):
-    # From degree specfun._CONTINUE_FROM_DEGREE on, the kernels continue the
-    # column's stored states; below it they run from degree 0. The panel loop
-    # must give the point form's result on both sides of that degree.
+@pytest.mark.parametrize(
+    "states,continued",
+    [
+        ([QuantumState(Oscillator3D(2.0), POSITION, n_r=n_r, l=10) for n_r in range(8)], 2),
+        ([_hydrogen(n, 87, MOMENTUM) for n in (89, 91)], 0),
+    ],
+    ids=["qho3d l=10", "hydrogen momentum l=87"],
+)
+def test_the_near_origin_branch_keeps_its_slope_bit_for_bit(states, continued, monkeypatch):
+    # At LN_TINY = -700 the branch's samples underflow (see above). At -40
+    # they do not, and these states have nodes in the branch, qho3d also
+    # from n_r = 2, where its Laguerre panels have a table. A narrow panel
+    # around each such node puts about all of its nodes in the branch: the
+    # panel form, from degree 0 and again continued from the panel it
+    # stored, must give the point form's sums there, and over the integral.
+    monkeypatch.setattr(relfisher._evaluators, "LN_TINY", -40.0)
     monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
-    start = relfisher.specfun._CONTINUE_FROM_DEGREE - 3
-    for n_r in range(start, start + 8):
+    reached = []
+    for state in states:
+        integrand = _point_integrand(state)
+        point, panel = point_panel(integrand), state.system.fisher_panel(state)
+        scale = default_quadrature_spec(state).scale
+        for s in _branches(state)[1]:
+            t = s / (s + scale)
+            narrow = (t, 1e-4 * t, scale)
+            assert point(*narrow)[0] > 0.0
+            assert panel(*narrow) == panel(*narrow) == point(*narrow), (_state_id(state), s)
+            reached.append(state)
+        assert numeric_ir(state).quadrature == integrate(point, default_quadrature_spec(state))
+    assert len(reached) >= 2 and reached[-1] in states[continued:]
+
+
+def _integrated(state):
+    """numeric_ir's unit-scale quadrature of state, integrated now rather
+    than served from the store."""
+    relfisher.relative_fisher._UNIT_INTEGRALS.clear()
+    return numeric_ir(state).quadrature
+
+
+def _laguerre_table(params, l):
+    """The panel table of the pseudoharmonic Laguerre column at l."""
+    return relfisher.specfun._LIVE["laguerre"][php_derived(params, l).gamma_l + 1.5].states
+
+
+def test_a_sweep_across_the_continuation_degree_matches_the_point_integrand(monkeypatch):
+    # A Laguerre panel runs from degree 0 at the first degree bound on its
+    # column, is stored at the second and continued from the third on. The
+    # panel loop must give the point form's result at each.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    for n_r in range(8):
         state = QuantumState(CO_PARAMS, POSITION, n_r=n_r, l=0)
         assert numeric_ir(state).quadrature == _unit_integral(state), n_r
     alpha = php_derived(CO_PARAMS, 0).gamma_l + 0.5
     column = relfisher.specfun._LIVE["laguerre"][alpha + 1.0]
-    assert column.states and column.lowest == relfisher.specfun._CONTINUE_FROM_DEGREE
+    assert column.states and column.lowest == 0
+
+
+def test_an_ascending_then_descending_degree_sweep_matches_the_point_integrand(monkeypatch):
+    # Ascending, each panel continues the state of the degree below; then
+    # descending, each stored state is above the target and restarts from 0.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    states = [QuantumState(CO_PARAMS, POSITION, n_r=n_r, l=2) for n_r in range(16)]
+    for state in states:
+        assert _integrated(state) == _unit_integral(state), state.n_r
+    table = _laguerre_table(CO_PARAMS, 2)
+
+    def degrees():
+        return {k for _, stored, _, _ in table.values() for k in stored}
+
+    for state in states[14:0:-1]:
+        assert max(degrees()) > state.n_r
+        assert _integrated(state) == _unit_integral(state), state.n_r
+        assert state.n_r in degrees()
+
+
+def test_a_node_the_envelope_cuts_at_one_degree_continues_when_live_at_the_next(monkeypatch):
+    # The envelope cuts more nodes of degree 9 at LN_TINY = -40 than at -700,
+    # so at degree 10 those nodes are live again and continue from the state
+    # they kept, stored below degree 9.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    for n_r in range(9):
+        _integrated(QuantumState(CO_PARAMS, POSITION, n_r=n_r, l=0))
+    table = _laguerre_table(CO_PARAMS, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(relfisher._evaluators, "LN_TINY", -40.0)
+        state = QuantumState(CO_PARAMS, POSITION, n_r=9, l=0)
+        assert _integrated(state) == _unit_integral(state)
+    cut = {(key, i) for key, (_, stored, _, _) in table.items() if 9 in stored for i, k in enumerate(stored) if k < 9}
+    state = QuantumState(CO_PARAMS, POSITION, n_r=10, l=0)
+    assert _integrated(state) == _unit_integral(state)
+    revived = [(key, i) for key, i in cut if table[key][1][i] == 10]
+    assert len(revived) >= 10
+
+
+def test_one_laguerre_parameter_at_two_exponents_keeps_two_sets_of_panels(monkeypatch):
+    # The odd 1D oscillator n = 2m + 1 and the 3D oscillator (m, l = 0) share
+    # the parameter alpha = 1/2, the unit length and the lattice, so their
+    # panels coincide; their exponents kappa (1 and 0) and weights do not.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    for m in range(12):
+        for state in (QuantumState(Oscillator1D(0.7), POSITION, n=2 * m + 1),
+                      QuantumState(Oscillator3D(0.7), POSITION, n_r=m, l=0)):
+            assert _integrated(state) == _unit_integral(state), _state_id(state)
+    keys = relfisher.specfun._LIVE["laguerre"][1.5].states
+    panels = [{key[:3] for key in keys if key[4] == kappa} for kappa in (1.0, 0.0)]
+    assert len(panels[0] & panels[1]) >= 10
 
 
 def _quadratures(make):
@@ -959,14 +1077,14 @@ def test_threads_that_share_the_unit_integral_store_keep_its_bound(monkeypatch):
     assert max(sizes) <= 8
 
 
+def _column_of_steps(step):
+    """Binds like systems.laguerre_column, but every recurrence step is step,
+    a triple (a_k, c_k, b_k), and no panel is stored."""
+    return lambda n, alpha: (n, (step,) * n, None)
+
+
 def test_numeric_ir_reports_a_non_finite_integrand(monkeypatch):
-    laguerre_kernel = relfisher.systems.laguerre_kernel
-
-    def poisoned(n, alpha):
-        kernel = laguerre_kernel(n, alpha)
-        return lambda x: (math.nan, math.nan) if x > 2.0 else kernel(x)
-
-    monkeypatch.setattr(relfisher.systems, "laguerre_kernel", poisoned)
+    monkeypatch.setattr(relfisher.systems, "laguerre_column", _column_of_steps((math.nan,) * 3))
     with pytest.raises(IntegrandError):
         numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
 
@@ -975,9 +1093,7 @@ def test_an_integral_that_raises_is_not_stored(monkeypatch):
     # Refused inside the quadrature, where the Gegenbauer factor overflows.
     with pytest.raises(RefusedStateError):
         numeric_ir(_hydrogen(1000, 300, MOMENTUM))
-    monkeypatch.setattr(
-        relfisher.systems, "laguerre_kernel", lambda n, alpha: lambda x: (math.nan, math.nan)
-    )
+    monkeypatch.setattr(relfisher.systems, "laguerre_column", _column_of_steps((math.nan,) * 3))
     with pytest.raises(IntegrandError):
         numeric_ir(QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0))
     assert not relfisher.relative_fisher._UNIT_INTEGRALS
@@ -1002,15 +1118,17 @@ def _overflowing_kernel(kernel):
 
 
 @pytest.mark.parametrize(
-    "seam,state",
+    "seam,poison,state",
     [
-        ("laguerre_kernel", QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0)),
-        ("gegenbauer_kernel", _hydrogen(4, 1, MOMENTUM)),
+        # L_1 = 1e150 and L_2 = 1e300: value and slope are finite, their square is not.
+        ("laguerre_column", _column_of_steps((1e150, 0.0, 0.0)),
+         QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0)),
+        ("gegenbauer_kernel", _overflowing_kernel(relfisher.systems.gegenbauer_kernel), _hydrogen(4, 1, MOMENTUM)),
     ],
     ids=["laguerre", "gegenbauer"],
 )
-def test_a_non_finite_sample_names_its_node(monkeypatch, seam, state):
-    monkeypatch.setattr(relfisher.systems, seam, _overflowing_kernel(getattr(relfisher.systems, seam)))
+def test_a_non_finite_sample_names_its_node(monkeypatch, seam, poison, state):
+    monkeypatch.setattr(relfisher.systems, seam, poison)
     with pytest.raises(IntegrandError, match=_SAMPLE_ERROR):
         numeric_ir(state)
 
@@ -1186,11 +1304,11 @@ def test_the_large_mass_scan_ends_every_cell_ok_or_refused():
     assert outcomes == {"ok": {2, 4, 6, 8}, "refused": set(range(10, 62, 2))}
 
 
-def test_numeric_ir_is_the_same_with_or_without_a_degree_sweep_before_it():
+def test_numeric_ir_is_the_same_with_or_without_a_degree_sweep_before_it(monkeypatch):
     # A degree sweep continues each Laguerre recurrence from the state the
     # previous degree stored at the same node; the result must not show it.
     state = QuantumState(system=H2_PARAMS, space=POSITION, n_r=60, l=0)
-    laguerre_kernel(60, 0.5)  # replace the live Laguerre column
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})  # no column is live
     cold = numeric_ir(state)
     for n_r in range(60):
         numeric_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=n_r, l=0))
@@ -1226,27 +1344,18 @@ def test_two_degrees_at_one_kappa_share_their_initial_edges_where_their_windows_
 def test_a_degree_sweep_continues_its_recurrence_at_most_nodes_of_the_next_degree(monkeypatch):
     # Consecutive degrees start on the same panels, so the n_r = 60 integral
     # finds the state that n_r = 59 stored at most of its nodes.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
     for n_r in range(60):
         numeric_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=n_r, l=0))
-    alpha = php_derived(H2_PARAMS, 0).gamma_l + 0.5
-    stored = dict(relfisher.specfun._LIVE["laguerre"][alpha + 1.0].states)
-    points = []
-    kernel = relfisher.systems.laguerre_kernel
-
-    def recorded(n, a):
-        inner = kernel(n, a)
-
-        def evaluate(x):
-            points.append(x)
-            return inner(x)
-
-        return evaluate
-
-    monkeypatch.setattr(relfisher.systems, "laguerre_kernel", recorded)
+    table = _laguerre_table(H2_PARAMS, 0)
+    stored = {key: entry[1] for key, entry in table.items()}
     assert numeric_ir(QuantumState(system=H2_PARAMS, space=POSITION, n_r=60, l=0)).quadrature.converged
-    continued = [x for x in points if x in stored]
-    assert all(stored[x][0] == 59 for x in continued)
-    assert len(continued) > 0.5 * len(points)
+    # The nodes the n_r = 60 integral evaluated are those now at degree 60;
+    # a node continued a stored state if a degree above 0 had reached it.
+    evaluated = [(key, i) for key, (_, degrees, _, _) in table.items() for i, k in enumerate(degrees) if k == 60]
+    continued = [stored[key][i] for key, i in evaluated if key in stored and stored[key][i]]
+    assert all(k == 59 for k in continued)
+    assert len(continued) > 0.5 * len(evaluated)
 
 
 _MONOTONE_STATES = [
@@ -1286,7 +1395,7 @@ def test_the_oracle_integrand_is_monotone_outside_its_breaks(state):
     # falls, and below a first break that lies above the lattice's first
     # point (the window starts away from 0) it rises.
     spec = default_quadrature_spec(state)
-    wave, log_derivative = state.system.unit(state)
+    wave, log_derivative = state.system.unit(state), _reference_log_derivative(state)
 
     def integrand(s):
         value, derivative = wave(s)

@@ -6,6 +6,7 @@ against an independent route (moment expansion, scipy, mpmath, finite
 differences).
 """
 
+import gc
 import math
 import tracemalloc
 
@@ -16,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher import specfun
+from relfisher._evaluators import oscillator_panel
 from relfisher.quadrature import QuadratureSpec, integrate, point_panel
 from relfisher.specfun import (
     assoc_laguerre,
     gegenbauer,
     gegenbauer_kernel,
     hermite,
+    laguerre_column,
     laguerre_kernel,
     ln_gamma,
 )
@@ -316,83 +319,156 @@ def test_kernels_equal_a_pass_from_degree_zero_in_any_order(family, order):
             assert kernel(x) == scratch(n, parameter, x), (n, parameter, x)
 
 
+# Laguerre columns hold oracle panels. A degree-n panel on a column that
+# served a lower degree looks its panel up, continues each node's stored
+# state (degree, prev, cur) when that degree is <= n, and stores the panel
+# back. Its sums must be == to those of the same panel without a table, and
+# every stored state == to a pass from degree 0 at its node.
+
+
+def _panel(n, alpha, column=None):
+    """The oracle panel of the normalized D = 3 radial oscillator (kappa =
+    alpha - 1/2) of degree n, on laguerre_column(n, alpha) or on column."""
+    kappa = alpha - 0.5
+    ln_norm = 0.5 * (math.log(2.0) + math.lgamma(n + 1.0) - math.lgamma(n + alpha + 1.0))
+    return oscillator_panel(ln_norm, column or laguerre_column(n, alpha), kappa, kappa, True, 0)
+
+
+def _fresh(n, alpha):
+    """_panel(n, alpha) without a table: from degree 0 at every node."""
+    return _panel(n, alpha, (n, tuple(specfun._laguerre_steps(alpha + 1.0, 0, n)), None))
+
+
+def _assert_states_are_passes(column, alpha):
+    for nodes, degrees, prevs, curs in column.states.values():
+        for u, k, prev, cur in zip(nodes[0], degrees, prevs, curs):
+            assert (cur - prev, -prev) == _laguerre_pass(k, alpha, u), (k, u)
+
+
+# Panels (c, h, scale) over s from about 0.1 to 9.
+_PANELS = [(0.1 + 0.8 * k / 6, 0.06, 1.0) for k in range(7)]
+
+
+@pytest.mark.parametrize("order", sorted(_ORDERS))
+def test_laguerre_panels_equal_a_pass_from_degree_zero_in_any_order(order):
+    parameters = (0.5, 3.5)
+    bound = []
+    for n, pick in _ORDERS[order]:
+        alpha = parameters[pick]
+        panel = _panel(n, alpha)
+        bound.append((panel, n, alpha))
+        for args in _PANELS + _PANELS[::-1]:
+            assert panel(*args) == _fresh(n, alpha)(*args), (n, alpha, args)
+    for alpha in {parameters[pick] for _, pick in _ORDERS[order]}:
+        _assert_states_are_passes(specfun._LIVE["laguerre"][alpha + 1.0], alpha)
+    # Panels stay correct after their column was replaced or moved on.
+    for panel, n, alpha in bound[::7]:
+        for args in _PANELS:
+            assert panel(*args) == _fresh(n, alpha)(*args), (n, alpha, args)
+
+
 def test_a_degree_sweep_continues_the_stored_state():
-    alpha, x = 2.5, 3.75
-    laguerre_kernel(40, 99.0)  # start from another parameter's column
-    first = specfun._CONTINUE_FROM_DEGREE
-    laguerre_kernel(first, alpha)(x)  # a fresh column's first degree runs from 0
+    alpha, args = 2.5, _PANELS[3]
+    laguerre_column(40, 99.0)  # start from another parameter's column
+    _panel(3, alpha)(*args)  # a fresh column's first degree runs from 0
     column = specfun._LIVE["laguerre"][alpha + 1.0]
     assert list(specfun._LIVE["laguerre"]) == [100.0, alpha + 1.0]
-    assert x not in column.states
-    for n in range(first + 1, first + 30):
-        assert laguerre_kernel(n, alpha)(x) == _laguerre_pass(n, alpha, x)
-        assert column.states[x][0] == n
+    assert not column.states
+    for n in range(4, 33):
+        assert _panel(n, alpha)(*args) == _fresh(n, alpha)(*args)
+        ((_, degrees, _, _),) = column.states.values()
+        assert set(degrees) == {n}
     # A lower degree runs from 0 and stores its own state.
-    assert laguerre_kernel(first + 5, alpha)(x) == _laguerre_pass(first + 5, alpha, x)
-    assert column.states[x][0] == first + 5
-    assert len(column.steps) == first + 29
+    assert _panel(8, alpha)(*args) == _fresh(8, alpha)(*args)
+    ((_, degrees, _, _),) = column.states.values()
+    assert set(degrees) == {8}
+    _assert_states_are_passes(column, alpha)
+    assert len(column.steps) == 32
     # A second parameter leaves the column live; a third drops it.
-    laguerre_kernel(first + 1, alpha + 1.0)
+    laguerre_column(4, alpha + 1.0)
     assert list(specfun._LIVE["laguerre"].values()) == [column, specfun._LIVE["laguerre"][alpha + 2.0]]
-    laguerre_kernel(first + 1, alpha + 2.0)
+    laguerre_column(4, alpha + 2.0)
     assert column not in specfun._LIVE["laguerre"].values()
 
 
 def test_a_sweep_that_alternates_two_parameters_continues_both():
-    # The 1D oscillator's n = 2m + p alternates alpha = -1/2 and +1/2 by parity.
-    x = 7.5
-    laguerre_kernel(40, 99.0)
-    first = specfun._CONTINUE_FROM_DEGREE
-    for n in range(2 * first, 2 * first + 40):
+    # The 1D oscillator's n = 2m + p alternates alpha = -1/2 and +1/2 by
+    # parity; its panel has kappa = p, the reference 0 and no x^2.
+    args = _PANELS[2]
+    laguerre_column(40, 99.0)
+    for n in range(4, 44):
         m, p = divmod(n, 2)
-        assert laguerre_kernel(m, p - 0.5)(x) == _laguerre_pass(m, p - 0.5, x)
+        steps = tuple(specfun._laguerre_steps(p + 0.5, 0, m))
+        panel, fresh = (oscillator_panel(-3.0, column, float(p), 0.0, False, 0)
+                        for column in (laguerre_column(m, p - 0.5), (m, steps, None)))
+        assert panel(*args) == fresh(*args), n
     assert list(specfun._LIVE["laguerre"]) == [0.5, 1.5]
     live = list(specfun._LIVE["laguerre"].values())
-    # Both columns served every degree from the first: each holds the state
+    # Both columns served every degree from the first: each holds the panel
     # of its last degree, and no other column replaced it on the way.
-    assert [column.lowest for column in live] == [first, first]
-    assert [column.states[x][0] for column in live] == [first + 19, first + 19]
+    assert [column.lowest for column in live] == [2, 2]
+    assert [{k for _, degrees, _, _ in column.states.values() for k in degrees} for column in live] == [{21}, {21}]
 
 
 def test_degrees_below_the_break_even_leave_the_columns_alone():
-    laguerre_kernel(30, 7.0)
-    live = list(specfun._LIVE["laguerre"].values())
+    gegenbauer_kernel(30, 7.0)
+    live = {family: list(columns.values()) for family, columns in specfun._LIVE.items()}
     for n in range(specfun._CONTINUE_FROM_DEGREE):
+        gegenbauer_kernel(n, 0.25)(0.5)
+    # The Laguerre kernel runs from degree 0 at every degree: only the
+    # oracle's panels (laguerre_column) keep a Laguerre column.
+    for n in (0, 10, 60):
         laguerre_kernel(n, 0.25)(1.5)
-    assert list(specfun._LIVE["laguerre"].values()) == live
+    assert {family: list(columns.values()) for family, columns in specfun._LIVE.items()} == live
 
 
 @pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
 def test_two_columns_per_family_stay_alive(family):
-    make, _, _, points = _COLUMN_FAMILIES[family]
     n = specfun._CONTINUE_FROM_DEGREE
-    grid = [points[0] + (points[-1] - points[0]) * k / 30 for k in range(31)]
+    if family == "laguerre":
+        # Each panel is an entry of the table, about 4.7 kB.
+        grid = _PANELS[:4]
 
-    def sweep(parameter):
-        for degree in (n, n + 1):
-            kernel = make(degree, parameter)
-            for x in grid:
-                kernel(x)
+        def sweep(parameter):
+            for degree in (n, n + 1):
+                panel = _panel(degree, parameter)
+                for args in grid:
+                    panel(*args)
+    else:
+        _, _, _, points = _COLUMN_FAMILIES[family]
+        grid = [points[0] + (points[-1] - points[0]) * k / 30 for k in range(31)]
+
+        def sweep(parameter):
+            for degree in (n, n + 1):
+                kernel = gegenbauer_kernel(degree, parameter)
+                for x in grid:
+                    kernel(x)
+
+    def traced():
+        # A full collection empties the free lists of small tuples and
+        # floats, which tracemalloc counts as they fill.
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
 
     tracemalloc.start()
     try:
         # Parameters no other test uses, so their columns start empty.
         for k in range(10):
             sweep(1000.25 + 0.5 * k)
-        ten_sweeps = tracemalloc.get_traced_memory()[0]
+        ten_sweeps = traced()
         for k in range(10, 200):
             sweep(1000.25 + 0.5 * k)
-        after = tracemalloc.get_traced_memory()[0]
+        after = traced()
     finally:
         tracemalloc.stop()
     assert [len(column.states) for column in specfun._LIVE[family].values()] == [len(grid)] * 2
-    # Each column's state table alone takes about 1 kB here (small tuples and
-    # floats may come from free lists that tracemalloc does not see), so
-    # keeping the columns of 190 more parameters would add at least 190 kB.
+    # Each column's table alone takes at least 1 kB here, so keeping the
+    # columns of 190 more parameters would add at least 190 kB.
     assert after < 2 * ten_sweeps
 
 
 def test_a_full_column_drops_its_states(monkeypatch):
+    # _MAX_STATES counts nodes: a Gegenbauer point is one.
     monkeypatch.setattr(specfun, "_MAX_STATES", 50)
     first = specfun._CONTINUE_FROM_DEGREE
     points = [0.25 * k for k in range(1, 81)]
@@ -407,3 +483,19 @@ def test_a_full_column_drops_its_states(monkeypatch):
     for x in points:
         assert kernel(x) == _gegenbauer_pass(first + 2, 7.25, x)
     assert len(states) == 80
+
+
+def test_a_full_laguerre_column_drops_its_panels(monkeypatch):
+    # A Laguerre panel is 31 nodes, so two of them pass a cap of 50 nodes.
+    monkeypatch.setattr(specfun, "_MAX_STATES", 50)
+    _panel(4, 6.25)
+    panel = _panel(5, 6.25)
+    for args in _PANELS[:2]:
+        panel(*args)
+    states = specfun._LIVE["laguerre"][7.25].states
+    assert len(states) == 2
+    panel = _panel(6, 6.25)
+    assert len(states) == 0
+    for args in _PANELS[:2]:
+        assert panel(*args) == _fresh(6, 6.25)(*args)
+    assert len(states) == 2

@@ -265,7 +265,13 @@ def test_hydrogen_momentum_is_the_gegenbauer_function(n, l):
     mpmath = pytest.importorskip("mpmath")
     state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=n, l=l)
     wave = compile_state(state)
-    _, log_derivative = state.system.unit(state)
+
+    def log_derivative(p):
+        # The oracle's reference log-derivative, rounded as its panel loop
+        # rounds it (tests/test_relative_fisher.py, _reference_log_derivative).
+        t = n * p
+        return n * (l / t - (2.0 * (l + 2.0) * t) * (1.0 / (1.0 + t * t)))
+
     k, a = n - l - 1, l + 1
     with mpmath.workdps(60):
         norm = mpmath.sqrt(2 / mpmath.pi * mpmath.factorial(k) / mpmath.factorial(n + l))
@@ -337,6 +343,7 @@ def test_a_state_whose_log_gamma_overflows_is_refused(system, numbers, label, sp
     # math.lgamma raised OverflowError; the refusal must come before a kernel
     # binds its n recurrence steps.
     monkeypatch.setattr(relfisher.systems, "laguerre_kernel", _no_kernel)
+    monkeypatch.setattr(relfisher.systems, "laguerre_column", _no_kernel)
     monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
     state = QuantumState(system=system, space=space, **numbers)
     message = rf"^{system.name} {space} {label} of .* its log-normalization overflows$"
