@@ -146,8 +146,8 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
     x = n s^2 / 2, with L = reference / r - 1/n, that of r^reference
     exp(-r/n). The x^2 of the integrand only if radial.
 
-    Without a table, each panel runs from degree 0 at every node (fresh).
-    With one, a panel is looked up once by its key (c, h, scale, n, kappa,
+    Without a table, and for hydrogen, each panel runs from degree 0 at
+    every node (fresh). With one, a panel is looked up once by its key (c, h, scale, n, kappa,
     reference, radial), the inputs of its node table. The entry (rows,
     degrees, prevs, curs) holds the table, u = s^2, s, kappa log s, the
     slope, L, the weight 4 x^2 (or 4) and (1-t)^2 as arrays of the nodes,
@@ -288,7 +288,9 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
         table[key] = (nodes, tuple(to_degrees), tuple(to_prevs), tuple(to_curs))
         return kron, gauss
 
-    return fresh if table is None else continued
+    # A hydrogen panel's key holds its unit length n, which changes with
+    # every cell of a sweep: a table would store panels that never return.
+    return continued if table is not None and not n else fresh
 
 
 def momentum_panel(ln_norm: float, gegenbauer: Kernel, overflow: Callable[[float], Exception], n: int, l: int) -> Panel:

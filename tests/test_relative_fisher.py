@@ -861,6 +861,16 @@ def test_a_node_the_envelope_cuts_at_one_degree_continues_when_live_at_the_next(
     assert len(revived) >= 10
 
 
+def test_a_hydrogen_position_sweep_at_fixed_l_stores_no_panels(monkeypatch):
+    # Its unit length n is part of every panel's key, so no panel returns.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    for n in range(3, 15):
+        state = _hydrogen(n, 2, POSITION)
+        assert _integrated(state) == _unit_integral(state), n
+    column = relfisher.specfun._LIVE["laguerre"][6.0]
+    assert column.lowest == 0 and not column.states
+
+
 def test_one_laguerre_parameter_at_two_exponents_keeps_two_sets_of_panels(monkeypatch):
     # The odd 1D oscillator n = 2m + 1 and the 3D oscillator (m, l = 0) share
     # the parameter alpha = 1/2, the unit length and the lattice, so their
@@ -1075,6 +1085,35 @@ def test_threads_that_share_the_unit_integral_store_keep_its_bound(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert [results[worker] for worker in range(len(sweeps))] == expected
     assert max(sizes) <= 8
+
+
+def test_threads_that_share_a_laguerre_column_store_whole_panels(monkeypatch):
+    # Four threads sweep the degrees of one pseudoharmonic column in four
+    # orders, so that they read and store the same panels at once. A store
+    # may be lost, but an entry read half-written would change a result.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    states = [QuantumState(CO_PARAMS, POSITION, n_r=n_r, l=1) for n_r in range(12)]
+    expected = {state: _unit_integral(state) for state in states}
+    orders = [states, states[::-1], states[::2] + states[1::2], states[6:] + states[:6]]
+    results = {}
+
+    def run(worker):
+        for state in orders[worker]:
+            panel = state.system.fisher_panel(state)
+            results[worker, state] = integrate(panel, default_quadrature_spec(state))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(worker,)) for worker in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {(worker, state): expected[state] for worker in range(len(orders)) for state in states}
 
 
 def _column_of_steps(step):
