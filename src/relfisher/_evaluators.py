@@ -147,17 +147,18 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
     exp(-r/n). The x^2 of the integrand only if radial.
 
     Without a table, and for hydrogen, each panel runs from degree 0 at
-    every node (fresh). With one, a panel is looked up once by its key (c, h, scale, n, kappa,
-    reference, radial), the inputs of its node table. The entry (rows,
-    degrees, prevs, curs) holds the table, u = s^2, s, kappa log s, the
-    slope, L, the weight 4 x^2 (or 4) and (1-t)^2 as arrays of the nodes,
-    and each node's recurrence state (degree, L_{degree-1}, L_degree) of
-    alpha + 1. A live node continues its state, or restarts from degree 0
-    when the state's degree is above degree; a node the envelope cuts keeps
-    its state. t, x and log s are taken again only where the near-origin
-    branch or an error message needs them; every value is rounded as the
-    fresh loop rounds it. The panel is stored back as one new tuple, so a
-    thread can lose another's store but never see half of one.
+    every node (fresh). With one, a panel is looked up once by its key (c,
+    h, scale, kappa, reference, radial), the inputs of its node table. The
+    entry (rows, degrees, prevs, curs) holds the table, u = s^2, s, kappa
+    log s, the slope, L, the weight 4 s^2 (or 4) and (1-t)^2, and each
+    node's recurrence state of alpha + 1, its degree and L_{degree-1} and
+    L_degree; the floats are arrays, 8 bytes a value. A live node continues
+    its state, or restarts from degree 0 when the state's degree is above
+    degree; a node the envelope cuts keeps its state. t and log s are taken
+    again only where an error message or the near-origin branch needs them;
+    every value is rounded as the fresh loop rounds it. The panel is stored
+    back as one new tuple, so a thread can lose another's store but never
+    see half of one.
     """
     exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
     degree, steps, table = column
@@ -231,13 +232,14 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
             kron += wk * weighted
             gauss += wg * weighted
         if keep:
-            table[key] = (tuple(array("d", rows[i::7]) for i in range(7)), *zip(*states))
+            degrees, prevs, curs = zip(*states)
+            table[key] = (tuple(array("d", rows[i::7]) for i in range(7)), degrees, array("d", prevs), array("d", curs))
         return kron, gauss
 
     def continued(c: float, h: float, scale: float) -> tuple[float, float]:
         """fresh's loop over the rows and states of the panel's entry, or
         fresh, storing it, for a panel the table does not hold."""
-        key = (c, h, scale, n, kappa, reference, radial)
+        key = (c, h, scale, kappa, reference, radial)
         entry = table.get(key)
         if entry is None:
             return fresh(c, h, scale, key)
@@ -274,10 +276,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
                 value, derivative = 0.0, exp(ln_env - log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
             else:
                 value, derivative = env * lag, env * (slope * lag + 2.0 * s * dlag)
-            if n:
-                difference = slope_factor * derivative / s - factor * value * ref
-            else:
-                difference = derivative - value * ref
+            difference = derivative - value * ref
             sample = weight * difference * difference
             weighted = sample * scale / square
             if not weighted < inf:  # as in fresh
@@ -285,11 +284,12 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
                 raise sample_error(sample, scale * t / (1.0 - t), t, weighted)
             kron += wk * weighted
             gauss += wg * weighted
-        table[key] = (nodes, tuple(to_degrees), tuple(to_prevs), tuple(to_curs))
+        table[key] = (nodes, tuple(to_degrees), array("d", to_prevs), array("d", to_curs))
         return kron, gauss
 
-    # A hydrogen panel's key holds its unit length n, which changes with
-    # every cell of a sweep: a table would store panels that never return.
+    # A hydrogen panel's unit length is n, which changes with every cell of
+    # a sweep: a table would store panels that never return. So continued
+    # has x = s, and its key needs no n.
     return continued if table is not None and not n else fresh
 
 

@@ -1154,7 +1154,7 @@ def test_oracle_point_cost_runs_each_grid_from_empty_tables(monkeypatch, capsys)
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     # A column with a panel table left by another sweep: no run starts from it.
     stale = relfisher.specfun._Column(0)
-    stale.states[(0.5, 0.1, 1.0, 0, 1.0, 0.0, False)] = ()
+    stale.states[(0.5, 0.1, 1.0, 1.0, 0.0, False)] = ()
     monkeypatch.setattr(relfisher.specfun, "_LIVE", {"laguerre": {1.5: stale}})
     numeric_ir, stale_at = relfisher.relative_fisher.numeric_ir, []
 

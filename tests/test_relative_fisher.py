@@ -881,7 +881,7 @@ def test_one_laguerre_parameter_at_two_exponents_keeps_two_sets_of_panels(monkey
                       QuantumState(Oscillator3D(0.7), POSITION, n_r=m, l=0)):
             assert _integrated(state) == _unit_integral(state), _state_id(state)
     keys = relfisher.specfun._LIVE["laguerre"][1.5].states
-    panels = [{key[:3] for key in keys if key[4] == kappa} for kappa in (1.0, 0.0)]
+    panels = [{key[:3] for key in keys if key[3] == kappa} for kappa in (1.0, 0.0)]
     assert len(panels[0] & panels[1]) >= 10
 
 

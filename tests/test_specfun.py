@@ -426,7 +426,7 @@ def test_degrees_below_the_break_even_leave_the_columns_alone():
 def test_two_columns_per_family_stay_alive(family):
     n = specfun._CONTINUE_FROM_DEGREE
     if family == "laguerre":
-        # Each panel is an entry of the table, about 4.7 kB.
+        # Each panel is an entry of the table, about 3.4 kB.
         grid = _PANELS[:4]
 
         def sweep(parameter):
