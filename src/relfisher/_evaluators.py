@@ -27,6 +27,7 @@ derivatives are analytic: nothing differentiates numerically.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from typing import Callable
 
@@ -45,6 +46,10 @@ _ZERO = (0.0, 0.0)
 _NODES, _KRONROD, _GAUSS = zip(*_GK31)
 # The recurrence state (degree, prev, cur) of a node no degree has reached.
 _FROM_ZERO = (0, 0.0, 1.0)
+# The prev or cur terms of a panel's nodes as packed doubles: an entry keeps
+# 8 bytes a value, and packing and unpacking them costs less than building an
+# array from a list.
+_TERMS = struct.Struct(f"{len(_GK31)}d")
 
 
 def radial_oscillator(ln_norm: float, laguerre: Kernel, kappa: float) -> Evaluator:
@@ -150,15 +155,15 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
     every node (fresh). With one, a panel is looked up once by its key (c,
     h, scale, kappa, reference, radial), the inputs of its node table. The
     entry (rows, degrees, prevs, curs) holds the table, u = s^2, s, kappa
-    log s, the slope, L, the weight 4 s^2 (or 4) and (1-t)^2, and each
-    node's recurrence state of alpha + 1, its degree and L_{degree-1} and
-    L_degree; the floats are arrays, 8 bytes a value. A live node continues
-    its state, or restarts from degree 0 when the state's degree is above
-    degree; a node the envelope cuts keeps its state. t and log s are taken
-    again only where an error message or the near-origin branch needs them;
-    every value is rounded as the fresh loop rounds it. The panel is stored
-    back as one new tuple, so a thread can lose another's store but never
-    see half of one.
+    log s, the slope, L, the weight 4 s^2 (or 4) and (1-t)^2 as arrays, and
+    each node's recurrence state of alpha + 1, its degree and the packed
+    terms L_{degree-1} and L_degree. A live node continues its state, or
+    restarts from degree 0 when the state's degree is above degree; a node
+    the envelope cuts keeps its state. t and log s are taken again only
+    where an error message or the near-origin branch needs them; every
+    value is rounded as the fresh loop rounds it. The panel is stored back
+    as one new tuple, so a thread can lose another's store but never see
+    half of one.
     """
     exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
     degree, steps, table = column
@@ -233,7 +238,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
             gauss += wg * weighted
         if keep:
             degrees, prevs, curs = zip(*states)
-            table[key] = (tuple(array("d", rows[i::7]) for i in range(7)), degrees, array("d", prevs), array("d", curs))
+            table[key] = (tuple(array("d", rows[i::7]) for i in range(7)), degrees, _TERMS.pack(*prevs), _TERMS.pack(*curs))
         return kron, gauss
 
     def continued(c: float, h: float, scale: float) -> tuple[float, float]:
@@ -244,6 +249,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
         if entry is None:
             return fresh(c, h, scale, key)
         nodes, degrees, prevs, curs = entry
+        prevs, curs = _TERMS.unpack(prevs), _TERMS.unpack(curs)
         to_degrees, to_prevs, to_curs = [], [], []
         kron = 0.0
         gauss = 0.0
@@ -284,7 +290,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
                 raise sample_error(sample, scale * t / (1.0 - t), t, weighted)
             kron += wk * weighted
             gauss += wg * weighted
-        table[key] = (nodes, tuple(to_degrees), array("d", to_prevs), array("d", to_curs))
+        table[key] = (nodes, tuple(to_degrees), _TERMS.pack(*to_prevs), _TERMS.pack(*to_curs))
         return kron, gauss
 
     # A hydrogen panel's unit length is n, which changes with every cell of

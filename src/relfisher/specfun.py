@@ -76,8 +76,8 @@ _CONTINUE_FROM_DEGREE = 10
 # than this many nodes, about 7 MB of Laguerre panels or 13 MB of
 # Gegenbauer points: a process that sweeps many scales on one column would
 # otherwise keep the states of all of them. Measured with tracemalloc, a
-# Laguerre panel holds 31 nodes in about 3.4 kB, 111 bytes a node (the 1D
-# oscillator to n = 300: 247 panels, 0.85 MB), and a Gegenbauer point is one
+# Laguerre panel holds 31 nodes in about 3.3 kB, 108 bytes a node (the 1D
+# oscillator to n = 300: 247 panels, 0.82 MB), and a Gegenbauer point is one
 # node of 195 bytes (hydrogen momentum at l = 0 to n = 120: 5,936 points).
 # One sweep stores a few thousand nodes.
 _MAX_STATES = 1 << 16

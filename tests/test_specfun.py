@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher import specfun
-from relfisher._evaluators import oscillator_panel
+from relfisher._evaluators import _TERMS, oscillator_panel
 from relfisher.quadrature import QuadratureSpec, integrate, point_panel
 from relfisher.specfun import (
     assoc_laguerre,
@@ -340,8 +340,9 @@ def _fresh(n, alpha):
 
 
 def _assert_states_are_passes(column, alpha):
+    terms = _TERMS.unpack  # prev and cur are stored packed
     for nodes, degrees, prevs, curs in column.states.values():
-        for u, k, prev, cur in zip(nodes[0], degrees, prevs, curs):
+        for u, k, prev, cur in zip(nodes[0], degrees, terms(prevs), terms(curs)):
             assert (cur - prev, -prev) == _laguerre_pass(k, alpha, u), (k, u)
 
 
@@ -426,7 +427,7 @@ def test_degrees_below_the_break_even_leave_the_columns_alone():
 def test_two_columns_per_family_stay_alive(family):
     n = specfun._CONTINUE_FROM_DEGREE
     if family == "laguerre":
-        # Each panel is an entry of the table, about 3.4 kB.
+        # Each panel is an entry of the table, about 3.3 kB.
         grid = _PANELS[:4]
 
         def sweep(parameter):
