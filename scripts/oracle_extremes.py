@@ -103,7 +103,7 @@ def main() -> int:
         outcome, evaluations = classify(state)
         counts[outcome.split(":")[0]] += 1
         shown = "-" if evaluations is None else evaluations
-        print(f"{outcome:<22} {shown:>8} {state.system!r} {state.space} {state.system.label(state)}",
+        print(f"{outcome:<22} {shown:>8} {state.system!r} {state.space} {state.system.label(state.numbers)}",
               flush=True)
     print(" ".join(f"{name}={counts[name]}" for name in CLASSES), file=sys.stderr)
     return 0 if counts["ok"] == sum(counts.values()) else 1

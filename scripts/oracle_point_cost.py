@@ -40,12 +40,15 @@ GRIDS = {
 
 
 def _states(cli, argv: list[str]) -> list:
-    """The states the CLI's validate sweep for argv takes, in its order."""
+    """The states the CLI's validate sweep for argv takes, in its order: the
+    state its row loop builds for each cell of its grids' number tuples."""
     args = cli.build_parser().parse_args(argv)
     families = [cli._FAMILIES[args.system]] if args.system else cli.FAMILIES
     spaces = [cli.POSITION, cli.MOMENTUM] if args.space == "both" else [args.space]
     grids = cli._grids(args, families, lambda family: cli._sweep_ranges(args, family), spaces, "empty grid")
-    return [state for _, _, combinations in grids for states in combinations for state in states]
+    return [
+        system.state(space, numbers) for system, _, combinations in grids for numbers in combinations for space in spaces
+    ]
 
 
 def _run(relfisher, states: list) -> dict[tuple[str, str], list[int]]:

@@ -35,6 +35,11 @@ COMMANDS: list[list[str]] = [
          "--space", "both", "--format", fmt, "--out", f"table.{fmt}"]
         for fmt in ("csv", "json")
     ),
+    # Closed-form rows of the other three families; php without --molecule runs one grid per registry molecule.
+    ["compute", "--system", "qho1d", "--omega", "0.7", "--n", "0..400", "--space", "both"],
+    ["compute", "--system", "qho3d", "--omega", "1.3", "--nr", "0..60", "--l", "0..12", "--space", "both",
+     "--format", "json"],
+    ["compute", "--system", "php", "--nr", "0..60", "--l", "0..4", "--space", "both"],
     ["compute", "--system", "hydrogen", "--n", "320..326", "--l", "0", "--space", "position", "--validate"],
     # Both sides of the upper edge of the band where hydrogen momentum overflows: 11 refused rows, then 10 values.
     ["compute", "--system", "hydrogen", "--n", "1000", "--l", "660..680", "--space", "momentum", "--validate"],

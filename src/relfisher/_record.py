@@ -11,10 +11,8 @@ defaults and an optional __post_init__, an immutable value type:
 - assigning or deleting an attribute raises AttributeError;
 - repr is Name(field=value, ...), as a dataclass writes it.
 
-The fields are plain instance attributes, named by the class's _fields, so
-code that must skip __init__ can still build an instance with object.__new__
-and object.__setattr__(obj, "__dict__", ...). replace() is
-dataclasses.replace for records.
+The fields are plain instance attributes, named by the class's _fields.
+replace() is dataclasses.replace for records.
 
 dataclass writes each of these methods as source and compiles it with exec,
 and importing dataclasses loads inspect and ast: together about 20 ms of the

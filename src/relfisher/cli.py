@@ -2,10 +2,10 @@
 reproduction of the bundled reference tables, with machine-readable output.
 
 Output is CSV (UTF-8, LF, '.' decimal) or newline-delimited JSON with the same
-field names. Rows are streamed: each state is built, computed and written in
-turn, so memory does not grow with the table. Each grid of states is checked
-once, by its system's grid method, before the first row, so a bad argument
-writes nothing. An --out file is still all-or-nothing: rows go to a temp file
+field names. Rows are streamed: each cell is computed and written in turn,
+so memory does not grow with the table. Each grid is checked once, by its
+system's grid_numbers method, before the first row, so a bad argument writes
+nothing. An --out file is still all-or-nothing: rows go to a temp file
 in the same directory, which is renamed over the target on success and
 removed on any error. Stdout may already hold rows written before an error
 line. Exit codes: 0 ok, 2 usage error, 3 validation or quadrature failure
@@ -15,10 +15,13 @@ compute and validate turn the flags into systems by one rule (_systems):
 hydrogen takes --Z and the oscillators --omega; php takes the
 --mu-amu/--de-ev/--re-angstrom triple if any of it is given, else --molecule,
 else every registry molecule. Both then run their grids through one row loop
-(_run_cells). In CSV it writes each row as one ready-made line, with one
-write: the system and space fields and the params digest are quoted once
-per grid, and the label once per quantum-number combination, which each
-space of the combination shares. The bytes are those csv.writer would write
+(_run_cells). It runs over quantum-number tuples: the label and the
+reference-state status are taken once per combination, which each space of
+the combination shares, the closed form once per cell from the numbers, and
+a QuantumState is built only for a cell the oracle runs. In CSV it writes
+each row as one ready-made line, with one write: the system and space
+fields and the params digest are quoted once per grid, and the label once
+per combination. The bytes are those csv.writer would write
 (_csv_field). reproduce and molecules write their short tables through
 csv.writer (_write_rows).
 """
@@ -264,20 +267,18 @@ def _grids(
     ranges: Callable[[type], dict[str, range]],
     spaces: Sequence[str],
     empty: str,
-) -> list[tuple[SystemParams, str, Iterator[tuple[QuantumState, ...]]]]:
-    """(system, params digest, states) for every system the flags select in
-    families, over its family's ranges and the spaces. The states come as one
-    tuple per quantum-number combination, a state per space in spaces order.
+) -> list[tuple[SystemParams, str, Iterator[tuple[int, ...]]]]:
+    """(system, params digest, quantum numbers) for every system the flags
+    select in families, over its family's ranges: the grid's number tuples,
+    in number_fields order, each valid in every one of spaces.
 
-    Every grid is built, and so checked, before the first cell. A grid with no
-    states is left out; ValueError(empty) if every grid is.
+    Every grid is checked (grid_numbers) before the first cell. A grid with
+    no cells is left out; ValueError(empty) if every grid is.
     """
     grids = []
     for family in families:
         for params, digest in _systems(args, family):
-            states = params.grid(spaces, **ranges(family))
-            # The space is innermost, so each run of len(spaces) states shares its quantum numbers.
-            combinations = zip(*[states] * len(spaces))
+            combinations = iter(params.grid_numbers(spaces, **ranges(family)))
             first = next(combinations, None)
             if first is not None:
                 grids.append((params, digest, itertools.chain((first,), combinations)))
@@ -286,10 +287,11 @@ def _grids(
     return grids
 
 
-def _closed_form(state: QuantumState, digest: str) -> float:
-    """closed_form_ir(state); ValueError if it is not evaluated or not finite."""
+def _closed_form(system: SystemParams, space: str, numbers: tuple[int, ...], digest: str) -> float:
+    """system.closed_form(space, numbers), closed_form_ir of that state;
+    ValueError if it is not evaluated or not finite."""
     try:
-        closed = closed_form_ir(state)
+        closed = system.closed_form(space, numbers)
     except OverflowError:
         # The form converts an int past the largest double to a float; its value may still fit one.
         trouble = "is not evaluated: a quantum number or an integer formed from them does not convert to a float"
@@ -298,7 +300,7 @@ def _closed_form(state: QuantumState, digest: str) -> float:
             return closed
         trouble = f"is {closed!r}, outside double range"
     raise ValueError(
-        f"the closed form of {state.system.name} {state.space} {state.system.label(state)} at {digest} {trouble}"
+        f"the closed form of {system.name} {space} {system.label(numbers)} at {digest} {trouble}"
     )
 
 
@@ -316,7 +318,8 @@ def _run_cells(
     threshold, and the largest rel_diff.
 
     Each cell's reference state is the node-less state of the same system,
-    space and l. validate runs the quadrature oracle on every cell.
+    space and l. validate runs the quadrature oracle on every cell, on the
+    QuantumState built for it there.
     """
     spaces = [POSITION, MOMENTUM] if args.space == "both" else [args.space]
     grids = _grids(args, families, ranges, spaces, empty)
@@ -331,17 +334,18 @@ def _run_cells(
         if as_csv:
             write(",".join(_ROW_HEADER) + "\n")
         for system, digest, combinations in grids:
-            heads = [f"{_csv_field(system.name)},{_csv_field(space)}," for space in spaces]
+            heads = [(space, f"{_csv_field(system.name)},{_csv_field(space)},") for space in spaces]
             digest_field = _csv_field(digest)
-            for states in combinations:
-                label = system.label(states[0])
+            for numbers in combinations:
+                label = system.label(numbers)
                 label_field = _csv_field(label)
-                nodeless_status = STATUS_REFERENCE if system.radial_nodes(states[0]) == 0 else STATUS_OK
-                for head, state in zip(heads, states):
-                    closed = _closed_form(state, digest)
+                nodeless_status = STATUS_REFERENCE if system.radial_nodes(numbers) == 0 else STATUS_OK
+                for space, head in heads:
+                    closed = _closed_form(system, space, numbers, digest)
                     numeric = rel_diff = None
                     status = nodeless_status
                     if validate:
+                        state = system.state(space, numbers)
                         try:
                             result = numeric_ir(state, default_quadrature_spec(state, rel_tol=args.rel_tol))
                         except RefusedStateError:
@@ -365,7 +369,7 @@ def _run_cells(
                             f"{numeric_field},{rel_diff_field},{status}\n"
                         )
                     else:
-                        row = (system.name, state.space, label, digest, closed, numeric, rel_diff, status)
+                        row = (system.name, space, label, digest, closed, numeric, rel_diff, status)
                         write(encode(dict(zip(_ROW_HEADER, row))) + "\n")
                     cells += 1
         return cells, failures, refused, over_threshold, max_rel

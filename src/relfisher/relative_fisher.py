@@ -114,7 +114,7 @@ def closed_form_ir(target: QuantumState) -> float:
     targets (n = l+1) give 0 in both spaces.
     Pseudoharmonic: 32*lambda*n_r and 8*n_r/lambda.
     """
-    return target.system.closed_form(target)
+    return target.system.closed_form(target.space, target.numbers)
 
 
 def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:

@@ -6,8 +6,8 @@ Each class holds one system's parameters and is the family object for that
 system: it owns everything in which the systems differ (see _Family), so the
 other modules ask a state's system instead of testing its type. States carry
 no magnetic quantum number, to which the information measure is invariant.
-QuantumState(...) checks its own space and quantum numbers; a system's grid
-method checks a whole grid once, on its corner state.
+QuantumState(...) checks its own space and quantum numbers; a system's
+grid_numbers method checks a whole grid once, on its corner state.
 
 The families build their unit-scale evaluators, in the point form and in
 the oracle's panel form (see _evaluators), from terms bound here: the
@@ -243,8 +243,10 @@ class _Family:
     relative Fisher information is c^2 times that of f. The oracle integrates
     f, where its tolerances hold at every scale.
 
-    _Family gives no default but radial and _grid, and builds compile from
-    scale and unit; each family states every other entry once.
+    _Family gives no default but radial, label and _grid, and builds compile
+    from scale and unit; each family states every other entry once. The
+    entries that take numbers take the quantum numbers as a tuple in
+    number_fields order, as a grid yields them, and need no QuantumState.
 
     name                    the CLI --system name
     number_fields           quantum-number fields, in label order; the
@@ -252,9 +254,10 @@ class _Family:
     radial                  True when integrals of f take the weight s^2;
                             False only for the 1D oscillator
     check(state)            raise ValueError unless the quantum numbers are valid
-    radial_nodes(state)     interior nodes of the radial (or full-line) function
+    radial_nodes(numbers)   interior nodes of the radial (or full-line) function
     reference(state)        the node-less state of the same system, space and l
-    label(state)            the quantum numbers as text, for example "n=3,l=1"
+    label(numbers)          the quantum numbers as text, each field=value, joined
+                            by commas in number_fields order: "n=3,l=1"
     scale(state)            c, the length scale above
     layout(state)           (a hashable name, within the family, for the
                             unit-scale integral: states of equal names have
@@ -274,7 +277,8 @@ class _Family:
                             closed_form, so the oracle stays an independent
                             route, and, the reference being node-less, it
                             never divides by a wavefunction value
-    closed_form(state)      relative Fisher information against the reference
+    closed_form(space, numbers)
+                            relative Fisher information against the reference
     spacing(space)          constant gap between adjacent closed forms
     _grid(ranges)           optional: the corner and the number tuples of
                             a grid, when they are not the ranges' first
@@ -282,6 +286,13 @@ class _Family:
     """
 
     radial = True
+
+    def __init_subclass__(cls) -> None:
+        # label's %-template, "n_r=%s,l=%s" for the fields ("n_r", "l").
+        cls._label = ",".join(f"{field}=%s" for field in getattr(cls, "number_fields", ()))
+
+    def label(self, numbers: tuple[int, ...]) -> str:
+        return self._label % numbers
 
     def compile(self, state: QuantumState) -> Evaluator:
         """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
@@ -297,35 +308,43 @@ class _Family:
         return scaled
 
     def _name(self, state: QuantumState) -> str:
-        return f"{self.name} {state.space} {self.label(state)} of {self!r}"
+        return f"{self.name} {state.space} {self.label(state.numbers)} of {self!r}"
+
+    def state(self, space: str, numbers: tuple[int, ...]) -> QuantumState:
+        """QuantumState(self, space, ...) at the quantum numbers in number_fields order."""
+        return QuantumState(self, space, **dict(zip(self.number_fields, numbers)))
 
     def grid(self, spaces: Sequence[str], **ranges: range) -> Iterator[QuantumState]:
-        """The states of this system over a grid of quantum numbers, checked once.
+        """The states of this system over a grid of quantum numbers: a state,
+        built by state(space, numbers), for each of grid_numbers(spaces,
+        **ranges) and each space, with the space innermost."""
+        spaces = tuple(spaces)  # iterated once by grid_numbers and again per state
+        return (self.state(space, numbers) for numbers in self.grid_numbers(spaces, **ranges) for space in spaces)
+
+    def grid_numbers(self, spaces: Sequence[str], **ranges: range) -> Iterable[tuple[int, ...]]:
+        """The quantum-number tuples of a grid, in number_fields order, checked once.
 
         Each keyword names one of number_fields and gives its values as an
-        ascending range. States come in the order of itertools.product over
-        the fields, in number_fields order, with the space innermost. A
-        hydrogen grid skips, at each n, the part of its l range above n-1. An
-        empty range makes an empty grid.
+        ascending range. The tuples come in the order of itertools.product
+        over the fields, in number_fields order. A hydrogen grid skips, at
+        each n, the part of its l range above n-1. An empty range makes an
+        empty grid.
 
-        The grid is checked here, before the first state: QuantumState's own
-        checks run on its corner state in each space, which an invalid grid
-        always fails first, so an invalid grid raises the ValueError of its
-        first invalid state. The states are then built without
-        QuantumState.__post_init__; each is == to QuantumState(...) and has
-        the same hash.
+        The grid is checked here, before the first tuple: QuantumState's own
+        checks run on its corner state in each of spaces, which an invalid
+        grid always fails first, so an invalid grid raises the ValueError of
+        its first invalid state, and every tuple is valid in every space.
         """
         if sorted(ranges) != sorted(self.number_fields):
             raise ValueError(f"a {self.name} grid takes ranges for exactly {', '.join(self.number_fields)}")
         if not all(ranges.values()):
-            return iter(())
+            return ()
         if any(r.step < 0 for r in ranges.values()):
             raise ValueError("grid ranges must ascend")
-        spaces = tuple(spaces)  # iterated once here and again per state
         corner, numbers = self._grid([ranges[field] for field in self.number_fields])
         for space in spaces:
-            QuantumState(self, space, **dict(zip(self.number_fields, corner)))
-        return _checked_states(self, spaces, self.number_fields, numbers)
+            self.state(space, corner)
+        return numbers
 
     def _grid(self, ranges: list[range]) -> tuple[tuple[int, ...], Iterable[tuple[int, ...]]]:
         """The corner of a grid, which fails the checks first if any state
@@ -351,14 +370,11 @@ class Oscillator1D(_Family):
             raise ValueError("1D oscillator states take exactly the quantum number n")
         _require_quantum_number("n", state.n)
 
-    def radial_nodes(self, state: QuantumState) -> int:
-        return state.n  # type: ignore[return-value]
+    def radial_nodes(self, numbers: tuple[int, ...]) -> int:
+        return numbers[0]
 
     def reference(self, state: QuantumState) -> QuantumState:
         return replace(state, n=0)
-
-    def label(self, state: QuantumState) -> str:
-        return f"n={state.n}"
 
     def scale(self, state: QuantumState) -> float:
         # c^2 = omega/sqrt(2) in position space and its reciprocal in
@@ -406,13 +422,14 @@ class Oscillator1D(_Family):
 
         return full_line
 
-    def closed_form(self, state: QuantumState) -> float:
-        if not state.n:
+    def closed_form(self, space: str, numbers: tuple[int, ...]) -> float:
+        (n,) = numbers
+        if not n:
             return 0.0  # also where the spacing overflows and inf * 0 is nan
         # Factoring through omega/sqrt(2) makes the two spaces coincide
         # bitwise at omega = sqrt(2), where both equal 8n.
-        ratio = self.omega / _SQRT2 if state.space == POSITION else _SQRT2 / self.omega
-        return 8.0 * ratio * state.n
+        ratio = self.omega / _SQRT2 if space == POSITION else _SQRT2 / self.omega
+        return 8.0 * ratio * n
 
     def spacing(self, space: str) -> float:
         ratio = self.omega / _SQRT2 if space == POSITION else _SQRT2 / self.omega
@@ -437,14 +454,11 @@ class _RadialOscillator(_Family):
         _require_quantum_number("n_r", state.n_r)
         _require_quantum_number("l", state.l)
 
-    def radial_nodes(self, state: QuantumState) -> int:
-        return state.n_r  # type: ignore[return-value]
+    def radial_nodes(self, numbers: tuple[int, ...]) -> int:
+        return numbers[0]
 
     def reference(self, state: QuantumState) -> QuantumState:
         return replace(state, n_r=0)
-
-    def label(self, state: QuantumState) -> str:
-        return f"n_r={state.n_r},l={state.l}"
 
     def scale(self, state: QuantumState) -> float:
         return math.sqrt(self._kappa_b(state)[1])
@@ -479,11 +493,12 @@ class Oscillator3D(_RadialOscillator):
         b = self.omega if state.space == POSITION else 1.0 / self.omega
         return float(state.l), b
 
-    def closed_form(self, state: QuantumState) -> float:
-        if not state.n_r:
+    def closed_form(self, space: str, numbers: tuple[int, ...]) -> float:
+        n_r = numbers[0]
+        if not n_r:
             return 0.0  # also where the factor overflows and inf * 0 is nan
-        factor = 16.0 * self.omega if state.space == POSITION else 16.0 / self.omega
-        return factor * state.n_r
+        factor = 16.0 * self.omega if space == POSITION else 16.0 / self.omega
+        return factor * n_r
 
     def spacing(self, space: str) -> float:
         # Per unit principal quantum number 2*n_r + l: half the per-n_r step.
@@ -523,15 +538,13 @@ class Hydrogenic(_Family):
             (n, l) for n in n_range for l in range(l_range.start, min(n, l_range.stop), l_range.step)
         )
 
-    def radial_nodes(self, state: QuantumState) -> int:
-        return state.n - state.l - 1  # type: ignore[operator]
+    def radial_nodes(self, numbers: tuple[int, ...]) -> int:
+        n, l = numbers
+        return n - l - 1
 
     def reference(self, state: QuantumState) -> QuantumState:
         # The circular state n = l + 1.
         return replace(state, n=state.l + 1)
-
-    def label(self, state: QuantumState) -> str:
-        return f"n={state.n},l={state.l}"
 
     def scale(self, state: QuantumState) -> float:
         return self.Z if state.space == POSITION else 1.0 / self.Z
@@ -561,9 +574,10 @@ class Hydrogenic(_Family):
         lattice = _lattice(state.n - state.l - 1, 2.0 * state.l + 1.0)
         return name, length, tuple(0.5 * length * s * s for s in lattice)
 
-    def closed_form(self, state: QuantumState) -> float:
-        n, l, Z = state.n, state.l, self.Z
-        if state.space == POSITION:
+    def closed_form(self, space: str, numbers: tuple[int, ...]) -> float:
+        n, l = numbers
+        Z = self.Z
+        if space == POSITION:
             # Int true division is correctly rounded, so this equals
             # float(hydrogen_position_rational(n, l)) * Z * Z bit for bit.
             return 8 * (n - l - 1) / n ** 3 * Z * Z
@@ -606,9 +620,9 @@ class Pseudoharmonic(_RadialOscillator):
         b = 2.0 * derived.lam if state.space == POSITION else 0.5 / derived.lam
         return derived.gamma_l, b
 
-    def closed_form(self, state: QuantumState) -> float:
+    def closed_form(self, space: str, numbers: tuple[int, ...]) -> float:
         lam = self._lam
-        return 32.0 * lam * state.n_r if state.space == POSITION else 8.0 * state.n_r / lam
+        return 32.0 * lam * numbers[0] if space == POSITION else 8.0 * numbers[0] / lam
 
     def spacing(self, space: str) -> float:
         lam = self._lam
@@ -660,31 +674,14 @@ class QuantumState:
         self.system.check(self)
 
     @property
+    def numbers(self) -> tuple[int, ...]:
+        """The quantum numbers, in the system's number_fields order."""
+        return tuple(getattr(self, field) for field in self.system.number_fields)
+
+    @property
     def radial_nodes(self) -> int:
         """Interior nodes of the radial (or full-line) wavefunction."""
-        return self.system.radial_nodes(self)
-
-
-def _checked_states(
-    system: SystemParams,
-    spaces: Sequence[str],
-    number_fields: Sequence[str],
-    numbers: Iterable[tuple[int, ...]],
-) -> Iterator[QuantumState]:
-    """QuantumState(system, space, **dict(zip(number_fields, combo))) for each
-    combo and space, built without __post_init__: only for a checked grid."""
-    new = object.__new__
-    set_attribute = object.__setattr__
-    blank = dict.fromkeys(QuantumState._fields)
-    for combo in numbers:
-        values = blank.copy()
-        values["system"] = system
-        values.update(zip(number_fields, combo))
-        for space in spaces:
-            state = new(QuantumState)
-            values["space"] = space
-            set_attribute(state, "__dict__", values.copy())
-            yield state
+        return self.system.radial_nodes(self.numbers)
 
 
 def reference_state(target: QuantumState) -> QuantumState:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relfisher.cli
@@ -41,6 +42,7 @@ from relfisher.systems import (
     Oscillator3D,
     QuantumState,
     RefusedStateError,
+    reference_state,
 )
 
 HEADER = "system,space,quantum_numbers,params_digest,ir_closed,ir_numeric,rel_diff,status"
@@ -366,6 +368,66 @@ def test_compute_writes_nothing_for_a_grid_its_system_refuses(data):
             assert os.listdir(directory) == ["table.csv"]
 
 
+# The params digest compute writes for each of _CLI_SYSTEMS.
+_CLI_DIGESTS = {"qho1d": "omega=1.3", "qho3d": "omega=0.8", "hydrogen": "Z=2", "php": "molecule=H2,constants=paper"}
+# A state's interior nodes, from its fields.
+_NODES = {
+    "qho1d": lambda state: state.n,
+    "qho3d": lambda state: state.n_r,
+    "hydrogen": lambda state: state.n - state.l - 1,
+    "php": lambda state: state.n_r,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compute_rows_are_the_rows_built_state_by_state(data):
+    # The row loop runs over number tuples; here each row is built from its
+    # QuantumState, its closed_form_ir and its fields, as the rows were
+    # before, and every family method that takes numbers is checked against
+    # the state.
+    name = data.draw(st.sampled_from(sorted(_CLI_SYSTEMS)), label="system")
+    flags, system = _CLI_SYSTEMS[name]
+    space = data.draw(st.sampled_from([POSITION, MOMENTUM, "both"]), label="space")
+    output_format = data.draw(st.sampled_from(["csv", "json"]), label="format")
+    fields = system.number_fields
+    ranges = {}
+    for field in fields:
+        low = 1 if (name, field) == ("hydrogen", "n") else 0
+        start = data.draw(st.integers(low, 40) | st.integers(low, 2**80), label=field)
+        ranges[field] = range(start, start + data.draw(st.integers(1, 6)))
+    spaces = [POSITION, MOMENTUM] if space == "both" else [space]
+    rows = []
+    for combo in itertools.product(*(ranges[field] for field in fields)):
+        if name == "hydrogen" and combo[1] > combo[0] - 1:
+            continue
+        for cell_space in spaces:
+            state = QuantumState(system, cell_space, **dict(zip(fields, combo)))
+            closed = closed_form_ir(state)
+            label = ",".join(f"{field}={getattr(state, field)}" for field in fields)
+            status = "reference_state" if state == reference_state(state) else "ok"
+            assert state.numbers == combo
+            assert system.closed_form(cell_space, combo).hex() == closed.hex()
+            assert system.radial_nodes(combo) == state.radial_nodes == _NODES[name](state)
+            assert system.label(combo) == label
+            rows.append((name, cell_space, label, _CLI_DIGESTS[name], closed, None, None, status))
+    assume(rows)
+    argv = ["compute", "--system", name, "--space", space, "--format", output_format, *flags]
+    argv += [f"{_RANGE_FLAGS[field]}={r.start}..{r[-1]}" for field, r in ranges.items()]
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert run_cli(argv) == EXIT_OK
+    if output_format == "json":
+        expected = "".join(json.dumps(dict(zip(HEADER.split(","), row)), ensure_ascii=False) + "\n" for row in rows)
+    else:
+        stream = io.StringIO()
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(HEADER.split(","))
+        writer.writerows([*text, format(closed, ".12g"), None, None, status] for *text, closed, _, _, status in rows)
+        expected = stream.getvalue()
+    assert stdout.getvalue() == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -531,10 +593,12 @@ def test_validate_stops_at_a_closed_form_outside_double_range(
     output_format, tmp_path, capsys, monkeypatch
 ):
     # The overflow is put in by hand, at a cell after the first, so that the
-    # rows before it show that an --out file stays untouched.
-    real = relfisher.cli.closed_form_ir
+    # rows before it show that an --out file stays untouched. The row loop
+    # takes each row's closed form from the family method.
+    real = Oscillator1D.closed_form
     monkeypatch.setattr(
-        relfisher.cli, "closed_form_ir", lambda state: math.inf if state.n == 2 else real(state)
+        Oscillator1D, "closed_form",
+        lambda self, space, numbers: math.inf if numbers == (2,) else real(self, space, numbers),
     )
     target = tmp_path / "table.out"
     target.write_bytes(b"old table\n")
@@ -622,11 +686,11 @@ def test_cell_rows_are_the_bytes_csv_writer_writes(name, digest, labels, cells, 
         oracle = iter(result for _, result in cells)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(relfisher.cli, "_systems", lambda args, family: [(Hydrogenic(Z=1.0), digest)])
-            patch.setattr(relfisher.cli, "closed_form_ir", lambda state: next(closed_forms))
+            patch.setattr(Hydrogenic, "closed_form", lambda self, space, numbers: next(closed_forms))
             patch.setattr(relfisher.cli, "numeric_ir", fake_numeric_ir)
             patch.setattr(relfisher.cli, "default_quadrature_spec", lambda state, rel_tol: None)
             patch.setattr(Hydrogenic, "name", name)
-            patch.setattr(Hydrogenic, "label", lambda self, state: labels[state.n - 1])
+            patch.setattr(Hydrogenic, "label", lambda self, numbers: labels[numbers[0] - 1])
             stdout = io.StringIO()
             with redirect_stdout(stdout):
                 code = main([*argv, "--format", output_format])
@@ -1087,19 +1151,20 @@ def test_compute_peak_memory_does_not_grow_with_the_grid(tmp_path):
 
 
 def _fail_on_row(monkeypatch, k, directory=None):
-    """Make the CLI's closed form raise on the k-th row; record the directory then."""
-    real = relfisher.cli.closed_form_ir
+    """Make the hydrogen closed form, which the CLI's row loop takes once per
+    row, raise on the k-th row; record the directory then."""
+    real = Hydrogenic.closed_form
     seen = {"rows": 0}
 
-    def failing(state):
+    def failing(self, space, numbers):
         seen["rows"] += 1
         if seen["rows"] == k:
             if directory is not None:
                 seen["files"] = sorted(os.listdir(directory))
             raise ValueError("injected failure")
-        return real(state)
+        return real(self, space, numbers)
 
-    monkeypatch.setattr(relfisher.cli, "closed_form_ir", failing)
+    monkeypatch.setattr(Hydrogenic, "closed_form", failing)
     return seen
 
 
@@ -1114,6 +1179,7 @@ def test_error_mid_stream_keeps_the_old_out_file_and_removes_the_temp_file(
     )
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
+    assert seen["rows"] == 40
     assert "injected failure" in captured.err
     assert captured.out == ""
     # Rows were going to a temp file beside the target when the error came.
@@ -1123,10 +1189,11 @@ def test_error_mid_stream_keeps_the_old_out_file_and_removes_the_temp_file(
 
 
 def test_error_mid_stream_on_stdout_keeps_the_rows_before_it(monkeypatch, capsys):
-    _fail_on_row(monkeypatch, 4)
+    seen = _fail_on_row(monkeypatch, 4)
     code = run_cli(["compute", "--system", "hydrogen", "--n", "1..10", "--l", "0..9"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
+    assert seen["rows"] == 4
     assert captured.out.splitlines()[0] == HEADER
     assert len(parse_csv(captured.out)) == 3
     assert "error: injected failure" in captured.err

@@ -723,7 +723,7 @@ _PANEL_STATES = [
 
 
 def _state_id(state):
-    return f"{state.system.name}-{state.space}-{state.system.label(state)}"
+    return f"{state.system.name}-{state.space}-{state.system.label(state.numbers)}"
 
 
 @pytest.mark.parametrize("state", _PANEL_STATES, ids=_state_id)
@@ -1273,7 +1273,7 @@ def test_radial_oscillators_converge_up_to_their_limit_and_refuse_beyond(make, l
     assert result.rel_diff <= 1e-10
     for k in (last + 1, silent) if silent else (last + 1,):
         state = make(k)
-        label = re.escape(f" {state.system.label(state)} of ")
+        label = re.escape(f" {state.system.label(state.numbers)} of ")
         with pytest.raises(RefusedStateError, match=f"{label}.*limit -650"):
             numeric_ir(state)
 

@@ -166,7 +166,7 @@ def test_family_conformance(family, space):
     params, numbers = _EXCITED[family]
     assert tuple(numbers) == family.number_fields
     state = QuantumState(system=params, space=space, **numbers)
-    assert state.system.label(state) == ",".join(f"{k}={v}" for k, v in numbers.items())
+    assert state.system.label(state.numbers) == ",".join(f"{k}={v}" for k, v in numbers.items())
     assert state.radial_nodes == 2
 
     ref = reference_state(state)

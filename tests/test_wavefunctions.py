@@ -206,7 +206,7 @@ def _slope_at_the_origin(state, mpmath):
         QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=2, l=1),
         QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=300, l=1),
     ],
-    ids=lambda state: f"{state.system.name}-{state.space}-{state.system.label(state)}",
+    ids=lambda state: f"{state.system.name}-{state.space}-{state.system.label(state.numbers)}",
 )
 def test_a_slope_at_the_origin_survives_the_cutoff(state, point):
     # These states vanish linearly at 0. Below some point the envelope is
