@@ -58,15 +58,13 @@ def _run(relfisher, states: list) -> dict[tuple[str, str], list[int]]:
     relfisher.specfun._LIVE.clear()
     relfisher.relative_fisher._UNIT_INTEGRALS.clear()
     numeric_ir = relfisher.relative_fisher.numeric_ir
-    spec_of = relfisher.wavefunctions.default_quadrature_spec
     clock = time.thread_time_ns
     seen = []  # kept alive, so that no id is reused
     ids = set()
     totals: dict[tuple[str, str], list[int]] = {}
     for state in states:
-        spec = spec_of(state)
         start = clock()
-        quad = numeric_ir(state, spec).quadrature
+        quad = numeric_ir(state).quadrature
         elapsed = clock() - start
         if id(quad) in ids:
             continue
@@ -92,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     import relfisher.cli
     import relfisher.relative_fisher
     import relfisher.specfun
-    import relfisher.wavefunctions
 
     print(f"oracle_point_cost: {args.runs} runs per grid, Python {sys.version.split()[0]}, {os.path.abspath(args.src)}")
     print(f"{'grid':8s} {'family':9s} {'space':9s} {'integrals':>9s} {'evaluations':>11s} {'ns/eval':>8s} {'least':>8s}")

@@ -30,6 +30,10 @@ COMMANDS: list[list[str]] = [
     ["validate", "--system", "qho1d", "--n-max", "188", "--omega", "0.7"],
     ["validate", "--system", "php", "--molecule", "CO", "--nr-max", "60", "--space", "both"],
     ["validate", "--system", "hydrogen", "--n-max", "20"],
+    # Tolerances other than the default: the oracle keeps unit-scale integrals by rel_tol.
+    ["validate", "--omega", "1", "--Z", "1", "--rel-tol", "1e-6"],
+    ["compute", "--system", "php", "--molecule", "CO", "--nr", "0..20", "--l", "0", "--space", "both", "--validate",
+     "--rel-tol", "1e-12"],
     *(
         ["compute", "--system", "hydrogen", "--Z", "2", "--n", "1..200", "--l", "0..199",
          "--space", "both", "--format", fmt, "--out", f"table.{fmt}"]

@@ -66,7 +66,6 @@ from .systems import (
 # Not called here any more; kept in this namespace because perfbench/tracer.py
 # hooks the reference-state layer under this name.
 from .systems import reference_state  # noqa: F401
-from .wavefunctions import default_quadrature_spec
 
 __all__ = ["main"]
 
@@ -347,7 +346,7 @@ def _run_cells(
                     if validate:
                         state = system.state(space, numbers)
                         try:
-                            result = numeric_ir(state, default_quadrature_spec(state, rel_tol=args.rel_tol))
+                            result = numeric_ir(state, args.rel_tol)
                         except RefusedStateError:
                             # The evaluator's cutoff would truncate the state: no value, and the sweep goes on.
                             status = STATUS_REFUSED

@@ -10,7 +10,8 @@ independently coded, node-less reference log-derivative. The two routes
 share no algebra beyond the wavefunctions themselves. The integrand is the
 state's system.fisher_panel: one loop per quadrature panel (relfisher._evaluators)
 that runs the t-map, f's evaluator, the reference log-derivative, which is
-still coded apart from the evaluators, and the weight at each node.
+still coded apart from the evaluators, and the weight at each node, to a
+rel_tol, over the state's system.layout, whose name keys reused integrals.
 
 Known discrepancy, kept visible on purpose: the widely tabulated hydrogen-like
 momentum-space closed form (16 n^2 (n^2-(l+1)^2), Z-scaled) does not equal the
@@ -40,7 +41,6 @@ from .systems import (
     _require_quantum_number,
     reference_state,
 )
-from .wavefunctions import default_quadrature_spec
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -63,12 +63,13 @@ __all__ = [
     "hydrogen_asymptotics",
 ]
 
-# Unit-scale integrals by (type(system), system.layout(state)[0], spec), so
-# that states which integrate the same f (the two spaces of an oscillator or
-# pseudoharmonic cell) integrate it once per process. The oldest entry goes
-# first; a grid puts the space innermost, so both spaces of a cell meet
-# while the first is still stored. The lock keeps the bound when threads
-# store at once; two threads that miss together both integrate.
+# Unit-scale integrals by (type(system), layout name, rel_tol), so that
+# states which integrate the same f (the two spaces of an oscillator or
+# pseudoharmonic cell) integrate it once per process; states of one name
+# share the unit length and breaks too. The oldest entry goes first; a grid
+# puts the space innermost, so both spaces of a cell meet while the first
+# is still stored. The lock keeps the bound when threads store at once; two
+# threads that miss together both integrate.
 _UNIT_INTEGRALS: OrderedDict[tuple, QuadratureResult] = OrderedDict()
 _UNIT_INTEGRALS_MAX = 256
 _UNIT_INTEGRALS_LOCK = threading.Lock()
@@ -139,19 +140,19 @@ def hydrogen_momentum_integral_closed_form(n: int, l: int, Z: float) -> float:
     return _over_z_squared(float(exact), Z)
 
 
-def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRResult:
+def numeric_ir(target: QuantumState, rel_tol: float = 1e-10) -> IRResult:
     """Relative Fisher information by adaptive quadrature of the defining
     integral, reported side by side with the closed form.
 
     The integrand is 4 s^2 (f' - f * ref_logderiv)^2 on (0, inf) for the
     unit-scale f of the state (see systems._Family), without the s^2 for the
     1D oscillator, whose |f| = sqrt(2) |psi| on the half line, integrated as
-    system.fisher_panel(target); the result is multiplied by c^2. spec.scale, a length of f, goes to integrate as it
-    is. The reference is reference_state's shape at the target's own scale
-    (see there). A unit-scale integral that this process has integrated
-    before for the same name, system.layout(target)[0], and spec is reused,
-    not integrated again; only completed integrations are kept, at most
-    _UNIT_INTEGRALS_MAX of them. Quadrature trouble is reported through
+    system.fisher_panel(target) to rel_tol, over the unit length and breaks
+    of system.layout(target), and multiplied by c^2. The reference is
+    reference_state's shape at the target's own scale (see there). A
+    unit-scale integral this process integrated before for the same layout
+    name and rel_tol is reused; only completed integrations are kept, at
+    most _UNIT_INTEGRALS_MAX of them. Quadrature trouble is reported through
     result.quadrature.converged, not raised; a state with nodes that
     integrates to exactly 0 (every sample past the cutoff) is not converged.
     RefusedStateError if the evaluator cannot represent the state.
@@ -161,12 +162,11 @@ def numeric_ir(target: QuantumState, spec: QuadratureSpec | None = None) -> IRRe
         raise ValueError(f"reference state {reference!r} has interior nodes")
     system = target.system
     c = system.scale(target)
-    if spec is None:
-        spec = default_quadrature_spec(target)
-    key = (type(system), system.layout(target)[0], spec)
+    name, length, breaks = system.layout(target)
+    key = (type(system), name, rel_tol)
     quad = _UNIT_INTEGRALS.get(key)
     if quad is None:
-        quad = integrate(system.fisher_panel(target), spec)
+        quad = integrate(system.fisher_panel(target), QuadratureSpec(rel_tol=rel_tol, scale=length, breaks=breaks))
         with _UNIT_INTEGRALS_LOCK:
             if len(_UNIT_INTEGRALS) >= _UNIT_INTEGRALS_MAX:
                 _UNIT_INTEGRALS.popitem(last=False)

@@ -36,7 +36,7 @@ from ._evaluators import (
 )
 from ._record import record, replace
 from .quadrature import Panel
-from .specfun import Column, Kernel, gegenbauer_kernel, laguerre_column, laguerre_kernel, ln_gamma
+from .specfun import Kernel, gegenbauer_kernel, laguerre_column, laguerre_kernel, ln_gamma
 
 __all__ = [
     "POSITION",
@@ -148,10 +148,8 @@ def _lattice(n_r: int, alpha: float) -> tuple[float, ...]:
     return tuple(k * _BREAK_WIDTH for k in range(first, last + 1))
 
 
-def _oscillator_terms(
-    n_r: int, kappa: float, alpha: float, name: Callable[[], str], panel: bool = False
-) -> tuple[float, Kernel | Column]:
-    """(ln A, L_{n_r}^alpha kernel, or its column if panel) of the D-dimensional radial oscillator
+def _oscillator_terms(n_r: int, kappa: float, alpha: float, name: Callable[[], str]) -> float:
+    """ln A of the D-dimensional radial oscillator
     A s^kappa exp(-s^2/2) L_{n_r}^alpha(s^2), alpha = kappa + D/2 - 1,
     normalized on the half line with weight s^(D-1): the 1D oscillator's
     n = 2 n_r + kappa (D = 1), the 3D oscillator (kappa = l) and
@@ -159,7 +157,7 @@ def _oscillator_terms(
     (kappa = 2l) at D = 4.
     RefusedStateError, naming the state as name(), if its log-normalization
     overflows, its log-envelope rounds beyond _LN_ENV_ROUNDING or the cutoff
-    would truncate it.
+    would truncate it; a caller binds L_{n_r}^alpha only after these checks.
     """
     try:
         ln_norm = 0.5 * (math.log(2.0) + ln_gamma(n_r + 1.0) - ln_gamma(n_r + alpha + 1.0))
@@ -180,7 +178,7 @@ def _oscillator_terms(
             f"{name()} is out of the evaluator's range: its log-envelope at the outer turning "
             f"point is {ln_turning:.1f}, below the limit {limit:g}"
         )
-    return ln_norm, laguerre_column(n_r, alpha) if panel else laguerre_kernel(n_r, alpha)
+    return ln_norm
 
 
 def _momentum_terms(
@@ -243,10 +241,11 @@ class _Family:
     relative Fisher information is c^2 times that of f. The oracle integrates
     f, where its tolerances hold at every scale.
 
-    _Family gives no default but radial, label and _grid, and builds compile
-    from scale and unit; each family states every other entry once. The
-    entries that take numbers take the quantum numbers as a tuple in
-    number_fields order, as a grid yields them, and need no QuantumState.
+    _Family gives check, radial, label, radial_nodes and _grid, and builds
+    compile from scale and unit, and unit, fisher_panel and layout from
+    _oscillator; each family states every other entry once. The entries
+    that take numbers take the quantum numbers as a tuple in number_fields
+    order, as a grid yields them, and need no QuantumState.
 
     name                    the CLI --system name
     number_fields           quantum-number fields, in label order; the
@@ -259,6 +258,9 @@ class _Family:
     label(numbers)          the quantum numbers as text, each field=value, joined
                             by commas in number_fields order: "n=3,l=1"
     scale(state)            c, the length scale above
+    _oscillator(state)      (n_r, kappa, alpha, reference, n): f as the radial
+                            oscillator of _oscillator_terms, and its L, as
+                            _evaluators.oscillator_panel takes them
     layout(state)           (a hashable name, within the family, for the
                             unit-scale integral: states of equal names have
                             the same f, reference log-derivative and layout,
@@ -266,7 +268,8 @@ class _Family:
                             length, where |f|^2 lives and the oracle's
                             quadrature scale; the oracle's initial breaks in
                             f's argument, the lattice points across a
-                            Laguerre state's classical window, or none)
+                            Laguerre state's classical window, or none);
+                            by default named by _oscillator(state)
     unit(state)             f as an Evaluator
     fisher_panel(state)     the oracle's integrand 4 s^2 (f' - f L)^2 of f,
                             L = d/du log(reference f), without the s^2 unless
@@ -286,13 +289,47 @@ class _Family:
     """
 
     radial = True
+    _minimum: dict[str, int] = {}  # a number field's least value, where it is not 0
+    _unit_length = 1.0
 
     def __init_subclass__(cls) -> None:
         # label's %-template, "n_r=%s,l=%s" for the fields ("n_r", "l").
         cls._label = ",".join(f"{field}=%s" for field in getattr(cls, "number_fields", ()))
 
+    def check(self, state: QuantumState) -> None:
+        fields = self.number_fields
+        if any((getattr(state, field) is None) is (field in fields) for field in ("n", "l", "n_r")):
+            raise ValueError(f"{self.name} states take exactly the quantum numbers {', '.join(fields)}")
+        for field in fields:
+            _require_quantum_number(field, getattr(state, field), self._minimum.get(field, 0))
+
     def label(self, numbers: tuple[int, ...]) -> str:
         return self._label % numbers
+
+    def radial_nodes(self, numbers: tuple[int, ...]) -> int:
+        return numbers[0]
+
+    def unit(self, state: QuantumState) -> Evaluator:
+        n_r, kappa, alpha, _, n = self._oscillator(state)
+        ln_norm = _oscillator_terms(n_r, kappa, alpha, lambda: self._name(state))
+        wave = radial_oscillator(ln_norm, laguerre_kernel(n_r, alpha), kappa=kappa)
+        return hydrogen_position(wave, n) if n else wave
+
+    def fisher_panel(self, state: QuantumState) -> Panel:
+        n_r, kappa, alpha, reference, n = self._oscillator(state)
+        ln_norm = _oscillator_terms(n_r, kappa, alpha, lambda: self._name(state))
+        column = laguerre_column(n_r, alpha)
+        return oscillator_panel(ln_norm, column, kappa=kappa, reference=reference, radial=self.radial, n=n)
+
+    def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
+        name = self._oscillator(state)
+        n_r, _, alpha, _, n = name
+        lattice = _lattice(n_r, alpha)
+        if not n:
+            return name, self._unit_length, lattice
+        # The D = 4 oscillator's s is at r = n s^2 / 2, and n is the unit
+        # length, so the breaks' t-images s^2 / (s^2 + 2) do not depend on n.
+        return name, float(n), tuple(0.5 * n * s * s for s in lattice)
 
     def compile(self, state: QuantumState) -> Evaluator:
         """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
@@ -365,14 +402,6 @@ class Oscillator1D(_Family):
     def __post_init__(self) -> None:
         _require_positive("omega", self.omega)
 
-    def check(self, state: QuantumState) -> None:
-        if state.n is None or state.l is not None or state.n_r is not None:
-            raise ValueError("1D oscillator states take exactly the quantum number n")
-        _require_quantum_number("n", state.n)
-
-    def radial_nodes(self, numbers: tuple[int, ...]) -> int:
-        return numbers[0]
-
     def reference(self, state: QuantumState) -> QuantumState:
         return replace(state, n=0)
 
@@ -382,22 +411,12 @@ class Oscillator1D(_Family):
         ln_c = 0.5 * math.log(self.omega) - _QUARTER_LN_2
         return math.exp(ln_c if state.space == POSITION else -ln_c)
 
-    def unit(self, state: QuantumState) -> Evaluator:
+    def _oscillator(self, state: QuantumState) -> tuple[int, float, float, float, int]:
         # H_{2m+p}(y) = (-1)^m 2^(2m+p) m! y^p L_m^(p-1/2)(y^2) (Abramowitz &
         # Stegun 22.5.40-41): sqrt(2) (-1)^m psi on the half line is the d = 1
-        # radial oscillator.
+        # radial oscillator, and the reference n = 0 is its m = p = 0.
         m, p = divmod(state.n, 2)
-        terms = _oscillator_terms(m, float(p), p - 0.5, lambda: self._name(state))
-        return radial_oscillator(*terms, kappa=float(p))
-
-    def fisher_panel(self, state: QuantumState) -> Panel:
-        m, p = divmod(state.n, 2)
-        terms = _oscillator_terms(m, float(p), p - 0.5, lambda: self._name(state), panel=True)
-        return oscillator_panel(*terms, kappa=float(p), reference=0.0, radial=False, n=0)
-
-    def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
-        m, p = divmod(state.n, 2)
-        return (state.n,), 1.0, _lattice(m, p - 0.5)
+        return m, float(p), p - 0.5, 0.0, 0
 
     def compile(self, state: QuantumState) -> Evaluator:
         """psi(x) = (-1)^m sqrt(c/2) f(c |x|) on the full line, n = 2m + p, with
@@ -426,12 +445,11 @@ class Oscillator1D(_Family):
         (n,) = numbers
         if not n:
             return 0.0  # also where the spacing overflows and inf * 0 is nan
-        # Factoring through omega/sqrt(2) makes the two spaces coincide
-        # bitwise at omega = sqrt(2), where both equal 8n.
-        ratio = self.omega / _SQRT2 if space == POSITION else _SQRT2 / self.omega
-        return 8.0 * ratio * n
+        return self.spacing(space) * n
 
     def spacing(self, space: str) -> float:
+        # Factoring through omega/sqrt(2) makes the two spaces coincide
+        # bitwise at omega = sqrt(2), where both equal 8 per unit n.
         ratio = self.omega / _SQRT2 if space == POSITION else _SQRT2 / self.omega
         return 8.0 * ratio
 
@@ -440,22 +458,12 @@ class _RadialOscillator(_Family):
     """States (n_r, l) of the radial family A s^kappa exp(-b s^2/2) L_{n_r}^{kappa+1/2}(b s^2).
 
     A subclass supplies _kappa_b(state), the exponent kappa and the width b of
-    the state's space, and _unit_length; the length scale is sqrt(b). f and
-    the unit length do not depend on the space, so both spaces integrate the
-    same unit-scale integral, named by (n_r, kappa).
+    the state's space; the length scale is sqrt(b). f and the unit length do
+    not depend on the space, so both spaces integrate the same unit-scale
+    integral, named by _oscillator.
     """
 
     number_fields = ("n_r", "l")
-    _unit_length = 1.0
-
-    def check(self, state: QuantumState) -> None:
-        if state.n_r is None or state.l is None or state.n is not None:
-            raise ValueError("radial oscillator states take exactly (n_r, l)")
-        _require_quantum_number("n_r", state.n_r)
-        _require_quantum_number("l", state.l)
-
-    def radial_nodes(self, numbers: tuple[int, ...]) -> int:
-        return numbers[0]
 
     def reference(self, state: QuantumState) -> QuantumState:
         return replace(state, n_r=0)
@@ -463,19 +471,9 @@ class _RadialOscillator(_Family):
     def scale(self, state: QuantumState) -> float:
         return math.sqrt(self._kappa_b(state)[1])
 
-    def unit(self, state: QuantumState) -> Evaluator:
+    def _oscillator(self, state: QuantumState) -> tuple[int, float, float, float, int]:
         kappa, _ = self._kappa_b(state)
-        terms = _oscillator_terms(state.n_r, kappa, kappa + 0.5, lambda: self._name(state))
-        return radial_oscillator(*terms, kappa=kappa)
-
-    def fisher_panel(self, state: QuantumState) -> Panel:
-        kappa, _ = self._kappa_b(state)
-        terms = _oscillator_terms(state.n_r, kappa, kappa + 0.5, lambda: self._name(state), panel=True)
-        return oscillator_panel(*terms, kappa=kappa, reference=kappa, radial=True, n=0)
-
-    def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
-        kappa, _ = self._kappa_b(state)
-        return (state.n_r, kappa), self._unit_length, _lattice(state.n_r, kappa + 0.5)
+        return state.n_r, kappa, kappa + 0.5, kappa, 0
 
 
 @record
@@ -517,15 +515,13 @@ class Hydrogenic(_Family):
 
     name = "hydrogen"
     number_fields = ("n", "l")
+    _minimum = {"n": 1}
 
     def __post_init__(self) -> None:
         _require_positive("Z", self.Z)
 
     def check(self, state: QuantumState) -> None:
-        if state.n is None or state.l is None or state.n_r is not None:
-            raise ValueError("hydrogen-like states take exactly (n, l)")
-        _require_quantum_number("n", state.n, minimum=1)
-        _require_quantum_number("l", state.l)
+        super().check(state)
         if state.l > state.n - 1:
             raise ValueError(f"l must satisfy l <= n-1, got n={state.n}, l={state.l}")
 
@@ -549,30 +545,27 @@ class Hydrogenic(_Family):
     def scale(self, state: QuantumState) -> float:
         return self.Z if state.space == POSITION else 1.0 / self.Z
 
-    def unit(self, state: QuantumState) -> Evaluator:
+    # For position states; f is at unit charge, so Z is not part of a layout's name.
+    def _oscillator(self, state: QuantumState) -> tuple[int, float, float, float, int]:
         n, l = state.n, state.l
+        return n - l - 1, 2.0 * l, 2.0 * l + 1.0, l, n
+
+    def unit(self, state: QuantumState) -> Evaluator:
         if state.space == POSITION:
-            terms = _oscillator_terms(n - l - 1, 2.0 * l, 2.0 * l + 1.0, lambda: self._name(state))
-            return hydrogen_position(radial_oscillator(*terms, kappa=2.0 * l), n)
+            return super().unit(state)
+        n, l = state.n, state.l
         return hydrogen_momentum(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
 
     def fisher_panel(self, state: QuantumState) -> Panel:
-        n, l = state.n, state.l
         if state.space == POSITION:
-            terms = _oscillator_terms(n - l - 1, 2.0 * l, 2.0 * l + 1.0, lambda: self._name(state), panel=True)
-            return oscillator_panel(*terms, kappa=2.0 * l, reference=l, radial=True, n=n)
+            return super().fisher_panel(state)
+        n, l = state.n, state.l
         return momentum_panel(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
-        # f is taken at unit charge, so Z is not part of its name.
-        name = state.space, state.n, state.l
-        if state.space == MOMENTUM:
-            return name, 1.0 / state.n, ()
-        # The D = 4 oscillator's s is at r = n s^2 / 2, and n is the unit
-        # length, so the breaks' t-images s^2 / (s^2 + 2) do not depend on n.
-        length = float(state.n)
-        lattice = _lattice(state.n - state.l - 1, 2.0 * state.l + 1.0)
-        return name, length, tuple(0.5 * length * s * s for s in lattice)
+        if state.space == POSITION:
+            return super().layout(state)
+        return (state.n, state.l), 1.0 / state.n, ()
 
     def closed_form(self, space: str, numbers: tuple[int, ...]) -> float:
         n, l = numbers

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from relfisher.systems import (
     Hydrogenic,
     Oscillator1D,
     Oscillator3D,
+    Pseudoharmonic,
     QuantumState,
     RefusedStateError,
     reference_state,
@@ -140,8 +142,8 @@ def _unconverged_numeric_ir(monkeypatch):
     """Make every oracle cell report a quadrature that did not converge."""
     real = relfisher.cli.numeric_ir
 
-    def unconverged(state, spec=None):
-        result = real(state, spec)
+    def unconverged(state, rel_tol=1e-10):
+        result = real(state, rel_tol)
         return replace(result, quadrature=replace(result.quadrature, converged=False))
 
     monkeypatch.setattr(relfisher.cli, "numeric_ir", unconverged)
@@ -253,10 +255,10 @@ def test_compute_validate_refuses_a_hydrogen_momentum_state_of_huge_n(capsys, mo
 def test_validate_counts_refused_rows(capsys, monkeypatch):
     real = relfisher.cli.numeric_ir
 
-    def refuse_odd(state, spec=None):
+    def refuse_odd(state, rel_tol=1e-10):
         if state.n % 2:
             raise RefusedStateError(f"n={state.n} refused")
-        return real(state, spec)
+        return real(state, rel_tol)
 
     monkeypatch.setattr(relfisher.cli, "numeric_ir", refuse_odd)
     code = run_cli(["validate", "--system", "qho1d", "--n-max", "4", "--space", "position"])
@@ -285,6 +287,39 @@ def test_the_default_validate_grid_integrates_each_unit_scale_integral_once(caps
     assert (len(rows), len(served)) == (270, 99)
     assert len(integrals) == 270 - 99
     assert sum(result.evaluations for result in integrals) == 37_231
+
+
+def test_each_validated_cell_reads_its_layout_once(capsys, monkeypatch):
+    # The layout names a cell's unit-scale integral in the store and, on a
+    # miss, gives its quadrature's unit length and breaks: one read serves
+    # both, also for a cell that the store serves.
+    layouts = []
+    for family in (Oscillator1D, Oscillator3D, Hydrogenic, Pseudoharmonic):
+        def counted(self, state, layout=family.layout):
+            layouts.append(state)
+            return layout(self, state)
+
+        monkeypatch.setattr(family, "layout", counted)
+    integrals = []
+    integrate = relfisher.relative_fisher.integrate
+
+    def integrated(f, spec=None):
+        integrals.append(integrate(f, spec))
+        return integrals[-1]
+
+    monkeypatch.setattr(relfisher.relative_fisher, "integrate", integrated)
+    monkeypatch.setattr(relfisher.relative_fisher, "_UNIT_INTEGRALS", OrderedDict())
+    cells = 0
+    for grid in (
+        ["--system", "qho1d", "--n", "0..2"],
+        ["--system", "qho3d", "--nr", "0..1", "--l", "0..1"],
+        ["--system", "hydrogen", "--n", "1..3", "--l", "0..1"],
+        ["--system", "php", "--molecule", "CO", "--nr", "0..1", "--l", "0..1"],
+    ):
+        run_cli(["compute", *grid, "--space", "both", "--validate"])
+        cells += len(parse_csv(capsys.readouterr().out))
+    # The momentum cells of qho1d (3), qho3d (4) and php (4) are served.
+    assert (cells, len(integrals), len(layouts)) == (32, 32 - 11, 32)
 
 
 def test_validate_without_refusals_prints_no_refused_count(capsys):
@@ -669,7 +704,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_cell_rows_are_the_bytes_csv_writer_writes(name, digest, labels, cells, digits):
     # The row loop writes through compute --validate, with the closed forms,
     # the oracle's results and the text fields replaced by the drawn ones.
-    def fake_numeric_ir(state, spec):
+    def fake_numeric_ir(state, rel_tol):
         result = next(oracle)
         if result is None:
             raise RefusedStateError("refused")
@@ -688,7 +723,6 @@ def test_cell_rows_are_the_bytes_csv_writer_writes(name, digest, labels, cells, 
             patch.setattr(relfisher.cli, "_systems", lambda args, family: [(Hydrogenic(Z=1.0), digest)])
             patch.setattr(Hydrogenic, "closed_form", lambda self, space, numbers: next(closed_forms))
             patch.setattr(relfisher.cli, "numeric_ir", fake_numeric_ir)
-            patch.setattr(relfisher.cli, "default_quadrature_spec", lambda state, rel_tol: None)
             patch.setattr(Hydrogenic, "name", name)
             patch.setattr(Hydrogenic, "label", lambda self, numbers: labels[numbers[0] - 1])
             stdout = io.StringIO()
@@ -1225,10 +1259,10 @@ def test_oracle_point_cost_runs_each_grid_from_empty_tables(monkeypatch, capsys)
     monkeypatch.setattr(relfisher.specfun, "_LIVE", {"laguerre": {1.5: stale}})
     numeric_ir, stale_at = relfisher.relative_fisher.numeric_ir, []
 
-    def watched(state, spec=None):
+    def watched(state, rel_tol=1e-10):
         live = relfisher.specfun._LIVE.values()
         stale_at.append(any(column is stale for columns in live for column in columns.values()))
-        return numeric_ir(state, spec)
+        return numeric_ir(state, rel_tol)
 
     monkeypatch.setattr(relfisher.relative_fisher, "numeric_ir", watched)
     assert cost.main(["--runs", "1"]) == 0

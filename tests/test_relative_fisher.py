@@ -12,7 +12,7 @@ import re
 import sys
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -587,7 +587,7 @@ def test_numeric_ir_keeps_state_work_out_of_the_integrand(monkeypatch):
     seen = []
     for rel_tol in (1e-6, 1e-10):
         counts.clear()
-        result = numeric_ir(state, default_quadrature_spec(state, rel_tol=rel_tol))
+        result = numeric_ir(state, rel_tol)
         assert result.quadrature.converged
         seen.append((result.quadrature.evaluations, dict(counts)))
     (few, counts_few), (many, counts_many) = seen
@@ -655,7 +655,7 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
 
     spec = default_quadrature_spec(state, rel_tol=1e-12)
     direct = integrate(point_panel(integrand), replace(spec, scale=length / c, breaks=[b / c for b in spec.breaks]))
-    result = numeric_ir(state, spec)
+    result = numeric_ir(state, spec.rel_tol)
     assert direct.converged and result.quadrature.converged
     assert result.numeric == pytest.approx(direct.value, rel=1e-12, abs=0.0)
 
@@ -917,8 +917,8 @@ def _served(first, second, rel_tols=(1e-10, 1e-10)):
     """Whether numeric_ir, having integrated first, serves second first's
     unit-scale integral instead of integrating its own."""
     relfisher.relative_fisher._UNIT_INTEGRALS.clear()
-    stored = numeric_ir(first, default_quadrature_spec(first, rel_tols[0])).quadrature
-    return numeric_ir(second, default_quadrature_spec(second, rel_tols[1])).quadrature is stored
+    stored = numeric_ir(first, rel_tols[0]).quadrature
+    return numeric_ir(second, rel_tols[1]).quadrature is stored
 
 
 # Pairs of states that integrate one unit-scale integral.
@@ -954,6 +954,34 @@ def test_states_of_one_name_integrate_one_integral(first, second):
     assert numeric_ir(second).quadrature == direct
 
 
+def test_states_of_one_layout_name_share_its_unit_length_and_breaks():
+    # numeric_ir keys its store on (type(system), layout name, rel_tol), so a
+    # name must fix the rest of the quadrature's configuration as well.
+    grids = {
+        Oscillator1D: ([Oscillator1D(0.5), Oscillator1D(40.0)], {"n": range(8)}),
+        Oscillator3D: ([Oscillator3D(1e-3), Oscillator3D(1.0)], {"n_r": range(4), "l": range(3)}),
+        Hydrogenic: ([Hydrogenic(Z) for Z in (0.25, 1.0, 3.0)], {"n": range(1, 7), "l": range(4)}),
+        # The first two are molecules of one gamma_l at every l.
+        Pseudoharmonic: (
+            [Pseudoharmonic(mu=2.0, De=0.1, re=1.0), Pseudoharmonic(mu=8.0, De=0.1, re=0.5), H2_PARAMS, CO_PARAMS],
+            {"n_r": range(4), "l": range(3)},
+        ),
+    }
+    # How many names are shared by how many states: each oscillator name by
+    # both systems in both spaces, each hydrogen name by the three charges,
+    # and a pseudoharmonic name by both spaces of the first two molecules,
+    # or of H2 or CO alone.
+    sharing = {Oscillator1D: {4: 8}, Oscillator3D: {4: 12}, Hydrogenic: {3: 36}, Pseudoharmonic: {4: 12, 2: 24}}
+    for family, (systems, ranges) in grids.items():
+        layouts, states = {}, Counter()
+        for system in systems:
+            for state in system.grid((POSITION, MOMENTUM), **ranges):
+                name, length, breaks = system.layout(state)
+                assert layouts.setdefault(name, (length, breaks)) == (length, breaks), state
+                states[name] += 1
+        assert Counter(states.values()) == sharing[family], family
+
+
 # Pairs of states, each with its rel_tol, that must not share a unit-scale integral.
 _APART = {
     "php at two molecules of one n_r": (
@@ -983,7 +1011,7 @@ def test_states_of_different_names_integrate_their_own_integrals(first, second, 
     first_spec = default_quadrature_spec(first, rel_tols[0])
     second_spec = default_quadrature_spec(second, rel_tols[1])
     own = _unit_integral(second, second_spec)
-    assert numeric_ir(second, second_spec).quadrature == own
+    assert numeric_ir(second, rel_tols[1]).quadrature == own
     assert own != _unit_integral(first, first_spec)
 
 
@@ -1216,7 +1244,7 @@ def test_1d_oscillator_half_line_equals_the_two_half_sum(omega, space, n):
     positive = integrate(point_panel(integrand), spec)
     negative = integrate(point_panel(lambda s: integrand(-s)), spec)
     assert negative == positive
-    result = numeric_ir(state, default_quadrature_spec(state, rel_tol=1e-12))
+    result = numeric_ir(state, 1e-12)
     assert positive.converged and result.quadrature.converged
     assert result.numeric == pytest.approx(2.0 * positive.value, rel=1e-11, abs=1e-13 * c * c)
 
