@@ -1,6 +1,6 @@
 """The unit-scale evaluators of the families in systems.py, each in two
-forms built from the same terms, the log-normalization and the bound
-polynomial that systems._oscillator_terms and _momentum_terms give:
+forms built from the same terms, the log-normalization of
+systems._oscillator_terms or _momentum_terms and the bound polynomial:
 
     point form  an Evaluator s -> (value, derivative), for compile_state and
                 normalization_defect: radial_oscillator, for every Laguerre
