@@ -49,6 +49,8 @@ COMMANDS: list[list[str]] = [
     ["compute", "--system", "hydrogen", "--n", "1000", "--l", "660..680", "--space", "momentum", "--validate"],
     # n ascends at a fixed l, so each Gegenbauer column is continued, not restarted.
     ["compute", "--system", "hydrogen", "--n", "11..60", "--l", "3", "--space", "both", "--validate"],
+    # A fixed-l sweep from degree 0: each momentum column is continued from its second degree.
+    ["compute", "--system", "hydrogen", "--n", "1..40", "--l", "0", "--space", "momentum", "--validate"],
     ["compute", "--system", "qho3d", "--nr", "0..40", "--l", "2", "--validate"],
     ["compute", "--system", "php", "--molecule", "CO", "--nr", "0..8", "--l", "0..2", "--validate"],
     ["compute", "--system", "php", "--mu-amu", "1.5", "--de-ev", "0.2", "--re-angstrom", "1.4",

@@ -12,13 +12,12 @@ systems._oscillator_terms or _momentum_terms and the bound polynomial:
 A panel loop runs, at each of a GK31 panel's 31 nodes, the t-map, the steps
 of its point form in their order, then L, the integrand and the weight
 scale / (1-t)^2. So every sample is bit for bit that of the point form put
-through quadrature.point_panel. momentum_panel calls the Gegenbauer kernel at
-each node. oscillator_panel runs the Laguerre recurrence inline, with no
-Python call per node; in a degree sweep it looks each panel up once in its
-Laguerre column (specfun.laguerre_column), which holds the panel's node
-table and each node's recurrence state, and continues from there. L is
-coded in the loops, apart from the point forms, so the oracle stays an
-independent route. A node where the point form cuts value and slope is
+through quadrature.point_panel. Both loops run their recurrence inline,
+with no Python call per node, and in a degree sweep continue it from their
+family's column: oscillator_panel looks each panel up once in its Laguerre
+column (specfun.laguerre_column), momentum_panel each node by its q in its
+Gegenbauer column (specfun.gegenbauer_column). L is coded in the loops,
+apart from the point forms, so the oracle stays an independent route. A node where the point form cuts value and slope is
 skipped: its sample, (0 - 0 L)^2 times the weight, is 0 and adds nothing.
 
 Normalizations are assembled in log space and exponentiated once, and
@@ -44,8 +43,10 @@ LN_TINY = -700.0
 _ZERO = (0.0, 0.0)
 
 _NODES, _KRONROD, _GAUSS = zip(*_GK31)
-# The recurrence state (degree, prev, cur) of a node no degree has reached.
+# The Laguerre (degree, prev, cur) and Gegenbauer (degree, before, prev,
+# cur) recurrence states of a node no degree has reached.
 _FROM_ZERO = (0, 0.0, 1.0)
+_GEGENBAUER_FROM_ZERO = (0, 0.0, 0.0, 1.0)
 # The prev or cur terms of a panel's nodes as packed doubles: an entry keeps
 # 8 bytes a value, and packing and unpacking them costs less than building an
 # array from a list.
@@ -299,13 +300,21 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
     return continued if table is not None and not n else fresh
 
 
-def momentum_panel(ln_norm: float, gegenbauer: Kernel, overflow: Callable[[float], Exception], n: int, l: int) -> Panel:
-    """The panel of hydrogen_momentum(ln_norm, gegenbauer, overflow, n, l),
-    with L = n (l/t - 2(l+2) t / (1+t^2)), the log-derivative of
+def momentum_panel(ln_norm: float, column: Column, overflow: Callable[[float], Exception], n: int, l: int) -> Panel:
+    """The panel of hydrogen_momentum(ln_norm, C_degree^(l+1), overflow, n,
+    l), column = (degree, steps, table) from specfun.gegenbauer_column, with
+    L = n (l/t - 2(l+2) t / (1+t^2)), the log-derivative of
     t^l / (1+t^2)^(l+2) at t = n p. Raises overflow(p) where
-    hydrogen_momentum does.
+    hydrogen_momentum does. A node the envelope cuts is skipped; a live one
+    runs the recurrence from degree 0, or with a table from the state
+    (degree, before, prev, cur) stored under its q if that degree is <=
+    degree, and stores the state it reached as one tuple.
     """
     exp, log, log1p, isfinite = math.exp, math.log, math.log1p, math.isfinite
+    degree, steps, table = column
+    run = steps[:degree]
+    alpha = l + 1.0
+    ratio, two_alpha = alpha / (degree + alpha), 2.0 * alpha
     decay_power = l + 2.0
     two_decay_power = 2.0 * (l + 2.0)
 
@@ -326,14 +335,22 @@ def momentum_panel(ln_norm: float, gegenbauer: Kernel, overflow: Callable[[float
                 ln_env += l * log(y)
             if ln_env >= LN_TINY:
                 env = exp(ln_env)
-                geg, dgeg = gegenbauer(q)
-                value, derivative = env * geg, n * (env * ((l / y - rational_decay) * geg + dgeg * dq_dt))
             elif y >= 1.0 or ln_env - log(y) < LN_TINY:
                 continue
             else:
-                geg, dgeg = gegenbauer(q)
+                env = None
+            state = _GEGENBAUER_FROM_ZERO if table is None else table.get(q, _GEGENBAUER_FROM_ZERO)
+            k, before, prev, cur = state if state[0] <= degree else _GEGENBAUER_FROM_ZERO
+            for a_k, b_k in steps[k:degree] if k else run:
+                before, prev, cur = prev, cur, a_k * q * cur - b_k * prev
+            if table is not None:
+                table[q] = (degree, before, prev, cur)
+            geg, dgeg = ratio * (cur - before), two_alpha * prev
+            if env is None:
                 over = exp(ln_env - log(y))
                 value, derivative = 0.0, n * over * ((l - y * rational_decay) * geg + y * dgeg * dq_dt)
+            else:
+                value, derivative = env * geg, n * (env * ((l / y - rational_decay) * geg + dgeg * dq_dt))
             if not (isfinite(value) and isfinite(derivative)):
                 raise overflow(p)
             difference = derivative - value * (n * (l / y - 2.0 * (l + 2.0) * y * (1.0 / (1.0 + y * y))))

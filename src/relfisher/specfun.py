@@ -3,41 +3,39 @@
 Each family has one kernel. `laguerre_kernel` and `gegenbauer_kernel` bind a
 degree and a parameter once: they validate them, take the coefficients of the
 forward three-term recurrence, and return a closure x -> (value, derivative).
-The closure runs one recurrence pass in double precision and reads both the
-value and the derivative off it through index-shift identities, rather than
-finite differences, so the two are consistent to machine precision at any
-argument.
+The closure runs one recurrence pass from degree 0 in double precision and
+reads both the value and the derivative off it through index-shift
+identities, rather than finite differences, so the two are consistent to
+machine precision at any argument. The kernels serve compile_state and
+normalization_defect, and touch no column.
 
-Degree sweeps continue their recurrences in columns. A family's column holds,
-for one parameter (alpha + 1, exactly), the recurrence coefficients shared by
-every degree and a table of recurrence states:
+Degree sweeps continue their recurrences in columns, which serve only the
+oracle's panel loops (relfisher._evaluators), each running its steps inline
+at every node. A family's column holds, for one parameter (alpha + 1,
+exactly), the recurrence coefficients shared by every degree and a table:
 
-    laguerre    by oracle panel: `laguerre_column` binds a degree, the steps
-                and the table, and the oracle's panel loop
-                (relfisher._evaluators.oscillator_panel) looks a panel up
-                once, runs the steps inline at each of its nodes and stores
-                the panel back; the Laguerre kernel serves compile_state and
-                normalization_defect, and runs from degree 0
-    gegenbauer  by point: a kernel of degree >= _CONTINUE_FROM_DEGREE looks
-                up each x, runs on from the stored state (degree, last three
-                terms) when its degree is <= n, and from degree 0 otherwise,
-                and stores the state it reached
+    laguerre    `laguerre_column`, for oscillator_panel: a panel's key -> its
+                node table and each node's (degree, L_{degree-1}, L_degree),
+                looked up once and stored back whole
+    gegenbauer  `gegenbauer_column`, for momentum_panel: a node's q -> its
+                (degree, C_{degree-2}, C_{degree-1}, C_degree)
 
-A degree n gets its column's table only when the column already served a
-lower degree; otherwise it runs from degree 0 and stores nothing. The
-floating-point operations are those of a pass from degree 0, in the same
-order, so every value is bit-identical to it (a point is keyed by its value,
-so -0.0 continues the state of 0.0).
+A node continues its state when that state's degree is <= n, and runs from
+degree 0 otherwise; a degree gets its column's table only when the column
+already served a lower degree, otherwise it runs from degree 0 and stores
+nothing. The floating-point operations are the kernel's, in the same order,
+so every sample is bit-identical to a pass from degree 0 (q keys a
+Gegenbauer state, so -0.0 continues the state of 0.0).
 
 The columns of the two most recently bound parameters of each family stay
-alive; a third parameter drops the older. A kernel or panel keeps its own
-column, so it stays correct after a switch, and a column drops its table
-once it holds more than _MAX_STATES nodes. Sweeps ascending in degree at a
-fixed parameter gain: the pseudoharmonic molecules, `compute --validate --nr
-A..B --l L`, and the 1D oscillator, whose Laguerre parameter alternates
-between alpha = -1/2 and +1/2 with the parity of n. Sweeps that change the
-parameter at every cell (the default 3D oscillator and hydrogen sweeps, l
-innermost) gain nothing.
+alive; a third parameter drops the older. A panel keeps its own column, so
+it stays correct after a switch, and a column drops its table once it holds
+more than _MAX_STATES nodes. Sweeps ascending in degree at a fixed parameter
+gain: the pseudoharmonic molecules, `compute --validate --nr A..B --l L`,
+hydrogen momentum at a fixed l, and the 1D oscillator, whose Laguerre
+parameter alternates between alpha = -1/2 and +1/2 with the parity of n.
+Sweeps that change the parameter at every cell (the default 3D oscillator
+and hydrogen sweeps, l innermost) gain nothing.
 """
 from __future__ import annotations
 
@@ -48,37 +46,30 @@ __all__ = [
     "laguerre_kernel",
     "laguerre_column",
     "gegenbauer_kernel",
+    "gegenbauer_column",
     "ln_gamma",
 ]
 
 Kernel = Callable[[float], tuple[float, float]]
 
-# (n, the recurrence steps of at least n steps, the column's panel table or
-# None): a Laguerre degree bound for the oracle's panel loop.
+# (n, the recurrence steps of at least n steps, the column's table or None):
+# a degree bound for an oracle panel loop.
 Column = tuple[int, tuple, dict | None]
 
-# Below this degree a Gegenbauer pass from degree 0 costs less than a
-# continued call, whose lookup and store cost about as much as eight
-# recurrence steps; such kernels neither read nor write a column. Timed per
-# call (CPython 3.11.7, 2-core VM, median of 15 repeats of 3,000 points), a
-# pass from degree 0 against a call continued one step: 843 / 595 ns at
-# degree 8, 841 / 569 at 10, 957 / 562 at 12. The crossing is inside the
-# run-to-run noise, which moved single timings by up to 60%, so continuing
-# starts at 10. A Laguerre panel pays its one lookup at every degree, so
-# laguerre_column has no such threshold: on one CO panel (same machine,
-# least of 9 repeats of 2,000 calls) a panel continued one step took 30 us
-# against 43 us from degree 0 at degree 2, and 29 against 74 us at degree
-# 12; storing a panel the table lacks costs about 20 us more than a pass
-# from degree 0, once.
-_CONTINUE_FROM_DEGREE = 10
+# A panel loop pays its table's lookup at every degree, so a column has no
+# degree below which it is left alone: on one CO panel (CPython 3.11.7,
+# 2-core VM, least of 9 repeats of 2,000 calls) a Laguerre panel continued
+# one step took 30 us against 43 us from degree 0 at degree 2, and 29
+# against 74 us at degree 12; storing a panel the table lacks costs about
+# 20 us more than a pass from degree 0, once.
 
 # A column drops its table when a degree is bound on it while it holds more
 # than this many nodes, about 7 MB of Laguerre panels or 13 MB of
-# Gegenbauer points: a process that sweeps many scales on one column would
+# Gegenbauer nodes: a process that sweeps many scales on one column would
 # otherwise keep the states of all of them. Measured with tracemalloc, a
 # Laguerre panel holds 31 nodes in about 3.3 kB, 108 bytes a node (the 1D
-# oscillator to n = 300: 247 panels, 0.82 MB), and a Gegenbauer point is one
-# node of 195 bytes (hydrogen momentum at l = 0 to n = 120: 5,936 points).
+# oscillator to n = 300: 247 panels, 0.82 MB), and a Gegenbauer state is one
+# node of 195 bytes (hydrogen momentum at l = 0 to n = 120: 5,936 nodes).
 # One sweep stores a few thousand nodes.
 _MAX_STATES = 1 << 16
 # The nodes of an oracle panel (quadrature._GK31): an entry of a Laguerre table.
@@ -87,9 +78,8 @@ _PANEL_NODES = 31
 
 class _Column:
     """One parameter's recurrence: the coefficients of steps 0, 1, ..., shared
-    by every degree, the table of states (Gegenbauer: x -> (degree, terms);
-    Laguerre: a panel's key -> its entry, see oscillator_panel), and the
-    lowest degree bound on it. The parameter is its key in _LIVE[family]."""
+    by every degree, the table of states (see the module docstring), and
+    the lowest degree bound on it. The parameter is its key in _LIVE[family]."""
 
     __slots__ = ("steps", "states", "lowest")
 
@@ -180,6 +170,12 @@ def _gegenbauer_steps(g: float, start: int, stop: int) -> list[tuple[float, floa
     return [(2.0 * (k + g) / (k + 1.0), (k + 2.0 * g - 1.0) / (k + 1.0)) for k in range(start, stop)]
 
 
+def _check_gegenbauer(n: int, alpha: float) -> None:
+    _check_degree(n)
+    if alpha <= 0.0:
+        raise ValueError(f"gegenbauer requires alpha > 0, got {alpha}")
+
+
 def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     """Gegenbauer (ultraspherical) polynomial C_n^alpha(x), alpha > 0.
 
@@ -189,31 +185,27 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
     C_n^alpha = alpha/(n+alpha) (C_n^g - C_{n-2}^g) and
     d/dx C_n^alpha = 2*alpha*C_{n-1}^g.
     """
-    _check_degree(n)
-    if alpha <= 0.0:
-        raise ValueError(f"gegenbauer requires alpha > 0, got {alpha}")
-    if n < _CONTINUE_FROM_DEGREE:
-        all_steps, states = tuple(_gegenbauer_steps(alpha + 1.0, 0, n)), None
-    else:
-        all_steps, states = _bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps, 1)
-    steps = all_steps[:n]
+    _check_gegenbauer(n, alpha)
+    steps = tuple(_gegenbauer_steps(alpha + 1.0, 0, n))
     ratio = alpha / (n + alpha)
     two_alpha = 2.0 * alpha
 
     def kernel(x: float) -> tuple[float, float]:
-        run, before, prev, cur = steps, 0.0, 0.0, 1.0
-        if states is not None:
-            state = states.get(x)
-            if state is not None and state[0] <= n:
-                k, before, prev, cur = state
-                run = all_steps[k:n]
-        for a_k, b_k in run:
+        before, prev, cur = 0.0, 0.0, 1.0
+        for a_k, b_k in steps:
             before, prev, cur = prev, cur, a_k * x * cur - b_k * prev
-        if states is not None:
-            states[x] = (n, before, prev, cur)
         return ratio * (cur - before), two_alpha * prev
 
     return kernel
+
+
+def gegenbauer_column(n: int, alpha: float) -> Column:
+    """gegenbauer_kernel's pass for the oracle's momentum panel loop: n, the
+    steps of the column of alpha + 1 (at least n of them, the same
+    coefficients as the kernel's) and the column's table of node states, or
+    None when the panels of this degree run from degree 0 and store nothing."""
+    _check_gegenbauer(n, alpha)
+    return (n, *_bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps, 1))
 
 
 # One-point forms. Not part of the API and not called in the package; kept

@@ -11,13 +11,14 @@ grid_numbers method checks a whole grid once, on its corner state.
 
 The families build their unit-scale evaluators, in the point form and in
 the oracle's panel form (see _evaluators), from terms bound here: the
-log-normalization, checked against the evaluators' range, and the
-polynomial kernel, bound through this module's laguerre_kernel and
-gegenbauer_kernel. Every Laguerre state shares one set of terms and its
-truncation guard, _oscillator_terms: the 1D oscillator (D = 1), the 3D
-oscillator and the pseudoharmonic potential (D = 3), and hydrogen position
-(D = 4). Its turning points also give the oracle's initial breaks
-(_lattice); hydrogen momentum's terms are _momentum_terms.
+log-normalization, checked against the evaluators' range, and then the
+polynomial, through this module's laguerre_kernel and gegenbauer_kernel for
+a point form and laguerre_column and gegenbauer_column for a panel. Every
+Laguerre state shares one set of terms and its truncation guard,
+_oscillator_terms: the 1D oscillator (D = 1), the 3D oscillator and the
+pseudoharmonic potential (D = 3), and hydrogen position (D = 4). Its
+turning points also give the oracle's initial breaks (_lattice); hydrogen
+momentum's terms are _momentum_terms.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from ._evaluators import (
 )
 from ._record import record, replace
 from .quadrature import Panel
-from .specfun import Kernel, gegenbauer_kernel, laguerre_column, laguerre_kernel, ln_gamma
+from .specfun import gegenbauer_column, gegenbauer_kernel, laguerre_column, laguerre_kernel, ln_gamma
 
 __all__ = [
     "POSITION",
@@ -181,16 +182,14 @@ def _oscillator_terms(n_r: int, kappa: float, alpha: float, name: Callable[[], s
     return ln_norm
 
 
-def _momentum_terms(
-    n: int, l: int, name: Callable[[], str]
-) -> tuple[float, Kernel, Callable[[float], RefusedStateError]]:
-    """(ln A, C_{n-l-1}^{l+1} kernel, the error for a point p where the
-    Gegenbauer factor overflows) of the momentum-space radial hydrogen
-    function at unit charge, A t^l (1+t^2)^-(l+2) C_{n-l-1}^{l+1}(q) in t = n p
-    and q = (t^2-1)/(t^2+1). RefusedStateError, naming the state as name(),
-    if its log-normalization overflows or its log-gamma terms round beyond
-    _LN_ENV_ROUNDING, both before the Gegenbauer kernel binds its n - l - 1
-    steps."""
+def _momentum_terms(n: int, l: int, name: Callable[[], str]) -> tuple[float, Callable[[float], RefusedStateError]]:
+    """(ln A, the error for a point p where the Gegenbauer factor overflows)
+    of the momentum-space radial hydrogen function at unit charge,
+    A t^l (1+t^2)^-(l+2) C_{n-l-1}^{l+1}(q) in t = n p and
+    q = (t^2-1)/(t^2+1). RefusedStateError, naming the state as name(), if
+    its log-normalization overflows or its log-gamma terms round beyond
+    _LN_ENV_ROUNDING; a caller binds C_{n-l-1}^{l+1}, and its n - l - 1
+    steps, only after these checks."""
     try:
         ln_gamma_l, ln_gamma_low, ln_gamma_high = ln_gamma(l + 1.0), ln_gamma(n - l), ln_gamma(n + l + 1.0)
     except OverflowError:
@@ -215,7 +214,7 @@ def _momentum_terms(
             f"{name()} is out of the evaluator's range: its Gegenbauer factor overflows at p = {p!r}"
         )
 
-    return ln_norm, gegenbauer_kernel(n - l - 1, l + 1.0), overflow
+    return ln_norm, overflow
 
 
 def _over_z_squared(value: float, Z: float) -> float:
@@ -554,13 +553,15 @@ class Hydrogenic(_Family):
         if state.space == POSITION:
             return super().unit(state)
         n, l = state.n, state.l
-        return hydrogen_momentum(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
+        ln_norm, overflow = _momentum_terms(n, l, lambda: self._name(state))
+        return hydrogen_momentum(ln_norm, gegenbauer_kernel(n - l - 1, l + 1.0), overflow, n=n, l=l)
 
     def fisher_panel(self, state: QuantumState) -> Panel:
         if state.space == POSITION:
             return super().fisher_panel(state)
         n, l = state.n, state.l
-        return momentum_panel(*_momentum_terms(n, l, lambda: self._name(state)), n=n, l=l)
+        ln_norm, overflow = _momentum_terms(n, l, lambda: self._name(state))
+        return momentum_panel(ln_norm, gegenbauer_column(n - l - 1, l + 1.0), overflow, n=n, l=l)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         if state.space == POSITION:

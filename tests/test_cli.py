@@ -241,6 +241,7 @@ def test_compute_validate_refuses_a_hydrogen_momentum_state_of_huge_n(capsys, mo
     # The closed form 1.6e81 is finite. The Gegenbauer kernel of n = 1e20
     # used to bind until memory ran out; the state is refused before that.
     monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_column", _no_kernel)
     code = run_cli(
         ["compute", "--system", "hydrogen", "--n", str(10**20), "--l", "0", "--space", "momentum", "--validate"]
     )

@@ -1115,12 +1115,10 @@ def test_threads_that_share_the_unit_integral_store_keep_its_bound(monkeypatch):
     assert max(sizes) <= 8
 
 
-def test_threads_that_share_a_laguerre_column_store_whole_panels(monkeypatch):
-    # Four threads sweep the degrees of one pseudoharmonic column in four
-    # orders, so that they read and store the same panels at once. A store
-    # may be lost, but an entry read half-written would change a result.
-    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
-    states = [QuantumState(CO_PARAMS, POSITION, n_r=n_r, l=1) for n_r in range(12)]
+def _assert_threads_sweeping_one_column_integrate_as_alone(states):
+    """Four threads sweep states, the degrees of one column, in four orders,
+    so that they read and store the same states at once. A store may be
+    lost, but a state read half-written would change a result."""
     expected = {state: _unit_integral(state) for state in states}
     orders = [states, states[::-1], states[::2] + states[1::2], states[6:] + states[:6]]
     results = {}
@@ -1142,6 +1140,19 @@ def test_threads_that_share_a_laguerre_column_store_whole_panels(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == {(worker, state): expected[state] for worker in range(len(orders)) for state in states}
+
+
+def test_threads_that_share_a_laguerre_column_store_whole_panels(monkeypatch):
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    _assert_threads_sweeping_one_column_integrate_as_alone(
+        [QuantumState(CO_PARAMS, POSITION, n_r=n_r, l=1) for n_r in range(12)]
+    )
+
+
+def test_threads_that_share_a_gegenbauer_column_store_whole_states(monkeypatch):
+    # The momentum states of one l: their nodes store states by the same q.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    _assert_threads_sweeping_one_column_integrate_as_alone([_hydrogen(n, 1, MOMENTUM) for n in range(2, 14)])
 
 
 def _column_of_steps(step):
@@ -1173,15 +1184,10 @@ def test_an_integral_that_raises_is_not_stored(monkeypatch):
 _SAMPLE_ERROR = r"^integrand returned (nan|inf) at s = \S+ \(t = \S+\), weighted (nan|inf)$"
 
 
-def _overflowing_kernel(kernel):
-    """Binds like kernel, but returns a finite (value, derivative) whose
-    Fisher sample overflows, at every point above 0.5."""
-
-    def bind(n, alpha):
-        inner = kernel(n, alpha)
-        return lambda x: (1e200, 1e200) if x > 0.5 else inner(x)
-
-    return bind
+def _gegenbauer_column_of_steps(step):
+    """Binds like systems.gegenbauer_column, but every recurrence step is
+    step, a pair (a_k, b_k), and no state is stored."""
+    return lambda n, alpha: (n, (step,) * n, None)
 
 
 @pytest.mark.parametrize(
@@ -1190,7 +1196,8 @@ def _overflowing_kernel(kernel):
         # L_1 = 1e150 and L_2 = 1e300: value and slope are finite, their square is not.
         ("laguerre_column", _column_of_steps((1e150, 0.0, 0.0)),
          QuantumState(system=Oscillator3D(omega=1.0), space=POSITION, n_r=2, l=0)),
-        ("gegenbauer_kernel", _overflowing_kernel(relfisher.systems.gegenbauer_kernel), _hydrogen(4, 1, MOMENTUM)),
+        # C_2 = 1e300 q^2, and likewise.
+        ("gegenbauer_column", _gegenbauer_column_of_steps((1e150, 0.0)), _hydrogen(4, 1, MOMENTUM)),
     ],
     ids=["laguerre", "gegenbauer"],
 )
@@ -1202,14 +1209,14 @@ def test_a_non_finite_sample_names_its_node(monkeypatch, seam, poison, state):
 
 def test_a_hydrogen_momentum_integral_that_raises_is_not_stored(monkeypatch):
     # A Gegenbauer factor that is not finite is a refused state, not a bad sample.
-    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", lambda n, alpha: lambda x: (math.nan, math.nan))
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_column", _gegenbauer_column_of_steps((math.nan, math.nan)))
     with pytest.raises(RefusedStateError):
         numeric_ir(_hydrogen(4, 1, MOMENTUM))
-    monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", lambda n, alpha: lambda x: (1e200, 1e200))
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_column", _gegenbauer_column_of_steps((1e150, 0.0)))
     with pytest.raises(IntegrandError):
         numeric_ir(_hydrogen(4, 1, MOMENTUM))
     assert not relfisher.relative_fisher._UNIT_INTEGRALS
-    # The same cell integrates again, with the real kernel.
+    # The same cell integrates again, with the real column.
     monkeypatch.undo()
     result = numeric_ir(_hydrogen(4, 1, MOMENTUM))
     assert result.quadrature.converged

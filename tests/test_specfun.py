@@ -17,17 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfisher import specfun
-from relfisher._evaluators import _TERMS, oscillator_panel
+from relfisher._evaluators import _TERMS, momentum_panel, oscillator_panel
 from relfisher.quadrature import QuadratureSpec, integrate, point_panel
 from relfisher.specfun import (
     assoc_laguerre,
     gegenbauer,
+    gegenbauer_column,
     gegenbauer_kernel,
     hermite,
     laguerre_column,
     laguerre_kernel,
     ln_gamma,
 )
+from relfisher.systems import _momentum_terms
 
 
 def test_hermite_low_orders():
@@ -252,11 +254,9 @@ def test_one_point_forms_call_the_kernel(kernel, one_point, args):
         assert sample == compiled(x)
 
 
-# Recurrence columns. A degree-n kernel continues the state its parameter's
-# live column stored at x when that state's degree is <= n. Every value must be ==
-# to a pass from degree 0, whatever order the degrees, parameters and points
+# Every kernel runs its pass from degree 0 and touches no column. Every value
+# must be == to that pass, whatever order the degrees, parameters and points
 # come in. These passes are written out here, in the kernels' operation order.
-# `hermite` keeps no column; it runs its pass at every call and must equal it too.
 
 
 def _hermite_pass(n, _, x):
@@ -275,12 +275,18 @@ def _laguerre_pass(n, alpha, x):
     return cur - prev, -prev
 
 
-def _gegenbauer_pass(n, alpha, x):
+def _gegenbauer_terms(n, alpha, x):
+    """C_{n-2}, C_{n-1} and C_n of parameter alpha + 1 at x."""
     g = alpha + 1.0
     before, prev, cur = 0.0, 0.0, 1.0
     for k in range(n):
         step = 2.0 * (k + g) / (k + 1.0)
         before, prev, cur = prev, cur, step * x * cur - (k + 2.0 * g - 1.0) / (k + 1.0) * prev
+    return before, prev, cur
+
+
+def _gegenbauer_pass(n, alpha, x):
+    before, prev, cur = _gegenbauer_terms(n, alpha, x)
     return alpha / (n + alpha) * (cur - before), 2.0 * alpha * prev
 
 
@@ -313,7 +319,7 @@ def test_kernels_equal_a_pass_from_degree_zero_in_any_order(family, order):
         compiled.append((kernel, n, parameter))
         for x in points + points[::-1]:
             assert kernel(x) == scratch(n, parameter, x), (n, parameter, x)
-    # Kernels stay correct after their column was replaced or moved on.
+    # Kernels stay correct after other degrees and parameters were bound.
     for kernel, n, parameter in compiled[::7]:
         for x in points:
             assert kernel(x) == scratch(n, parameter, x), (n, parameter, x)
@@ -411,39 +417,120 @@ def test_a_sweep_that_alternates_two_parameters_continues_both():
     assert [{k for _, degrees, _, _ in column.states.values() for k in degrees} for column in live] == [{21}, {21}]
 
 
-def test_degrees_below_the_break_even_leave_the_columns_alone():
-    gegenbauer_kernel(30, 7.0)
-    live = {family: list(columns.values()) for family, columns in specfun._LIVE.items()}
-    for n in range(specfun._CONTINUE_FROM_DEGREE):
-        gegenbauer_kernel(n, 0.25)(0.5)
-    # The Laguerre kernel runs from degree 0 at every degree: only the
-    # oracle's panels (laguerre_column) keep a Laguerre column.
-    for n in (0, 10, 60):
+# Gegenbauer columns hold the states of hydrogen momentum panels' nodes. A
+# live node of a degree-n panel on a column that served a lower degree looks
+# up the state (degree, before, prev, cur) stored under its q, continues it
+# when that degree is <= n, and stores the state it reached. Its sums must be
+# == to those of the same panel without a table, and every stored state == to
+# a pass from degree 0 at its q.
+
+
+def _momentum(degree, l, column=None):
+    """The oracle panel of the normalized hydrogen momentum state of
+    C_degree^(l+1), n = degree + l + 1, on gegenbauer_column or on column."""
+    n = degree + l + 1
+    ln_norm, overflow = _momentum_terms(n, l, lambda: f"n={n},l={l}")
+    panel = momentum_panel(ln_norm, column or gegenbauer_column(degree, l + 1.0), overflow, n, l)
+    # At the unit length 1/n, t = n p and q are the same at every degree.
+    return lambda c, h: panel(c, h, 1.0 / n)
+
+
+def _momentum_fresh(degree, l):
+    """_momentum(degree, l) without a table: from degree 0 at every node."""
+    return _momentum(degree, l, (degree, tuple(specfun._gegenbauer_steps(l + 2.0, 0, degree)), None))
+
+
+def _assert_momentum_states_are_passes(column, l):
+    for q, (k, *terms) in column.states.items():
+        assert tuple(terms) == _gegenbauer_terms(k, l + 1.0, q), (k, q)
+
+
+# Panels (c, h) over t = n p from about 0.05 to 19.
+_MOMENTUM_PANELS = [(0.1 + 0.8 * k / 6, 0.06) for k in range(7)]
+
+
+@pytest.mark.parametrize("order", sorted(_ORDERS))
+def test_momentum_panels_equal_a_pass_from_degree_zero_in_any_order(order):
+    ls = (0, 3)
+    bound = []
+    for degree, pick in _ORDERS[order]:
+        l = ls[pick]
+        panel = _momentum(degree, l)
+        bound.append((panel, degree, l))
+        for args in _MOMENTUM_PANELS + _MOMENTUM_PANELS[::-1]:
+            assert panel(*args) == _momentum_fresh(degree, l)(*args), (degree, l, args)
+    for l in {ls[pick] for _, pick in _ORDERS[order]}:
+        _assert_momentum_states_are_passes(specfun._LIVE["gegenbauer"][l + 2.0], l)
+    # Panels stay correct after their column was replaced or moved on.
+    for panel, degree, l in bound[::7]:
+        for args in _MOMENTUM_PANELS:
+            assert panel(*args) == _momentum_fresh(degree, l)(*args), (degree, l, args)
+
+
+def test_a_momentum_sweep_from_degree_zero_continues_from_degree_one(monkeypatch):
+    monkeypatch.setattr(specfun, "_LIVE", {})
+    l, args = 5, _MOMENTUM_PANELS[3]
+    gegenbauer_column(40, 99.0)  # start from another parameter's column
+    _momentum(0, l)(*args)  # a fresh column's first degree runs from 0
+    column = specfun._LIVE["gegenbauer"][l + 2.0]
+    assert list(specfun._LIVE["gegenbauer"]) == [100.0, l + 2.0]
+    assert not column.states
+    # t = n p rounds differently at each n, and so may q: a node continues
+    # only where q repeats, and the q it leaves keep their states.
+    for degree in range(1, 33):
+        assert _momentum(degree, l)(*args) == _momentum_fresh(degree, l)(*args)
+        assert [k for k, *_ in column.states.values()].count(degree) == 31
+    assert max(k for k, *_ in column.states.values()) == 32
+    # A lower degree runs from 0 and stores its own state.
+    assert _momentum(8, l)(*args) == _momentum_fresh(8, l)(*args)
+    assert [k for k, *_ in column.states.values()].count(8) == 31
+    _assert_momentum_states_are_passes(column, l)
+    assert column.lowest == 0 and len(column.steps) == 32
+
+
+def test_no_kernel_touches_a_column():
+    laguerre_column(30, 0.25)
+    gegenbauer_column(30, 0.25)
+
+    def columns():
+        return {
+            family: [(parameter, column, column.steps, dict(column.states), column.lowest)
+                     for parameter, column in live.items()]
+            for family, live in specfun._LIVE.items()
+        }
+
+    before = columns()
+    # The kernels run from degree 0 at every degree: only the oracle's
+    # panels (laguerre_column, gegenbauer_column) keep a column.
+    for n in range(61):
         laguerre_kernel(n, 0.25)(1.5)
-    assert {family: list(columns.values()) for family, columns in specfun._LIVE.items()} == live
+        gegenbauer_kernel(n, 0.25)(0.5)
+    assert columns() == before
 
 
 @pytest.mark.parametrize("family", ["laguerre", "gegenbauer"])
 def test_two_columns_per_family_stay_alive(family):
-    n = specfun._CONTINUE_FROM_DEGREE
+    # Parameters no other test uses, so their columns start empty.
+    n = 10
     if family == "laguerre":
         # Each panel is an entry of the table, about 3.3 kB.
-        grid = _PANELS[:4]
+        grid, parameters, entries = _PANELS[:4], [1000.25 + 0.5 * k for k in range(200)], 4
 
-        def sweep(parameter):
+        def sweep(alpha):
             for degree in (n, n + 1):
-                panel = _panel(degree, parameter)
+                panel = _panel(degree, alpha)
                 for args in grid:
                     panel(*args)
     else:
-        _, _, _, points = _COLUMN_FAMILIES[family]
-        grid = [points[0] + (points[-1] - points[0]) * k / 30 for k in range(31)]
+        # Each of the 31 live nodes of a panel near the peak t = 1 is an
+        # entry of the table, about 6 kB.
+        grid, parameters, entries = [(0.5, 0.01)], range(1000, 1200), 31
 
-        def sweep(parameter):
+        def sweep(l):
             for degree in (n, n + 1):
-                kernel = gegenbauer_kernel(degree, parameter)
-                for x in grid:
-                    kernel(x)
+                panel = _momentum(degree, l)
+                for args in grid:
+                    panel(*args)
 
     def traced():
         # A full collection empties the free lists of small tuples and
@@ -453,37 +540,38 @@ def test_two_columns_per_family_stay_alive(family):
 
     tracemalloc.start()
     try:
-        # Parameters no other test uses, so their columns start empty.
-        for k in range(10):
-            sweep(1000.25 + 0.5 * k)
+        for parameter in parameters[:10]:
+            sweep(parameter)
         ten_sweeps = traced()
-        for k in range(10, 200):
-            sweep(1000.25 + 0.5 * k)
+        for parameter in parameters[10:]:
+            sweep(parameter)
         after = traced()
     finally:
         tracemalloc.stop()
-    assert [len(column.states) for column in specfun._LIVE[family].values()] == [len(grid)] * 2
+    assert [len(column.states) for column in specfun._LIVE[family].values()] == [entries] * 2
     # Each column's table alone takes at least 1 kB here, so keeping the
     # columns of 190 more parameters would add at least 190 kB.
     assert after < 2 * ten_sweeps
 
 
 def test_a_full_column_drops_its_states(monkeypatch):
-    # _MAX_STATES counts nodes: a Gegenbauer point is one.
+    # _MAX_STATES counts nodes: a Gegenbauer state is one, and a momentum
+    # panel stores one for each of its live nodes.
     monkeypatch.setattr(specfun, "_MAX_STATES", 50)
-    first = specfun._CONTINUE_FROM_DEGREE
-    points = [0.25 * k for k in range(1, 81)]
-    gegenbauer_kernel(first, 7.25)
-    kernel = gegenbauer_kernel(first + 1, 7.25)
-    for x in points:
-        kernel(x)
-    states = specfun._LIVE["gegenbauer"][8.25].states
-    assert len(states) == 80
-    kernel = gegenbauer_kernel(first + 2, 7.25)
+    monkeypatch.setattr(specfun, "_LIVE", {})
+    l, panels = 6, _MOMENTUM_PANELS[2:5]
+    _momentum(10, l)
+    panel = _momentum(11, l)
+    for args in panels:
+        panel(*args)
+    states = specfun._LIVE["gegenbauer"][l + 2.0].states
+    assert len(states) == 93
+    panel = _momentum(12, l)
     assert len(states) == 0
-    for x in points:
-        assert kernel(x) == _gegenbauer_pass(first + 2, 7.25, x)
-    assert len(states) == 80
+    for args in panels:
+        assert panel(*args) == _momentum_fresh(12, l)(*args)
+    assert len(states) == 93
+    _assert_momentum_states_are_passes(specfun._LIVE["gegenbauer"][l + 2.0], l)
 
 
 def test_a_full_laguerre_column_drops_its_panels(monkeypatch):

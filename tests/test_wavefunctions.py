@@ -345,6 +345,7 @@ def test_a_state_whose_log_gamma_overflows_is_refused(system, numbers, label, sp
     monkeypatch.setattr(relfisher.systems, "laguerre_kernel", _no_kernel)
     monkeypatch.setattr(relfisher.systems, "laguerre_column", _no_kernel)
     monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_column", _no_kernel)
     state = QuantumState(system=system, space=space, **numbers)
     message = rf"^{system.name} {space} {label} of .* its log-normalization overflows$"
     with pytest.raises(RefusedStateError, match=message):
@@ -360,6 +361,7 @@ def test_a_hydrogen_momentum_state_whose_log_gammas_round_too_far_is_refused(n, 
     # the Gegenbauer kernel binds its n - 1 steps, which at n = 1e20 would
     # grow until memory runs out.
     monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_column", _no_kernel)
     state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=n, l=0)
     message = rf"^hydrogen momentum n={n},l=0 of .* its log-normalization terms round to .*, above the budget 1e-09$"
     with pytest.raises(RefusedStateError, match=message):
@@ -370,9 +372,12 @@ def test_a_hydrogen_momentum_state_whose_log_gammas_round_too_far_is_refused(n, 
 
 def test_the_hydrogen_momentum_rounding_budget_admits_the_state_below_its_edge(monkeypatch):
     monkeypatch.setattr(relfisher.systems, "gegenbauer_kernel", _no_kernel)
+    monkeypatch.setattr(relfisher.systems, "gegenbauer_column", _no_kernel)
     state = QuantumState(system=Hydrogenic(Z=1.0), space=MOMENTUM, n=380_107, l=0)
     with pytest.raises(AssertionError, match="a degree-380106 kernel was bound"):
         compile_state(state)
+    with pytest.raises(AssertionError, match="a degree-380106 kernel was bound"):
+        numeric_ir(state)
 
 
 @pytest.mark.parametrize("space", [POSITION, MOMENTUM])
