@@ -431,7 +431,7 @@ def _momentum(degree, l, column=None):
     n = degree + l + 1
     ln_norm, overflow = _momentum_terms(n, l, lambda: f"n={n},l={l}")
     panel = momentum_panel(ln_norm, column or gegenbauer_column(degree, l + 1.0), overflow, n, l)
-    # At the unit length 1/n, t = n p and q are the same at every degree.
+    # At the unit length 1/n, t = n p, and so q, is nearly the same at every degree.
     return lambda c, h: panel(c, h, 1.0 / n)
 
 
