@@ -5,14 +5,16 @@ and space.
     python3 scripts/oracle_point_cost.py [--runs N] [--src SRC]
 
 The package in SRC (default: the src/ tree next to this script) is imported
-into this process. Each run integrates two grids with numeric_ir, each from
-empty recurrence columns (specfun._LIVE, which holds the Laguerre panel
+into this process. Each run integrates three grids with numeric_ir, each
+from empty recurrence columns (specfun._LIVE, which holds the Laguerre panel
 tables and the Gegenbauer point states) and an empty unit-integral store
 (relative_fisher._UNIT_INTEGRALS), as a fresh CLI process starts them:
 
     default   the cells of `relfisher validate` (omega 1, Z 1)
     CO        the cells of `relfisher validate --system php --molecule CO
               --nr-max 60 --space position`
+    H-l=0     the cells of `relfisher compute --system hydrogen --n 1..120
+              --l 0 --space position --validate`, a sweep in n at fixed l
 
 A cell's cost is the thread CPU time of its numeric_ir call. Cells served
 from the store (their quadrature object came back before) are left out, so
@@ -36,16 +38,19 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 GRIDS = {
     "default": ["validate"],
     "CO": ["validate", "--system", "php", "--molecule", "CO", "--nr-max", "60", "--space", "position"],
+    "H-l=0": ["compute", "--system", "hydrogen", "--n", "1..120", "--l", "0", "--space", "position", "--validate"],
 }
 
 
 def _states(cli, argv: list[str]) -> list:
-    """The states the CLI's validate sweep for argv takes, in its order: the
-    state its row loop builds for each cell of its grids' number tuples."""
+    """The states the CLI's validate sweep, or compute --validate, for argv
+    takes, in its order: the state its row loop builds for each cell of its
+    grids' number tuples."""
     args = cli.build_parser().parse_args(argv)
     families = [cli._FAMILIES[args.system]] if args.system else cli.FAMILIES
     spaces = [cli.POSITION, cli.MOMENTUM] if args.space == "both" else [args.space]
-    grids = cli._grids(args, families, lambda family: cli._sweep_ranges(args, family), spaces, "empty grid")
+    ranges = cli._compute_ranges if args.command == "compute" else cli._sweep_ranges
+    grids = cli._grids(args, families, lambda family: ranges(args, family), spaces, "empty grid")
     return [
         system.state(space, numbers) for system, _, combinations in grids for numbers in combinations for space in spaces
     ]

@@ -7,7 +7,8 @@ systems._oscillator_terms or _momentum_terms and the bound polynomial:
                 state, with hydrogen_position over it, and hydrogen_momentum
     panel form  the oracle's integrand 4 x^2 (f' - f L)^2, L the
                 log-derivative of the state's reference, as a
-                quadrature.Panel: oscillator_panel and momentum_panel
+                quadrature.Panel: oscillator_panel and momentum_panel;
+                for hydrogen position that of the D = 4 oscillator in u = s^2
 
 A panel loop runs, at each of a GK31 panel's 31 nodes, the t-map, the steps
 of its point form in their order, then L, the integrand and the weight
@@ -17,8 +18,9 @@ with no Python call per node, and in a degree sweep continue it from their
 family's column: oscillator_panel looks each panel up once in its Laguerre
 column (specfun.laguerre_column), momentum_panel each node by its q in its
 Gegenbauer column (specfun.gegenbauer_column). L is coded in the loops,
-apart from the point forms, so the oracle stays an independent route. A node where the point form cuts value and slope is
-skipped: its sample, (0 - 0 L)^2 times the weight, is 0 and adds nothing.
+apart from the point forms, so the oracle stays an independent route. A
+node where the point form cuts value and slope is skipped: its sample,
+(0 - 0 L)^2 times the weight, is 0 and adds nothing.
 
 Normalizations are assembled in log space and exponentiated once, and
 derivatives are analytic: nothing differentiates numerically.
@@ -53,9 +55,12 @@ _GEGENBAUER_FROM_ZERO = (0, 0.0, 0.0, 1.0)
 _TERMS = struct.Struct(f"{len(_GK31)}d")
 
 
-def radial_oscillator(ln_norm: float, laguerre: Kernel, kappa: float) -> Evaluator:
+def radial_oscillator(ln_norm: float, laguerre: Kernel, kappa: float, ln_factor: float = 0.0) -> Evaluator:
     """The D-dimensional radial oscillator exp(ln_norm) s^kappa exp(-s^2/2)
-    laguerre(s^2) of systems._oscillator_terms."""
+    laguerre(s^2) of systems._oscillator_terms times exp(ln_factor), cut where
+    its log-envelope without ln_factor is below LN_TINY."""
+    ln_norm += ln_factor
+    tiny = LN_TINY + ln_factor
 
     def radial(s: float) -> tuple[float, float]:
         if not s > 0.0:
@@ -68,10 +73,10 @@ def radial_oscillator(ln_norm: float, laguerre: Kernel, kappa: float) -> Evaluat
             ln_env += kappa * math.log(s)
             slope = kappa / s - s
         # Written `not >=` so that the nan of s = inf at kappa > 0, inf - inf, is cut too.
-        if not ln_env >= LN_TINY:
+        if not ln_env >= tiny:
             # The value is cut; the derivative only where env/s is cut too,
             # as near the origin f ~ A s^kappa keeps its slope at kappa = 1.
-            if s >= 1.0 or ln_env - math.log(s) < LN_TINY:
+            if s >= 1.0 or ln_env - math.log(s) < tiny:
                 return _ZERO
             lag, dlag = laguerre(u)
             return 0.0, math.exp(ln_env - math.log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
@@ -144,39 +149,35 @@ def hydrogen_momentum(
     return radial
 
 
-def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: float, radial: bool, n: int) -> Panel:
-    """The panel of radial_oscillator(ln_norm, L_degree, kappa), column =
-    (degree, steps, table) from specfun.laguerre_column: at x = s for n = 0,
-    with L = reference / s - s, the log-derivative of s^reference
-    exp(-s^2/2); for hydrogen position, as hydrogen_position maps it, at r =
-    x = n s^2 / 2, with L = reference / r - 1/n, that of r^reference
-    exp(-r/n). The x^2 of the integrand only if radial.
+def oscillator_panel(
+    ln_norm: float, column: Column, kappa: float, reference: float, radial: bool, squared: bool, ln_factor: float = 0.0
+) -> Panel:
+    """The panel of radial_oscillator(ln_norm, L_degree, kappa, ln_factor),
+    column = (degree, steps, table) from specfun.laguerre_column, with L =
+    reference / s - s, the log-derivative of s^reference exp(-s^2/2): at
+    x = s, with the integrand's x^2 only if radial, or if squared at x = u,
+    where the D = 4 integrand 4 s^3 (f' - f L)^2 ds is 2u (f' - f L)^2 du.
 
-    Without a table, and for hydrogen, each panel runs from degree 0 at
-    every node (fresh). With one, a panel is looked up once by its key (c,
-    h, scale, kappa, reference, radial), the inputs of its node table. The
-    entry (rows, degrees, prevs, curs) holds the table, u = s^2, s, kappa
-    log s, the slope, L, the weight 4 s^2 (or 4) and (1-t)^2 as arrays, and
-    each node's recurrence state of alpha + 1, its degree and the packed
-    terms L_{degree-1} and L_degree. A live node continues its state, or
-    restarts from degree 0 when the state's degree is above degree; a node
-    the envelope cuts keeps its state. t and log s are taken again only
-    where an error message or the near-origin branch needs them; every
-    value is rounded as the fresh loop rounds it. The panel is stored back
-    as one new tuple, so a thread can lose another's store but never see
-    half of one.
+    Without a table each panel runs from degree 0 at every node (fresh).
+    With one, a panel is looked up once by its key (c, h, scale, kappa,
+    reference, radial, squared), the inputs of its entry: the rows u = s^2,
+    s, kappa log s, the slope, L, the weight and (1-t)^2 as arrays, and each
+    node's recurrence state of alpha + 1, its degree and the packed terms
+    L_{degree-1} and L_degree. A live node continues its state, or restarts
+    from degree 0 when the state's degree is above degree; a node the
+    envelope cuts keeps its state. t and log s are taken again only where
+    an error message or the near-origin branch needs them; every value is
+    rounded as fresh rounds it. The panel is stored back as one new tuple,
+    so a thread can lose another's store but never see half of one.
     """
     exp, log, sqrt, inf = math.exp, math.log, math.sqrt, math.inf
+    ln_norm += ln_factor
+    tiny = LN_TINY + ln_factor
     degree, steps, table = column
     last = degree - 1
     run = steps[:degree]
     # The step a degree sweep takes at nearly every node.
     a_last, c_last, b_last = steps[last] if degree else (0.0, 0.0, 0.0)
-    if n:
-        root = math.sqrt(2.0 / n)
-        factor = math.sqrt(2.0) / (n * n)
-        slope_factor = factor / n
-        inverse_n = 1.0 / n
 
     # fresh is a loop of its own, not continued's loop over rows computed
     # first: that made panels without a table, most of the default validate
@@ -193,7 +194,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
             t = c + h * node
             one_minus = 1.0 - t
             x = scale * t / one_minus
-            s = root * sqrt(x) if n else x
+            s = sqrt(x) if squared else x
             u = s * s
             if kappa != 0.0:
                 kappa_log_s = kappa * log(s)
@@ -203,14 +204,14 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
                 kappa_log_s = 0.0
                 ln_env = ln_norm - 0.5 * u
                 slope = -s
-            ref = reference / x - inverse_n if n else reference / x - x
-            weight = 4.0 * x * x if radial else 4.0
+            ref = reference / s - s
+            weight = 2.0 * x if squared else (4.0 * x * x if radial else 4.0)
             square = one_minus * one_minus
             if keep:
                 rows += u, s, kappa_log_s, slope, ref, weight, square
-            if ln_env >= LN_TINY:
+            if ln_env >= tiny:
                 env = exp(ln_env)
-            elif s >= 1.0 or ln_env - log(s) < LN_TINY:
+            elif s >= 1.0 or ln_env - log(s) < tiny:
                 if keep:
                     states.append(_FROM_ZERO)
                 continue
@@ -226,10 +227,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
                 value, derivative = 0.0, exp(ln_env - log(s)) * ((kappa - u) * lag + 2.0 * u * dlag)
             else:
                 value, derivative = env * lag, env * (slope * lag + 2.0 * s * dlag)
-            if n:
-                difference = slope_factor * derivative / s - factor * value * ref
-            else:
-                difference = derivative - value * ref
+            difference = derivative - value * ref
             sample = weight * difference * difference
             weighted = sample * scale / square
             # weighted is >= 0 or nan: this is not isfinite(weighted).
@@ -245,7 +243,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
     def continued(c: float, h: float, scale: float) -> tuple[float, float]:
         """fresh's loop over the rows and states of the panel's entry, or
         fresh, storing it, for a panel the table does not hold."""
-        key = (c, h, scale, kappa, reference, radial)
+        key = (c, h, scale, kappa, reference, radial, squared)
         entry = table.get(key)
         if entry is None:
             return fresh(c, h, scale, key)
@@ -259,9 +257,9 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
         ):
             # ln_norm - u/2 + kappa log s; at kappa = 0 the + 0.0 leaves it as it is.
             ln_env = ln_norm - 0.5 * u + kappa_log_s
-            if ln_env >= LN_TINY:
+            if ln_env >= tiny:
                 env = exp(ln_env)
-            elif s >= 1.0 or ln_env - log(s) < LN_TINY:
+            elif s >= 1.0 or ln_env - log(s) < tiny:
                 to_degrees.append(k)
                 to_prevs.append(prev)
                 to_curs.append(cur)
@@ -294,10 +292,7 @@ def oscillator_panel(ln_norm: float, column: Column, kappa: float, reference: fl
         table[key] = (nodes, tuple(to_degrees), _TERMS.pack(*to_prevs), _TERMS.pack(*to_curs))
         return kron, gauss
 
-    # A hydrogen panel's unit length is n, which changes with every cell of
-    # a sweep: a table would store panels that never return. So continued
-    # has x = s, and its key needs no n.
-    return continued if table is not None and not n else fresh
+    return fresh if table is None else continued
 
 
 def momentum_panel(ln_norm: float, column: Column, overflow: Callable[[float], Exception], n: int, l: int) -> Panel:

@@ -376,28 +376,26 @@ def _run_cells(
     return _emit(args.out, write_rows)
 
 
+def _compute_ranges(args: argparse.Namespace, family: type) -> dict[str, range]:
+    """Quantum-number ranges of compute's grid: the family's fields of --n, --nr and --l (default 0)."""
+    given = {"n": args.n, "n_r": args.nr, "l": "0" if args.l is None else args.l}
+    return {field: _parse_range(given[field], _FLAGS[field]) for field in family.number_fields}
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     family = _FAMILIES[args.system]
     fields = family.number_fields
     given = {"n": args.n, "n_r": args.nr, "l": args.l}
     for field, text in given.items():
         if text is not None and field not in fields:
-            raise ValueError(
-                f"{family.name} takes no {_FLAGS[field]}: its quantum numbers are {', '.join(fields)}"
-            )
-    if given["l"] is None:
-        given["l"] = "0"
+            raise ValueError(f"{family.name} takes no {_FLAGS[field]}: its quantum numbers are {', '.join(fields)}")
     for field in fields:
-        if given[field] is None:
+        if given[field] is None and field != "l":
             raise ValueError(f"{family.name} needs {_FLAGS[field]}")
     # A hydrogen grid skips the part of an --l range beyond n-1 at each n.
     _, failures, refused, _, _ = _run_cells(
-        args,
-        [family],
-        lambda _: {field: _parse_range(given[field], _FLAGS[field]) for field in fields},
-        "no valid (n, l) combinations: every l exceeds n-1",
-        args.validate,
-        math.inf,
+        args, [family], lambda family: _compute_ranges(args, family),
+        "no valid (n, l) combinations: every l exceeds n-1", args.validate, math.inf,
     )
     return EXIT_VALIDATION if failures or refused else EXIT_OK
 

@@ -32,10 +32,10 @@ alive; a third parameter drops the older. A panel keeps its own column, so
 it stays correct after a switch, and a column drops its table once it holds
 more than _MAX_STATES nodes. Sweeps ascending in degree at a fixed parameter
 gain: the pseudoharmonic molecules, `compute --validate --nr A..B --l L`,
-hydrogen momentum at a fixed l, and the 1D oscillator, whose Laguerre
-parameter alternates between alpha = -1/2 and +1/2 with the parity of n.
-Sweeps that change the parameter at every cell (the default 3D oscillator
-and hydrogen sweeps, l innermost) gain nothing.
+hydrogen position and momentum at a fixed l, and the 1D oscillator, whose
+Laguerre parameter alternates between alpha = -1/2 and +1/2 with the parity
+of n. Sweeps that change the parameter at every cell (the default 3D
+oscillator and hydrogen sweeps, l innermost) gain nothing.
 """
 from __future__ import annotations
 

@@ -259,23 +259,24 @@ class _Family:
     scale(state)            c, the length scale above
     _oscillator(state)      (n_r, kappa, alpha, reference, n): f as the radial
                             oscillator of _oscillator_terms, and its L, as
-                            _evaluators.oscillator_panel takes them
+                            _evaluators.oscillator_panel takes them; n > 0
+                            only for hydrogen position, integrated in u = 2r/n
     layout(state)           (a hashable name, within the family, for the
                             unit-scale integral: states of equal names have
                             the same f, reference log-derivative and layout,
                             and the oracle integrates them once; the unit
                             length, where |f|^2 lives and the oracle's
-                            quadrature scale; the oracle's initial breaks in
-                            f's argument, the lattice points across a
-                            Laguerre state's classical window, or none);
-                            by default named by _oscillator(state)
+                            quadrature scale; its initial breaks in its
+                            variable, f's argument or u, the lattice points
+                            across a Laguerre state's classical window, or
+                            none); by default named by _oscillator(state)
     unit(state)             f as an Evaluator
     fisher_panel(state)     the oracle's integrand 4 s^2 (f' - f L)^2 of f,
-                            L = d/du log(reference f), without the s^2 unless
+                            L = d/ds log(reference f), without the s^2 unless
                             radial, as a quadrature.Panel: the loop of
-                            _evaluators for unit's evaluator, from the same
-                            terms, with its samples bit for bit. L is coded
-                            in closed form in the loop, apart from f and
+                            _evaluators for unit's terms, with the samples
+                            of their point form bit for bit. L is coded in
+                            closed form in the loop, apart from f and
                             closed_form, so the oracle stays an independent
                             route, and, the reference being node-less, it
                             never divides by a wavefunction value
@@ -317,18 +318,17 @@ class _Family:
     def fisher_panel(self, state: QuantumState) -> Panel:
         n_r, kappa, alpha, reference, n = self._oscillator(state)
         ln_norm = _oscillator_terms(n_r, kappa, alpha, lambda: self._name(state))
+        # Hydrogen position's integral in r is the D = 4 oscillator's in u = 2r/n over 2 n^3.
+        ln_factor = -0.5 * math.log(2 * n ** 3) if n else 0.0
         column = laguerre_column(n_r, alpha)
-        return oscillator_panel(ln_norm, column, kappa=kappa, reference=reference, radial=self.radial, n=n)
+        return oscillator_panel(ln_norm, column, kappa, reference, self.radial, squared=n > 0, ln_factor=ln_factor)
 
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         name = self._oscillator(state)
         n_r, _, alpha, _, n = name
         lattice = _lattice(n_r, alpha)
-        if not n:
-            return name, self._unit_length, lattice
-        # The D = 4 oscillator's s is at r = n s^2 / 2, and n is the unit
-        # length, so the breaks' t-images s^2 / (s^2 + 2) do not depend on n.
-        return name, float(n), tuple(0.5 * n * s * s for s in lattice)
+        # Hydrogen position (n > 0) is integrated in u = s^2.
+        return name, self._unit_length, tuple(s * s for s in lattice) if n else lattice
 
     def compile(self, state: QuantumState) -> Evaluator:
         """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
@@ -515,6 +515,8 @@ class Hydrogenic(_Family):
     name = "hydrogen"
     number_fields = ("n", "l")
     _minimum = {"n": 1}
+    # Of position states, in u = 2r/n: the t-images u / (u + 2) of the breaks are those of r at the length n.
+    _unit_length = 2.0
 
     def __post_init__(self) -> None:
         _require_positive("Z", self.Z)
@@ -544,10 +546,11 @@ class Hydrogenic(_Family):
     def scale(self, state: QuantumState) -> float:
         return self.Z if state.space == POSITION else 1.0 / self.Z
 
-    # For position states; f is at unit charge, so Z is not part of a layout's name.
+    # For position states; f is at unit charge, so Z is not part of a layout's
+    # name. The reference r^l exp(-r/n) is s^2l exp(-s^2/2) at r = n s^2 / 2.
     def _oscillator(self, state: QuantumState) -> tuple[int, float, float, float, int]:
         n, l = state.n, state.l
-        return n - l - 1, 2.0 * l, 2.0 * l + 1.0, l, n
+        return n - l - 1, 2.0 * l, 2.0 * l + 1.0, 2.0 * l, n
 
     def unit(self, state: QuantumState) -> Evaluator:
         if state.space == POSITION:

@@ -50,9 +50,10 @@ def evaluate(state: QuantumState, s: float) -> tuple[float, float]:
 
 
 def default_quadrature_spec(state: QuantumState, rel_tol: float = 1e-10) -> QuadratureSpec:
-    """Quadrature configuration for the state's unit-scale f: its scale and
-    its breaks are state.system.layout(state)[1:], the state's unit length
-    and, for a Laguerre state, the lattice points across its classical window."""
+    """The oracle's quadrature configuration for the state's unit-scale f:
+    its scale and its breaks are state.system.layout(state)[1:], the state's
+    unit length and, for a Laguerre state, the lattice points across its
+    classical window, in u = 2r/n for hydrogen position."""
     _, length, breaks = state.system.layout(state)
     return QuadratureSpec(rel_tol=rel_tol, scale=length, breaks=breaks)
 
@@ -62,7 +63,8 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
 
     The density is that of the unit-scale f on the half line, as in
     numeric_ir: s^2 f(s)^2 for radial systems, and f(x)^2 = 2 psi^2 for the
-    1D oscillator, whose psi^2 is even; spec.scale is a length of f.
+    1D oscillator, whose psi^2 is even; spec.scale is a length of f. For
+    hydrogen position the default spec's is one of u = 2r/n, not of r.
     Raises NonConvergedError if the quadrature does not reach its tolerance.
     """
     if spec is None:

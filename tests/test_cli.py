@@ -1256,7 +1256,7 @@ def test_oracle_point_cost_runs_each_grid_from_empty_tables(monkeypatch, capsys)
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     # A column with a panel table left by another sweep: no run starts from it.
     stale = relfisher.specfun._Column(0)
-    stale.states[(0.5, 0.1, 1.0, 1.0, 0.0, False)] = ()
+    stale.states[(0.5, 0.1, 1.0, 1.0, 0.0, False, False)] = ()
     monkeypatch.setattr(relfisher.specfun, "_LIVE", {"laguerre": {1.5: stale}})
     numeric_ir, stale_at = relfisher.relative_fisher.numeric_ir, []
 
@@ -1270,7 +1270,9 @@ def test_oracle_point_cost_runs_each_grid_from_empty_tables(monkeypatch, capsys)
     assert stale_at and not any(stale_at)
     totals = [line.split() for line in capsys.readouterr().out.splitlines() if line.split()[1:2] == ["all"]]
     # grid, "all", integrals, evaluations, ns/eval (median), ns/eval (least)
-    assert [total[:4] for total in totals] == [["default", "all", "171", "37231"], ["CO", "all", "61", "43152"]]
+    assert [total[:4] for total in totals] == [
+        ["default", "all", "171", "37231"], ["CO", "all", "61", "43152"], ["H-l=0", "all", "120", "154473"]
+    ]
     assert all(int(total[4]) == int(total[5]) > 0 for total in totals)
 
 

@@ -23,6 +23,7 @@ import relfisher._evaluators
 import relfisher.relative_fisher
 import relfisher.specfun
 import relfisher.systems
+from relfisher._evaluators import radial_oscillator
 from relfisher._record import replace
 from relfisher.data_units import MoleculeRecord, find_molecule, registry, to_atomic_units
 from relfisher.quadrature import IntegrandError, QuadratureResult, _initial_edges, integrate, point_panel
@@ -37,6 +38,7 @@ from relfisher.relative_fisher import (
     ir_spacing,
     numeric_ir,
 )
+from relfisher.specfun import laguerre_kernel
 from relfisher.systems import (
     MOMENTUM,
     POSITION,
@@ -686,7 +688,10 @@ def _reference_log_derivative(state):
 def _point_integrand(state):
     """The Fisher integrand of state's unit-scale f as a point function of
     system.unit(state) and _reference_log_derivative(state): what the panel
-    loops of numeric_ir must match bit for bit."""
+    loops of numeric_ir must match bit for bit. Hydrogen position is
+    integrated in u = s^2 instead (_hydrogen_position_integrand)."""
+    if isinstance(state.system, Hydrogenic) and state.space == POSITION:
+        return _hydrogen_position_integrand(state.n, state.l)
     wave, log_derivative = state.system.unit(state), _reference_log_derivative(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 4.0)
 
@@ -696,6 +701,39 @@ def _point_integrand(state):
         return weight(s) * difference * difference
 
     return integrand
+
+
+def _hydrogen_position_integrand(n, l):
+    """The hydrogen position integrand at unit charge in u = s^2 = 2r/n,
+    2u (F' - F (2l/s - s))^2, F the D = 4 radial oscillator (kappa = 2l)
+    times 1/sqrt(2 n^3): from radial_oscillator, and with L coded here."""
+    n_r, kappa = n - l - 1, 2.0 * l
+    ln_norm = relfisher.systems._oscillator_terms(n_r, kappa, kappa + 1.0, lambda: f"hydrogen n={n},l={l}")
+    wave = radial_oscillator(ln_norm, laguerre_kernel(n_r, kappa + 1.0), kappa, -0.5 * math.log(2 * n ** 3))
+
+    def integrand(u):
+        s = math.sqrt(u)
+        value, derivative = wave(s)
+        difference = derivative - value * (kappa / s - s)
+        return 2.0 * u * difference * difference
+
+    return integrand
+
+
+def test_a_factor_on_the_oscillator_leaves_its_cutoff_where_it_was():
+    # Hydrogen position's panel carries 1/sqrt(2 n^3) as ln_factor, and the
+    # cutoff still tests the oscillator's own envelope. Cut where the
+    # shifted envelope falls below LN_TINY, the guard lost 0.5 ln(2 n^3) of
+    # its margin, and n = 323, l = 0, the last state it admits, moved from
+    # rel_diff 4.6e-12 to 6.8e-10.
+    n = 323
+    kernel, ln_norm = laguerre_kernel(n - 1, 1.0), relfisher.systems._oscillator_terms(n - 1, 0.0, 1.0, str)
+    plain = radial_oscillator(ln_norm, kernel, 0.0)
+    scaled = radial_oscillator(ln_norm, kernel, 0.0, -0.5 * math.log(2 * n ** 3))
+    points = [30.0 + k / 100 for k in range(2000)]
+    cut = [plain(s) == (0.0, 0.0) for s in points]
+    assert cut == [scaled(s) == (0.0, 0.0) for s in points]
+    assert 0 < sum(cut) < len(cut)
 
 
 def _unit_integral(state, spec=None):
@@ -861,14 +899,17 @@ def test_a_node_the_envelope_cuts_at_one_degree_continues_when_live_at_the_next(
     assert len(revived) >= 10
 
 
-def test_a_hydrogen_position_sweep_at_fixed_l_stores_no_panels(monkeypatch):
-    # Its unit length n is part of every panel's key, so no panel returns.
+def test_a_hydrogen_position_sweep_at_fixed_l_continues_its_panels(monkeypatch):
+    # In u = s^2 no panel's key or rows hold n, so the l = 2 column (alpha
+    # + 1 = 6) stores its panels from the first degree on and continues
+    # them up to the last, n_r = 11.
     monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
     for n in range(3, 15):
         state = _hydrogen(n, 2, POSITION)
         assert _integrated(state) == _unit_integral(state), n
     column = relfisher.specfun._LIVE["laguerre"][6.0]
-    assert column.lowest == 0 and not column.states
+    assert column.lowest == 0 and column.states
+    assert 11 in {k for _, degrees, _, _ in column.states.values() for k in degrees}
 
 
 def test_one_laguerre_parameter_at_two_exponents_keeps_two_sets_of_panels(monkeypatch):
@@ -1469,13 +1510,7 @@ def test_the_oracle_integrand_is_monotone_outside_its_breaks(state):
     # falls, and below a first break that lies above the lattice's first
     # point (the window starts away from 0) it rises.
     spec = default_quadrature_spec(state)
-    wave, log_derivative = state.system.unit(state), _reference_log_derivative(state)
-
-    def integrand(s):
-        value, derivative = wave(s)
-        difference = derivative - value * log_derivative(s)
-        return (4.0 * s * s if state.system.radial else 4.0) * difference * difference
-
+    integrand = _point_integrand(state)
     first, last = min(spec.breaks), max(spec.breaks)
     t_last = last / (last + spec.scale)
     tail = sorted({
@@ -1486,7 +1521,8 @@ def test_the_oracle_integrand_is_monotone_outside_its_breaks(state):
     assert values[0] > 0.0
     assert all(b <= a for a, b in zip(values, values[1:]))
     width = relfisher.systems._BREAK_WIDTH
-    lattice_start = 0.5 * state.n * width * width if isinstance(state.system, Hydrogenic) else width
+    # Hydrogen position's breaks are the lattice's points in u = s^2.
+    lattice_start = width * width if isinstance(state.system, Hydrogenic) else width
     if first > lattice_start:
         values = [integrand(first * k / 1000) for k in range(1, 1001)]
         assert all(a <= b for a, b in zip(values, values[1:]))

@@ -337,7 +337,8 @@ def _panel(n, alpha, column=None):
     alpha - 1/2) of degree n, on laguerre_column(n, alpha) or on column."""
     kappa = alpha - 0.5
     ln_norm = 0.5 * (math.log(2.0) + math.lgamma(n + 1.0) - math.lgamma(n + alpha + 1.0))
-    return oscillator_panel(ln_norm, column or laguerre_column(n, alpha), kappa, kappa, True, 0)
+    column = column or laguerre_column(n, alpha)
+    return oscillator_panel(ln_norm, column, kappa=kappa, reference=kappa, radial=True, squared=False)
 
 
 def _fresh(n, alpha):
@@ -406,7 +407,7 @@ def test_a_sweep_that_alternates_two_parameters_continues_both():
     for n in range(4, 44):
         m, p = divmod(n, 2)
         steps = tuple(specfun._laguerre_steps(p + 0.5, 0, m))
-        panel, fresh = (oscillator_panel(-3.0, column, float(p), 0.0, False, 0)
+        panel, fresh = (oscillator_panel(-3.0, column, kappa=float(p), reference=0.0, radial=False, squared=False)
                         for column in (laguerre_column(m, p - 0.5), (m, steps, None)))
         assert panel(*args) == fresh(*args), n
     assert list(specfun._LIVE["laguerre"]) == [0.5, 1.5]

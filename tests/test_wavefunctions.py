@@ -38,8 +38,12 @@ H2_PARAMS = Pseudoharmonic(mu=918.5724999, De=0.171535509264, re=1.401413504256)
 
 
 def _length(state):
-    """A length of the state's own density: the unit length over c."""
-    return state.system.layout(state)[1] / state.system.scale(state)
+    """A length of the state's own density: the unit length over c. The
+    unit length of hydrogen position is 2 in u = 2r/n, so n in r."""
+    length = state.system.layout(state)[1] / state.system.scale(state)
+    if isinstance(state.system, Hydrogenic) and state.space == POSITION:
+        return 0.5 * state.n * length
+    return length
 
 
 def test_1d_ground_state_at_special_frequency():
@@ -422,11 +426,12 @@ def test_radial_rejects_nonpositive_argument():
 
 def test_scale_and_quadrature_spec_conventions():
     # scale() is c, layout() gives the unit length after the name, and the
-    # quadrature runs at the unit length.
+    # quadrature runs at the unit length: for hydrogen position 2 in u =
+    # 2r/n, a length n / c of its density.
     hyd = Hydrogenic(Z=2.0)
     osc = Oscillator3D(omega=4.0)
     cases = [
-        (QuantumState(system=hyd, space=POSITION, n=4, l=0), (2.0, 4.0), 2.0),
+        (QuantumState(system=hyd, space=POSITION, n=4, l=0), (2.0, 2.0), 2.0),
         (QuantumState(system=hyd, space=MOMENTUM, n=4, l=0), (0.5, 0.25), 0.5),
         (QuantumState(system=osc, space=POSITION, n_r=1, l=0), (2.0, 1.0), 0.5),
         (QuantumState(system=osc, space=MOMENTUM, n_r=1, l=0), (0.5, 1.0), 2.0),
