@@ -5,9 +5,9 @@ and space.
     python3 scripts/oracle_point_cost.py [--runs N] [--src SRC]
 
 The package in SRC (default: the src/ tree next to this script) is imported
-into this process. Each run integrates three grids with numeric_ir, each
-from empty recurrence columns (specfun._LIVE, which holds the Laguerre panel
-tables and the Gegenbauer point states) and an empty unit-integral store
+into this process. Each run integrates four grids with numeric_ir, each
+from empty recurrence columns (specfun._LIVE, which holds the Laguerre and
+Gegenbauer panel tables) and an empty unit-integral store
 (relative_fisher._UNIT_INTEGRALS), as a fresh CLI process starts them:
 
     default   the cells of `relfisher validate` (omega 1, Z 1)
@@ -15,6 +15,7 @@ tables and the Gegenbauer point states) and an empty unit-integral store
               --nr-max 60 --space position`
     H-l=0     the cells of `relfisher compute --system hydrogen --n 1..120
               --l 0 --space position --validate`, a sweep in n at fixed l
+    Hp-l=0    the same sweep with `--space momentum`
 
 A cell's cost is the thread CPU time of its numeric_ir call. Cells served
 from the store (their quadrature object came back before) are left out, so
@@ -39,6 +40,7 @@ GRIDS = {
     "default": ["validate"],
     "CO": ["validate", "--system", "php", "--molecule", "CO", "--nr-max", "60", "--space", "position"],
     "H-l=0": ["compute", "--system", "hydrogen", "--n", "1..120", "--l", "0", "--space", "position", "--validate"],
+    "Hp-l=0": ["compute", "--system", "hydrogen", "--n", "1..120", "--l", "0", "--space", "momentum", "--validate"],
 }
 
 

@@ -8,16 +8,16 @@ systems._oscillator_terms or _momentum_terms and the bound polynomial:
     panel form  the oracle's integrand 4 x^2 (f' - f L)^2, L the
                 log-derivative of the state's reference, as a
                 quadrature.Panel: oscillator_panel and momentum_panel;
-                for hydrogen position that of the D = 4 oscillator in u = s^2
+                for hydrogen in u = s^2 (the D = 4 oscillator) and y = n p
 
 A panel loop runs, at each of a GK31 panel's 31 nodes, the t-map, the steps
 of its point form in their order, then L, the integrand and the weight
 scale / (1-t)^2. So every sample is bit for bit that of the point form put
 through quadrature.point_panel. Both loops run their recurrence inline,
 with no Python call per node, and in a degree sweep continue it from their
-family's column: oscillator_panel looks each panel up once in its Laguerre
-column (specfun.laguerre_column), momentum_panel each node by its q in its
-Gegenbauer column (specfun.gegenbauer_column). L is coded in the loops,
+family's column, where each looks a panel up once: oscillator_panel in its
+Laguerre column (specfun.laguerre_column), momentum_panel in its Gegenbauer
+column (specfun.gegenbauer_column). L is coded in the loops,
 apart from the point forms, so the oracle stays an independent route. A
 node where the point form cuts value and slope is skipped: its sample,
 (0 - 0 L)^2 times the weight, is 0 and adds nothing.
@@ -46,9 +46,10 @@ _ZERO = (0.0, 0.0)
 
 _NODES, _KRONROD, _GAUSS = zip(*_GK31)
 # The Laguerre (degree, prev, cur) and Gegenbauer (degree, before, prev,
-# cur) recurrence states of a node no degree has reached.
+# cur) recurrence states of a node no degree has reached, and of a panel.
 _FROM_ZERO = (0, 0.0, 1.0)
 _GEGENBAUER_FROM_ZERO = (0, 0.0, 0.0, 1.0)
+_PANEL_FROM_ZERO = (_GEGENBAUER_FROM_ZERO,) * len(_GK31)
 # The prev or cur terms of a panel's nodes as packed doubles: an entry keeps
 # 8 bytes a value, and packing and unpacking them costs less than building an
 # array from a list.
@@ -297,14 +298,12 @@ def oscillator_panel(
 
 def momentum_panel(ln_norm: float, column: Column, overflow: Callable[[float], Exception], n: int, l: int) -> Panel:
     """The panel of hydrogen_momentum(ln_norm, C_degree^(l+1), overflow, n,
-    l), column = (degree, steps, table) from specfun.gegenbauer_column, with
-    L = n (l/t - 2(l+2) t / (1+t^2)), the log-derivative of
-    t^l / (1+t^2)^(l+2) at t = n p. Raises overflow(p) where
-    hydrogen_momentum does. A node the envelope cuts is skipped; a live one
-    runs the recurrence from degree 0, or with a table from the state
-    (degree, before, prev, cur) stored under its q if that degree is <=
-    degree, and stores the state it reached as one tuple.
-    """
+    l) in y = n p, column = (degree, steps, table) from gegenbauer_column:
+    4 p^2 (f' - f L)^2 dp is (4/n) y^2 (F' - F L_y)^2 dy, F(y) = f(y/n) and
+    L_y = l/y - 2(l+2) y / (1+y^2), so no node depends on n. Raises
+    overflow(p) where hydrogen_momentum does. A table holds under (c, h,
+    scale) each node's state (degree, before, prev, cur), continued and
+    stored back as in oscillator_panel."""
     exp, log, log1p, isfinite = math.exp, math.log, math.log1p, math.isfinite
     degree, steps, table = column
     run = steps[:degree]
@@ -312,18 +311,20 @@ def momentum_panel(ln_norm: float, column: Column, overflow: Callable[[float], E
     ratio, two_alpha = alpha / (degree + alpha), 2.0 * alpha
     decay_power = l + 2.0
     two_decay_power = 2.0 * (l + 2.0)
+    four_over_n = 4.0 / n
 
     def panel(c: float, h: float, scale: float) -> tuple[float, float]:
+        states = _PANEL_FROM_ZERO if table is None else table.get((c, h, scale), _PANEL_FROM_ZERO)
+        reached = []
         kron = 0.0
         gauss = 0.0
-        for node, wk, wg in _GK31:
+        for (node, wk, wg), state in zip(_GK31, states):
             t = c + h * node
             one_minus = 1.0 - t
-            p = scale * t / one_minus
-            y = n * p  # the evaluator's t
+            y = scale * t / one_minus
             v = 1.0 / (1.0 + y * y)
             q = (y * y - 1.0) * v
-            dq_dt = 4.0 * y * v * v
+            dq_dy = 4.0 * y * v * v
             rational_decay = two_decay_power * y * v
             ln_env = ln_norm - decay_power * log1p(y * y)
             if l:
@@ -331,30 +332,30 @@ def momentum_panel(ln_norm: float, column: Column, overflow: Callable[[float], E
             if ln_env >= LN_TINY:
                 env = exp(ln_env)
             elif y >= 1.0 or ln_env - log(y) < LN_TINY:
+                reached.append(state)
                 continue
             else:
                 env = None
-            state = _GEGENBAUER_FROM_ZERO if table is None else table.get(q, _GEGENBAUER_FROM_ZERO)
             k, before, prev, cur = state if state[0] <= degree else _GEGENBAUER_FROM_ZERO
             for a_k, b_k in steps[k:degree] if k else run:
                 before, prev, cur = prev, cur, a_k * q * cur - b_k * prev
-            if table is not None:
-                table[q] = (degree, before, prev, cur)
+            reached.append((degree, before, prev, cur))
             geg, dgeg = ratio * (cur - before), two_alpha * prev
             if env is None:
-                over = exp(ln_env - log(y))
-                value, derivative = 0.0, n * over * ((l - y * rational_decay) * geg + y * dgeg * dq_dt)
+                value, derivative = 0.0, exp(ln_env - log(y)) * ((l - y * rational_decay) * geg + y * dgeg * dq_dy)
             else:
-                value, derivative = env * geg, n * (env * ((l / y - rational_decay) * geg + dgeg * dq_dt))
+                value, derivative = env * geg, env * ((l / y - rational_decay) * geg + dgeg * dq_dy)
             if not (isfinite(value) and isfinite(derivative)):
-                raise overflow(p)
-            difference = derivative - value * (n * (l / y - 2.0 * (l + 2.0) * y * (1.0 / (1.0 + y * y))))
-            sample = 4.0 * p * p * difference * difference
+                raise overflow(y / n)
+            difference = derivative - value * (l / y - 2.0 * (l + 2.0) * y * (1.0 / (1.0 + y * y)))
+            sample = four_over_n * y * y * difference * difference
             weighted = sample * scale / (one_minus * one_minus)
             if not isfinite(weighted):
-                raise sample_error(sample, p, t, weighted)
+                raise sample_error(sample, y / n, t, weighted)
             kron += wk * weighted
             gauss += wg * weighted
+        if table is not None:
+            table[c, h, scale] = tuple(reached)
         return kron, gauss
 
     return panel

@@ -15,17 +15,16 @@ at every node. A family's column holds, for one parameter (alpha + 1,
 exactly), the recurrence coefficients shared by every degree and a table:
 
     laguerre    `laguerre_column`, for oscillator_panel: a panel's key -> its
-                node table and each node's (degree, L_{degree-1}, L_degree),
-                looked up once and stored back whole
-    gegenbauer  `gegenbauer_column`, for momentum_panel: a node's q -> its
-                (degree, C_{degree-2}, C_{degree-1}, C_degree)
+                node table and each node's (degree, L_{degree-1}, L_degree)
+    gegenbauer  `gegenbauer_column`, for momentum_panel: a panel's key ->
+                each node's (degree, C_{degree-2}, C_{degree-1}, C_degree)
 
-A node continues its state when that state's degree is <= n, and runs from
-degree 0 otherwise; a degree gets its column's table only when the column
-already served a lower degree, otherwise it runs from degree 0 and stores
-nothing. The floating-point operations are the kernel's, in the same order,
-so every sample is bit-identical to a pass from degree 0 (q keys a
-Gegenbauer state, so -0.0 continues the state of 0.0).
+Each entry is a GK31 panel, looked up once and stored back whole. A node
+continues its state when that state's degree is <= n, and runs from degree
+0 otherwise; a degree gets its column's table only when the column already
+served a lower degree, otherwise it runs from degree 0 and stores nothing.
+The floating-point operations are the kernel's, in the same order, so every
+sample is bit-identical to a pass from degree 0.
 
 The columns of the two most recently bound parameters of each family stay
 alive; a third parameter drops the older. A panel keeps its own column, so
@@ -64,15 +63,16 @@ Column = tuple[int, tuple, dict | None]
 # 20 us more than a pass from degree 0, once.
 
 # A column drops its table when a degree is bound on it while it holds more
-# than this many nodes, about 7 MB of Laguerre panels or 13 MB of
-# Gegenbauer nodes: a process that sweeps many scales on one column would
-# otherwise keep the states of all of them. Measured with tracemalloc, a
-# Laguerre panel holds 31 nodes in about 3.3 kB, 108 bytes a node (the 1D
-# oscillator to n = 300: 247 panels, 0.82 MB), and a Gegenbauer state is one
-# node of 195 bytes (hydrogen momentum at l = 0 to n = 120: 5,936 nodes).
-# One sweep stores a few thousand nodes.
+# than this many nodes, 2,114 panels, about 7 MB of Laguerre or 10 MB of
+# Gegenbauer panels: a process that sweeps many scales on one column would
+# otherwise keep the states of all of them. Measured with tracemalloc as the
+# memory a sweep's tables free when cleared, a Laguerre panel takes about
+# 3.5 kB, 113 bytes a node (the 1D oscillator to n = 300: 247 panels,
+# 0.86 MB), and a Gegenbauer panel 4.8 kB, 155 bytes a node (hydrogen
+# momentum at l = 0 to n = 120: 83 panels, 0.40 MB). One sweep stores a few
+# hundred panels.
 _MAX_STATES = 1 << 16
-# The nodes of an oracle panel (quadrature._GK31): an entry of a Laguerre table.
+# The nodes of an oracle panel (quadrature._GK31), an entry of either table.
 _PANEL_NODES = 31
 
 
@@ -94,10 +94,9 @@ _LIVE_COLUMNS = 2
 _LIVE: dict[str, dict[float, _Column]] = {}
 
 
-def _bind(family: str, parameter: float, n: int, coefficients, nodes: int) -> tuple[tuple, dict | None]:
-    """The recurrence coefficients of at least n steps, and the table a
-    degree-n pass continues in, or None when it runs from degree 0 at every
-    point. An entry of the table holds nodes nodes.
+def _bind(family: str, parameter: float, n: int, coefficients) -> tuple[tuple, dict | None]:
+    """The recurrence coefficients of at least n steps, and the panel table
+    a degree-n pass continues in, or None when it runs from degree 0.
 
     A degree continues only when its column already served a lower degree, so
     sweeps that change the parameter at every cell, or that never ascend in
@@ -112,7 +111,7 @@ def _bind(family: str, parameter: float, n: int, coefficients, nodes: int) -> tu
         # Replaced, never extended in place, and each entry is stored as one
         # tuple: callers in other threads can lose a store, never corrupt one.
         steps = column.steps = steps + tuple(coefficients(parameter, len(steps), n))
-    if len(column.states) * nodes > _MAX_STATES:
+    if len(column.states) * _PANEL_NODES > _MAX_STATES:
         column.states.clear()
     continues = column.lowest < n
     column.lowest = min(column.lowest, n)
@@ -163,7 +162,7 @@ def laguerre_column(n: int, alpha: float) -> Column:
     the kernel's) and the column's panel table, or None when the panels of
     this degree run from degree 0 and store nothing."""
     _check_laguerre(n, alpha)
-    return (n, *_bind("laguerre", alpha + 1.0, n, _laguerre_steps, _PANEL_NODES))
+    return (n, *_bind("laguerre", alpha + 1.0, n, _laguerre_steps))
 
 
 def _gegenbauer_steps(g: float, start: int, stop: int) -> list[tuple[float, float]]:
@@ -202,10 +201,10 @@ def gegenbauer_kernel(n: int, alpha: float) -> Kernel:
 def gegenbauer_column(n: int, alpha: float) -> Column:
     """gegenbauer_kernel's pass for the oracle's momentum panel loop: n, the
     steps of the column of alpha + 1 (at least n of them, the same
-    coefficients as the kernel's) and the column's table of node states, or
-    None when the panels of this degree run from degree 0 and store nothing."""
+    coefficients as the kernel's) and the column's panel table, or None
+    when the panels of this degree run from degree 0 and store nothing."""
     _check_gegenbauer(n, alpha)
-    return (n, *_bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps, 1))
+    return (n, *_bind("gegenbauer", alpha + 1.0, n, _gegenbauer_steps))
 
 
 # One-point forms. Not part of the API and not called in the package; kept

@@ -267,9 +267,12 @@ class _Family:
                             and the oracle integrates them once; the unit
                             length, where |f|^2 lives and the oracle's
                             quadrature scale; its initial breaks in its
-                            variable, f's argument or u, the lattice points
-                            across a Laguerre state's classical window, or
-                            none); by default named by _oscillator(state)
+                            variable, the lattice points across a Laguerre
+                            state's classical window, or none); by default
+                            named by _oscillator(state)
+    argument_factor(state)  the linear factor from the layout's variable to
+                            f's argument: 1, but for hydrogen, integrated
+                            in u = 2r/n and y = n p
     unit(state)             f as an Evaluator
     fisher_panel(state)     the oracle's integrand 4 s^2 (f' - f L)^2 of f,
                             L = d/ds log(reference f), without the s^2 unless
@@ -329,6 +332,9 @@ class _Family:
         lattice = _lattice(n_r, alpha)
         # Hydrogen position (n > 0) is integrated in u = s^2.
         return name, self._unit_length, tuple(s * s for s in lattice) if n else lattice
+
+    def argument_factor(self, state: QuantumState) -> float:
+        return 1.0
 
     def compile(self, state: QuantumState) -> Evaluator:
         """The normalized radial function R(s) = c^(3/2) f(c s) as an Evaluator."""
@@ -569,7 +575,11 @@ class Hydrogenic(_Family):
     def layout(self, state: QuantumState) -> tuple[Hashable, float, tuple[float, ...]]:
         if state.space == POSITION:
             return super().layout(state)
-        return (state.n, state.l), 1.0 / state.n, ()
+        return (state.n, state.l), 1.0, ()
+
+    def argument_factor(self, state: QuantumState) -> float:
+        # r = n u / 2 in position, p = y / n in momentum.
+        return 0.5 * state.n if state.space == POSITION else 1.0 / state.n
 
     def closed_form(self, space: str, numbers: tuple[int, ...]) -> float:
         n, l = numbers

@@ -50,12 +50,14 @@ def evaluate(state: QuantumState, s: float) -> tuple[float, float]:
 
 
 def default_quadrature_spec(state: QuantumState, rel_tol: float = 1e-10) -> QuadratureSpec:
-    """The oracle's quadrature configuration for the state's unit-scale f:
-    its scale and its breaks are state.system.layout(state)[1:], the state's
-    unit length and, for a Laguerre state, the lattice points across its
-    classical window, in u = 2r/n for hydrogen position."""
+    """The quadrature configuration of the state's unit-scale f in f's own
+    argument: the unit length and breaks of state.system.layout(state) (for
+    a Laguerre state, the lattice points across its classical window) times
+    state.system.argument_factor(state). That is the oracle's own but for
+    hydrogen, which the oracle integrates in u = 2r/n and y = n p."""
     _, length, breaks = state.system.layout(state)
-    return QuadratureSpec(rel_tol=rel_tol, scale=length, breaks=breaks)
+    factor = state.system.argument_factor(state)
+    return QuadratureSpec(rel_tol=rel_tol, scale=factor * length, breaks=tuple(factor * b for b in breaks))
 
 
 def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None) -> float:
@@ -63,8 +65,8 @@ def normalization_defect(state: QuantumState, spec: QuadratureSpec | None = None
 
     The density is that of the unit-scale f on the half line, as in
     numeric_ir: s^2 f(s)^2 for radial systems, and f(x)^2 = 2 psi^2 for the
-    1D oscillator, whose psi^2 is even; spec.scale is a length of f. For
-    hydrogen position the default spec's is one of u = 2r/n, not of r.
+    1D oscillator, whose psi^2 is even; spec.scale is a length of f, in f's
+    argument, as default_quadrature_spec's is.
     Raises NonConvergedError if the quadrature does not reach its tolerance.
     """
     if spec is None:

@@ -1271,7 +1271,10 @@ def test_oracle_point_cost_runs_each_grid_from_empty_tables(monkeypatch, capsys)
     totals = [line.split() for line in capsys.readouterr().out.splitlines() if line.split()[1:2] == ["all"]]
     # grid, "all", integrals, evaluations, ns/eval (median), ns/eval (least)
     assert [total[:4] for total in totals] == [
-        ["default", "all", "171", "37231"], ["CO", "all", "61", "43152"], ["H-l=0", "all", "120", "154473"]
+        ["default", "all", "171", "37231"],
+        ["CO", "all", "61", "43152"],
+        ["H-l=0", "all", "120", "154473"],
+        ["Hp-l=0", "all", "120", "143530"],
     ]
     assert all(int(total[4]) == int(total[5]) > 0 for total in totals)
 

@@ -23,10 +23,18 @@ import relfisher._evaluators
 import relfisher.relative_fisher
 import relfisher.specfun
 import relfisher.systems
-from relfisher._evaluators import radial_oscillator
+from relfisher._evaluators import hydrogen_momentum, momentum_panel, radial_oscillator
 from relfisher._record import replace
 from relfisher.data_units import MoleculeRecord, find_molecule, registry, to_atomic_units
-from relfisher.quadrature import IntegrandError, QuadratureResult, _initial_edges, integrate, point_panel
+from relfisher.quadrature import (
+    _GK31,
+    IntegrandError,
+    QuadratureResult,
+    QuadratureSpec,
+    _initial_edges,
+    integrate,
+    point_panel,
+)
 from relfisher.relative_fisher import (
     UnsupportedSystemError,
     closed_form_ir,
@@ -38,7 +46,7 @@ from relfisher.relative_fisher import (
     ir_spacing,
     numeric_ir,
 )
-from relfisher.specfun import laguerre_kernel
+from relfisher.specfun import gegenbauer_kernel, laguerre_kernel
 from relfisher.systems import (
     MOMENTUM,
     POSITION,
@@ -646,7 +654,7 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
     # own nodes: numeric_ir's unit-scale integral times c^2 must agree.
     state = replace(make(scale), space=space)
     wave = compile_state(state)
-    c, length = state.system.scale(state), state.system.layout(state)[1]
+    c = state.system.scale(state)
     unit_log_derivative = _reference_log_derivative(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 8.0)
 
@@ -656,7 +664,7 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
         return weight(s) * difference * difference
 
     spec = default_quadrature_spec(state, rel_tol=1e-12)
-    direct = integrate(point_panel(integrand), replace(spec, scale=length / c, breaks=[b / c for b in spec.breaks]))
+    direct = integrate(point_panel(integrand), replace(spec, scale=spec.scale / c, breaks=[b / c for b in spec.breaks]))
     result = numeric_ir(state, spec.rel_tol)
     assert direct.converged and result.quadrature.converged
     assert result.numeric == pytest.approx(direct.value, rel=1e-12, abs=0.0)
@@ -664,9 +672,8 @@ def test_unit_scale_integral_equals_the_direct_one(make, space, scale):
 
 def _reference_log_derivative(state):
     """L, the log-derivative of the state's node-less reference at unit
-    scale, with the rounding of the L that the panel loops of
-    relfisher._evaluators code: for the hydrogen momentum decay, 2(l+2) t
-    times 1/(1+t^2), as the evaluator's 2(l+2) t v."""
+    scale, in f's argument: for the hydrogen momentum decay, 2(l+2) t times
+    1/(1+t^2), as the evaluator's 2(l+2) t v."""
     system = state.system
     if isinstance(system, Oscillator1D):
         return lambda y: -y
@@ -688,10 +695,12 @@ def _reference_log_derivative(state):
 def _point_integrand(state):
     """The Fisher integrand of state's unit-scale f as a point function of
     system.unit(state) and _reference_log_derivative(state): what the panel
-    loops of numeric_ir must match bit for bit. Hydrogen position is
-    integrated in u = s^2 instead (_hydrogen_position_integrand)."""
-    if isinstance(state.system, Hydrogenic) and state.space == POSITION:
-        return _hydrogen_position_integrand(state.n, state.l)
+    loops of numeric_ir must match bit for bit. Hydrogen is integrated in
+    u = s^2 and y = n p instead (_hydrogen_position_integrand and
+    _hydrogen_momentum_integrand)."""
+    if isinstance(state.system, Hydrogenic):
+        twin = _hydrogen_position_integrand if state.space == POSITION else _hydrogen_momentum_integrand
+        return twin(state.n, state.l)
     wave, log_derivative = state.system.unit(state), _reference_log_derivative(state)
     weight = (lambda s: 4.0 * s * s) if state.system.radial else (lambda s: 4.0)
 
@@ -720,6 +729,28 @@ def _hydrogen_position_integrand(n, l):
     return integrand
 
 
+def _hydrogen_momentum_integrand(n, l):
+    """The hydrogen momentum integrand at unit charge in y = n p,
+    (4/n) y^2 (F' - F L_y)^2, F(y) = f(y/n) from hydrogen_momentum at n = 1,
+    and L_y = l/y - 2(l+2) y/(1+y^2) coded here."""
+    ln_norm, overflow = relfisher.systems._momentum_terms(n, l, lambda: f"hydrogen n={n},l={l}")
+    wave = hydrogen_momentum(ln_norm, gegenbauer_kernel(n - l - 1, l + 1.0), overflow, n=1, l=l)
+
+    def integrand(y):
+        value, derivative = wave(y)
+        difference = derivative - value * (l / y - (2.0 * (l + 2.0) * y) * (1.0 / (1.0 + y * y)))
+        return (4 / n) * y * y * difference * difference
+
+    return integrand
+
+
+def _oracle_spec(state, rel_tol=1e-10):
+    """The quadrature configuration numeric_ir integrates state in: that of
+    default_quadrature_spec before it is mapped to f's argument."""
+    _, length, breaks = state.system.layout(state)
+    return QuadratureSpec(rel_tol=rel_tol, scale=length, breaks=breaks)
+
+
 def test_a_factor_on_the_oscillator_leaves_its_cutoff_where_it_was():
     # Hydrogen position's panel carries 1/sqrt(2 n^3) as ln_factor, and the
     # cutoff still tests the oscillator's own envelope. Cut where the
@@ -739,7 +770,7 @@ def test_a_factor_on_the_oscillator_leaves_its_cutoff_where_it_was():
 def _unit_integral(state, spec=None):
     """The unit-scale integral numeric_ir takes for state, integrated here
     directly, so that no stored integral of another state can stand in."""
-    return integrate(point_panel(_point_integrand(state)), spec or default_quadrature_spec(state))
+    return integrate(point_panel(_point_integrand(state)), spec or _oracle_spec(state))
 
 
 # States whose oracle integral runs each branch of the panel loops: both
@@ -826,14 +857,15 @@ def test_the_near_origin_branch_keeps_its_slope_bit_for_bit(states, continued, m
     for state in states:
         integrand = _point_integrand(state)
         point, panel = point_panel(integrand), state.system.fisher_panel(state)
-        scale = default_quadrature_spec(state).scale
+        # _branches' nodes are in f's argument, the panels in the oracle's variable.
+        own, scale = default_quadrature_spec(state).scale, _oracle_spec(state).scale
         for s in _branches(state)[1]:
-            t = s / (s + scale)
+            t = s / (s + own)
             narrow = (t, 1e-4 * t, scale)
             assert point(*narrow)[0] > 0.0
             assert panel(*narrow) == panel(*narrow) == point(*narrow), (_state_id(state), s)
             reached.append(state)
-        assert numeric_ir(state).quadrature == integrate(point, default_quadrature_spec(state))
+        assert numeric_ir(state).quadrature == integrate(point, _oracle_spec(state))
     assert len(reached) >= 2 and reached[-1] in states[continued:]
 
 
@@ -910,6 +942,47 @@ def test_a_hydrogen_position_sweep_at_fixed_l_continues_its_panels(monkeypatch):
     column = relfisher.specfun._LIVE["laguerre"][6.0]
     assert column.lowest == 0 and column.states
     assert 11 in {k for _, degrees, _, _ in column.states.values() for k in degrees}
+
+
+def test_a_hydrogen_momentum_sweep_at_fixed_l_stores_one_entry_per_panel(monkeypatch):
+    # In y = n p a panel's nodes are the same at every n, so the l = 2
+    # column (alpha + 1 = 4) keeps one entry per panel, whose 31 states
+    # continue from one degree to the next.
+    monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
+    keys = set()
+
+    def recorded(*args, **kwargs):
+        panel = momentum_panel(*args, **kwargs)
+
+        def record(c, h, scale):
+            keys.add((c, h, scale))
+            return panel(c, h, scale)
+
+        return record
+
+    monkeypatch.setattr(relfisher.systems, "momentum_panel", recorded)
+    for n in range(3, 15):
+        state = _hydrogen(n, 2, MOMENTUM)
+        assert _integrated(state) == _unit_integral(state), n
+    column = relfisher.specfun._LIVE["gegenbauer"][4.0]
+    assert column.lowest == 0 and set(column.states) == keys
+    for (c, h, scale), states in column.states.items():
+        assert len(states) == 31
+        for (node, _, _), (k, *terms) in zip(_GK31, states):
+            t = c + h * node
+            y = scale * t / (1.0 - t)
+            q = (y * y - 1.0) * (1.0 / (1.0 + y * y))  # as the panel loop rounds it
+            assert tuple(terms) == _gegenbauer_terms(k, q)
+    assert 11 in {k for states in column.states.values() for k, *_ in states}
+
+
+def _gegenbauer_terms(k, q):
+    """C_{k-2}, C_{k-1} and C_k of parameter 4 at q, from degree 0, in the
+    order of specfun.gegenbauer_kernel's operations."""
+    before, prev, cur = 0.0, 0.0, 1.0
+    for a_k, b_k in relfisher.specfun._gegenbauer_steps(4.0, 0, k):
+        before, prev, cur = prev, cur, a_k * q * cur - b_k * prev
+    return before, prev, cur
 
 
 def test_one_laguerre_parameter_at_two_exponents_keeps_two_sets_of_panels(monkeypatch):
@@ -1049,8 +1122,8 @@ _APART = {
 @pytest.mark.parametrize("first,second,rel_tols", _APART.values(), ids=_APART.keys())
 def test_states_of_different_names_integrate_their_own_integrals(first, second, rel_tols):
     assert not _served(first, second, rel_tols)
-    first_spec = default_quadrature_spec(first, rel_tols[0])
-    second_spec = default_quadrature_spec(second, rel_tols[1])
+    first_spec = _oracle_spec(first, rel_tols[0])
+    second_spec = _oracle_spec(second, rel_tols[1])
     own = _unit_integral(second, second_spec)
     assert numeric_ir(second, rel_tols[1]).quadrature == own
     assert own != _unit_integral(first, first_spec)
@@ -1167,7 +1240,7 @@ def _assert_threads_sweeping_one_column_integrate_as_alone(states):
     def run(worker):
         for state in orders[worker]:
             panel = state.system.fisher_panel(state)
-            results[worker, state] = integrate(panel, default_quadrature_spec(state))
+            results[worker, state] = integrate(panel, _oracle_spec(state))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1190,8 +1263,8 @@ def test_threads_that_share_a_laguerre_column_store_whole_panels(monkeypatch):
     )
 
 
-def test_threads_that_share_a_gegenbauer_column_store_whole_states(monkeypatch):
-    # The momentum states of one l: their nodes store states by the same q.
+def test_threads_that_share_a_gegenbauer_column_store_whole_panels(monkeypatch):
+    # The momentum states of one l: in y = n p they store the same panels.
     monkeypatch.setattr(relfisher.specfun, "_LIVE", {})
     _assert_threads_sweeping_one_column_integrate_as_alone([_hydrogen(n, 1, MOMENTUM) for n in range(2, 14)])
 
@@ -1509,7 +1582,7 @@ def test_the_oracle_integrand_is_monotone_outside_its_breaks(state):
     # outer panels hold no feature: beyond the last break the integrand
     # falls, and below a first break that lies above the lattice's first
     # point (the window starts away from 0) it rises.
-    spec = default_quadrature_spec(state)
+    spec = _oracle_spec(state)
     integrand = _point_integrand(state)
     first, last = min(spec.breaks), max(spec.breaks)
     t_last = last / (last + spec.scale)

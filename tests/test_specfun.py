@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from relfisher import specfun
 from relfisher._evaluators import _TERMS, momentum_panel, oscillator_panel
-from relfisher.quadrature import QuadratureSpec, integrate, point_panel
+from relfisher.quadrature import _GK31, QuadratureSpec, integrate, point_panel
 from relfisher.specfun import (
     assoc_laguerre,
     gegenbauer,
@@ -418,12 +418,12 @@ def test_a_sweep_that_alternates_two_parameters_continues_both():
     assert [{k for _, degrees, _, _ in column.states.values() for k in degrees} for column in live] == [{21}, {21}]
 
 
-# Gegenbauer columns hold the states of hydrogen momentum panels' nodes. A
-# live node of a degree-n panel on a column that served a lower degree looks
-# up the state (degree, before, prev, cur) stored under its q, continues it
-# when that degree is <= n, and stores the state it reached. Its sums must be
-# == to those of the same panel without a table, and every stored state == to
-# a pass from degree 0 at its q.
+# Gegenbauer columns hold hydrogen momentum panels. A degree-n panel on a
+# column that served a lower degree looks up its entry once; each live node
+# continues its state (degree, before, prev, cur) when that degree is <= n,
+# and the panel is stored back. Its sums must be == to those of the same
+# panel without a table, and every stored state == to a pass from degree 0
+# at its node's q.
 
 
 def _momentum(degree, l, column=None):
@@ -432,8 +432,8 @@ def _momentum(degree, l, column=None):
     n = degree + l + 1
     ln_norm, overflow = _momentum_terms(n, l, lambda: f"n={n},l={l}")
     panel = momentum_panel(ln_norm, column or gegenbauer_column(degree, l + 1.0), overflow, n, l)
-    # At the unit length 1/n, t = n p, and so q, is nearly the same at every degree.
-    return lambda c, h: panel(c, h, 1.0 / n)
+    # At the unit length 1 of y = n p, a node's y, and so its q, is the same at every degree.
+    return lambda c, h: panel(c, h, 1.0)
 
 
 def _momentum_fresh(degree, l):
@@ -442,11 +442,16 @@ def _momentum_fresh(degree, l):
 
 
 def _assert_momentum_states_are_passes(column, l):
-    for q, (k, *terms) in column.states.items():
-        assert tuple(terms) == _gegenbauer_terms(k, l + 1.0, q), (k, q)
+    for (c, h, scale), states in column.states.items():
+        assert len(states) == len(_GK31)
+        for (node, _, _), (k, *terms) in zip(_GK31, states):
+            t = c + h * node
+            y = scale * t / (1.0 - t)
+            q = (y * y - 1.0) * (1.0 / (1.0 + y * y))  # as the panel loop rounds it
+            assert tuple(terms) == _gegenbauer_terms(k, l + 1.0, q), (k, q)
 
 
-# Panels (c, h) over t = n p from about 0.05 to 19.
+# Panels (c, h) over y = n p from about 0.05 to 19.
 _MOMENTUM_PANELS = [(0.1 + 0.8 * k / 6, 0.06) for k in range(7)]
 
 
@@ -476,15 +481,14 @@ def test_a_momentum_sweep_from_degree_zero_continues_from_degree_one(monkeypatch
     column = specfun._LIVE["gegenbauer"][l + 2.0]
     assert list(specfun._LIVE["gegenbauer"]) == [100.0, l + 2.0]
     assert not column.states
-    # t = n p rounds differently at each n, and so may q: a node continues
-    # only where q repeats, and the q it leaves keep their states.
     for degree in range(1, 33):
         assert _momentum(degree, l)(*args) == _momentum_fresh(degree, l)(*args)
-        assert [k for k, *_ in column.states.values()].count(degree) == 31
-    assert max(k for k, *_ in column.states.values()) == 32
+        (states,) = column.states.values()
+        assert {k for k, *_ in states} == {degree}
     # A lower degree runs from 0 and stores its own state.
     assert _momentum(8, l)(*args) == _momentum_fresh(8, l)(*args)
-    assert [k for k, *_ in column.states.values()].count(8) == 31
+    (states,) = column.states.values()
+    assert {k for k, *_ in states} == {8}
     _assert_momentum_states_are_passes(column, l)
     assert column.lowest == 0 and len(column.steps) == 32
 
@@ -523,9 +527,8 @@ def test_two_columns_per_family_stay_alive(family):
                 for args in grid:
                     panel(*args)
     else:
-        # Each of the 31 live nodes of a panel near the peak t = 1 is an
-        # entry of the table, about 6 kB.
-        grid, parameters, entries = [(0.5, 0.01)], range(1000, 1200), 31
+        # The panel, near the peak y = 1, is the entry of the table, about 5 kB.
+        grid, parameters, entries = [(0.5, 0.01)], range(1000, 1200), 1
 
         def sweep(l):
             for degree in (n, n + 1):
@@ -556,8 +559,7 @@ def test_two_columns_per_family_stay_alive(family):
 
 
 def test_a_full_column_drops_its_states(monkeypatch):
-    # _MAX_STATES counts nodes: a Gegenbauer state is one, and a momentum
-    # panel stores one for each of its live nodes.
+    # _MAX_STATES counts nodes: a momentum panel, like a Laguerre one, is 31.
     monkeypatch.setattr(specfun, "_MAX_STATES", 50)
     monkeypatch.setattr(specfun, "_LIVE", {})
     l, panels = 6, _MOMENTUM_PANELS[2:5]
@@ -566,12 +568,12 @@ def test_a_full_column_drops_its_states(monkeypatch):
     for args in panels:
         panel(*args)
     states = specfun._LIVE["gegenbauer"][l + 2.0].states
-    assert len(states) == 93
+    assert len(states) == 3
     panel = _momentum(12, l)
     assert len(states) == 0
     for args in panels:
         assert panel(*args) == _momentum_fresh(12, l)(*args)
-    assert len(states) == 93
+    assert len(states) == 3
     _assert_momentum_states_are_passes(specfun._LIVE["gegenbauer"][l + 2.0], l)
 
 

@@ -179,10 +179,14 @@ def test_family_conformance(family, space):
     name, length, breaks = state.system.layout(state)
     c = state.system.scale(state)
     assert type(c) is float and type(length) is float
-    scale = length / c
-    assert math.isfinite(scale) and scale > 0.0
+    # The default spec is the layout's in f's argument, which differs from
+    # the oracle's variable only for hydrogen (u = 2r/n, y = n p).
+    factor = state.system.argument_factor(state)
+    assert (factor == 1.0) == (family is not Hydrogenic)
     spec = default_quadrature_spec(state)
-    assert (spec.scale, spec.breaks) == (length, breaks)
+    assert (spec.scale, spec.breaks) == (factor * length, tuple(factor * b for b in breaks))
+    scale = spec.scale / c
+    assert math.isfinite(scale) and scale > 0.0
     # The name keys the unit-integral store, and f does not depend on the
     # space except for hydrogen.
     hash(name)

@@ -38,12 +38,9 @@ H2_PARAMS = Pseudoharmonic(mu=918.5724999, De=0.171535509264, re=1.401413504256)
 
 
 def _length(state):
-    """A length of the state's own density: the unit length over c. The
-    unit length of hydrogen position is 2 in u = 2r/n, so n in r."""
-    length = state.system.layout(state)[1] / state.system.scale(state)
-    if isinstance(state.system, Hydrogenic) and state.space == POSITION:
-        return 0.5 * state.n * length
-    return length
+    """A length of the state's own density: default_quadrature_spec's
+    length of f, in f's argument, over c."""
+    return default_quadrature_spec(state).scale / state.system.scale(state)
 
 
 def test_1d_ground_state_at_special_frequency():
@@ -425,22 +422,23 @@ def test_radial_rejects_nonpositive_argument():
 
 
 def test_scale_and_quadrature_spec_conventions():
-    # scale() is c, layout() gives the unit length after the name, and the
-    # quadrature runs at the unit length: for hydrogen position 2 in u =
-    # 2r/n, a length n / c of its density.
+    # scale() is c, layout() gives the oracle's unit length after the name,
+    # and the default spec that length in f's argument: for hydrogen
+    # position 2 in u = 2r/n, n in r, a length n / c of its density, and
+    # for hydrogen momentum 1 in y = n p, 1/n in p.
     hyd = Hydrogenic(Z=2.0)
     osc = Oscillator3D(omega=4.0)
     cases = [
-        (QuantumState(system=hyd, space=POSITION, n=4, l=0), (2.0, 2.0), 2.0),
-        (QuantumState(system=hyd, space=MOMENTUM, n=4, l=0), (0.5, 0.25), 0.5),
-        (QuantumState(system=osc, space=POSITION, n_r=1, l=0), (2.0, 1.0), 0.5),
-        (QuantumState(system=osc, space=MOMENTUM, n_r=1, l=0), (0.5, 1.0), 2.0),
+        (QuantumState(system=hyd, space=POSITION, n=4, l=0), (2.0, 2.0, 4.0), 2.0),
+        (QuantumState(system=hyd, space=MOMENTUM, n=4, l=0), (0.5, 1.0, 0.25), 0.5),
+        (QuantumState(system=osc, space=POSITION, n_r=1, l=0), (2.0, 1.0, 1.0), 0.5),
+        (QuantumState(system=osc, space=MOMENTUM, n_r=1, l=0), (0.5, 1.0, 1.0), 2.0),
     ]
     for state, scale, length in cases:
         assert state.system.scale(state) == scale[0]
         assert state.system.layout(state)[1] == scale[1]
+        assert default_quadrature_spec(state).scale == scale[2]
         assert _length(state) == length
-        assert default_quadrature_spec(state).scale == scale[1]
     # php has the one unit length sqrt(2) in both spaces.
     lam = php_derived(H2_PARAMS, 0).lam
     for space, c in ((POSITION, math.sqrt(2.0 * lam)), (MOMENTUM, math.sqrt(0.5 / lam))):
@@ -458,7 +456,8 @@ def test_default_quadrature_spec_domains():
     assert not one_d.system.radial and radial.system.radial
     assert default_quadrature_spec(one_d).scale == one_d.system.layout(one_d)[1]
     assert default_quadrature_spec(radial, rel_tol=1e-8).rel_tol == 1e-8
-    assert default_quadrature_spec(radial).scale == radial.system.layout(radial)[1]
+    # Hydrogen momentum's unit length 1 in y = n p is 1/n in p.
+    assert default_quadrature_spec(radial).scale == 0.5 * radial.system.layout(radial)[1]
 
 
 NORMALIZATION_GRID = []
@@ -518,6 +517,16 @@ def test_normalization_spot_checks():
         normalization_defect(QuantumState(system=H2_PARAMS, space=POSITION, n_r=2, l=0))
         <= 1e-9
     )
+
+
+def test_hydrogen_normalization_is_integrated_in_its_own_argument():
+    # The oracle integrates hydrogen in u = 2r/n and y = n p; the density is
+    # r^2 f(r)^2 or p^2 f(p)^2. On the oracle's spec, whose lengths put it
+    # at 2/n and n times its place in r and p, the position defect read
+    # 1.0e-10 at n = 320.
+    for space, n in ((POSITION, 320), (MOMENTUM, 120)):
+        state = QuantumState(system=Hydrogenic(Z=1.0), space=space, n=n, l=0)
+        assert normalization_defect(state) <= 1e-11, space
 
 
 def test_normalization_defect_raises_when_its_quadrature_does_not_converge(monkeypatch):
